@@ -27,7 +27,6 @@ from .errors import (
 from .spectrum import (
     ConditionReport,
     SchmidtSpectrum,
-    TailFunction,
     build_spectrum,
     make_spectrum,
     safe_horizon,

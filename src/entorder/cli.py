@@ -141,9 +141,12 @@ def _parse_window(text):
         return None
     try:
         lo, hi = text.split(":")
-        return (int(lo), int(hi))
+        lo, hi = int(lo), int(hi)
     except ValueError as exc:
         raise _UsageError(f"bad --window {text!r}, expected MIN:MAX") from exc
+    if lo < 0 or hi < lo:
+        raise _UsageError(f"bad --window {text!r}, need 0 <= MIN <= MAX")
+    return (lo, hi)
 
 
 def _thresholds(args) -> TrendThresholds | None:
@@ -207,6 +210,13 @@ def _cmd_gen(args) -> int:
             raise _UsageError("--offset-grid must be positive")
         if args.offset_margin < 0:
             raise _UsageError("--offset-margin must be nonnegative")
+        if args.r <= 0:
+            raise _UsageError("--r must be positive")
+        k = 1 if args.family == "xi" else args.k
+        if k < 0:
+            raise _UsageError("--k must be a nonnegative integer")
+        if k > 0 and args.offset is not None and args.offset <= 1.0:
+            raise _UsageError("--offset must exceed 1 so that the profile argument stays above 1")
         delta = _resolve_delta(args)
         kwargs = dict(
             delta=delta,
@@ -216,13 +226,9 @@ def _cmd_gen(args) -> int:
             margin=args.offset_margin,
         )
         if args.family == "xi":
-            if args.r <= 0:
-                raise _UsageError("--r must be positive")
             spectrum = xi_state(args.r, **kwargs)
         else:
-            if args.k < 0:
-                raise _UsageError("--k must be a nonnegative integer")
-            spectrum = psi_state(args.k, r=args.r, **kwargs)
+            spectrum = psi_state(k, r=args.r, **kwargs)
     if not args.output:
         raise _UsageError("gen requires -o FILE")
     write_spectrum(spectrum, args.output)
@@ -338,13 +344,10 @@ def run(argv) -> int:
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except ValueError as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
     except (ParseError, ValidationError, OSError) as exc:
         print(f"invalid input: {exc}", file=sys.stderr)
         return EXIT_BAD_FILE
-    except EntOrderError as exc:
+    except (EntOrderError, ValueError) as exc:
         print(f"operation failed: {exc}", file=sys.stderr)
         return EXIT_OPERATION
 

@@ -27,17 +27,13 @@ from .oscillation import (
     ProbeReport,
     TrendClass,
     TrendThresholds,
-    classify_trend,
+    certificate_from_probe,
     default_window,
     probe_pair,
+    stored_window,
     trend_flags,
 )
-from .spectrum import (
-    SchmidtSpectrum,
-    safe_horizon,
-    tail_function,
-    vidal_conditions,
-)
+from .spectrum import SchmidtSpectrum, vidal_conditions
 
 _MAX_TREND_POINTS = 65536
 
@@ -79,13 +75,14 @@ class ComparisonReport:
         return _safe_exp(self.log_epsilon_b_to_a)
 
     def to_dict(self):
+        # ln 0 = -inf has no JSON form: a zero epsilon logs as null
         return {
             "verdict": self.verdict.value,
             "epsilon": {
                 "a_to_b": self.epsilon_a_to_b,
                 "b_to_a": self.epsilon_b_to_a,
-                "log_a_to_b": self.log_epsilon_a_to_b,
-                "log_b_to_a": self.log_epsilon_b_to_a,
+                "log_a_to_b": None if self.log_epsilon_a_to_b == NEG_INF else self.log_epsilon_a_to_b,
+                "log_b_to_a": None if self.log_epsilon_b_to_a == NEG_INF else self.log_epsilon_b_to_a,
             },
             "window": [int(self.window[0]), int(self.window[1])],
             "trend": {
@@ -111,8 +108,7 @@ def _padded_log_g(a: SchmidtSpectrum, b: SchmidtSpectrum):
 
     Only valid for exact states, whose g is exactly zero past the rank.
     """
-    ga = tail_function(a).log_g
-    gb = tail_function(b).log_g
+    ga, gb = a.log_g, b.log_g
     n = max(ga.size, gb.size)
     pad = lambda g: np.concatenate((g, np.full(n - g.size, NEG_INF)))
     return pad(ga), pad(gb)
@@ -134,7 +130,7 @@ def locc_convertible(a: SchmidtSpectrum, b: SchmidtSpectrum) -> bool:
     both spectra must be exact.
     """
     if not (a.is_exact and b.is_exact):
-        ga, gb = tail_function(a).log_g, tail_function(b).log_g
+        ga, gb = a.log_g, b.log_g
         m = min(ga.size, gb.size)
         if np.any(ga[:m] < gb[:m]):
             return False
@@ -191,39 +187,35 @@ def _windowed_evidence(a, b, window, th):
     """Shared evidence assembly for one ordered pair over a window.
 
     Returns (fwd, bwd, probe, (log eps fwd, log eps bwd), (trend fwd, trend bwd)).
+    The epsilons cover every finite point of the stored window; the
+    trend tests may see a subsample of it.
     """
-    n_min, n_max = int(window[0]), int(window[1])
-    if n_min < 0 or n_max < n_min:
-        raise ValueError(f"bad window {window}")
-    tfa, tfb = tail_function(a), tail_function(b)
-    mat_hi = min(n_max, safe_horizon(a, tfa, th.truncation_rtol),
-                 safe_horizon(b, tfb, th.truncation_rtol))
+    _, values = stored_window(a, b, window, th.truncation_rtol)
+    n_max = int(window[1])
+    mat_hi = int(window[0]) + values.size - 1
     pair = pair_ratio(a, b)
     if n_max > mat_hi and not (pair is not None and pair.oscillating):
         raise TruncationUnsafe(
             f"window end {n_max} beyond the truncation-safe horizon {mat_hi} "
             "and the pair has no analytic continuation"
         )
-    ns = np.arange(n_min, mat_hi + 1)
-    values = tfa.log_g[ns] - tfb.log_g[ns]
 
     # rank facts: one g hitting zero while the other is positive decides
     # both directions outright (zero is terminal, so at most one side hits
     # it first), no matter how short the finite overlap is
-    a_exhausted = bool(np.any((tfa.log_g[ns] == NEG_INF) & (tfb.log_g[ns] > NEG_INF)))
-    b_exhausted = bool(np.any((tfb.log_g[ns] == NEG_INF) & (tfa.log_g[ns] > NEG_INF)))
-    finite = np.isfinite(values)
-    ns, values = ns[finite], values[finite]
+    a_exhausted = bool(np.any(values == -np.inf))
+    b_exhausted = bool(np.any(values == np.inf))
+    values = values[np.isfinite(values)]
+    eps = (float(np.min(values)), float(-np.max(values))) if values.size else (NEG_INF, NEG_INF)
 
     if a_exhausted or b_exhausted:
         fwd = _Direction(_Ev.NO if a_exhausted else _Ev.YES, "rank")
         bwd = _Direction(_Ev.NO if b_exhausted else _Ev.YES, "rank")
-        eps_ab = float(np.min(values)) if values.size else NEG_INF
-        eps_ba = float(-np.max(values)) if values.size else NEG_INF
-        trend_f = classify_trend(values, th) if values.size >= th.min_points else None
-        trend_r = classify_trend(-values, th) if values.size >= th.min_points else None
-        empty = ProbeReport((), (), False, False, False)
-        return fwd, bwd, empty, (eps_ab, eps_ba), (trend_f, trend_r)
+        trends = (None, None)
+        if values.size >= th.min_points:
+            flags = trend_flags(values, th)
+            trends = (flags.label(), flags.mirrored().label())
+        return fwd, bwd, ProbeReport((), (), False, False, False), eps, trends
 
     if values.size < th.min_points:
         raise WindowTooSmall(
@@ -234,7 +226,7 @@ def _windowed_evidence(a, b, window, th):
         keep = np.arange(0, values.size, stride)
         if keep[-1] != values.size - 1:
             keep = np.append(keep, values.size - 1)
-        ns, values = ns[keep], values[keep]
+        values = values[keep]
 
     flags = trend_flags(values, th)
     probe = probe_pair(a, b, window, th)
@@ -254,12 +246,7 @@ def _windowed_evidence(a, b, window, th):
             "witnesses" if len(probe.up_records) >= th.min_witnesses else "slow-drift"),
         yes_grade="stable-maximum",
     )
-
-    eps_ab = float(np.min(values)) if values.size else NEG_INF
-    eps_ba = float(-np.max(values)) if values.size else NEG_INF
-    trend_f = classify_trend(values, th)
-    trend_r = classify_trend(-values, th)
-    return fwd, bwd, probe, (eps_ab, eps_ba), (trend_f, trend_r)
+    return fwd, bwd, probe, eps, (flags.label(), flags.mirrored().label())
 
 
 def slocc_decide(
@@ -282,19 +269,15 @@ def slocc_decide(
     if a.is_exact and b.is_exact:
         fwd = a.length >= b.length
         bwd = b.length >= a.length
-        verdict = _verdict(_Ev.YES if fwd else _Ev.NO, _Ev.YES if bwd else _Ev.NO)
-        ga, gb = _padded_log_g(a, b)
         m = min(a.length, b.length)
-        diffs = ga[:m] - gb[:m]
-        report_window = (0, max(a.length, b.length))
-        trend = None
+        diffs = a.log_g[:m] - b.log_g[:m]
         return ComparisonReport(
-            verdict=verdict,
+            verdict=_verdict(_Ev.YES if fwd else _Ev.NO, _Ev.YES if bwd else _Ev.NO),
             log_epsilon_a_to_b=float(np.min(diffs)),
             log_epsilon_b_to_a=float(-np.max(diffs)),
-            window=report_window,
-            trend_forward=trend,
-            trend_reverse=trend,
+            window=(0, max(a.length, b.length)),
+            trend_forward=None,
+            trend_reverse=None,
             probability=max_probability(a, b),
             evidence={"forward": "rank", "backward": "rank"},
         )
@@ -302,14 +285,6 @@ def slocc_decide(
     if window is None:
         window = default_window(a, b, th)
     fwd, bwd, probe, (eps_ab, eps_ba), (trend_f, trend_r) = _windowed_evidence(a, b, window, th)
-
-    witnesses = None
-    if (len(probe.up_records) >= th.min_witnesses
-            and len(probe.down_records) >= th.min_witnesses):
-        witnesses = OscillationCertificate(
-            probe.up_records, probe.down_records, (int(window[0]), int(window[1]))
-        )
-
     return ComparisonReport(
         verdict=_verdict(fwd.evidence, bwd.evidence),
         log_epsilon_a_to_b=eps_ab,
@@ -317,7 +292,7 @@ def slocc_decide(
         window=(int(window[0]), int(window[1])),
         trend_forward=trend_f,
         trend_reverse=trend_r,
-        witnesses=witnesses,
+        witnesses=certificate_from_probe(probe, window, th),
         probability=None,
         evidence={"forward": fwd.grade, "backward": bwd.grade},
     )

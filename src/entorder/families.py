@@ -123,25 +123,27 @@ def curve_conditions(curve: VidalCurve, x):
         if one.ndim == 0:
             return 1.0, 1.0
         return one, one.copy()
-    p, p1, p2 = eval_p(curve.r, x + curve.offset)
+    p, M, C = _profile_conditions(curve.k, curve.r, x + curve.offset)
     if np.any(p <= 0):
         raise NonPositiveP("profile not strictly positive at evaluation point")
-    u = p1 / p
-    w = p2 / p
-    M = 1.0 - curve.k * u
-    C = (1.0 - curve.k * u) ** 2 + curve.k * (w - u * u)
-    if M.ndim == 0:
+    if np.ndim(M) == 0:
         return float(M), float(C)
     return M, C
 
 
-def _condition_bad_mask(k, r, y, margin):
-    """True where the decrease/convexity conditions fail at profile argument y."""
+def _profile_conditions(k, r, y):
+    """(p, M, C) at profile argument y; see :func:`curve_conditions`."""
     p, p1, p2 = eval_p(r, y)
     u = p1 / p
     w = p2 / p
     M = 1.0 - k * u
     C = (1.0 - k * u) ** 2 + k * (w - u * u)
+    return p, M, C
+
+
+def _condition_bad_mask(k, r, y, margin):
+    """True where the decrease/convexity conditions fail at profile argument y."""
+    p, M, C = _profile_conditions(k, r, y)
     return (p <= 0) | (M <= margin) | (C < 0.0)
 
 
@@ -203,22 +205,21 @@ def discretize(
     curve: VidalCurve,
     delta: float,
     n: int,
-    scan_step: float = 0.01,
     family: str | None = None,
 ) -> SchmidtSpectrum:
     """Sample a curve into a spectrum: g(m) = d(delta m)/d(0), m <= n.
 
-    The curve conditions are re-verified on a dense grid over
-    [0, delta*(n+1)] before sampling (the extra step past the horizon
-    certifies the ordering of the first hidden weight at the cut). The
-    tail bound is the exact analytic g(n).
+    The curve conditions are re-verified on a grid of step
+    min(0.01, delta) over [0, delta*(n+1)] before sampling (the extra
+    step past the horizon certifies the ordering of the first hidden
+    weight at the cut). The tail bound is the exact analytic g(n).
     """
     if delta <= 0:
         raise ValueError("delta must be positive")
     if n < 1:
         raise ValueError("need at least one stored weight")
     span = delta * (n + 1)
-    step = min(scan_step, delta)
+    step = min(0.01, delta)
     xs_count = int(math.ceil(span / step)) + 1
 
     if curve.k > 0:
@@ -337,12 +338,16 @@ class AnalyticForm:
     def log_g(self, n):
         """ln g(n) for float indices; valid while delta*n stays in float range."""
         n = np.asarray(n, dtype=float)
-        out = -self.delta * n
-        if self.k:
-            p0, _, _ = eval_p(self.r, self.offset)
-            p, _, _ = eval_p(self.r, self.delta * n + self.offset)
-            out = out + self.k * (np.log(p) - math.log(p0))
-        return out
+        return -self.delta * n + self.log_profile(n)
+
+    def log_profile(self, n):
+        """k (ln p(delta n + offset) - ln p(offset)): ln g(n) without its exponential."""
+        n = np.asarray(n, dtype=float)
+        if not self.k:
+            return np.zeros_like(n)
+        p0, _, _ = eval_p(self.r, self.offset)
+        p, _, _ = eval_p(self.r, self.delta * n + self.offset)
+        return self.k * (np.log(p) - math.log(p0))
 
 
 def analytic_form(s: SchmidtSpectrum) -> AnalyticForm | None:
@@ -403,14 +408,8 @@ class PairRatio:
         return int(math.exp(LOG_ARG_CAP) / self.delta)
 
     def values(self, n):
-        n = np.asarray(n, dtype=float)
-        out = np.zeros_like(n)
-        for form, sign in ((self.a, 1.0), (self.b, -1.0)):
-            if form.k:
-                p0, _, _ = eval_p(form.r, form.offset)
-                p, _, _ = eval_p(form.r, form.delta * n + form.offset)
-                out = out + sign * form.k * (np.log(p) - math.log(p0))
-        return out
+        """ln g_a(n) - ln g_b(n) at float indices n."""
+        return self.a.log_profile(n) - self.b.log_profile(n)
 
 
 def pair_ratio(a: SchmidtSpectrum, b: SchmidtSpectrum) -> PairRatio | None:

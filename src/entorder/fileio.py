@@ -75,7 +75,10 @@ def _fmt_meta(key, value):
 def read_spectrum(path) -> SchmidtSpectrum:
     """Parse a v1 spectrum file; errors carry 1-based line numbers."""
     with open(path, "r", encoding="ascii") as fh:
-        raw = fh.read().splitlines()
+        try:
+            raw = fh.read().splitlines()
+        except UnicodeDecodeError as exc:
+            raise ParseError(f"not ASCII text: {exc}") from exc
     if not raw or raw[0].strip() != HEADER:
         raise ParseError(f"expected header {HEADER!r}", line=1)
     metadata = {}
@@ -130,8 +133,6 @@ def _canon(obj, out):
     if obj is None or obj is True or obj is False:
         out.append(json.dumps(obj))
     elif isinstance(obj, str):
-        out.append(json.dumps(obj))
-    elif isinstance(obj, bool):  # pragma: no cover - caught above
         out.append(json.dumps(obj))
     elif isinstance(obj, int):
         out.append(repr(obj))

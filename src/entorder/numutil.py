@@ -29,13 +29,6 @@ def log1mexp(x):
     return out
 
 
-def logsubexp(a, b):
-    """log(exp(a) - exp(b)) for a > b."""
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    return a + log1mexp(b - a)
-
-
 def logsumexp(values):
     """Sequential log-domain sum of a 1-D array (deterministic order)."""
     values = np.asarray(values, dtype=float)

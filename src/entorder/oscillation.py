@@ -16,14 +16,14 @@ explicit thresholds:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
 
 from .errors import TooShort, TruncationUnsafe
 from .families import PairRatio, pair_ratio
-from .spectrum import SchmidtSpectrum, safe_horizon, tail_function
+from .spectrum import SchmidtSpectrum, safe_horizon
 
 
 @dataclass(frozen=True)
@@ -65,6 +65,22 @@ class TrendFlags:
     min_stable: bool
     max_stable: bool
 
+    def mirrored(self) -> TrendFlags:
+        """Flags of the negated sequence: the two sides swap exactly."""
+        return TrendFlags(self.up_div, self.down_div, self.max_stable, self.min_stable)
+
+    def label(self) -> TrendClass:
+        """Trend class of the sequence; see :func:`classify_trend`."""
+        if self.down_div and self.up_div:
+            return TrendClass.Oscillating
+        if self.down_div:
+            return TrendClass.DivergesDown
+        if self.up_div:
+            return TrendClass.DivergesUp
+        if self.min_stable:
+            return TrendClass.BoundedBelow
+        return TrendClass.Undecided
+
 
 @dataclass(frozen=True)
 class OscillationCertificate:
@@ -104,6 +120,22 @@ class OscillationCertificate:
         }
 
 
+def stored_window(a: SchmidtSpectrum, b: SchmidtSpectrum, window, rtol: float):
+    """Stored ell(n) = ln g_a(n) - ln g_b(n) from n_min up to the window end.
+
+    The end is clipped to both spectra's truncation-safe horizons at
+    ``rtol``, so fewer than n_max - n_min + 1 points can come back.
+    Values are ``-inf`` where only g_a is zero and ``+inf`` where only
+    g_b is (NaN where both are). Returns (indices, values).
+    """
+    n_min, n_max = int(window[0]), int(window[1])
+    if n_min < 0 or n_max < n_min:
+        raise ValueError(f"bad window {window}")
+    hi = min(n_max, safe_horizon(a, rtol), safe_horizon(b, rtol))
+    ns = np.arange(n_min, hi + 1)
+    return ns, a.log_g[ns] - b.log_g[ns]
+
+
 def log_ratio_sequence(a: SchmidtSpectrum, b: SchmidtSpectrum, window, indices=None):
     """ell(n) = ln g_a(n) - ln g_b(n) over an index window, log domain only.
 
@@ -116,22 +148,17 @@ def log_ratio_sequence(a: SchmidtSpectrum, b: SchmidtSpectrum, window, indices=N
     ln g by more than the default tolerance, and on windows touching
     exhausted (zero-tail) indices of exact states.
     """
+    ns, values = stored_window(a, b, window, TrendThresholds.truncation_rtol)
     n_min, n_max = int(window[0]), int(window[1])
-    if n_min < 0 or n_max < n_min:
-        raise ValueError(f"bad window {window}")
-    tfa, tfb = tail_function(a), tail_function(b)
-    for s, tf in ((a, tfa), (b, tfb)):
-        if n_max > safe_horizon(s, tf):
-            raise TruncationUnsafe(
-                f"window end {n_max} beyond truncation-safe horizon {safe_horizon(s, tf)}"
-            )
-    if indices is None:
-        ns = np.arange(n_min, n_max + 1)
-    else:
+    if n_min + ns.size - 1 < n_max:
+        raise TruncationUnsafe(
+            f"window end {n_max} beyond truncation-safe horizon {n_min + ns.size - 1}"
+        )
+    if indices is not None:
         ns = np.asarray(indices, dtype=int)
         if ns.size and (ns[0] < n_min or ns[-1] > n_max):
             raise ValueError("indices outside window")
-    values = tfa.log_g[ns] - tfb.log_g[ns]
+        values = values[ns - n_min]
     if not np.all(np.isfinite(values)):
         raise TruncationUnsafe("window touches exhausted indices; ratio undefined there")
     return ns, values
@@ -176,7 +203,7 @@ def trend_flags(values, thresholds: TrendThresholds) -> TrendFlags:
     )
 
 
-def classify_trend(seq, thresholds: TrendThresholds | None = None) -> TrendClass:
+def classify_trend(values, thresholds: TrendThresholds | None = None) -> TrendClass:
     """Label a log-ratio sequence by its running-extreme behaviour.
 
     Divergence labels require the extreme to move by ``drift_nats`` over
@@ -184,19 +211,7 @@ def classify_trend(seq, thresholds: TrendThresholds | None = None) -> TrendClass
     sub-windows; BoundedBelow requires the running minimum to move less
     than a quarter of that. Anything between is Undecided.
     """
-    thresholds = thresholds or TrendThresholds()
-    if isinstance(seq, tuple) and len(seq) == 2:
-        seq = seq[1]
-    f = trend_flags(seq, thresholds)
-    if f.down_div and f.up_div:
-        return TrendClass.Oscillating
-    if f.down_div:
-        return TrendClass.DivergesDown
-    if f.up_div:
-        return TrendClass.DivergesUp
-    if f.min_stable:
-        return TrendClass.BoundedBelow
-    return TrendClass.Undecided
+    return trend_flags(values, thresholds or TrendThresholds()).label()
 
 
 # ---------------------------------------------------------------------------
@@ -220,8 +235,6 @@ class ProbeReport:
     analytic: bool
     up_env_gain: float = 0.0
     down_env_drop: float = 0.0
-    candidates_max: tuple = field(repr=False, default=())
-    candidates_min: tuple = field(repr=False, default=())
 
 
 def _collect_records(cands, step, sign):
@@ -245,7 +258,6 @@ def _collect_records(cands, step, sign):
 
 
 _PHASES = (0.0, math.pi / 2, math.pi, 3 * math.pi / 2)
-_MAX_LOG_ARG = 708.0
 _MAX_NEIGHBORHOOD = 20000
 
 
@@ -259,7 +271,7 @@ def _analytic_candidates(pair: PairRatio, n_min, n_max):
     delta = pair.delta
     a_ref = max(pair.max_offset, 1.0)
     lo = max(n_min, 1)
-    L_hi = min(_MAX_LOG_ARG, math.log(delta * n_max + a_ref) if n_max < 10**307 else _MAX_LOG_ARG)
+    L_hi = math.log(delta * n_max + a_ref)
     L_lo = math.log(delta * lo + a_ref)
     targets = []
     for base in _PHASES:
@@ -338,11 +350,7 @@ def probe_pair(a: SchmidtSpectrum, b: SchmidtSpectrum, window, thresholds: Trend
         cmax, cmin = _analytic_candidates(pair, n_min, n_hi)
         analytic = True
     else:
-        tfa, tfb = tail_function(a), tail_function(b)
-        hi = min(n_max, safe_horizon(a, tfa, thresholds.truncation_rtol),
-                 safe_horizon(b, tfb, thresholds.truncation_rtol))
-        ns = np.arange(n_min, hi + 1)
-        values = tfa.log_g[ns] - tfb.log_g[ns]
+        ns, values = stored_window(a, b, window, thresholds.truncation_rtol)
         finite = np.isfinite(values)
         cmax, cmin = _materialized_candidates(ns[finite], values[finite])
         pair = None
@@ -362,8 +370,7 @@ def probe_pair(a: SchmidtSpectrum, b: SchmidtSpectrum, window, thresholds: Trend
                                 thresholds.slow_min_steps, thresholds.slow_tail_ratio, +1.0)
     up_gain = max((v for _, v in cmax), default=0.0) - cmax[0][1] if cmax else 0.0
     down_drop = cmin[0][1] - min((v for _, v in cmin), default=0.0) if cmin else 0.0
-    return ProbeReport(ups, downs, slow_up, slow_down, analytic,
-                       float(up_gain), float(down_drop), tuple(cmax), tuple(cmin))
+    return ProbeReport(ups, downs, slow_up, slow_down, analytic, float(up_gain), float(down_drop))
 
 
 def default_window(a: SchmidtSpectrum, b: SchmidtSpectrum, thresholds: TrendThresholds | None = None):
@@ -393,13 +400,17 @@ def incomparability_certificate(
     thresholds = thresholds or TrendThresholds()
     if window is None:
         window = default_window(a, b, thresholds)
-    report = probe_pair(a, b, window, thresholds)
+    return certificate_from_probe(probe_pair(a, b, window, thresholds), window, thresholds)
+
+
+def certificate_from_probe(
+    probe: ProbeReport, window, thresholds: TrendThresholds
+) -> OscillationCertificate | None:
+    """Certificate of a probe's record lists when both reach ``min_witnesses``."""
     m = thresholds.min_witnesses
-    if len(report.up_records) >= m and len(report.down_records) >= m:
+    if len(probe.up_records) >= m and len(probe.down_records) >= m:
         return OscillationCertificate(
-            report.up_records[: max(m, len(report.up_records))],
-            report.down_records[: max(m, len(report.down_records))],
-            (int(window[0]), int(window[1])),
+            probe.up_records, probe.down_records, (int(window[0]), int(window[1]))
         )
     return None
 
@@ -411,15 +422,14 @@ def verify_certificate(cert: OscillationCertificate, a: SchmidtSpectrum, b: Schm
     tail functions; beyond that the analytic pair form is required.
     Raises ValueError on any mismatch beyond ``atol``.
     """
-    tfa, tfb = tail_function(a), tail_function(b)
     pair = pair_ratio(a, b)
-    stored_hi = min(tfa.horizon, tfb.horizon)
+    stored_hi = min(a.length, b.length)
     for name, wit in (("up", cert.up_witnesses), ("down", cert.down_witnesses)):
         for n, v in wit:
             if pair is not None:
                 got = float(pair.values(np.array([float(n)]))[0])
             elif n <= stored_hi:
-                got = float(tfa.log_g[n] - tfb.log_g[n])
+                got = float(a.log_g[n] - b.log_g[n])
             else:
                 raise ValueError(f"witness at {n} beyond stored range and no analytic form")
             if not math.isclose(got, v, rel_tol=atol, abs_tol=atol):

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -21,7 +22,7 @@ from .errors import (
     NotSorted,
     ValidationError,
 )
-from .numutil import LN2, NEG_INF, log1mexp, logsumexp
+from .numutil import LN2, NEG_INF, logsumexp
 
 #: relative tolerance for the normalization of a spectrum
 NORMALIZATION_RTOL = 1e-9
@@ -76,29 +77,14 @@ class SchmidtSpectrum:
         """Linear-domain weights (entries below ~1e-308 underflow to 0)."""
         return np.exp(self.log_weights)
 
+    @cached_property
+    def log_g(self) -> np.ndarray:
+        """ln g(n) for n = 0..length, read-only, computed once per spectrum.
 
-@dataclass(frozen=True, eq=False)
-class TailFunction:
-    """g(n) = total weight at index n and beyond, natural-log domain.
-
-    ``log_g`` has ``length + 1`` entries; the last one is the certified
-    tail bound at the cut (``-inf`` for exact states).
-    """
-
-    log_g: np.ndarray
-
-    def __post_init__(self):
-        arr = np.asarray(self.log_g, dtype=float).copy()
-        arr.setflags(write=False)
-        object.__setattr__(self, "log_g", arr)
-
-    @property
-    def horizon(self) -> int:
-        return int(self.log_g.size - 1)
-
-    def value(self, n: int) -> float:
-        """g(n) in linear domain."""
-        return float(np.exp(self.log_g[n]))
+        The last entry is the certified tail bound at the cut (``-inf``
+        for exact states). See :func:`tail_function`.
+        """
+        return tail_function(self)
 
 
 @dataclass(frozen=True)
@@ -252,20 +238,21 @@ def build_spectrum(weights, strict_order: bool = False) -> SchmidtSpectrum:
     return SchmidtSpectrum(log_w, NEG_INF, {})
 
 
-def tail_function(s: SchmidtSpectrum) -> TailFunction:
-    """Tail sums g(n) by reverse log-domain accumulation.
+def tail_function(s: SchmidtSpectrum) -> np.ndarray:
+    """Tail sums ln g(n) by reverse log-domain accumulation, as a read-only array.
 
     g(length) is the certified tail bound. Accumulation leaves ln g(0)
     within one ulp of 0; the whole curve is shifted by that residual so
     g(0) = 1 holds exactly and ratio comparisons of two spectra agree at
-    n = 0 by construction.
+    n = 0 by construction. Callers read the memoised ``s.log_g``.
     """
     logs = np.append(s.log_weights, s.log_tail_bound)
     log_g = np.logaddexp.accumulate(logs[::-1])[::-1]
     log_g = log_g - log_g[0]
     if np.any(np.diff(log_g) >= 0):
         raise ValidationError("tail function is not strictly decreasing")
-    return TailFunction(log_g)
+    log_g.setflags(write=False)
+    return log_g
 
 
 def vidal_conditions(s: SchmidtSpectrum) -> ConditionReport:
@@ -277,8 +264,7 @@ def vidal_conditions(s: SchmidtSpectrum) -> ConditionReport:
     nonincreasing and is checked with a 1e-12 log tolerance so that
     analytic rounding ties still pass.
     """
-    tf = tail_function(s)
-    lg = tf.log_g
+    lg = s.log_g
 
     pos_bad = np.nonzero(lg == NEG_INF)[0]
     positivity = ConditionCheck(pos_bad.size == 0, int(pos_bad[0]) if pos_bad.size else None)
@@ -332,13 +318,7 @@ def summary_stats(s: SchmidtSpectrum) -> dict:
     }
 
 
-def reconstruct_log_weights(tf: TailFunction) -> np.ndarray:
-    """Recover log weights from a tail function: weight(n) = g(n) - g(n+1)."""
-    lg = tf.log_g
-    return lg[:-1] + log1mexp(np.minimum(lg[1:] - lg[:-1], -1e-300))
-
-
-def safe_horizon(s: SchmidtSpectrum, tf: TailFunction | None = None, rtol: float = 1e-6) -> int:
+def safe_horizon(s: SchmidtSpectrum, rtol: float = 1e-6) -> int:
     """Largest index n at which the tail bound perturbs ln g(n) by < rtol.
 
     Comparisons beyond this index would be contaminated by the unknown
@@ -347,9 +327,7 @@ def safe_horizon(s: SchmidtSpectrum, tf: TailFunction | None = None, rtol: float
     """
     if s.is_exact:
         return s.length
-    if tf is None:
-        tf = tail_function(s)
     limit = s.log_tail_bound - math.log(rtol)
     # log_g is strictly decreasing; find the last index with log_g >= limit
-    idx = np.searchsorted(-tf.log_g, -limit, side="right")
+    idx = np.searchsorted(-s.log_g, -limit, side="right")
     return max(int(idx) - 1, 0)

@@ -4,6 +4,7 @@ import math
 import pytest
 
 import entorder as eo
+from entorder import cli
 from entorder.cli import run
 
 
@@ -98,6 +99,19 @@ class TestCompare:
         assert rep["verdict"] == "TwoWay"
 
 
+    def test_zero_epsilon_logs_null(self, capsys, tmp_path):
+        # rank 10 is exhausted at n = 10, so the window holds no finite ratio
+        exact, t = tmp_path / "exact10.spec", tmp_path / "t.spec"
+        eo.write_spectrum(eo.build_spectrum([0.1] * 10), exact)
+        assert run(["gen", "tmss", "--q", "0.5", "--n", "200", "-o", str(t)]) == 0
+        code, rep = run_json(capsys, [
+            "compare", str(exact), str(t), "--mode", "slocc", "--window", "10:10",
+        ])
+        assert code == 0
+        assert rep["verdict"] == "OneWayBtoA"
+        assert rep["epsilon"] == {"a_to_b": 0, "b_to_a": 0, "log_a_to_b": None, "log_b_to_a": None}
+
+
 class TestCertify:
     def test_psi_pair(self, specdir, capsys):
         code, rep = run_json(capsys, [
@@ -137,11 +151,14 @@ class TestExitCodes:
         f = tmp_path / "bad.spec"
         f.write_text("nonsense\n")
         assert run(["validate", str(f)]) == 2
+        f.write_bytes(b"#schmidt-spectrum 1\n\xff\n")
+        assert run(["validate", str(f)]) == 2
 
     def test_usage_error(self):
         assert run(["compare", "a", "b", "--mode", "bogus"]) == 1
         assert run(["frobnicate"]) == 1
         assert run(["gen", "tmss", "--q", "1.5", "-o", "/tmp/x.spec"]) == 1
+        assert run(["gen", "xi", "--r", "1.5", "--offset", "0.5", "-o", "/tmp/x.spec"]) == 1
 
     def test_sub_nat_witness_step_rejected(self, specdir):
         assert run([
@@ -158,11 +175,26 @@ class TestExitCodes:
         assert run(["compare", str(specdir / "psi1.spec"), str(specdir / "psi0.spec"),
                     "--mode", "slocc", "--window", "-5:100"]) == 1
 
-    def test_operation_error(self, specdir):
+    def test_reversed_window(self, specdir):
+        psi1, psi0 = str(specdir / "psi1.spec"), str(specdir / "psi0.spec")
+        assert run(["certify", psi1, psi0, "--window", "50:10"]) == 1
+        assert run(["compare", psi1, psi0, "--mode", "slocc", "--window", "50:10"]) == 1
+        assert run(["estimate-r", psi0, "--r-min", "1", "--r-max", "2", "--window", "50:10"]) == 1
+
+    def test_operation_error(self, specdir, monkeypatch):
         # slocc window beyond the truncation-safe horizon
         assert run([
             "compare", str(specdir / "tmss05.spec"), str(specdir / "tmss05.spec"),
             "--mode", "slocc", "--window", "0:1000",
+        ]) == 3
+        # a numeric failure inside the library is not a usage error
+
+        def fail(*args, **kwargs):
+            raise ValueError("numeric failure")
+
+        monkeypatch.setattr(cli, "slocc_decide", fail)
+        assert run([
+            "compare", str(specdir / "tmss05.spec"), str(specdir / "tmss05.spec"), "--mode", "slocc",
         ]) == 3
 
 

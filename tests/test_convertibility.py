@@ -114,6 +114,22 @@ class TestSloccDecide:
         rev = eo.slocc_decide(b, a, window=(0, 500))
         assert rev.verdict is Verdict.OneWayBtoA
 
+    def test_epsilon_covers_the_whole_window(self):
+        # a one-index dip at an odd n: the trend tests see every second
+        # point of this window, epsilon must still see the dip
+        a = eo.tmss(0.999, 90000)
+        w = a.weights()
+        e = (w[1000] - w[1001]) / 4
+        lw = a.log_weights.copy()
+        lw[1000], lw[1001] = math.log(w[1000] - e), math.log(w[1001] + e)
+        b = eo.make_spectrum(lw, a.log_tail_bound, cut_certified=True)
+        rep = eo.slocc_decide(a, b)
+        lo, hi = rep.window
+        assert hi - lo + 1 > 65536
+        ell = a.log_g[lo:hi + 1] - b.log_g[lo:hi + 1]
+        assert int(np.argmin(ell)) + lo == 1001
+        assert rep.log_epsilon_a_to_b == float(np.min(ell)) < -1e-7
+
     def test_psi_pair_incomparable(self, psi_family):
         rep = eo.slocc_decide(psi_family[2], psi_family[1])
         assert rep.verdict is Verdict.Incomparable

@@ -21,7 +21,7 @@ class TestTmss:
 
     def test_log_tail_linear_in_n(self):
         s = eo.tmss(0.9, 200)
-        lg = eo.tail_function(s).log_g
+        lg = s.log_g
         n = np.arange(201)
         assert np.allclose(lg, 2 * n * math.log(0.9), atol=1e-9)
 
@@ -91,6 +91,7 @@ class TestCurveConditions:
         p, p1, p2 = eo.eval_p(1.0, x + 1.01)
         assert np.all(np.sign(M) == np.sign(p - p1))
         assert np.all(np.sign(C) == np.sign(p - 2 * p1 + p2))
+        assert eo.curve_conditions(curve, float(x[7])) == pytest.approx((M[7], C[7]), rel=1e-12)
 
     def test_conditions_fail_below_offset_for_k4(self):
         # grid scan oracle: the searched offset is minimal, so some point
@@ -134,14 +135,14 @@ class TestDiscretize:
 
     def test_g0_exactly_one(self):
         spec = eo.xi_state(1.5, DELTA, 300)
-        assert eo.tail_function(spec).log_g[0] == 0.0
+        assert spec.log_g[0] == 0.0
 
     def test_ratio_between_k1_and_k0_is_profile(self, psi_family):
         # definitional: ln g1 - ln g0 = ln p(delta n + a) - ln p(a)
         s1, s0 = psi_family[1], psi_family[0]
         a = s1.metadata["offset"]
         n = np.arange(0, 2001)
-        ell = eo.tail_function(s1).log_g - eo.tail_function(s0).log_g
+        ell = s1.log_g - s0.log_g
         p, _, _ = eo.eval_p(1.0, DELTA * n + a)
         p0, _, _ = eo.eval_p(1.0, a)
         assert np.max(np.abs(ell - (np.log(p) - math.log(p0)))) < 1e-9
@@ -168,7 +169,7 @@ class TestAnalyticForm:
         for s in psi_family.values():
             form = analytic_form(s)
             n = np.array([0, 1, 17, 500, 1999, 2000])
-            stored = eo.tail_function(s).log_g[n]
+            stored = s.log_g[n]
             assert np.max(np.abs(form.log_g(n) - stored)) < 1e-9
 
     def test_pair_ratio_requires_matching_grid(self):

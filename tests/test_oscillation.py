@@ -7,7 +7,7 @@ from hypothesis import given, strategies as st
 import entorder as eo
 from entorder.errors import TooShort, TruncationUnsafe
 from entorder.families import pair_ratio
-from entorder.oscillation import OscillationCertificate, TrendClass
+from entorder.oscillation import OscillationCertificate, TrendClass, trend_flags
 
 DELTA = 1.0
 
@@ -109,6 +109,8 @@ class TestClassifyTrend:
         # may swap because BoundedBelow describes only the minimum side
         # (e.g. a flat run ending in a one-sided 2-nat step)
         v = np.array(vals)
+        th = eo.TrendThresholds()
+        assert trend_flags(-v, th) == trend_flags(v, th).mirrored()
         base = eo.classify_trend(v)
         flipped = eo.classify_trend(-v)
         mirror = {
@@ -152,11 +154,9 @@ class TestCertificates:
     def test_in_range_witnesses_match_stored_tails(self, psi_family):
         s2, s0 = psi_family[2], psi_family[0]
         cert = eo.incomparability_certificate(s2, s0)
-        lg2 = eo.tail_function(s2).log_g
-        lg0 = eo.tail_function(s0).log_g
         for n, v in cert.up_witnesses + cert.down_witnesses:
             if n <= 2000:
-                assert abs((lg2[n] - lg0[n]) - v) < 1e-9
+                assert abs((s2.log_g[n] - s0.log_g[n]) - v) < 1e-9
 
     def test_witness_growth_scales_with_k_gap(self, psi_family):
         # wider ladder separation packs more 1-nat records into the same span
@@ -164,6 +164,13 @@ class TestCertificates:
         far = eo.incomparability_certificate(psi_family[4], psi_family[0])
         assert len(far.up_witnesses) > len(near.up_witnesses)
         assert len(far.down_witnesses) > len(near.down_witnesses)
+
+    def test_tiny_grid_step_reaches_float_cap(self):
+        # below delta ~ 1e-3 the default window ends past 1e307
+        a, b = eo.psi_state(1, 0.0005, 2000), eo.psi_state(0, 0.0005, 2000)
+        cert = eo.incomparability_certificate(a, b)
+        assert cert is not None and cert.window[1] >= 10**307
+        eo.verify_certificate(cert, a, b)
 
     def test_certificate_validation(self):
         good = [(i, float(i)) for i in range(5)]

@@ -6,8 +6,8 @@ from hypothesis import given, strategies as st
 
 import entorder as eo
 from entorder.errors import NonPositive, NotNormalized, NotSorted, ValidationError
-from entorder.numutil import NEG_INF
-from entorder.spectrum import make_spectrum, reconstruct_log_weights
+from entorder.numutil import NEG_INF, log1mexp
+from entorder.spectrum import make_spectrum
 
 weights_lists = st.lists(
     st.floats(min_value=1e-6, max_value=1.0), min_size=1, max_size=12
@@ -53,9 +53,8 @@ class TestBuildSpectrum:
 class TestTailFunction:
     def test_uniform_rank_four(self):
         s = eo.build_spectrum([0.25] * 4)
-        tf = eo.tail_function(s)
-        assert np.allclose(np.exp(tf.log_g[:4]), [1.0, 0.75, 0.5, 0.25])
-        assert tf.log_g[4] == NEG_INF
+        assert np.allclose(np.exp(s.log_g[:4]), [1.0, 0.75, 0.5, 0.25])
+        assert s.log_g[4] == NEG_INF
 
     def test_tmss_geometric_tail(self):
         # oracle: brute linear sum of the dropped geometric weights
@@ -63,18 +62,18 @@ class TestTailFunction:
         s = eo.tmss(q, n)
         lam = (1 - q * q) * q ** (2 * np.arange(n + 200))
         oracle = float(lam[2:].sum())
-        assert eo.tail_function(s).value(2) == pytest.approx(oracle, rel=1e-12)
-        assert eo.tail_function(s).value(2) == pytest.approx(q**4, rel=1e-12)
+        assert math.exp(s.log_g[2]) == pytest.approx(oracle, rel=1e-12)
+        assert math.exp(s.log_g[2]) == pytest.approx(q**4, rel=1e-12)
 
     @given(weights_lists)
     def test_g0_is_one(self, ws):
-        tf = eo.tail_function(eo.build_spectrum(ws))
-        assert tf.log_g[0] == 0.0
+        assert eo.build_spectrum(ws).log_g[0] == 0.0
 
     def test_consistency_with_weights(self):
+        # weight(n) = g(n) - g(n+1)
         s = eo.tmss(0.8, 500)
-        tf = eo.tail_function(s)
-        rec = reconstruct_log_weights(tf)
+        lg = s.log_g
+        rec = lg[:-1] + log1mexp(lg[1:] - lg[:-1])
         assert np.max(np.abs(rec - s.log_weights)) < 1e-12
 
     def test_log_matches_linear_sums_small_n(self):
@@ -83,10 +82,21 @@ class TestTailFunction:
             w = rng.random(rng.integers(2, 50)) + 1e-3
             w = np.sort(w / w.sum())[::-1]
             s = eo.build_spectrum(w)
-            tf = eo.tail_function(s)
             linear = np.concatenate((np.cumsum(w[::-1])[::-1], [0.0]))
             finite = linear > 0
-            assert np.allclose(np.exp(tf.log_g[finite]), linear[finite], rtol=1e-12)
+            assert np.allclose(np.exp(s.log_g[finite]), linear[finite], rtol=1e-12)
+
+    def test_log_g_memoised(self, monkeypatch):
+        # one tail function per spectrum across a comparison and a certificate search
+        calls = []
+        original = eo.spectrum.tail_function
+        monkeypatch.setattr(eo.spectrum, "tail_function", lambda s: calls.append(s) or original(s))
+        a, b = eo.tmss(0.6, 400), eo.tmss(0.4, 400)
+        eo.slocc_decide(a, b, window=(0, 300))
+        eo.incomparability_certificate(a, b)
+        assert sorted(map(id, calls)) == sorted((id(a), id(b)))
+        assert a.log_g is a.log_g
+        assert not a.log_g.flags.writeable
 
 
 class TestVidalConditions:
@@ -163,7 +173,6 @@ class TestSafeHorizon:
     def test_truncated_margin(self):
         s = eo.tmss(0.5, 1000)
         h = eo.safe_horizon(s)
-        tf = eo.tail_function(s)
         assert h < 1000
-        assert s.log_tail_bound - tf.log_g[h] <= math.log(1e-6)
-        assert s.log_tail_bound - tf.log_g[h + 1] > math.log(1e-6)
+        assert s.log_tail_bound - s.log_g[h] <= math.log(1e-6)
+        assert s.log_tail_bound - s.log_g[h + 1] > math.log(1e-6)
