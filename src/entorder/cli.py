@@ -18,6 +18,7 @@ verdict is data, not failure), 1 usage error, 2 invalid input file,
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 
 from . import __version__
@@ -48,6 +49,17 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
+def _finite_float(text):
+    """argparse type: a float other than NaN or an infinity."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"expected a finite number, got {text!r}")
+    return value
+
+
 def _add_output(p):
     p.add_argument("-o", "--output", help="write the report/file here instead of stdout")
 
@@ -57,25 +69,25 @@ def _add_window(p):
 
 
 def _add_thresholds(p):
-    p.add_argument("--drift-nats", type=float, default=None, help="required extreme drift over the second half")
+    p.add_argument("--drift-nats", type=_finite_float, default=None, help="required extreme drift over the second half")
     p.add_argument("--min-points", type=int, default=None, help="minimum window points for trend tests")
-    p.add_argument("--witness-step", type=float, default=None, help="nats each witness must extend the record by")
+    p.add_argument("--witness-step", type=_finite_float, default=None, help="nats each witness must extend the record by")
     p.add_argument("--min-witnesses", type=int, default=None, help="witnesses required per direction")
 
 
 def _add_gen_common(p):
     p.add_argument("--n", type=int, default=10000, help="stored horizon (number of weights)")
-    p.add_argument("--delta", type=float, default=None, help="grid step of the tail function")
-    p.add_argument("--q", type=float, default=None, help="squeezing parameter implying the grid step")
+    p.add_argument("--delta", type=_finite_float, default=None, help="grid step of the tail function")
+    p.add_argument("--q", type=_finite_float, default=None, help="squeezing parameter implying the grid step")
     p.add_argument(
         "--delta-convention",
         choices=("schmidt", "amplitude"),
         default="schmidt",
         help="how --q maps to the grid step: schmidt (delta=-2 ln q) or amplitude (delta=-ln q)",
     )
-    p.add_argument("--offset", type=float, default=None, help="profile shift (default: searched)")
-    p.add_argument("--offset-grid", type=float, default=0.01, help="offset search grid step")
-    p.add_argument("--offset-margin", type=float, default=0.0, help="safety margin required of the decrease functional")
+    p.add_argument("--offset", type=_finite_float, default=None, help="profile shift (default: searched)")
+    p.add_argument("--offset-grid", type=_finite_float, default=0.01, help="offset search grid step")
+    p.add_argument("--offset-margin", type=_finite_float, default=0.0, help="safety margin required of the decrease functional")
     _add_output(p)
 
 
@@ -87,15 +99,15 @@ def build_parser() -> _Parser:
     gen = sub.add_parser("gen", help="generate a family spectrum file")
     gensub = gen.add_subparsers(dest="family", required=True)
     g_tmss = gensub.add_parser("tmss", help="two-mode squeezed state")
-    g_tmss.add_argument("--q", type=float, required=True)
+    g_tmss.add_argument("--q", type=_finite_float, required=True)
     g_tmss.add_argument("--n", type=int, default=10000)
     _add_output(g_tmss)
     g_xi = gensub.add_parser("xi", help="oscillating reference family, one state per r")
-    g_xi.add_argument("--r", type=float, required=True)
+    g_xi.add_argument("--r", type=_finite_float, required=True)
     _add_gen_common(g_xi)
     g_psi = gensub.add_parser("psi", help="profile-power ladder, one state per integer k")
     g_psi.add_argument("--k", type=int, required=True)
-    g_psi.add_argument("--r", type=float, default=1.0)
+    g_psi.add_argument("--r", type=_finite_float, default=1.0)
     _add_gen_common(g_psi)
 
     val = sub.add_parser("validate", help="check a spectrum file and its conditions")
@@ -124,10 +136,10 @@ def build_parser() -> _Parser:
     est = sub.add_parser("estimate-r", help="bracket a state against the reference family")
     est.add_argument("psi")
     est.add_argument("--family", choices=("xi",), default="xi")
-    est.add_argument("--r-min", type=float, required=True)
-    est.add_argument("--r-max", type=float, required=True)
+    est.add_argument("--r-min", type=_finite_float, required=True)
+    est.add_argument("--r-max", type=_finite_float, required=True)
     est.add_argument("--steps", type=int, default=21)
-    est.add_argument("--delta", type=float, default=None, help="family grid step (default: from the psi file)")
+    est.add_argument("--delta", type=_finite_float, default=None, help="family grid step (default: from the psi file)")
     est.add_argument("--member-n", type=int, default=10000, help="stored horizon of generated family members")
     _add_window(est)
     _add_thresholds(est)
@@ -150,15 +162,9 @@ def _parse_window(text):
 
 
 def _thresholds(args) -> TrendThresholds | None:
-    overrides = {}
-    if getattr(args, "drift_nats", None) is not None:
-        overrides["drift_nats"] = args.drift_nats
-    if getattr(args, "min_points", None) is not None:
-        overrides["min_points"] = args.min_points
-    if getattr(args, "witness_step", None) is not None:
-        overrides["witness_step_nats"] = args.witness_step
-    if getattr(args, "min_witnesses", None) is not None:
-        overrides["min_witnesses"] = args.min_witnesses
+    given = {"drift_nats": args.drift_nats, "min_points": args.min_points,
+             "witness_step_nats": args.witness_step, "min_witnesses": args.min_witnesses}
+    overrides = {field: value for field, value in given.items() if value is not None}
     if not overrides:
         return None
     try:

@@ -190,7 +190,8 @@ def _windowed_evidence(a, b, window, th):
     The epsilons cover every finite point of the stored window; the
     trend tests may see a subsample of it.
     """
-    _, values = stored_window(a, b, window, th.truncation_rtol)
+    stored = stored_window(a, b, window, th.truncation_rtol)
+    values = stored[1]
     n_max = int(window[1])
     mat_hi = int(window[0]) + values.size - 1
     pair = pair_ratio(a, b)
@@ -229,7 +230,7 @@ def _windowed_evidence(a, b, window, th):
         values = values[keep]
 
     flags = trend_flags(values, th)
-    probe = probe_pair(a, b, window, th)
+    probe = probe_pair(a, b, window, th, stored)
 
     step = th.witness_step_nats
     fwd = _direction(

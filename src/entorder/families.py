@@ -141,10 +141,28 @@ def _profile_conditions(k, r, y):
     return p, M, C
 
 
-def _condition_bad_mask(k, r, y, margin):
-    """True where the decrease/convexity conditions fail at profile argument y."""
-    p, M, C = _profile_conditions(k, r, y)
-    return (p <= 0) | (M <= margin) | (C < 0.0)
+_SCAN_CHUNK = 1_000_000
+
+
+def _first_clean(k, r, base, step, first, last, W, margin):
+    """Smallest j in [first, last] whose window base + i*step, i = j..j+W, is clean.
+
+    Clean: p > 0, M > margin and C >= 0 at every point (None if no j is).
+    The lattice is walked once, in chunks of at most ``_SCAN_CHUNK`` points:
+    a failing point at index i rules out every candidate up to i.
+    """
+    j = i = first  # indices j..i-1 are known clean
+    while j <= last:
+        stop = min(i + _SCAN_CHUNK, j + W + 1)
+        idx = np.arange(i, stop, dtype=float)
+        p, M, C = _profile_conditions(k, r, base + idx * step)
+        bad = np.flatnonzero((p <= 0) | (M <= margin) | (C < 0.0))
+        if bad.size:
+            j = i + int(bad[-1]) + 1
+        elif stop == j + W + 1:
+            return j
+        i = stop
+    return None
 
 
 def find_offset(
@@ -157,13 +175,15 @@ def find_offset(
 ) -> float:
     """Smallest grid multiple a such that the shifted curve is valid on [0, horizon].
 
-    Validity means M(x) > margin and C(x) >= 0 at every grid point of
+    Validity means M(x) > margin >= 0 and C(x) >= 0 at every grid point of
     step ``grid_step`` in [0, horizon], with x + a > 1 throughout. The
     check is finite: nothing beyond the horizon is certified. Raises
     :class:`OffsetNotFound` past ``a_max`` (default 1e6 * grid_step).
     """
     if grid_step <= 0 or horizon <= 0:
         raise ValueError("grid_step and horizon must be positive")
+    if not (margin >= 0):
+        raise ValueError("margin must be nonnegative")
     if k == 0:
         return 0.0
     if a_max is None:
@@ -171,48 +191,25 @@ def find_offset(
 
     # Candidates and scan points share one lattice of grid_step multiples,
     # so the window for candidate m covers lattice indices [m, m + W].
-    # The lattice is evaluated lazily: most offsets are small, so growing
-    # the candidate range in blocks avoids scanning out to a_max.
     m_lo = int(math.floor(1.0 / grid_step)) + 1  # first multiple > 1
     m_hi = int(math.floor(a_max / grid_step))
     if m_hi < m_lo:
         raise OffsetNotFound(f"a_max={a_max} leaves no candidate above 1")
     W = int(math.ceil(horizon / grid_step))
-
-    block = 16384
-    prefix = np.zeros(1)
-    evaluated = 0  # lattice points computed, starting at index m_lo
-    cand_done = 0
-    while cand_done < m_hi - m_lo + 1:
-        cand_stop = min(cand_done + block, m_hi - m_lo + 1)
-        need = cand_stop + W + 1
-        if need > evaluated:
-            idx = np.arange(m_lo + evaluated, m_lo + need, dtype=float)
-            bad = _condition_bad_mask(k, r, idx * grid_step, margin)
-            prefix = np.concatenate((prefix, prefix[-1] + np.cumsum(bad)))
-            evaluated = need
-        window_bad = prefix[cand_done + W + 1 : cand_stop + W + 1] - prefix[cand_done:cand_stop]
-        clean = np.nonzero(window_bad == 0)[0]
-        if clean.size:
-            return float((m_lo + cand_done + int(clean[0])) * grid_step)
-        cand_done = cand_stop
-    raise OffsetNotFound(
-        f"no offset <= {a_max} satisfies the conditions over [0, {horizon}]"
-    )
+    m = _first_clean(k, r, 0.0, grid_step, m_lo, m_hi, W, margin)
+    if m is None:
+        raise OffsetNotFound(f"no offset <= {a_max} satisfies the conditions over [0, {horizon}]")
+    return float(m * grid_step)
 
 
-def discretize(
-    curve: VidalCurve,
-    delta: float,
-    n: int,
-    family: str | None = None,
-) -> SchmidtSpectrum:
+def discretize(curve: VidalCurve, delta: float, n: int, family: str = "psi") -> SchmidtSpectrum:
     """Sample a curve into a spectrum: g(m) = d(delta m)/d(0), m <= n.
 
-    The curve conditions are re-verified on a grid of step
-    min(0.01, delta) over [0, delta*(n+1)] before sampling (the extra
-    step past the horizon certifies the ordering of the first hidden
-    weight at the cut). The tail bound is the exact analytic g(n).
+    Before sampling, the curve conditions M > 0 and C >= 0 are re-verified
+    at x = i*s for i = 0..ceil(delta*(n+1)/s), with s = min(0.01, delta).
+    That grid covers [0, delta*(n+1)] and overshoots it by less than one
+    step (the step past the horizon certifies the ordering of the first
+    hidden weight at the cut). The tail bound is the exact analytic g(n).
     """
     if delta <= 0:
         raise ValueError("delta must be positive")
@@ -220,18 +217,14 @@ def discretize(
         raise ValueError("need at least one stored weight")
     span = delta * (n + 1)
     step = min(0.01, delta)
-    xs_count = int(math.ceil(span / step)) + 1
+    last = int(math.ceil(span / step))
+    if curve.k and _first_clean(curve.k, curve.r, curve.offset, step, 0, 0, last, 0.0) is None:
+        raise ConditionViolated(f"curve conditions fail inside [0, {span}] for offset {curve.offset}")
+    return _sample(curve, delta, n, family)
 
-    if curve.k > 0:
-        chunk = 1_000_000
-        for start in range(0, xs_count, chunk):
-            stop = min(start + chunk, xs_count)
-            xs = np.minimum(np.arange(start, stop, dtype=float) * step, span)
-            if _condition_bad_mask(curve.k, curve.r, xs + curve.offset, 0.0).any():
-                raise ConditionViolated(
-                    f"curve conditions fail inside [0, {span}] for offset {curve.offset}"
-                )
 
+def _sample(curve: VidalCurve, delta: float, n: int, family: str) -> SchmidtSpectrum:
+    """The spectrum of :func:`discretize`, for a curve already checked on its grid."""
     grid = np.arange(n + 1, dtype=float) * delta
     log_g = curve.log_d(grid)
     log_g = log_g - log_g[0]  # normalization: g(0) = 1 exactly
@@ -240,7 +233,7 @@ def discretize(
         raise ConditionViolated("sampled tail function is not strictly decreasing")
     log_weights = log_g[:-1] + log1mexp(diffs)
     metadata = {
-        "family": family or ("xi" if curve.k == 1 and curve.r != 1.0 else "psi"),
+        "family": family,
         "k": curve.k,
         "r": curve.r,
         "delta": float(delta),
@@ -294,10 +287,7 @@ def xi_state(
     a_max: float | None = None,
 ) -> SchmidtSpectrum:
     """Reference-family member: g(m) proportional to exp(-delta m) p_r(delta m + a)."""
-    if offset is None:
-        offset = find_offset(1, r, grid_step, delta * (n + 1), margin, a_max)
-    curve = VidalCurve(k=1, r=r, offset=offset)
-    return discretize(curve, delta, n, family="xi")
+    return _family_state("xi", 1, r, delta, n, offset, grid_step, margin, a_max)
 
 
 def psi_state(
@@ -314,12 +304,21 @@ def psi_state(
 
     k = 0 reproduces a two-mode squeezed state with q = exp(-delta/2).
     """
-    if k == 0:
-        offset = 0.0
-    elif offset is None:
-        offset = find_offset(k, r, grid_step, delta * (n + 1), margin, a_max)
-    curve = VidalCurve(k=k, r=r, offset=offset)
-    return discretize(curve, delta, n, family="psi")
+    return _family_state("psi", k, r, delta, n, offset, grid_step, margin, a_max)
+
+
+def _family_state(family, k, r, delta, n, offset, grid_step, margin, a_max) -> SchmidtSpectrum:
+    """Family member at a given or searched offset; each lattice point is scanned once."""
+    if k == 0 or offset is not None:
+        return discretize(VidalCurve(k=k, r=r, offset=offset if k else 0.0), delta, n, family)
+    curve = VidalCurve(k=k, r=r, offset=find_offset(k, r, grid_step, delta * (n + 1), margin, a_max))
+    # The search proved M > margin >= 0 and C >= 0 at j*g, j = m..m+W, for
+    # a = m*g and W = ceil(delta*(n+1)/g). When g equals discretize's step
+    # min(0.01, delta), its check points a + i*g, i = 0..W, are the same W+1
+    # points up to rounding, so it need not scan them again (n < 1 it refuses).
+    if grid_step == min(0.01, delta) and n >= 1:
+        return _sample(curve, delta, n, family)
+    return discretize(curve, delta, n, family)
 
 
 # ---------------------------------------------------------------------------

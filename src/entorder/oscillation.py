@@ -44,8 +44,10 @@ class TrendThresholds:
         if min(self.drift_nats, self.min_windows, self.min_points,
                self.witness_step_nats, self.min_witnesses) <= 0:
             raise ValueError("thresholds must all be positive")
-        if self.witness_step_nats < 1.0 - 1e-9:
+        if self.witness_step_nats < OscillationCertificate.MIN_STEP:
             raise ValueError("witness step below one nat cannot form a certificate")
+        if self.min_witnesses < OscillationCertificate.MIN_ENTRIES:
+            raise ValueError(f"a certificate needs at least {OscillationCertificate.MIN_ENTRIES} witnesses")
 
 
 class TrendClass(Enum):
@@ -185,8 +187,6 @@ def trend_flags(values, thresholds: TrendThresholds) -> TrendFlags:
         hi = v.size
         while hi >= 2:
             lo = hi // 2
-            if lo < 1:
-                break
             if abs(run[hi - 1] - run[lo - 1]) > 0.0:
                 improving += 1
             hi = lo
@@ -309,22 +309,22 @@ def _materialized_candidates(ns, values):
     return cands, list(cands)
 
 
-def _slow_drift(cands, scale_pos, total_min, min_steps, tail_ratio, sign):
+def _slow_drift(cands, pair: PairRatio, thresholds: TrendThresholds, sign):
     """Detect persistent sub-nat drift of the candidate envelope.
 
-    ``scale_pos`` maps each candidate to its ln ln(argument) position;
-    halves of that range must both contribute (a convergent envelope
-    stalls in the late half and is rejected).
+    Each candidate sits at scale position ln ln(delta n + offset); halves
+    of that range must both contribute (a convergent envelope stalls in
+    the late half and is rejected).
     """
-    if len(cands) < min_steps:
+    if len(cands) < thresholds.slow_min_steps:
         return False
     vals = np.array([sign * v for _, v in cands])
-    pos = np.asarray(scale_pos, dtype=float)
+    pos = np.array([math.log(math.log(pair.delta * max(n, 1) + pair.max_offset)) for n, _ in cands])
     env = np.minimum.accumulate(vals)
     drops = np.diff(env)
     steps = int(np.sum(drops < 0))
     total = float(env[0] - env[-1])
-    if steps < min_steps or total < total_min:
+    if steps < thresholds.slow_min_steps or total < thresholds.slow_min_total:
         return False
     mid = (pos[0] + pos[-1]) / 2.0
     late = pos[1:] >= mid
@@ -332,29 +332,27 @@ def _slow_drift(cands, scale_pos, total_min, min_steps, tail_ratio, sign):
     early_total = total - late_total
     if early_total <= 0:
         return True
-    return late_total >= tail_ratio * early_total
+    return late_total >= thresholds.slow_tail_ratio * early_total
 
 
-def probe_pair(a: SchmidtSpectrum, b: SchmidtSpectrum, window, thresholds: TrendThresholds) -> ProbeReport:
+def probe_pair(a: SchmidtSpectrum, b: SchmidtSpectrum, window, thresholds: TrendThresholds, stored=None) -> ProbeReport:
     """Witness candidates for ell = ln g_a - ln g_b over a window.
 
     Uses the analytic family forms when both spectra carry matching-grid
     metadata (reaching indices far past the stored horizon); otherwise
-    falls back to the stored window's local extremes. Slow drift is only
+    falls back to the local extremes of the pair's :func:`stored_window`
+    (``stored``, when the caller has built it). Slow drift is only
     assessed on analytic pairs, where the scale coordinate is known.
     """
     n_min, n_max = int(window[0]), int(window[1])
     pair = pair_ratio(a, b)
-    if pair is not None and pair.oscillating:
-        n_hi = min(n_max, pair.max_index())
-        cmax, cmin = _analytic_candidates(pair, n_min, n_hi)
-        analytic = True
+    analytic = pair is not None and pair.oscillating
+    if analytic:
+        cmax, cmin = _analytic_candidates(pair, n_min, min(n_max, pair.max_index()))
     else:
-        ns, values = stored_window(a, b, window, thresholds.truncation_rtol)
+        ns, values = stored or stored_window(a, b, window, thresholds.truncation_rtol)
         finite = np.isfinite(values)
         cmax, cmin = _materialized_candidates(ns[finite], values[finite])
-        pair = None
-        analytic = False
 
     step = thresholds.witness_step_nats
     ups = _collect_records(cmax, step, +1.0)
@@ -362,12 +360,8 @@ def probe_pair(a: SchmidtSpectrum, b: SchmidtSpectrum, window, thresholds: Trend
 
     slow_up = slow_down = False
     if analytic and cmax:
-        pos_max = [math.log(math.log(pair.delta * max(n, 1) + pair.max_offset)) for n, _ in cmax]
-        pos_min = [math.log(math.log(pair.delta * max(n, 1) + pair.max_offset)) for n, _ in cmin]
-        slow_up = _slow_drift(cmax, pos_max, thresholds.slow_min_total,
-                              thresholds.slow_min_steps, thresholds.slow_tail_ratio, -1.0)
-        slow_down = _slow_drift(cmin, pos_min, thresholds.slow_min_total,
-                                thresholds.slow_min_steps, thresholds.slow_tail_ratio, +1.0)
+        slow_up = _slow_drift(cmax, pair, thresholds, -1.0)
+        slow_down = _slow_drift(cmin, pair, thresholds, +1.0)
     up_gain = max((v for _, v in cmax), default=0.0) - cmax[0][1] if cmax else 0.0
     down_drop = cmin[0][1] - min((v for _, v in cmin), default=0.0) if cmin else 0.0
     return ProbeReport(ups, downs, slow_up, slow_down, analytic, float(up_gain), float(down_drop))

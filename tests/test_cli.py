@@ -175,6 +175,35 @@ class TestExitCodes:
         assert run(["compare", str(specdir / "psi1.spec"), str(specdir / "psi0.spec"),
                     "--mode", "slocc", "--window", "-5:100"]) == 1
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("argv", [
+        ["gen", "xi", "--r", "1.5", "--n", "50", "--offset", "{v}", "-o", "{out}"],
+        ["gen", "psi", "--k", "1", "--n", "50", "--delta", "{v}", "-o", "{out}"],
+        ["gen", "xi", "--r", "{v}", "--n", "50", "-o", "{out}"],
+        ["gen", "psi", "--k", "1", "--n", "50", "--offset-margin", "{v}", "-o", "{out}"],
+        ["gen", "tmss", "--q", "{v}", "--n", "50", "-o", "{out}"],
+        ["estimate-r", "{dir}/psi0.spec", "--r-min", "{v}", "--r-max", "2"],
+        ["compare", "{dir}/psi1.spec", "{dir}/psi0.spec", "--mode", "slocc", "--drift-nats", "{v}"],
+        ["certify", "{dir}/psi1.spec", "{dir}/psi0.spec", "--witness-step", "{v}"],
+    ], ids=["offset", "delta", "r", "offset-margin", "q", "r-min", "drift-nats", "witness-step"])
+    def test_non_finite_float_is_usage_error(self, specdir, tmp_path, argv, value):
+        out = tmp_path / "x.spec"
+        argv = [a.format(v=value, dir=specdir, out=out) for a in argv]
+        assert run(argv) == 1
+        assert not out.exists()
+
+    def test_too_few_witnesses_rejected(self, specdir, tmp_path):
+        # fewer than OscillationCertificate.MIN_ENTRIES can never form a
+        # certificate; it used to fail inside the certificate (exit 3)
+        psi2 = str(tmp_path / "psi2.spec")
+        assert run(["gen", "psi", "--k", "2", "--n", "2000", "-o", psi2]) == 0
+        psi1 = str(specdir / "psi1.spec")
+        window = ["--window", "0:1000000000", "--min-witnesses", "3"]
+        assert run(["certify", psi2, psi1, *window]) == 1
+        assert run(["compare", psi2, psi1, "--mode", "slocc", *window]) == 1
+        with pytest.raises(ValueError):
+            eo.TrendThresholds(min_witnesses=eo.OscillationCertificate.MIN_ENTRIES - 1)
+
     def test_reversed_window(self, specdir):
         psi1, psi0 = str(specdir / "psi1.spec"), str(specdir / "psi0.spec")
         assert run(["certify", psi1, psi0, "--window", "50:10"]) == 1

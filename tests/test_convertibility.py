@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import entorder as eo
+from entorder import convertibility, oscillation
 from entorder.convertibility import Verdict
 from entorder.errors import InvalidFamily, TruncationUnsafe
 from entorder.oscillation import TrendClass
@@ -129,6 +130,20 @@ class TestSloccDecide:
         ell = a.log_g[lo:hi + 1] - b.log_g[lo:hi + 1]
         assert int(np.argmin(ell)) + lo == 1001
         assert rep.log_epsilon_a_to_b == float(np.min(ell)) < -1e-7
+
+    def test_stored_window_built_once(self, monkeypatch):
+        calls = []
+        real = oscillation.stored_window
+
+        def counting(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(oscillation, "stored_window", counting)
+        monkeypatch.setattr(convertibility, "stored_window", counting)
+        rep = eo.slocc_decide(eo.tmss(0.6, 600), eo.tmss(0.4, 600))
+        assert rep.verdict is Verdict.OneWayAtoB
+        assert len(calls) == 1
 
     def test_psi_pair_incomparable(self, psi_family):
         rep = eo.slocc_decide(psi_family[2], psi_family[1])

@@ -2,8 +2,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 import entorder as eo
+from entorder import families
 from entorder.errors import ConditionViolated, DomainError, OffsetNotFound, QOutOfRange
 from entorder.families import analytic_form, pair_ratio
 
@@ -125,6 +127,104 @@ class TestFindOffset:
     def test_not_found(self):
         with pytest.raises(OffsetNotFound):
             eo.find_offset(1, 1.0, 0.01, horizon=50.0, margin=1.0, a_max=5.0)
+
+    def test_negative_margin_rejected(self):
+        with pytest.raises(ValueError):
+            eo.find_offset(1, 1.0, 0.01, horizon=10.0, margin=-0.1)
+
+
+def brute_force_offset(k, r, g, horizon, margin, a_max):
+    """find_offset by definition: test each candidate's whole window in turn."""
+    W = math.ceil(horizon / g)
+    for m in range(math.floor(1.0 / g) + 1, math.floor(a_max / g) + 1):
+        p, M, C = families._profile_conditions(k, r, np.arange(m, m + W + 1, dtype=float) * g)
+        if np.all((p > 0) & (M > margin) & (C >= 0)):
+            return m * g
+    return None
+
+
+class TestScanner:
+    @settings(max_examples=200)  # most draws are clean at the first candidate
+    @given(
+        k=st.integers(1, 4),
+        r=st.sampled_from([0.5, 1.0, 1.5, 2.0]),
+        g=st.sampled_from([0.02, 0.05, 0.1, 0.25]),
+        horizon=st.floats(0.1, 20.0),
+        margin=st.floats(0.0, 0.5),
+        extra=st.integers(-1, 150),
+    )
+    # the k = 4 curve below is first clean at 3.8 = 76 * 0.05, so its
+    # candidate 75 fails: extra = 55 puts that failure just before the
+    # last candidate, extra = 54 makes it the last and nothing is found
+    @example(k=4, r=1.0, g=0.05, horizon=5.0, margin=0.0, extra=55)
+    @example(k=4, r=1.0, g=0.05, horizon=5.0, margin=0.0, extra=54)
+    def test_find_offset_matches_brute_force(self, k, r, g, horizon, margin, extra):
+        # the last candidate is the first one above 1 plus `extra` steps
+        a_max = (math.floor(1.0 / g) + 1 + extra + 0.5) * g
+        expected = brute_force_offset(k, r, g, horizon, margin, a_max)
+        if expected is None:
+            with pytest.raises(OffsetNotFound):
+                eo.find_offset(k, r, g, horizon, margin, a_max)
+        else:
+            assert eo.find_offset(k, r, g, horizon, margin, a_max) == expected
+
+    @given(
+        bad=st.sets(st.integers(0, 60), max_size=12),
+        first=st.integers(0, 20),
+        span=st.integers(-2, 25),
+        W=st.integers(0, 10),
+        chunk=st.integers(1, 8),
+    )
+    def test_first_clean_on_synthetic_failures(self, bad, first, span, W, chunk):
+        # lattice point i is y = i (base 0, step 1); M fails exactly on `bad`
+        calls = []
+
+        def conditions(k, r, y):
+            calls.append(y)
+            return np.ones_like(y), np.where(np.isin(y, list(bad)), -1.0, 1.0), np.ones_like(y)
+
+        last = first + span
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(families, "_profile_conditions", conditions)
+            mp.setattr(families, "_SCAN_CHUNK", chunk)
+            got = families._first_clean(1, 1.0, 0.0, 1.0, first, last, W, 0.0)
+        expected = next(
+            (j for j in range(first, last + 1) if not bad & set(range(j, j + W + 1))), None
+        )
+        assert got == expected
+        points = np.concatenate(calls) if calls else np.zeros(0)
+        assert np.unique(points).size == points.size  # each point evaluated once
+        assert all(c.size <= chunk for c in calls)
+        assert points.size == 0 or points.max() <= last + W
+
+    @pytest.fixture
+    def scanned(self, monkeypatch):
+        """Every argument array the curve conditions are evaluated on."""
+        calls = []
+        real = families._profile_conditions
+
+        def recording(k, r, y):
+            calls.append(np.array(y))
+            return real(k, r, y)
+
+        monkeypatch.setattr(families, "_profile_conditions", recording)
+        return calls
+
+    def test_searched_member_scans_each_point_once(self, scanned):
+        spec = eo.psi_state(2, 1.0, 2000)
+        points = np.concatenate(scanned)
+        assert np.unique(points).size == points.size
+        assert max(c.size for c in scanned) <= 1_000_000
+        # the search window already reaches delta*(n+1) = 2001 past the offset,
+        # the end of discretize's check grid
+        assert points.max() >= spec.metadata["offset"] + 2001 - 1e-9
+
+    def test_finer_check_grid_is_scanned(self, scanned):
+        # delta 0.005 checks on step 0.005, the offset search on step 0.01
+        spec = eo.psi_state(1, 0.005, 2000)
+        a = spec.metadata["offset"]
+        last = math.ceil(0.005 * 2001 / 0.005)
+        assert any(c.size == last + 1 and c[0] == a for c in scanned)
 
 
 class TestDiscretize:

@@ -15,9 +15,10 @@ trees produce the same reports exactly when their manifests are equal::
     diff /tmp/before/MANIFEST /tmp/after/MANIFEST
 
 All commands run in one interpreter through ``entorder.cli.run``; the set
-covers generation, validation, summaries, every ordered pair of the psi
-ladder, locc/slocc comparisons (one of them on a window long enough to be
-subsampled) and two ``estimate-r`` runs.
+covers generation (searched and given offsets, on and off the default
+check grid, one offset that fails), validation, summaries, every ordered
+pair of the psi ladder, locc/slocc comparisons (one of them on a window
+long enough to be subsampled) and two ``estimate-r`` runs.
 """
 
 from __future__ import annotations
@@ -35,6 +36,13 @@ GEN = [
     ("t04.spec", ["gen", "tmss", "--q", "0.4", "--n", "500"]),
     ("t999.spec", ["gen", "tmss", "--q", "0.999", "--n", "90000"]),
     ("t998.spec", ["gen", "tmss", "--q", "0.998", "--n", "90000"]),
+    # each side of the rescan skip: a grid finer than the search step, a given
+    # offset (one that passes, one that fails), a coarser search grid, a margin
+    ("psi1_d005.spec", ["gen", "psi", "--k", "1", "--delta", "0.005", "--n", "2000"]),
+    ("psi2_a15.spec", ["gen", "psi", "--k", "2", "--offset", "1.5", "--n", "2000"]),
+    ("psi4_a2.spec", ["gen", "psi", "--k", "4", "--offset", "2", "--n", "100"]),
+    ("xi_g002.spec", ["gen", "xi", "--r", "1.5", "--offset-grid", "0.02", "--n", "2000"]),
+    ("psi3_m02.spec", ["gen", "psi", "--k", "3", "--offset-margin", "0.2", "--n", "2000"]),
 ]
 
 INSPECTED = ["psi0", "psi2", "xi", "t06", "t999"]
