@@ -20,6 +20,7 @@ from __future__ import annotations
 import argparse
 import math
 import sys
+from dataclasses import fields
 
 from . import __version__
 from .convertibility import (
@@ -71,7 +72,7 @@ def _add_window(p):
 def _add_thresholds(p):
     p.add_argument("--drift-nats", type=_finite_float, default=None, help="required extreme drift over the second half")
     p.add_argument("--min-points", type=int, default=None, help="minimum window points for trend tests")
-    p.add_argument("--witness-step", type=_finite_float, default=None, help="nats each witness must extend the record by")
+    p.add_argument("--witness-step", dest="witness_step_nats", type=_finite_float, default=None, help="nats each witness must extend the record by")
     p.add_argument("--min-witnesses", type=int, default=None, help="witnesses required per direction")
 
 
@@ -161,12 +162,9 @@ def _parse_window(text):
     return (lo, hi)
 
 
-def _thresholds(args) -> TrendThresholds | None:
-    given = {"drift_nats": args.drift_nats, "min_points": args.min_points,
-             "witness_step_nats": args.witness_step, "min_witnesses": args.min_witnesses}
-    overrides = {field: value for field, value in given.items() if value is not None}
-    if not overrides:
-        return None
+def _thresholds(args) -> TrendThresholds:
+    overrides = {f.name: getattr(args, f.name) for f in fields(TrendThresholds)
+                 if getattr(args, f.name) is not None}
     try:
         return TrendThresholds(**overrides)
     except ValueError as exc:
@@ -353,7 +351,7 @@ def run(argv) -> int:
     except (ParseError, ValidationError, OSError) as exc:
         print(f"invalid input: {exc}", file=sys.stderr)
         return EXIT_BAD_FILE
-    except (EntOrderError, ValueError) as exc:
+    except (EntOrderError, ValueError, OverflowError) as exc:
         print(f"operation failed: {exc}", file=sys.stderr)
         return EXIT_OPERATION
 

@@ -190,7 +190,7 @@ def _windowed_evidence(a, b, window, th):
     The epsilons cover every finite point of the stored window; the
     trend tests may see a subsample of it.
     """
-    stored = stored_window(a, b, window, th.truncation_rtol)
+    stored = stored_window(a, b, window)
     values = stored[1]
     n_max = int(window[1])
     mat_hi = int(window[0]) + values.size - 1
@@ -284,7 +284,7 @@ def slocc_decide(
         )
 
     if window is None:
-        window = default_window(a, b, th)
+        window = default_window(a, b)
     fwd, bwd, probe, (eps_ab, eps_ba), (trend_f, trend_r) = _windowed_evidence(a, b, window, th)
     return ComparisonReport(
         verdict=_verdict(fwd.evidence, bwd.evidence),
@@ -312,7 +312,6 @@ class MonotoneEstimate:
     r_plus: float
     per_r: tuple
     undecided_band: tuple
-    orientation: str = "higher r converts to lower r"
 
     def __post_init__(self):
         if self.r_minus > self.r_plus:
@@ -324,7 +323,7 @@ class MonotoneEstimate:
             "r_plus": self.r_plus,
             "per_r": [[r, v.value] for r, v in self.per_r],
             "undecided_band": list(self.undecided_band),
-            "orientation": self.orientation,
+            "orientation": "higher r converts to lower r",
         }
 
 
@@ -369,7 +368,7 @@ def estimate_r_bounds(
             raise InvalidFamily(f"family member at r={r} fails tail-function conditions")
         try:
             fwd, bwd, probe, _, _ = _windowed_evidence(
-                psi, member, window or default_window(psi, member, th), th
+                psi, member, window or default_window(psi, member), th
             )
             fe, be = fwd.evidence, bwd.evidence
         except WindowTooSmall:

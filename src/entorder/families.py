@@ -284,10 +284,9 @@ def xi_state(
     offset: float | None = None,
     grid_step: float = 0.01,
     margin: float = 0.0,
-    a_max: float | None = None,
 ) -> SchmidtSpectrum:
     """Reference-family member: g(m) proportional to exp(-delta m) p_r(delta m + a)."""
-    return _family_state("xi", 1, r, delta, n, offset, grid_step, margin, a_max)
+    return _family_state("xi", 1, r, delta, n, offset, grid_step, margin)
 
 
 def psi_state(
@@ -298,20 +297,19 @@ def psi_state(
     offset: float | None = None,
     grid_step: float = 0.01,
     margin: float = 0.0,
-    a_max: float | None = None,
 ) -> SchmidtSpectrum:
     """Ladder member k: g(m) proportional to exp(-delta m) p_r(delta m + a)^k.
 
     k = 0 reproduces a two-mode squeezed state with q = exp(-delta/2).
     """
-    return _family_state("psi", k, r, delta, n, offset, grid_step, margin, a_max)
+    return _family_state("psi", k, r, delta, n, offset, grid_step, margin)
 
 
-def _family_state(family, k, r, delta, n, offset, grid_step, margin, a_max) -> SchmidtSpectrum:
+def _family_state(family, k, r, delta, n, offset, grid_step, margin) -> SchmidtSpectrum:
     """Family member at a given or searched offset; each lattice point is scanned once."""
     if k == 0 or offset is not None:
         return discretize(VidalCurve(k=k, r=r, offset=offset if k else 0.0), delta, n, family)
-    curve = VidalCurve(k=k, r=r, offset=find_offset(k, r, grid_step, delta * (n + 1), margin, a_max))
+    curve = VidalCurve(k=k, r=r, offset=find_offset(k, r, grid_step, delta * (n + 1), margin))
     # The search proved M > margin >= 0 and C >= 0 at j*g, j = m..m+W, for
     # a = m*g and W = ceil(delta*(n+1)/g). When g equals discretize's step
     # min(0.01, delta), its check points a + i*g, i = 0..W, are the same W+1

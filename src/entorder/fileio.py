@@ -11,10 +11,10 @@ Spectrum file, version 1 (text):
 
 Line 1 is the fixed header. Optional ``#key value`` lines carry family
 metadata; recognized keys are family, q, r, k, delta, offset and
-tail_bound. Every following line is one decimal literal: the base-10
-log of a Schmidt weight, in index order (parsers accept at least 18
-significant digits). ``tail_bound`` is likewise stored as a base-10
-log, since linear tails underflow for deep truncations.
+tail_bound, numeric values finite. Every following line is one decimal
+literal: the base-10 log of a Schmidt weight, in index order (parsers
+accept at least 18 significant digits). ``tail_bound`` is likewise a
+base-10 log, since linear tails underflow for deep truncations.
 """
 
 from __future__ import annotations
@@ -103,6 +103,8 @@ def read_spectrum(path) -> SchmidtSpectrum:
                     metadata[key] = value
                 elif key == "k":
                     metadata[key] = int(value)
+                elif not math.isfinite(float(value)):
+                    raise ValueError(f"non-finite {key}")
                 elif key == "tail_bound":
                     log_tail = float(value) * LN10
                 else:

@@ -31,6 +31,9 @@ NORMALIZATION_RTOL = 1e-9
 #: absorbing rounding in analytically generated spectra
 ORDER_LOG_TOL = 1e-12
 
+#: max tail contamination of any ln g used (relative)
+TRUNCATION_RTOL = 1e-6
+
 
 @dataclass(frozen=True, eq=False)
 class SchmidtSpectrum:
@@ -318,8 +321,8 @@ def summary_stats(s: SchmidtSpectrum) -> dict:
     }
 
 
-def safe_horizon(s: SchmidtSpectrum, rtol: float = 1e-6) -> int:
-    """Largest index n at which the tail bound perturbs ln g(n) by < rtol.
+def safe_horizon(s: SchmidtSpectrum) -> int:
+    """Largest index n at which the tail bound perturbs ln g(n) by < TRUNCATION_RTOL.
 
     Comparisons beyond this index would be contaminated by the unknown
     mass past the truncation. Exact states are safe over their whole
@@ -327,7 +330,7 @@ def safe_horizon(s: SchmidtSpectrum, rtol: float = 1e-6) -> int:
     """
     if s.is_exact:
         return s.length
-    limit = s.log_tail_bound - math.log(rtol)
+    limit = s.log_tail_bound - math.log(TRUNCATION_RTOL)
     # log_g is strictly decreasing; find the last index with log_g >= limit
     idx = np.searchsorted(-s.log_g, -limit, side="right")
     return max(int(idx) - 1, 0)

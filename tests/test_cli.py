@@ -204,6 +204,32 @@ class TestExitCodes:
         with pytest.raises(ValueError):
             eo.TrendThresholds(min_witnesses=eo.OscillationCertificate.MIN_ENTRIES - 1)
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("key", ["q", "r", "delta", "offset", "tail_bound"])
+    @pytest.mark.parametrize("argv", [
+        ["validate", "{f}"],
+        ["info", "{f}"],
+        ["compare", "{f}", "{dir}/tmss05.spec", "--mode", "slocc"],
+        ["estimate-r", "{f}", "--r-min", "1", "--r-max", "2", "--steps", "2"],
+    ], ids=["validate", "info", "compare", "estimate-r"])
+    def test_non_finite_metadata_is_bad_file(self, specdir, tmp_path, capsys, argv, key, value):
+        lines = (specdir / "tmss05.spec").read_text().splitlines()
+        lines = [lines[0], f"#{key} {value}"] + [x for x in lines[1:] if not x.startswith(f"#{key} ")]
+        f = tmp_path / "bad.spec"
+        f.write_text("\n".join(lines) + "\n")
+        assert run([a.format(f=f, dir=specdir) for a in argv]) == 2
+        assert "invalid input: line 2:" in capsys.readouterr().err
+
+    def test_huge_delta_is_operation_error(self, specdir, tmp_path, capsys):
+        # delta * (n + 1) overflows to inf in the offset search
+        out = str(tmp_path / "x.spec")
+        assert run(["gen", "psi", "--k", "1", "--delta", "1e308", "--n", "10", "-o", out]) == 3
+        assert run(["gen", "xi", "--r", "1.5", "--delta", "1e306", "--n", "1000", "-o", out]) == 3
+        assert run(["estimate-r", str(specdir / "tmss05.spec"), "--delta", "1e308",
+                    "--r-min", "1", "--r-max", "2", "--steps", "2"]) == 3
+        assert capsys.readouterr().err.count("operation failed:") == 3
+        assert not (tmp_path / "x.spec").exists()
+
     def test_reversed_window(self, specdir):
         psi1, psi0 = str(specdir / "psi1.spec"), str(specdir / "psi0.spec")
         assert run(["certify", psi1, psi0, "--window", "50:10"]) == 1

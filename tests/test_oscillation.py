@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 import entorder as eo
+from entorder import families, oscillation
 from entorder.errors import TooShort, TruncationUnsafe
 from entorder.families import pair_ratio
 from entorder.oscillation import OscillationCertificate, TrendClass, trend_flags
@@ -202,3 +203,72 @@ class TestCertificates:
         ]
         with pytest.raises(ValueError):
             eo.verify_certificate(cert, *stripped)
+
+
+def per_target_candidates(pair, n_min, n_max):
+    """Reference for the grouped probe: one closed-form evaluation per phase target."""
+    delta = pair.delta
+    a_ref = max(pair.max_offset, 1.0)
+    lo = max(n_min, 1)
+    L_hi = math.log(delta * n_max + a_ref)
+    L_lo = math.log(delta * lo + a_ref)
+    targets = []
+    for base in (0.0, math.pi / 2, math.pi, 3 * math.pi / 2):
+        p = max(0, math.ceil((L_lo - base) / (2 * math.pi)))
+        L = base + 2 * math.pi * p
+        while L <= L_hi:
+            targets.append(L)
+            L += 2 * math.pi
+    targets.sort()
+    radius = min(int(math.ceil((math.pi + pair.offset_gap) / delta)) + 1, 20000)
+    cands_max, cands_min = [], []
+    for L in targets:
+        n0 = int(round((math.exp(L) - a_ref) / delta))
+        n0 = max(lo, min(n0, n_max))
+        start, stop = max(lo, n0 - radius), min(n_max, n0 + radius)
+        ns = np.arange(start, stop + 1, dtype=float)
+        vs = pair.values(ns)
+        cands_max.append((int(ns[np.argmax(vs)]), float(np.max(vs))))
+        cands_min.append((int(ns[np.argmin(vs)]), float(np.min(vs))))
+    return sorted(set(cands_max)), sorted(set(cands_min))
+
+
+@pytest.fixture(scope="module")
+def probe_pairs(psi_family, tmss_match):
+    fine = 0.002  # radius 1572: one neighbourhood fills a 4096-point group
+    return {
+        "psi2/psi1": pair_ratio(psi_family[2], psi_family[1]),
+        "psi3/psi0": pair_ratio(psi_family[3], psi_family[0]),
+        "tmss/xi": pair_ratio(tmss_match, eo.xi_state(1.5, DELTA, 2000)),
+        "fine psi2/psi1": pair_ratio(eo.psi_state(2, fine, 2000), eo.psi_state(1, fine, 2000)),
+    }
+
+
+class TestGroupedProbe:
+    @pytest.mark.parametrize("points", [1, 7, 4096])
+    @pytest.mark.parametrize("name", ["psi2/psi1", "psi3/psi0", "tmss/xi", "fine psi2/psi1"])
+    def test_matches_per_target_evaluation(self, probe_pairs, monkeypatch, name, points):
+        monkeypatch.setattr(oscillation, "_PROBE_POINTS", points)
+        pair = probe_pairs[name]
+        for n_min, n_max in ((0, pair.max_index()), (50, 5000)):
+            got = oscillation._analytic_candidates(pair, n_min, n_max)
+            want = per_target_candidates(pair, n_min, n_max)
+            assert [[(n, v.hex()) for n, v in c] for c in got] == \
+                [[(n, v.hex()) for n, v in c] for c in want]
+
+    def test_probe_evaluates_in_few_grouped_calls(self, monkeypatch):
+        a, b = eo.psi_state(2, DELTA, 10000), eo.psi_state(1, DELTA, 10000)
+        pair = pair_ratio(a, b)
+        radius = min(int(math.ceil((math.pi + pair.offset_gap) / DELTA)) + 1, 20000)
+        sizes = []
+        real = families.eval_p
+
+        def counting(r, x):
+            sizes.append(np.size(x))
+            return real(r, x)
+
+        monkeypatch.setattr(families, "eval_p", counting)
+        probe = oscillation.probe_pair(a, b, oscillation.default_window(a, b), eo.TrendThresholds())
+        assert probe.analytic and len(probe.up_records) >= 5
+        assert 0 < len(sizes) <= 8
+        assert max(sizes) <= max(oscillation._PROBE_POINTS, 2 * radius + 1)

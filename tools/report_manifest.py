@@ -18,7 +18,8 @@ All commands run in one interpreter through ``entorder.cli.run``; the set
 covers generation (searched and given offsets, on and off the default
 check grid, one offset that fails), validation, summaries, every ordered
 pair of the psi ladder, locc/slocc comparisons (one of them on a window
-long enough to be subsampled) and two ``estimate-r`` runs.
+long enough to be subsampled), a certificate on a fine grid (delta 0.002,
+one probe neighbourhood per grouped evaluation) and two ``estimate-r`` runs.
 """
 
 from __future__ import annotations
@@ -43,6 +44,8 @@ GEN = [
     ("psi4_a2.spec", ["gen", "psi", "--k", "4", "--offset", "2", "--n", "100"]),
     ("xi_g002.spec", ["gen", "xi", "--r", "1.5", "--offset-grid", "0.02", "--n", "2000"]),
     ("psi3_m02.spec", ["gen", "psi", "--k", "3", "--offset-margin", "0.2", "--n", "2000"]),
+    # a grid so fine that one probe neighbourhood fills a grouped evaluation
+    *[(f"psi{k}_d0002.spec", ["gen", "psi", "--k", str(k), "--delta", "0.002", "--n", "2000"]) for k in (1, 2)],
 ]
 
 INSPECTED = ["psi0", "psi2", "xi", "t06", "t999"]
@@ -65,6 +68,7 @@ def commands():
     for a, b in PAIRS:
         for mode in ("locc", "slocc"):
             out.append((f"{mode}_{a}_{b}.json", ["compare", f"{a}.spec", f"{b}.spec", "--mode", mode]))
+    out.append(("certify_psi2_d0002_psi1_d0002.json", ["certify", "psi2_d0002.spec", "psi1_d0002.spec"]))
     out.append(("estimate_psi0.json", ["estimate-r", "psi0.spec", "--r-min", "1", "--r-max", "2",
                                        "--steps", "3", "--member-n", "2000"]))
     out.append(("estimate_psi1.json", ["estimate-r", "psi1.spec", "--r-min", "0.5", "--r-max", "1.5",
