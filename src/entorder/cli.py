@@ -185,6 +185,16 @@ def _resolve_delta(args):
     return 1.0
 
 
+def _check_span(delta, n, n_option):
+    """Refuse a grid step and horizon whose generated span delta * (n + 1) is not finite."""
+    try:
+        span = delta * (n + 1)
+    except OverflowError:  # n too large for a float
+        span = math.inf
+    if not math.isfinite(span):
+        raise _UsageError(f"--delta * ({n_option} + 1) overflows; give a smaller --delta or {n_option}")
+
+
 def _emit(args, report) -> None:
     text = emit_report(report)
     if args.output:
@@ -203,6 +213,8 @@ def _spectrum_summary(s):
 
 
 def _cmd_gen(args) -> int:
+    if not args.output:
+        raise _UsageError("gen requires -o FILE")
     if args.n < 1:
         raise _UsageError("--n must be >= 1")
     if args.family == "tmss":
@@ -222,6 +234,7 @@ def _cmd_gen(args) -> int:
         if k > 0 and args.offset is not None and args.offset <= 1.0:
             raise _UsageError("--offset must exceed 1 so that the profile argument stays above 1")
         delta = _resolve_delta(args)
+        _check_span(delta, args.n, "--n")
         kwargs = dict(
             delta=delta,
             n=args.n,
@@ -233,8 +246,6 @@ def _cmd_gen(args) -> int:
             spectrum = xi_state(args.r, **kwargs)
         else:
             spectrum = psi_state(k, r=args.r, **kwargs)
-    if not args.output:
-        raise _UsageError("gen requires -o FILE")
     write_spectrum(spectrum, args.output)
     return EXIT_OK
 
@@ -309,6 +320,7 @@ def _cmd_estimate_r(args) -> int:
         raise _UsageError("--steps must be >= 1")
     if args.member_n < 1:
         raise _UsageError("--member-n must be >= 1")
+    _check_span(float(delta), args.member_n, "--member-n")
     if args.r_min <= 0 or args.r_max < args.r_min:
         raise _UsageError("need 0 < --r-min <= --r-max")
 

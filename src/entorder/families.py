@@ -59,10 +59,11 @@ def eval_p(r: float, x):
     cosL = np.cos(L)
     s1 = sinL + 1.0
     Lr = L**r
+    L2 = L**2
     p = Lr * s1 + 1.0 / L
-    q = r * Lr / L * s1 + Lr * cosL - 1.0 / L**2
+    q = r * Lr / L * s1 + Lr * cosL - 1.0 / L2
     qp = (
-        r * (r - 1.0) * Lr / L**2 * s1
+        r * (r - 1.0) * Lr / L2 * s1
         + 2.0 * r * Lr / L * cosL
         - Lr * sinL
         + 2.0 / L**3
@@ -137,23 +138,24 @@ def _profile_conditions(k, r, y):
     u = p1 / p
     w = p2 / p
     M = 1.0 - k * u
-    C = (1.0 - k * u) ** 2 + k * (w - u * u)
+    C = M * M + k * (w - u * u)
     return p, M, C
 
 
-_SCAN_CHUNK = 1_000_000
+# Most points per closed-form call: 48 KiB temporaries reuse the heap; from 8,192 on they page-fault anew each call
+EVAL_BLOCK = 6144
 
 
 def _first_clean(k, r, base, step, first, last, W, margin):
     """Smallest j in [first, last] whose window base + i*step, i = j..j+W, is clean.
 
     Clean: p > 0, M > margin and C >= 0 at every point (None if no j is).
-    The lattice is walked once, in chunks of at most ``_SCAN_CHUNK`` points:
+    The lattice is walked once, in blocks of at most ``EVAL_BLOCK`` points:
     a failing point at index i rules out every candidate up to i.
     """
     j = i = first  # indices j..i-1 are known clean
     while j <= last:
-        stop = min(i + _SCAN_CHUNK, j + W + 1)
+        stop = min(i + EVAL_BLOCK, j + W + 1)
         idx = np.arange(i, stop, dtype=float)
         p, M, C = _profile_conditions(k, r, base + idx * step)
         bad = np.flatnonzero((p <= 0) | (M <= margin) | (C < 0.0))

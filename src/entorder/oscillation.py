@@ -21,6 +21,7 @@ from enum import Enum
 
 import numpy as np
 
+from . import families
 from .errors import TooShort, TruncationUnsafe
 from .families import PairRatio, pair_ratio
 from .spectrum import SchmidtSpectrum, safe_horizon
@@ -258,10 +259,6 @@ def _collect_records(cands, step, sign):
 
 _PHASES = (0.0, math.pi / 2, math.pi, 3 * math.pi / 2)
 _MAX_NEIGHBORHOOD = 20000
-# Points per grouped evaluation of the closed form, kept small: on a 2-vCPU
-# Xeon, 1e6-point groups made a delta = 0.002 certify ~15 % slower than one
-# call per neighbourhood (eval_p's temporaries leave the cache); 4,096 did not.
-_PROBE_POINTS = 4096
 
 
 def _analytic_candidates(pair: PairRatio, n_min, n_max):
@@ -270,7 +267,7 @@ def _analytic_candidates(pair: PairRatio, n_min, n_max):
     Targets sit where sin(ln y) crosses its extremes and zeros; each one
     is refined by scanning the integer grid inside a radius wide enough
     to cover the phase misalignment from differing offsets, in groups
-    of about ``_PROBE_POINTS`` points per evaluation of the closed form.
+    of about ``families.EVAL_BLOCK`` points per evaluation of the closed form.
     """
     delta = pair.delta
     a_ref = max(pair.max_offset, 1.0)
@@ -294,7 +291,7 @@ def _analytic_candidates(pair: PairRatio, n_min, n_max):
         spans.append((max(lo, n0 - radius), min(n_max, n0 + radius)))
 
     cands_max, cands_min = [], []
-    per = max(1, _PROBE_POINTS // (2 * radius + 1))
+    per = max(1, families.EVAL_BLOCK // (2 * radius + 1))
     for g in range(0, len(spans), per):
         # one arange per neighbourhood: past 2**53 its float fill decides
         # which indices are sampled, and that must not change

@@ -50,6 +50,17 @@ class TestGenValidate:
     def test_gen_requires_output(self, capsys):
         assert run(["gen", "tmss", "--q", "0.5"]) == 1
 
+    def test_missing_output_refused_before_generating(self, monkeypatch, capsys):
+        def generate(*args, **kwargs):
+            raise RuntimeError("generated although -o is missing")
+
+        for name in ("tmss", "xi_state", "psi_state"):
+            monkeypatch.setattr(cli, name, generate)
+        assert run(["gen", "psi", "--k", "1", "--n", "100000"]) == 1
+        assert run(["gen", "xi", "--r", "1.5"]) == 1
+        assert run(["gen", "tmss", "--q", "0.5"]) == 1
+        assert capsys.readouterr().err.count("usage error: gen requires -o FILE") == 3
+
 
 class TestCompare:
     def test_self_slocc_two_way(self, specdir, capsys):
@@ -221,13 +232,16 @@ class TestExitCodes:
         assert "invalid input: line 2:" in capsys.readouterr().err
 
     def test_huge_delta_is_operation_error(self, specdir, tmp_path, capsys):
-        # delta * (n + 1) overflows to inf in the offset search
+        # delta * (n + 1) is not finite: the options are refused before any work
         out = str(tmp_path / "x.spec")
-        assert run(["gen", "psi", "--k", "1", "--delta", "1e308", "--n", "10", "-o", out]) == 3
-        assert run(["gen", "xi", "--r", "1.5", "--delta", "1e306", "--n", "1000", "-o", out]) == 3
+        assert run(["gen", "psi", "--k", "1", "--delta", "1e308", "--n", "10", "-o", out]) == 1
+        assert run(["gen", "xi", "--r", "1.5", "--delta", "1e306", "--n", "1000", "-o", out]) == 1
+        assert run(["gen", "psi", "--k", "1", "--n", str(10**400), "-o", out]) == 1
         assert run(["estimate-r", str(specdir / "tmss05.spec"), "--delta", "1e308",
-                    "--r-min", "1", "--r-max", "2", "--steps", "2"]) == 3
-        assert capsys.readouterr().err.count("operation failed:") == 3
+                    "--r-min", "1", "--r-max", "2", "--steps", "2"]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert err[:3] == ["usage error: --delta * (--n + 1) overflows; give a smaller --delta or --n"] * 3
+        assert err[3] == "usage error: --delta * (--member-n + 1) overflows; give a smaller --delta or --member-n"
         assert not (tmp_path / "x.spec").exists()
 
     def test_reversed_window(self, specdir):

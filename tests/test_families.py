@@ -143,6 +143,19 @@ def brute_force_offset(k, r, g, horizon, margin, a_max):
     return None
 
 
+def assert_blocks_equal_one_call(k, r, base, step, first, last):
+    """(p, M, C) on base + i*step, i = first..last: the scanner's EVAL_BLOCK blocks equal one call."""
+    block = families.EVAL_BLOCK
+    assert (last + 1 - first) // block >= 1 and (last + 1 - first) % block  # a short last block
+    whole = families._profile_conditions(k, r, base + np.arange(first, last + 1, dtype=float) * step)
+    parts = [
+        families._profile_conditions(k, r, base + np.arange(i, min(i + block, last + 1), dtype=float) * step)
+        for i in range(first, last + 1, block)
+    ]
+    for one, blocked in zip(whole, zip(*parts)):
+        assert np.concatenate(blocked).tobytes() == one.tobytes()
+
+
 class TestScanner:
     @settings(max_examples=200)  # most draws are clean at the first candidate
     @given(
@@ -186,7 +199,7 @@ class TestScanner:
         last = first + span
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(families, "_profile_conditions", conditions)
-            mp.setattr(families, "_SCAN_CHUNK", chunk)
+            mp.setattr(families, "EVAL_BLOCK", chunk)
             got = families._first_clean(1, 1.0, 0.0, 1.0, first, last, W, 0.0)
         expected = next(
             (j for j in range(first, last + 1) if not bad & set(range(j, j + W + 1))), None
@@ -214,7 +227,7 @@ class TestScanner:
         spec = eo.psi_state(2, 1.0, 2000)
         points = np.concatenate(scanned)
         assert np.unique(points).size == points.size
-        assert max(c.size for c in scanned) <= 1_000_000
+        assert max(c.size for c in scanned) <= families.EVAL_BLOCK
         # the search window already reaches delta*(n+1) = 2001 past the offset,
         # the end of discretize's check grid
         assert points.max() >= spec.metadata["offset"] + 2001 - 1e-9
@@ -225,6 +238,24 @@ class TestScanner:
         a = spec.metadata["offset"]
         last = math.ceil(0.005 * 2001 / 0.005)
         assert any(c.size == last + 1 and c[0] == a for c in scanned)
+
+    @pytest.mark.parametrize("r", [1.0, 1.37, 2.0])
+    @pytest.mark.parametrize("k", [1, 2, 3, 4])
+    def test_blocked_search_equals_one_call(self, k, r):
+        # find_offset's lattice for a delta = 1, n = 2000 member: from the
+        # first candidate above 1 to the end of the found window
+        g, horizon = 0.01, DELTA * 2001
+        offset = eo.find_offset(k, r, g, horizon)
+        assert_blocks_equal_one_call(k, r, 0.0, g, math.floor(1.0 / g) + 1,
+                                     round(offset / g) + math.ceil(horizon / g))
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 4])
+    def test_blocked_fine_check_equals_one_call(self, k):
+        # discretize's check lattice on the step-0.002 grid of a delta = 0.002,
+        # n = 1e5 member at its ladder offset
+        delta, n = 0.002, 100_000
+        offset = eo.find_offset(k, 1.0, 0.01, delta * (n + 1))
+        assert_blocks_equal_one_call(k, 1.0, offset, delta, 0, math.ceil(delta * (n + 1) / delta))
 
 
 class TestDiscretize:

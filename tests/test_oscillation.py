@@ -235,7 +235,7 @@ def per_target_candidates(pair, n_min, n_max):
 
 @pytest.fixture(scope="module")
 def probe_pairs(psi_family, tmss_match):
-    fine = 0.002  # radius 1572: one neighbourhood fills a 4096-point group
+    fine = 0.002  # radius 1572: 3,145 points per neighbourhood, most of a 4096-point group
     return {
         "psi2/psi1": pair_ratio(psi_family[2], psi_family[1]),
         "psi3/psi0": pair_ratio(psi_family[3], psi_family[0]),
@@ -245,10 +245,10 @@ def probe_pairs(psi_family, tmss_match):
 
 
 class TestGroupedProbe:
-    @pytest.mark.parametrize("points", [1, 7, 4096])
+    @pytest.mark.parametrize("points", [1, 7, 4096, 6144, 32768])
     @pytest.mark.parametrize("name", ["psi2/psi1", "psi3/psi0", "tmss/xi", "fine psi2/psi1"])
     def test_matches_per_target_evaluation(self, probe_pairs, monkeypatch, name, points):
-        monkeypatch.setattr(oscillation, "_PROBE_POINTS", points)
+        monkeypatch.setattr(families, "EVAL_BLOCK", points)
         pair = probe_pairs[name]
         for n_min, n_max in ((0, pair.max_index()), (50, 5000)):
             got = oscillation._analytic_candidates(pair, n_min, n_max)
@@ -270,5 +270,6 @@ class TestGroupedProbe:
         monkeypatch.setattr(families, "eval_p", counting)
         probe = oscillation.probe_pair(a, b, oscillation.default_window(a, b), eo.TrendThresholds())
         assert probe.analytic and len(probe.up_records) >= 5
-        assert 0 < len(sizes) <= 8
-        assert max(sizes) <= max(oscillation._PROBE_POINTS, 2 * radius + 1)
+        # one grouped PairRatio.values call: per form, p at its offset and on the grid
+        assert 0 < len(sizes) <= 4
+        assert max(sizes) <= max(families.EVAL_BLOCK, 2 * radius + 1)

@@ -16,10 +16,11 @@ trees produce the same reports exactly when their manifests are equal::
 
 All commands run in one interpreter through ``entorder.cli.run``; the set
 covers generation (searched and given offsets, on and off the default
-check grid, one offset that fails), validation, summaries, every ordered
+check grid, one offset that fails, one member scanned in many evaluation
+blocks), validation, summaries, every ordered
 pair of the psi ladder, locc/slocc comparisons (one of them on a window
 long enough to be subsampled), a certificate on a fine grid (delta 0.002,
-one probe neighbourhood per grouped evaluation) and two ``estimate-r`` runs.
+3,145-point probe neighbourhoods) and two ``estimate-r`` runs.
 """
 
 from __future__ import annotations
@@ -44,11 +45,13 @@ GEN = [
     ("psi4_a2.spec", ["gen", "psi", "--k", "4", "--offset", "2", "--n", "100"]),
     ("xi_g002.spec", ["gen", "xi", "--r", "1.5", "--offset-grid", "0.02", "--n", "2000"]),
     ("psi3_m02.spec", ["gen", "psi", "--k", "3", "--offset-margin", "0.2", "--n", "2000"]),
-    # a grid so fine that one probe neighbourhood fills a grouped evaluation
+    # a grid so fine that each probe neighbourhood holds 3,145 points
     *[(f"psi{k}_d0002.spec", ["gen", "psi", "--k", str(k), "--delta", "0.002", "--n", "2000"]) for k in (1, 2)],
+    # a long member: its offset search scans 5e6 points in about 800 evaluation blocks
+    ("xi_n50k.spec", ["gen", "xi", "--r", "1.5", "--n", "50000"]),
 ]
 
-INSPECTED = ["psi0", "psi2", "xi", "t06", "t999"]
+INSPECTED = ["psi0", "psi2", "xi", "t06", "t999", "xi_n50k"]
 
 PAIRS = [("t06", "t04"), ("t999", "t998"), ("psi0", "xi"), ("psi2", "xi")]
 
