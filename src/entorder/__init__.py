@@ -13,7 +13,6 @@ from .errors import (
     EntOrderError,
     InvalidFamily,
     NonPositive,
-    NonPositiveP,
     NotNormalized,
     NotSorted,
     OffsetNotFound,
@@ -35,8 +34,7 @@ from .spectrum import (
     vidal_conditions,
 )
 from .families import (
-    VidalCurve,
-    curve_conditions,
+    AnalyticForm,
     delta_from_q,
     discretize,
     eval_p,

@@ -185,14 +185,14 @@ def _resolve_delta(args):
     return 1.0
 
 
-def _check_span(delta, n, n_option):
+def _check_span(delta, delta_name, n, n_option):
     """Refuse a grid step and horizon whose generated span delta * (n + 1) is not finite."""
     try:
         span = delta * (n + 1)
     except OverflowError:  # n too large for a float
         span = math.inf
     if not math.isfinite(span):
-        raise _UsageError(f"--delta * ({n_option} + 1) overflows; give a smaller --delta or {n_option}")
+        raise _UsageError(f"{delta_name} * ({n_option} + 1) overflows; give a smaller {delta_name} or {n_option}")
 
 
 def _emit(args, report) -> None:
@@ -234,7 +234,7 @@ def _cmd_gen(args) -> int:
         if k > 0 and args.offset is not None and args.offset <= 1.0:
             raise _UsageError("--offset must exceed 1 so that the profile argument stays above 1")
         delta = _resolve_delta(args)
-        _check_span(delta, args.n, "--n")
+        _check_span(delta, "--delta", args.n, "--n")
         kwargs = dict(
             delta=delta,
             n=args.n,
@@ -311,21 +311,24 @@ def _cmd_certify(args) -> int:
 
 def _cmd_estimate_r(args) -> int:
     psi = read_spectrum(args.psi)
-    delta = args.delta if args.delta is not None else psi.metadata.get("delta")
-    if delta is None:
-        raise EntOrderError("no grid step: give --delta or use a file with family metadata")
-    if float(delta) <= 0:
-        raise _UsageError("--delta must be positive")
+    if args.delta is not None:
+        delta, delta_name, bad_delta = args.delta, "--delta", _UsageError
+    elif "delta" in psi.metadata:
+        delta, delta_name, bad_delta = psi.metadata["delta"], "#delta", ValidationError
+    else:
+        raise _UsageError("no grid step: give --delta or use a file with a #delta line")
+    if delta <= 0:
+        raise bad_delta(f"{delta_name} must be positive")
     if args.steps < 1:
         raise _UsageError("--steps must be >= 1")
     if args.member_n < 1:
         raise _UsageError("--member-n must be >= 1")
-    _check_span(float(delta), args.member_n, "--member-n")
+    _check_span(delta, delta_name, args.member_n, "--member-n")
     if args.r_min <= 0 or args.r_max < args.r_min:
         raise _UsageError("need 0 < --r-min <= --r-max")
 
     def family_gen(r):
-        return xi_state(r, delta=float(delta), n=args.member_n)
+        return xi_state(r, delta=delta, n=args.member_n)
 
     est = estimate_r_bounds(
         psi, family_gen, args.r_min, args.r_max, args.steps,
@@ -334,7 +337,7 @@ def _cmd_estimate_r(args) -> int:
     _emit(args, {
         "type": "r_bounds",
         "family": args.family,
-        "delta": float(delta),
+        "delta": delta,
         "psi": _spectrum_summary(psi),
         **est.to_dict(),
     })

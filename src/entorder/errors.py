@@ -42,10 +42,6 @@ class DomainError(EntOrderError):
     """Evaluation point outside the domain of the oscillator profile (x <= 1)."""
 
 
-class NonPositiveP(EntOrderError):
-    """Oscillator profile is not strictly positive at an evaluation point."""
-
-
 class OffsetNotFound(EntOrderError):
     """No shift up to the configured maximum satisfies the curve conditions."""
 

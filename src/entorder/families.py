@@ -13,19 +13,23 @@ what makes distinct family members mutually non-convertible. Shifting the
 profile by a large enough offset keeps the resulting tail strictly
 decreasing and convex; ``find_offset`` searches for the smallest such shift
 on a grid.
+
+``AnalyticForm(k, r, offset, delta)`` is the one type for a family member:
+its constructor checks the parameters, it generates the stored weights,
+and ``analytic_form`` rebuilds it from a spectrum's metadata to continue
+the tail past the stored horizon.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .errors import (
     ConditionViolated,
     DomainError,
-    NonPositiveP,
     OffsetNotFound,
     QOutOfRange,
 )
@@ -76,64 +80,70 @@ def eval_p(r: float, x):
 
 
 @dataclass(frozen=True)
-class VidalCurve:
-    """Continuous tail surrogate d(x) = exp(-x) * p_r(x + offset)^k.
+class AnalyticForm:
+    """One family member: ln g(n) = -delta n + k (ln p_r(delta n + offset) - ln p_r(offset)).
 
     ``k = 0`` is the bare exponential (a squeezed state); larger k weights
-    the oscillating profile more strongly. The offset must place the
-    whole evaluation range in the profile's domain (x + offset > 1).
+    the oscillating profile more strongly. The constructor is the one
+    place the family parameters are checked: all finite, k a nonnegative
+    integer, r > 0, delta > 0, offset >= 0, and offset > 1 when k >= 1 so
+    that every profile argument delta n + offset lies above 1.
     """
 
     k: int
-    r: float = 1.0
-    offset: float = 0.0
+    r: float
+    offset: float
+    delta: float
 
     def __post_init__(self):
+        if not all(map(math.isfinite, (self.k, self.r, self.offset, self.delta))):
+            raise ValueError("k, r, offset and delta must be finite")
         if self.k < 0 or self.k != int(self.k):
             raise ValueError("k must be a nonnegative integer")
         if not (self.r > 0):
             raise ValueError("r must be positive")
+        if not (self.delta > 0):
+            raise ValueError("delta must be positive")
         if self.offset < 0:
             raise ValueError("offset must be nonnegative")
         if self.k > 0 and self.offset <= 1.0:
-            raise ValueError("k >= 1 curves need offset > 1 so that x + offset > 1")
+            raise ValueError("k >= 1 members need offset > 1 so that x + offset > 1")
 
     def log_d(self, x):
-        """ln d(x) = -x + k ln p_r(x + offset)."""
+        """ln d(x) = -x + k ln p_r(x + offset), the continuous tail at x = delta n."""
         x = np.asarray(x, dtype=float)
         if self.k == 0:
             return -x
         p, _, _ = eval_p(self.r, x + self.offset)
         return -x + self.k * np.log(p)
 
+    def log_g(self, n):
+        """ln g(n) for float indices; valid while delta*n stays in float range."""
+        n = np.asarray(n, dtype=float)
+        return -self.delta * n + self.log_profile(n)
 
-def curve_conditions(curve: VidalCurve, x):
-    """Decrease and convexity functionals of a curve at x.
+    def log_profile(self, n):
+        """k (ln p(delta n + offset) - ln p(offset)): ln g(n) without its exponential."""
+        n = np.asarray(n, dtype=float)
+        if not self.k:
+            return np.zeros_like(n)
+        p0, _, _ = eval_p(self.r, self.offset)
+        p, _, _ = eval_p(self.r, self.delta * n + self.offset)
+        return self.k * (np.log(p) - math.log(p0))
 
-    Returns (M, C) where M > 0 certifies d' < 0 and C >= 0 certifies
-    d'' >= 0 at x. With u = p'/p and w = p''/p at x + offset:
+
+def _profile_conditions(k, r, y):
+    """Decrease and convexity functionals of a member at profile argument y.
+
+    Returns (p, M, C) where M > 0 certifies d' < 0 and C >= 0 certifies
+    d'' >= 0 for d(x) = exp(-x) p_r(x + offset)^k at y = x + offset. With
+    u = p'/p and w = p''/p at y:
 
         M = 1 - k u
         C = (1 - k u)^2 + k (w - u^2)
 
     For k = 1 these reduce (in sign) to p - p' and p - 2p' + p''.
     """
-    x = np.asarray(x, dtype=float)
-    if curve.k == 0:
-        one = np.ones_like(x)
-        if one.ndim == 0:
-            return 1.0, 1.0
-        return one, one.copy()
-    p, M, C = _profile_conditions(curve.k, curve.r, x + curve.offset)
-    if np.any(p <= 0):
-        raise NonPositiveP("profile not strictly positive at evaluation point")
-    if np.ndim(M) == 0:
-        return float(M), float(C)
-    return M, C
-
-
-def _profile_conditions(k, r, y):
-    """(p, M, C) at profile argument y; see :func:`curve_conditions`."""
     p, p1, p2 = eval_p(r, y)
     u = p1 / p
     w = p2 / p
@@ -204,31 +214,29 @@ def find_offset(
     return float(m * grid_step)
 
 
-def discretize(curve: VidalCurve, delta: float, n: int, family: str = "psi") -> SchmidtSpectrum:
-    """Sample a curve into a spectrum: g(m) = d(delta m)/d(0), m <= n.
+def discretize(form: AnalyticForm, n: int, family: str = "psi") -> SchmidtSpectrum:
+    """Sample a member into a spectrum: g(m) = d(delta m)/d(0), m <= n.
 
-    Before sampling, the curve conditions M > 0 and C >= 0 are re-verified
+    Before sampling, the conditions M > 0 and C >= 0 are re-verified
     at x = i*s for i = 0..ceil(delta*(n+1)/s), with s = min(0.01, delta).
     That grid covers [0, delta*(n+1)] and overshoots it by less than one
     step (the step past the horizon certifies the ordering of the first
     hidden weight at the cut). The tail bound is the exact analytic g(n).
     """
-    if delta <= 0:
-        raise ValueError("delta must be positive")
     if n < 1:
         raise ValueError("need at least one stored weight")
-    span = delta * (n + 1)
-    step = min(0.01, delta)
+    span = form.delta * (n + 1)
+    step = min(0.01, form.delta)
     last = int(math.ceil(span / step))
-    if curve.k and _first_clean(curve.k, curve.r, curve.offset, step, 0, 0, last, 0.0) is None:
-        raise ConditionViolated(f"curve conditions fail inside [0, {span}] for offset {curve.offset}")
-    return _sample(curve, delta, n, family)
+    if form.k and _first_clean(form.k, form.r, form.offset, step, 0, 0, last, 0.0) is None:
+        raise ConditionViolated(f"curve conditions fail inside [0, {span}] for offset {form.offset}")
+    return _sample(form, n, family)
 
 
-def _sample(curve: VidalCurve, delta: float, n: int, family: str) -> SchmidtSpectrum:
-    """The spectrum of :func:`discretize`, for a curve already checked on its grid."""
-    grid = np.arange(n + 1, dtype=float) * delta
-    log_g = curve.log_d(grid)
+def _sample(form: AnalyticForm, n: int, family: str) -> SchmidtSpectrum:
+    """The spectrum of :func:`discretize`, for a member already checked on its grid."""
+    grid = np.arange(n + 1, dtype=float) * form.delta
+    log_g = form.log_d(grid)
     log_g = log_g - log_g[0]  # normalization: g(0) = 1 exactly
     diffs = log_g[1:] - log_g[:-1]
     if np.any(diffs >= 0):
@@ -236,10 +244,10 @@ def _sample(curve: VidalCurve, delta: float, n: int, family: str) -> SchmidtSpec
     log_weights = log_g[:-1] + log1mexp(diffs)
     metadata = {
         "family": family,
-        "k": curve.k,
-        "r": curve.r,
-        "delta": float(delta),
-        "offset": float(curve.offset),
+        "k": form.k,
+        "r": form.r,
+        "delta": float(form.delta),
+        "offset": float(form.offset),
     }
     return make_spectrum(log_weights, float(log_g[-1]), metadata, cut_certified=True)
 
@@ -310,43 +318,20 @@ def psi_state(
 def _family_state(family, k, r, delta, n, offset, grid_step, margin) -> SchmidtSpectrum:
     """Family member at a given or searched offset; each lattice point is scanned once."""
     if k == 0 or offset is not None:
-        return discretize(VidalCurve(k=k, r=r, offset=offset if k else 0.0), delta, n, family)
-    curve = VidalCurve(k=k, r=r, offset=find_offset(k, r, grid_step, delta * (n + 1), margin))
+        return discretize(AnalyticForm(k, r, offset if k else 0.0, delta), n, family)
+    # the constructor refuses k, r and delta before the scan; any offset above 1 passes it
+    form = replace(AnalyticForm(k, r, 2.0, delta), offset=find_offset(k, r, grid_step, delta * (n + 1), margin))
     # The search proved M > margin >= 0 and C >= 0 at j*g, j = m..m+W, for
     # a = m*g and W = ceil(delta*(n+1)/g). When g equals discretize's step
     # min(0.01, delta), its check points a + i*g, i = 0..W, are the same W+1
     # points up to rounding, so it need not scan them again (n < 1 it refuses).
     if grid_step == min(0.01, delta) and n >= 1:
-        return _sample(curve, delta, n, family)
-    return discretize(curve, delta, n, family)
+        return _sample(form, n, family)
+    return discretize(form, n, family)
 
 
 # ---------------------------------------------------------------------------
 # analytic continuation from metadata
-
-
-@dataclass(frozen=True)
-class AnalyticForm:
-    """Closed form of ln g for a family-generated spectrum."""
-
-    k: int
-    r: float
-    offset: float
-    delta: float
-
-    def log_g(self, n):
-        """ln g(n) for float indices; valid while delta*n stays in float range."""
-        n = np.asarray(n, dtype=float)
-        return -self.delta * n + self.log_profile(n)
-
-    def log_profile(self, n):
-        """k (ln p(delta n + offset) - ln p(offset)): ln g(n) without its exponential."""
-        n = np.asarray(n, dtype=float)
-        if not self.k:
-            return np.zeros_like(n)
-        p0, _, _ = eval_p(self.r, self.offset)
-        p, _, _ = eval_p(self.r, self.delta * n + self.offset)
-        return self.k * (np.log(p) - math.log(p0))
 
 
 def analytic_form(s: SchmidtSpectrum) -> AnalyticForm | None:
@@ -360,17 +345,9 @@ def analytic_form(s: SchmidtSpectrum) -> AnalyticForm | None:
         return AnalyticForm(k=0, r=1.0, offset=0.0, delta=-2.0 * math.log(q))
     if family in ("xi", "psi"):
         try:
-            k = int(meta["k"])
-            delta = float(meta["delta"])
-            offset = float(meta["offset"])
-            r = float(meta.get("r", 1.0))
-        except (KeyError, TypeError, ValueError):
+            return AnalyticForm(meta["k"], float(meta.get("r", 1.0)), float(meta["offset"]), float(meta["delta"]))
+        except (KeyError, TypeError, ValueError):  # missing, or refused by the constructor
             return None
-        if not all(map(math.isfinite, (delta, offset, r))):
-            return None
-        if k < 0 or delta <= 0 or r <= 0 or (k > 0 and offset <= 1.0):
-            return None
-        return AnalyticForm(k=k, r=r, offset=offset, delta=delta)
     return None
 
 

@@ -71,11 +71,6 @@ class SchmidtSpectrum:
         """True when the state is exactly finite rank (no hidden tail)."""
         return self.log_tail_bound == NEG_INF
 
-    @property
-    def tail_bound(self) -> float:
-        """Linear-domain tail bound; underflows to 0.0 for tiny tails."""
-        return math.exp(self.log_tail_bound) if not self.is_exact else 0.0
-
     def weights(self) -> np.ndarray:
         """Linear-domain weights (entries below ~1e-308 underflow to 0)."""
         return np.exp(self.log_weights)

@@ -244,6 +244,37 @@ class TestExitCodes:
         assert err[3] == "usage error: --delta * (--member-n + 1) overflows; give a smaller --delta or --member-n"
         assert not (tmp_path / "x.spec").exists()
 
+    @staticmethod
+    def _with_delta_line(specdir, tmp_path, line):
+        """tmss06.spec with its #delta line replaced by `line` (dropped when None)."""
+        lines = (specdir / "tmss06.spec").read_text().splitlines()
+        lines = [x if not x.startswith("#delta ") else line for x in lines]
+        f = tmp_path / "edited.spec"
+        f.write_text("\n".join(x for x in lines if x is not None) + "\n")
+        return str(f)
+
+    @pytest.mark.parametrize("value", ["0", "-1"])
+    def test_non_positive_file_delta_is_bad_file(self, specdir, tmp_path, capsys, value):
+        f = self._with_delta_line(specdir, tmp_path, f"#delta {value}")
+        assert run(["estimate-r", f, "--r-min", "1", "--r-max", "2", "--steps", "2"]) == 2
+        assert capsys.readouterr().err == "invalid input: #delta must be positive\n"
+        # the same step given as an option is the user's error
+        assert run(["estimate-r", f, "--delta", "-1", "--r-min", "1", "--r-max", "2", "--steps", "2"]) == 1
+        assert capsys.readouterr().err == "usage error: --delta must be positive\n"
+
+    def test_huge_file_delta_names_the_file_line(self, specdir, tmp_path, capsys):
+        f = self._with_delta_line(specdir, tmp_path, "#delta 1e308")
+        assert run(["estimate-r", f, "--r-min", "1", "--r-max", "2", "--steps", "2"]) == 1
+        assert capsys.readouterr().err == (
+            "usage error: #delta * (--member-n + 1) overflows; give a smaller #delta or --member-n\n"
+        )
+
+    def test_missing_grid_step_is_usage_error(self, specdir, tmp_path, capsys):
+        f = self._with_delta_line(specdir, tmp_path, None)
+        assert run(["estimate-r", f, "--r-min", "1", "--r-max", "2", "--steps", "2"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("usage error: ") and "--delta" in err
+
     def test_reversed_window(self, specdir):
         psi1, psi0 = str(specdir / "psi1.spec"), str(specdir / "psi0.spec")
         assert run(["certify", psi1, psi0, "--window", "50:10"]) == 1

@@ -83,26 +83,24 @@ class TestEvalP:
 
 class TestCurveConditions:
     def test_k_zero_trivial(self):
-        curve = eo.VidalCurve(k=0)
-        assert eo.curve_conditions(curve, 5.0) == (1.0, 1.0)
+        assert families._profile_conditions(0, 1.0, 5.0)[1:] == (1.0, 1.0)
 
     def test_k_one_matches_direct_functionals(self):
-        curve = eo.VidalCurve(k=1, r=1.0, offset=1.01)
         x = np.linspace(0.5, 300.0, 4001)
-        M, C = eo.curve_conditions(curve, x)
+        _, M, C = families._profile_conditions(1, 1.0, x + 1.01)
         p, p1, p2 = eo.eval_p(1.0, x + 1.01)
         assert np.all(np.sign(M) == np.sign(p - p1))
         assert np.all(np.sign(C) == np.sign(p - 2 * p1 + p2))
-        assert eo.curve_conditions(curve, float(x[7])) == pytest.approx((M[7], C[7]), rel=1e-12)
+        scalar = families._profile_conditions(1, 1.0, float(x[7]) + 1.01)[1:]
+        assert scalar == pytest.approx((M[7], C[7]), rel=1e-12)
 
     def test_conditions_fail_below_offset_for_k4(self):
         # grid scan oracle: the searched offset is minimal, so some point
         # below it violates decrease or convexity
         a = eo.find_offset(4, 1.0, 0.01, horizon=200.0)
         assert a > 1.02
-        curve = eo.VidalCurve(k=4, r=1.0, offset=a - 0.01)
         x = np.arange(0, 200.0, 0.01)
-        M, C = eo.curve_conditions(curve, x)
+        _, M, C = families._profile_conditions(4, 1.0, x + (a - 0.01))
         assert np.any((M <= 0) | (C < 0))
 
 
@@ -114,7 +112,7 @@ class TestFindOffset:
         a = eo.find_offset(1, 1.0, 0.01, horizon=200.0)
         assert a > 1.0
         x = np.arange(0, 200.0005, 0.001)
-        M, C = eo.curve_conditions(eo.VidalCurve(k=1, r=1.0, offset=a), x)
+        _, M, C = families._profile_conditions(1, 1.0, x + a)
         assert np.all(M > 0) and np.all(C >= 0)
 
     def test_margin_monotone(self):
@@ -260,7 +258,7 @@ class TestScanner:
 
 class TestDiscretize:
     def test_k0_equals_tmss(self):
-        spec = eo.discretize(eo.VidalCurve(k=0), 1.0, 500)
+        spec = eo.discretize(eo.AnalyticForm(0, 1.0, 0.0, 1.0), 500)
         ref = eo.tmss(math.exp(-0.5), 500)
         assert np.max(np.abs(spec.log_weights - ref.log_weights)) < 1e-12
 
@@ -281,7 +279,7 @@ class TestDiscretize:
     def test_condition_violation_raises(self):
         # offset 2.0 puts the k=4 convexity dip inside the range
         with pytest.raises(ConditionViolated):
-            eo.discretize(eo.VidalCurve(k=4, r=1.0, offset=2.0), 1.0, 100)
+            eo.discretize(eo.AnalyticForm(4, 1.0, 2.0, 1.0), 100)
 
     def test_generated_spectra_pass_conditions(self, psi_family):
         for k, s in psi_family.items():
@@ -322,12 +320,55 @@ class TestAnalyticForm:
             {"r": 0.0},
             {"offset": 0.5},
             {"k": "many"},
+            {"r": math.nan},
+            {"offset": math.nan},
+            {"k": 1, "offset": 1.0},
+            {"k": 0, "offset": -1.0},
         ):
-            broken = eo.make_spectrum(
-                base.log_weights, base.log_tail_bound,
-                {**base.metadata, **patch}, cut_certified=True,
-            )
+            meta = {**base.metadata, **patch}
+            broken = eo.make_spectrum(base.log_weights, base.log_tail_bound, meta, cut_certified=True)
             assert analytic_form(broken) is None
+            # the constructor is where the refusal comes from
+            with pytest.raises((TypeError, ValueError)):
+                eo.AnalyticForm(meta["k"], meta["r"], meta["offset"], meta["delta"])
+
+    @pytest.mark.parametrize("offset", [None, 7.25])
+    @pytest.mark.parametrize("delta", [1.0, 0.005])
+    @pytest.mark.parametrize("r", [1.0, 1.5, 2.0])
+    @pytest.mark.parametrize("k", range(5))
+    def test_generating_form_round_trips(self, tmp_path, k, r, delta, offset):
+        # 7.25 lies above the last condition failure of every k <= 4, r <= 2
+        n = 300
+        s = eo.psi_state(k, delta, n, r=r, offset=offset)
+        if k == 0:
+            offset = 0.0
+        elif offset is None:
+            offset = eo.find_offset(k, r, 0.01, delta * (n + 1))
+        form = eo.AnalyticForm(k, r, offset, delta)
+        assert analytic_form(s) == form
+        path = tmp_path / "member.spec"
+        eo.write_spectrum(s, path)
+        assert analytic_form(eo.read_spectrum(path)) == form
+
+    @pytest.mark.parametrize("make", [
+        lambda: eo.psi_state(-1, 1.0, 10000),
+        lambda: eo.psi_state(1.5, 1.0, 10000),
+        lambda: eo.psi_state(1, 0.0, 10000),
+        lambda: eo.xi_state(1.5, 0.0, 10000),
+        lambda: eo.xi_state(0.0, 1.0, 10000),
+    ], ids=["k=-1", "k=1.5", "psi-delta=0", "xi-delta=0", "r=0"])
+    def test_bad_parameters_refused_before_the_scan(self, monkeypatch, make):
+        calls = []
+        real = families.eval_p
+
+        def counting(r, x):
+            calls.append(np.size(x))
+            return real(r, x)
+
+        monkeypatch.setattr(families, "eval_p", counting)
+        with pytest.raises(ValueError):
+            make()
+        assert calls == []
 
     def test_excitation_remainder_certified(self, psi_family):
         for k in range(1, 5):
