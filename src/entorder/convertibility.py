@@ -20,17 +20,17 @@ from enum import Enum
 import numpy as np
 
 from .errors import InvalidFamily, TruncationUnsafe, WindowTooSmall
-from .families import pair_ratio
+from .families import pair_ratio  # noqa: F401  (perfbench's tracer patches this name here)
 from .numutil import NEG_INF
 from .oscillation import (
+    ComparisonWindow,
     OscillationCertificate,
     ProbeReport,
     TrendClass,
     TrendThresholds,
     certificate_from_probe,
-    default_window,
+    comparison_window,
     probe_pair,
-    stored_window,
     trend_flags,
 )
 from .spectrum import SchmidtSpectrum, vidal_conditions
@@ -183,23 +183,14 @@ def _verdict(fwd: _Ev, bwd: _Ev) -> Verdict:
     return table.get((fwd, bwd), Verdict.Undecided)
 
 
-def _windowed_evidence(a, b, window, th):
-    """Shared evidence assembly for one ordered pair over a window.
+def _windowed_evidence(cw: ComparisonWindow, th):
+    """Shared evidence assembly for one ordered pair over its comparison window.
 
     Returns (fwd, bwd, probe, (log eps fwd, log eps bwd), (trend fwd, trend bwd)).
     The epsilons cover every finite point of the stored window; the
     trend tests may see a subsample of it.
     """
-    stored = stored_window(a, b, window)
-    values = stored[1]
-    n_max = int(window[1])
-    mat_hi = int(window[0]) + values.size - 1
-    pair = pair_ratio(a, b)
-    if n_max > mat_hi and not (pair is not None and pair.oscillating):
-        raise TruncationUnsafe(
-            f"window end {n_max} beyond the truncation-safe horizon {mat_hi} "
-            "and the pair has no analytic continuation"
-        )
+    values = cw.values
 
     # rank facts: one g hitting zero while the other is positive decides
     # both directions outright (zero is terminal, so at most one side hits
@@ -230,7 +221,7 @@ def _windowed_evidence(a, b, window, th):
         values = values[keep]
 
     flags = trend_flags(values, th)
-    probe = probe_pair(a, b, window, th, stored)
+    probe = probe_pair(cw, th)
 
     step = th.witness_step_nats
     fwd = _direction(
@@ -283,17 +274,16 @@ def slocc_decide(
             evidence={"forward": "rank", "backward": "rank"},
         )
 
-    if window is None:
-        window = default_window(a, b)
-    fwd, bwd, probe, (eps_ab, eps_ba), (trend_f, trend_r) = _windowed_evidence(a, b, window, th)
+    cw = comparison_window(a, b, window)
+    fwd, bwd, probe, (eps_ab, eps_ba), (trend_f, trend_r) = _windowed_evidence(cw, th)
     return ComparisonReport(
         verdict=_verdict(fwd.evidence, bwd.evidence),
         log_epsilon_a_to_b=eps_ab,
         log_epsilon_b_to_a=eps_ba,
-        window=(int(window[0]), int(window[1])),
+        window=cw.window,
         trend_forward=trend_f,
         trend_reverse=trend_r,
-        witnesses=certificate_from_probe(probe, window, th),
+        witnesses=certificate_from_probe(probe, cw.window, th),
         probability=None,
         evidence={"forward": fwd.grade, "backward": bwd.grade},
     )
@@ -367,9 +357,7 @@ def estimate_r_bounds(
         if not vidal_conditions(member).all_pass:
             raise InvalidFamily(f"family member at r={r} fails tail-function conditions")
         try:
-            fwd, bwd, probe, _, _ = _windowed_evidence(
-                psi, member, window or default_window(psi, member), th
-            )
+            fwd, bwd, _, _, _ = _windowed_evidence(comparison_window(psi, member, window), th)
             fe, be = fwd.evidence, bwd.evidence
         except WindowTooSmall:
             fe = be = _Ev.UND

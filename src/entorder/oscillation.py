@@ -123,20 +123,44 @@ class OscillationCertificate:
         }
 
 
-def stored_window(a: SchmidtSpectrum, b: SchmidtSpectrum, window):
-    """Stored ell(n) = ln g_a(n) - ln g_b(n) from n_min up to the window end.
+@dataclass(frozen=True)
+class ComparisonWindow:
+    """A pair resolved once: its window, stored ratio and oscillating closed form (or None).
 
-    The end is clipped to both spectra's truncation-safe horizons (see
-    :func:`safe_horizon`), so fewer than n_max - n_min + 1 points can
-    come back. Values are ``-inf`` where only g_a is zero and ``+inf``
-    where only g_b is (NaN where both are). Returns (indices, values).
+    ``values`` is the stored ell(n) = ln g_a(n) - ln g_b(n) at ``ns``, the
+    window clipped to both :func:`safe_horizon`; ``-inf`` where only g_a
+    is zero, ``+inf`` where only g_b is (NaN where both are).
     """
+
+    window: tuple
+    ns: np.ndarray
+    values: np.ndarray
+    pair: PairRatio | None
+
+
+def comparison_window(a: SchmidtSpectrum, b: SchmidtSpectrum, window=None) -> ComparisonWindow:
+    """The one place a comparison picks its continuation and its window.
+
+    The default window is the widest honest one: up to the closed form's
+    float cap, or without one up to the nearer safe horizon. Raises
+    ValueError on a negative or reversed window and
+    :class:`TruncationUnsafe` past the horizon of a pair without one.
+    """
+    pair = pair_ratio(a, b)
+    pair = pair if pair is not None and pair.oscillating else None
+    horizon = min(safe_horizon(a), safe_horizon(b))
+    if window is None:
+        window = (0, pair.max_index() if pair else horizon)
     n_min, n_max = int(window[0]), int(window[1])
     if n_min < 0 or n_max < n_min:
         raise ValueError(f"bad window {window}")
-    hi = min(n_max, safe_horizon(a), safe_horizon(b))
-    ns = np.arange(n_min, hi + 1)
-    return ns, a.log_g[ns] - b.log_g[ns]
+    if pair is None and n_max > horizon:
+        raise TruncationUnsafe(
+            f"window end {n_max} beyond the truncation-safe horizon {horizon} "
+            "and the pair has no analytic continuation"
+        )
+    ns = np.arange(n_min, min(n_max, horizon) + 1)
+    return ComparisonWindow((n_min, n_max), ns, a.log_g[ns] - b.log_g[ns], pair)
 
 
 def log_ratio_sequence(a: SchmidtSpectrum, b: SchmidtSpectrum, window, indices=None):
@@ -151,8 +175,8 @@ def log_ratio_sequence(a: SchmidtSpectrum, b: SchmidtSpectrum, window, indices=N
     ln g by more than the default tolerance, and on windows touching
     exhausted (zero-tail) indices of exact states.
     """
-    ns, values = stored_window(a, b, window)
-    n_min, n_max = int(window[0]), int(window[1])
+    cw = comparison_window(a, b, window)
+    (n_min, n_max), ns, values = cw.window, cw.ns, cw.values
     if n_min + ns.size - 1 < n_max:
         raise TruncationUnsafe(
             f"window end {n_max} beyond truncation-safe horizon {n_min + ns.size - 1}"
@@ -344,24 +368,21 @@ def _slow_drift(cands, pair: PairRatio, sign):
     return late_total >= _SLOW_TAIL_RATIO * early_total
 
 
-def probe_pair(a: SchmidtSpectrum, b: SchmidtSpectrum, window, thresholds: TrendThresholds, stored=None) -> ProbeReport:
-    """Witness candidates for ell = ln g_a - ln g_b over a window.
+def probe_pair(cw: ComparisonWindow, thresholds: TrendThresholds) -> ProbeReport:
+    """Witness candidates for ell = ln g_a - ln g_b over a comparison window.
 
-    Uses the analytic family forms when both spectra carry matching-grid
-    metadata (reaching indices far past the stored horizon); otherwise
-    falls back to the local extremes of the pair's :func:`stored_window`
-    (``stored``, when the caller has built it). Slow drift is only
-    assessed on analytic pairs, where the scale coordinate is known.
+    Uses the pair's closed form when it has one (reaching indices far
+    past the stored horizon); otherwise falls back to the local extremes
+    of the stored ratio. Slow drift is only assessed on analytic pairs,
+    where the scale coordinate is known.
     """
-    n_min, n_max = int(window[0]), int(window[1])
-    pair = pair_ratio(a, b)
-    analytic = pair is not None and pair.oscillating
+    (n_min, n_max), pair = cw.window, cw.pair
+    analytic = pair is not None
     if analytic:
         cmax, cmin = _analytic_candidates(pair, n_min, min(n_max, pair.max_index()))
     else:
-        ns, values = stored or stored_window(a, b, window)
-        finite = np.isfinite(values)
-        cmax, cmin = _materialized_candidates(ns[finite], values[finite])
+        finite = np.isfinite(cw.values)
+        cmax, cmin = _materialized_candidates(cw.ns[finite], cw.values[finite])
 
     step = thresholds.witness_step_nats
     ups = _collect_records(cmax, step, +1.0)
@@ -374,14 +395,6 @@ def probe_pair(a: SchmidtSpectrum, b: SchmidtSpectrum, window, thresholds: Trend
     up_gain = max((v for _, v in cmax), default=0.0) - cmax[0][1] if cmax else 0.0
     down_drop = cmin[0][1] - min((v for _, v in cmin), default=0.0) if cmin else 0.0
     return ProbeReport(ups, downs, slow_up, slow_down, analytic, float(up_gain), float(down_drop))
-
-
-def default_window(a: SchmidtSpectrum, b: SchmidtSpectrum):
-    """Widest honest comparison window for a pair of spectra."""
-    pair = pair_ratio(a, b)
-    if pair is not None and pair.oscillating:
-        return (0, pair.max_index())
-    return (0, min(safe_horizon(a), safe_horizon(b)))
 
 
 def incomparability_certificate(
@@ -399,9 +412,8 @@ def incomparability_certificate(
     gains, e.g. for monotone ratios or identical states.
     """
     thresholds = thresholds or TrendThresholds()
-    if window is None:
-        window = default_window(a, b)
-    return certificate_from_probe(probe_pair(a, b, window, thresholds), window, thresholds)
+    cw = comparison_window(a, b, window)
+    return certificate_from_probe(probe_pair(cw, thresholds), cw.window, thresholds)
 
 
 def certificate_from_probe(
@@ -419,20 +431,20 @@ def certificate_from_probe(
 def verify_certificate(cert: OscillationCertificate, a: SchmidtSpectrum, b: SchmidtSpectrum, atol=1e-12):
     """Recompute every witness value from the two spectra.
 
-    Witnesses inside both stored ranges are checked against the stored
-    tail functions; beyond that the analytic pair form is required.
-    Raises ValueError on any mismatch beyond ``atol``.
+    The certificate's window is resolved by :func:`comparison_window`, so
+    a pair without closed form must be stored over all of it. Raises
+    ValueError on such a window and on any mismatch beyond ``atol``.
     """
-    pair = pair_ratio(a, b)
-    stored_hi = min(a.length, b.length)
+    try:
+        cw = comparison_window(a, b, cert.window)
+    except TruncationUnsafe as exc:
+        raise ValueError(f"certificate window cannot be resolved: {exc}") from exc
     for name, wit in (("up", cert.up_witnesses), ("down", cert.down_witnesses)):
         for n, v in wit:
-            if pair is not None:
-                got = float(pair.values(np.array([float(n)]))[0])
-            elif n <= stored_hi:
-                got = float(a.log_g[n] - b.log_g[n])
+            if cw.pair is not None:
+                got = float(cw.pair.values(np.array([float(n)]))[0])
             else:
-                raise ValueError(f"witness at {n} beyond stored range and no analytic form")
+                got = float(cw.values[n - cw.window[0]])
             if not math.isclose(got, v, rel_tol=atol, abs_tol=atol):
                 raise ValueError(f"{name} witness at {n}: stated {v!r}, recomputed {got!r}")
     return True

@@ -133,14 +133,14 @@ class TestSloccDecide:
 
     def test_stored_window_built_once(self, monkeypatch):
         calls = []
-        real = oscillation.stored_window
+        real = oscillation.comparison_window
 
         def counting(*args):
             calls.append(args)
             return real(*args)
 
-        monkeypatch.setattr(oscillation, "stored_window", counting)
-        monkeypatch.setattr(convertibility, "stored_window", counting)
+        monkeypatch.setattr(oscillation, "comparison_window", counting)
+        monkeypatch.setattr(convertibility, "comparison_window", counting)
         rep = eo.slocc_decide(eo.tmss(0.6, 600), eo.tmss(0.4, 600))
         assert rep.verdict is Verdict.OneWayAtoB
         assert len(calls) == 1

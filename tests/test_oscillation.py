@@ -268,7 +268,7 @@ class TestGroupedProbe:
             return real(r, x)
 
         monkeypatch.setattr(families, "eval_p", counting)
-        probe = oscillation.probe_pair(a, b, oscillation.default_window(a, b), eo.TrendThresholds())
+        probe = oscillation.probe_pair(oscillation.comparison_window(a, b), eo.TrendThresholds())
         assert probe.analytic and len(probe.up_records) >= 5
         # one grouped PairRatio.values call: per form, p at its offset and on the grid
         assert 0 < len(sizes) <= 4

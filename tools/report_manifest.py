@@ -20,7 +20,9 @@ check grid, one offset that fails, one member scanned in many evaluation
 blocks), validation, summaries, every ordered
 pair of the psi ladder, locc/slocc comparisons (one of them on a window
 long enough to be subsampled), a certificate on a fine grid (delta 0.002,
-3,145-point probe neighbourhoods) and two ``estimate-r`` runs.
+3,145-point probe neighbourhoods), a certificate and a comparison on a
+window past the stored horizon of a pair with no closed-form
+continuation, and two ``estimate-r`` runs.
 """
 
 from __future__ import annotations
@@ -72,6 +74,9 @@ def commands():
         for mode in ("locc", "slocc"):
             out.append((f"{mode}_{a}_{b}.json", ["compare", f"{a}.spec", f"{b}.spec", "--mode", mode]))
     out.append(("certify_psi2_d0002_psi1_d0002.json", ["certify", "psi2_d0002.spec", "psi1_d0002.spec"]))
+    past_horizon = ["t06.spec", "t04.spec", "--window", "0:100000"]
+    out.append(("certify_t06_t04_w100000.json", ["certify", *past_horizon]))
+    out.append(("slocc_t06_t04_w100000.json", ["compare", *past_horizon, "--mode", "slocc"]))
     out.append(("estimate_psi0.json", ["estimate-r", "psi0.spec", "--r-min", "1", "--r-max", "2",
                                        "--steps", "3", "--member-n", "2000"]))
     out.append(("estimate_psi1.json", ["estimate-r", "psi1.spec", "--r-min", "0.5", "--r-max", "1.5",
