@@ -30,7 +30,7 @@ from .convertibility import (
     slocc_decide,
 )
 from .errors import EntOrderError, ParseError, ValidationError
-from .families import delta_from_q, psi_state, tmss, xi_state
+from .families import MAX_SCAN_POINTS, analytic_form, delta_from_q, psi_state, tmss, xi_state
 from .fileio import emit_report, read_spectrum, write_spectrum
 from .oscillation import TrendThresholds, incomparability_certificate
 from .spectrum import summary_stats, vidal_conditions
@@ -185,14 +185,24 @@ def _resolve_delta(args):
     return 1.0
 
 
-def _check_span(delta, delta_name, n, n_option):
-    """Refuse a grid step and horizon whose generated span delta * (n + 1) is not finite."""
+def _check_span(delta, delta_name, n, n_option, grid=None):
+    """Refuse a grid step and horizon whose generated span delta * (n + 1) is not finite.
+
+    ``grid`` is the offset grid of a member whose curve conditions are
+    scanned: its lattice of span / min(grid, 0.01) points must not exceed
+    ``families.MAX_SCAN_POINTS`` either.
+    """
     try:
         span = delta * (n + 1)
     except OverflowError:  # n too large for a float
         span = math.inf
     if not math.isfinite(span):
         raise _UsageError(f"{delta_name} * ({n_option} + 1) overflows; give a smaller {delta_name} or {n_option}")
+    if grid is not None and span / min(grid, 0.01) > MAX_SCAN_POINTS:
+        raise _UsageError(
+            f"{delta_name} * ({n_option} + 1) needs {span / min(grid, 0.01):.3g} condition-scan points, more than "
+            f"{MAX_SCAN_POINTS:.0e}; give a smaller {delta_name} or {n_option}"
+        )
 
 
 def _emit(args, report) -> None:
@@ -234,7 +244,7 @@ def _cmd_gen(args) -> int:
         if k > 0 and args.offset is not None and args.offset <= 1.0:
             raise _UsageError("--offset must exceed 1 so that the profile argument stays above 1")
         delta = _resolve_delta(args)
-        _check_span(delta, "--delta", args.n, "--n")
+        _check_span(delta, "--delta", args.n, "--n", args.offset_grid if k else None)
         kwargs = dict(
             delta=delta,
             n=args.n,
@@ -252,6 +262,7 @@ def _cmd_gen(args) -> int:
 
 def _cmd_validate(args) -> int:
     spectrum = read_spectrum(args.file)
+    analytic_form(spectrum)  # refuses family metadata that misdescribes the stored tail
     report = vidal_conditions(spectrum)
     _emit(args, {
         "type": "validation",
@@ -323,7 +334,7 @@ def _cmd_estimate_r(args) -> int:
         raise _UsageError("--steps must be >= 1")
     if args.member_n < 1:
         raise _UsageError("--member-n must be >= 1")
-    _check_span(delta, delta_name, args.member_n, "--member-n")
+    _check_span(delta, delta_name, args.member_n, "--member-n", 0.01)  # xi members scan the default grid
     if args.r_min <= 0 or args.r_max < args.r_min:
         raise _UsageError("need 0 < --r-min <= --r-max")
 

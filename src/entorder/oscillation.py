@@ -91,7 +91,8 @@ class OscillationCertificate:
 
     ``up_witnesses`` holds (index, value) pairs with strictly increasing
     indices and values, every value beating the previous by at least one
-    nat; ``down_witnesses`` mirror this downward. Values are natural-log
+    nat; ``down_witnesses`` mirror this downward. Every index lies inside
+    the inclusive ``window``. Values are natural-log
     ratio units, re-derivable from the two spectra.
     """
 
@@ -111,6 +112,8 @@ class OscillationCertificate:
             ns = [n for n, _ in wit]
             if any(b <= a for a, b in zip(ns, ns[1:])):
                 raise ValueError(f"{name} witnesses: indices must strictly increase")
+            if ns[0] < self.window[0] or ns[-1] > self.window[1]:
+                raise ValueError(f"{name} witnesses: indices must lie inside the window {self.window}")
             vs = [sign * v for _, v in wit]
             if any(b - a < self.MIN_STEP for a, b in zip(vs, vs[1:])):
                 raise ValueError(f"{name} witnesses: each entry must extend the extreme by >= 1 nat")

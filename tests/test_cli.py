@@ -1,5 +1,9 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -132,6 +136,12 @@ class TestCertify:
         assert rep["found"] is True
         assert len(rep["certificate"]["up_witnesses"]) >= 5
         assert len(rep["certificate"]["down_witnesses"]) >= 5
+
+    def test_window_past_the_horizon_is_refused_as_compare_refuses_it(self, specdir):
+        # tmss pairs on different grids have no continuation past their stored horizon
+        argv = [str(specdir / "tmss06.spec"), str(specdir / "tmss04.spec"), "--window", "0:100000"]
+        assert run(["certify", *argv]) == 3
+        assert run(["compare", *argv, "--mode", "slocc"]) == 3
 
     def test_monotone_pair_not_found(self, specdir, capsys):
         code, rep = run_json(capsys, [
@@ -274,6 +284,47 @@ class TestExitCodes:
         assert run(["estimate-r", f, "--r-min", "1", "--r-max", "2", "--steps", "2"]) == 1
         err = capsys.readouterr().err
         assert err.startswith("usage error: ") and "--delta" in err
+
+    @staticmethod
+    def _relabelled(tmp_path, k_from, k_to):
+        """A psi k_from file whose #k line claims k_to, and the honest psi1 file."""
+        honest = tmp_path / f"psi{k_from}.spec"
+        assert run(["gen", "psi", "--k", str(k_from), "--n", "2000", "-o", str(honest)]) == 0
+        edited = tmp_path / f"psi{k_from}_as_{k_to}.spec"
+        edited.write_text(honest.read_text().replace(f"\n#k {k_from}\n", f"\n#k {k_to}\n"))
+        assert edited.read_text() != honest.read_text()
+        return str(edited)
+
+    @pytest.mark.parametrize("k_from, k_to", [(1, 3), (2, 1)])
+    def test_relabelled_family_member_is_bad_file(self, specdir, tmp_path, capsys, k_from, k_to):
+        edited, psi1 = self._relabelled(tmp_path, k_from, k_to), str(specdir / "psi1.spec")
+        for argv in (["validate", edited], ["info", edited], ["certify", edited, psi1],
+                     ["compare", edited, psi1, "--mode", "slocc"]):
+            assert run(argv) == 2, argv
+            assert "does not reproduce the stored tail" in capsys.readouterr().err
+
+    def test_offset_scan_of_nan_conditions_finds_nothing(self, tmp_path, capsys):
+        # every condition overflows to NaN at r = 400; no file was read
+        out = tmp_path / "x.spec"
+        assert run(["gen", "xi", "--r", "400", "--n", "1000", "-o", str(out)]) == 3
+        assert capsys.readouterr().err.startswith("operation failed: no offset")
+        assert not out.exists()
+
+    def test_huge_scan_lattice_refused_at_once(self, specdir, tmp_path):
+        # the span is finite, but its offset scan would not end in any useful time
+        env = {**os.environ, "PYTHONPATH": str(Path(eo.__file__).parents[1])}
+        out = str(tmp_path / "h.spec")
+        for argv in (["gen", "psi", "--k", "1", "--delta", "1e300", "--n", "10", "-o", out],
+                     ["gen", "xi", "--r", "1.5", "--offset", "2", "--delta", "1e300", "--n", "10", "-o", out],
+                     ["estimate-r", str(specdir / "tmss05.spec"), "--delta", "1e300",
+                      "--r-min", "1", "--r-max", "2", "--steps", "2"]):
+            proc = subprocess.run([sys.executable, "-m", "entorder", *argv], env=env,
+                                  capture_output=True, text=True, timeout=60)
+            assert proc.returncode == 1, proc.stderr
+            assert "condition-scan points, more than 1e+09" in proc.stderr
+        assert not (tmp_path / "h.spec").exists()
+        # a k = 0 member scans nothing, so the same span is generated
+        assert run(["gen", "psi", "--k", "0", "--delta", "1e300", "--n", "10", "-o", out]) == 0
 
     def test_reversed_window(self, specdir):
         psi1, psi0 = str(specdir / "psi1.spec"), str(specdir / "psi0.spec")

@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 
 import entorder as eo
-from entorder import convertibility, oscillation
+from entorder import convertibility, families, oscillation
 from entorder.convertibility import Verdict
-from entorder.errors import InvalidFamily, TruncationUnsafe
+from entorder.errors import InvalidFamily, TruncationUnsafe, ValidationError
 from entorder.oscillation import TrendClass
 
 DELTA = 1.0
@@ -145,6 +145,22 @@ class TestSloccDecide:
         assert rep.verdict is Verdict.OneWayAtoB
         assert len(calls) == 1
 
+    def test_pair_resolved_once_per_decision(self, monkeypatch, psi_family, tmss_match):
+        calls = []
+        real = families.pair_ratio
+
+        def counting(a, b):
+            calls.append((a, b))
+            return real(a, b)
+
+        for module in (families, oscillation, convertibility):
+            monkeypatch.setattr(module, "pair_ratio", counting)
+        eo.slocc_decide(psi_family[2], psi_family[1])
+        eo.incomparability_certificate(psi_family[2], psi_family[1])
+        assert len(calls) == 2
+        eo.estimate_r_bounds(tmss_match, lambda r: eo.xi_state(r, DELTA, 2000), 1.0, 2.0, 3)
+        assert len(calls) == 2 + 3
+
     def test_psi_pair_incomparable(self, psi_family):
         rep = eo.slocc_decide(psi_family[2], psi_family[1])
         assert rep.verdict is Verdict.Incomparable
@@ -227,3 +243,39 @@ class TestEstimateRBounds:
 
         with pytest.raises(InvalidFamily):
             eo.estimate_r_bounds(tmss_match, gen, 1.0, 2.0, 3)
+
+
+def _relabelled(s, key, change):
+    meta = {**s.metadata, key: change(s.metadata[key])}
+    return eo.make_spectrum(s.log_weights, s.log_tail_bound, meta, cut_certified=True)
+
+
+_BELOW_TOLERANCE = 1 + 1e-12  # moves ln g by less than FORM_RTOL: the check must accept it
+
+
+@pytest.mark.parametrize("key, change", [
+    ("k", lambda k: k + 1),
+    ("k", lambda k: k - 1),
+    ("r", lambda r: 1.5 * r),
+    ("r", lambda r: r * (1 + 1e-6)),
+    ("r", lambda r: r * _BELOW_TOLERANCE),
+    ("offset", lambda a: a + 1.0),
+    ("offset", lambda a: a * (1 + 1e-6)),
+    ("offset", lambda a: a * _BELOW_TOLERANCE),
+    ("delta", lambda d: 1.5 * d),
+    ("delta", lambda d: d * (1 + 1e-6)),
+    pytest.param("delta", lambda d: d * _BELOW_TOLERANCE, marks=pytest.mark.xfail(
+        strict=True, reason="pair_ratio compares grid steps exactly, so the pair loses its "
+        "continuation and the verdict falls to Undecided")),
+], ids=["k+1", "k-1", "r*1.5", "r*(1+1e-6)", "r*(1+1e-12)", "offset+1", "offset*(1+1e-6)",
+        "offset*(1+1e-12)", "delta*1.5", "delta*(1+1e-6)", "delta*(1+1e-12)"])
+@pytest.mark.parametrize("member", ["psi2", "xi"])
+def test_edited_metadata_is_refused_or_harmless(psi_family, member, key, change):
+    s, partner = (psi_family[2], psi_family[1]) if member == "psi2" else (eo.xi_state(1.5, DELTA, 2000), psi_family[0])
+    want = eo.slocc_decide(s, partner).verdict
+    edited = _relabelled(s, key, change)
+    try:
+        got = eo.slocc_decide(edited, partner).verdict
+    except ValidationError:
+        return
+    assert got is want

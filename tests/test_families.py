@@ -130,6 +130,11 @@ class TestFindOffset:
         with pytest.raises(ValueError):
             eo.find_offset(1, 1.0, 0.01, horizon=10.0, margin=-0.1)
 
+    def test_nan_conditions_are_not_clean(self):
+        # L**400 overflows, so every M and C of every window is NaN
+        with pytest.raises(OffsetNotFound):
+            eo.find_offset(1, 400.0, 0.01, horizon=1001.0)
+
 
 def brute_force_offset(k, r, g, horizon, margin, a_max):
     """find_offset by definition: test each candidate's whole window in turn."""
@@ -307,6 +312,24 @@ class TestAnalyticForm:
         c, d = eo.tmss(0.5, 100), eo.tmss(0.5, 200)
         pr = pair_ratio(c, d)
         assert pr is not None and not pr.oscillating
+
+    @pytest.mark.parametrize("patch", [{"k": 3}, {"k": 0}, {"r": 1.5}, {"offset": 2.5}, {"delta": 1.5}])
+    def test_metadata_must_reproduce_the_stored_tail(self, patch):
+        base = eo.psi_state(1, DELTA, 2000)
+        meta = {**base.metadata, **patch}
+        edited = eo.make_spectrum(base.log_weights, base.log_tail_bound, meta, cut_certified=True)
+        eo.AnalyticForm(meta["k"], meta["r"], meta["offset"], meta["delta"])  # the constructor accepts it
+        with pytest.raises(eo.ValidationError, match="does not reproduce the stored tail"):
+            analytic_form(edited)
+
+    def test_residual_checked_past_the_safe_horizon(self):
+        # at delta = 0.002 the safe horizon is 0, so the whole stored range is what tells
+        base = eo.psi_state(1, 0.002, 2000)
+        assert eo.safe_horizon(base) == 0
+        edited = eo.make_spectrum(base.log_weights, base.log_tail_bound, {**base.metadata, "k": 2},
+                                  cut_certified=True)
+        with pytest.raises(eo.ValidationError):
+            analytic_form(edited)
 
     def test_plain_spectra_have_no_form(self):
         assert analytic_form(eo.build_spectrum([0.5, 0.5])) is None

@@ -184,6 +184,14 @@ class TestCertificates:
         with pytest.raises(ValueError):
             OscillationCertificate([(0, 0.0), (0, 1.0), (2, 2.0), (3, 3.0), (4, 4.0)], down, (0, 100))
 
+    def test_witnesses_must_lie_inside_the_window(self):
+        good = [(i, float(i)) for i in range(10, 60, 10)]
+        down = [(i, float(-i)) for i in range(10, 60, 10)]
+        OscillationCertificate(good, down, (10, 50))
+        for window in ((100, 200), (0, 49), (11, 60)):
+            with pytest.raises(ValueError, match="inside the window"):
+                OscillationCertificate(good, down, window)
+
     def test_verify_rejects_tampering(self, psi_family):
         cert = eo.incomparability_certificate(psi_family[1], psi_family[0])
         bad = OscillationCertificate(
@@ -259,6 +267,7 @@ class TestGroupedProbe:
     def test_probe_evaluates_in_few_grouped_calls(self, monkeypatch):
         a, b = eo.psi_state(2, DELTA, 10000), eo.psi_state(1, DELTA, 10000)
         pair = pair_ratio(a, b)
+        cw = oscillation.comparison_window(a, b)  # its metadata check evaluates both forms once
         radius = min(int(math.ceil((math.pi + pair.offset_gap) / DELTA)) + 1, 20000)
         sizes = []
         real = families.eval_p
@@ -268,8 +277,50 @@ class TestGroupedProbe:
             return real(r, x)
 
         monkeypatch.setattr(families, "eval_p", counting)
-        probe = oscillation.probe_pair(oscillation.comparison_window(a, b), eo.TrendThresholds())
+        probe = oscillation.probe_pair(cw, eo.TrendThresholds())
         assert probe.analytic and len(probe.up_records) >= 5
         # one grouped PairRatio.values call: per form, p at its offset and on the grid
         assert 0 < len(sizes) <= 4
         assert max(sizes) <= max(families.EVAL_BLOCK, 2 * radius + 1)
+
+
+class TestComparisonWindow:
+    def test_default_window_follows_the_continuation(self, psi_family, tmss_match):
+        cw = oscillation.comparison_window(psi_family[2], psi_family[1])
+        assert cw.pair is not None and cw.window == (0, cw.pair.max_index())
+        horizon = min(eo.safe_horizon(psi_family[2]), eo.safe_horizon(psi_family[1]))
+        assert cw.ns[-1] == horizon
+        # same grid, but the ratio of two k = 0 forms does not oscillate
+        flat = oscillation.comparison_window(psi_family[0], tmss_match)
+        assert flat.pair is None
+        assert flat.window == (0, min(eo.safe_horizon(psi_family[0]), eo.safe_horizon(tmss_match)))
+        a, b = eo.tmss(0.6, 600), eo.tmss(0.4, 600)
+        plain = oscillation.comparison_window(a, b)
+        assert plain.pair is None and plain.window == (0, min(eo.safe_horizon(a), eo.safe_horizon(b)))
+        assert np.array_equal(plain.values, a.log_g[plain.ns] - b.log_g[plain.ns])
+
+    def test_refuses_dishonest_windows(self, psi_family):
+        a, b = eo.tmss(0.6, 600), eo.tmss(0.4, 600)
+        for window in ((-1, 10), (50, 10)):
+            with pytest.raises(ValueError):
+                oscillation.comparison_window(a, b, window)
+        horizon = oscillation.comparison_window(a, b).window[1]
+        assert oscillation.comparison_window(a, b, (0, horizon)).ns.size == horizon + 1
+        with pytest.raises(TruncationUnsafe):
+            oscillation.comparison_window(a, b, (0, horizon + 1))
+        with pytest.raises(TruncationUnsafe):
+            eo.incomparability_certificate(a, b, window=(0, 100000))
+        # a pair with a continuation may look past its stored horizon
+        cw = oscillation.comparison_window(psi_family[1], psi_family[0], (0, 10**6))
+        assert cw.window == (0, 10**6) and cw.ns[-1] < 2000
+
+    def test_verify_resolves_the_certificate_window(self):
+        a, b = eo.tmss(0.6, 600), eo.tmss(0.4, 600)
+        cw = oscillation.comparison_window(a, b)
+        n_max = cw.window[1]
+        ups = [(n, float(cw.values[n])) for n in range(n_max - 8, n_max + 1, 2)]
+        downs = [(n, -float(cw.values[n])) for n in range(n_max - 8, n_max + 1, 2)]
+        # the values are wrong for the down side, but the window is refused first
+        cert = OscillationCertificate(ups, downs, (0, n_max + 10))
+        with pytest.raises(ValueError, match="window"):
+            eo.verify_certificate(cert, a, b)
