@@ -20,7 +20,7 @@ from enum import Enum
 import numpy as np
 
 from .errors import InvalidFamily, TruncationUnsafe, WindowTooSmall
-from .families import pair_ratio  # noqa: F401  (perfbench's tracer patches this name here)
+from .families import pair_ratio  # noqa: F401  (perfbench's tracer test expects this module's name)
 from .numutil import NEG_INF
 from .oscillation import (
     ComparisonWindow,

@@ -154,7 +154,7 @@ def _profile_conditions(k, r, y):
 
 
 #: Most condition-lattice points one generation request may scan: about 100 s at the
-#: ~1.1e7 points/s measured on 2 vCPUs; the largest lattice in use (xi, n = 5e4) has 5e6
+#: ~1e7 points/s measured on 2 vCPUs; the largest lattice in use (xi, n = 5e4) has 5e6
 MAX_SCAN_POINTS = 10**9
 
 # Most points per closed-form call: 48 KiB temporaries reuse the heap; from 8,192 on they page-fault anew each call
@@ -175,7 +175,7 @@ def _first_clean(k, r, base, step, first, last, W, margin):
         stop = min(i + EVAL_BLOCK, j + W + 1)
         idx = np.arange(i, stop, dtype=float)
         p, M, C = _profile_conditions(k, r, base + idx * step)
-        bad = np.flatnonzero(~((p > 0) & (M > margin) & (C >= 0.0)))  # NaN is not clean
+        bad = np.flatnonzero(~((p > 0) & (M > margin) & (C >= 0.0)))
         if bad.size:
             j = i + int(bad[-1]) + 1
         elif stop == j + W + 1:
@@ -341,8 +341,8 @@ def _family_state(family, k, r, delta, n, offset, grid_step, margin) -> SchmidtS
 # analytic continuation from metadata
 
 
-#: largest relative gap |form ln g(n) - stored ln g(n)| / max(1, |ln g(n)|) an honest file shows
-#: (generated files stay below 4e-14; a wrong k, r, offset or delta shows at 1e-4 and far above)
+#: largest relative gap |form ln g(n) - stored ln g(n)| / max(1, |ln g(n)|) a file may show:
+#: generated files stay below 4e-14, while moving r, offset or delta by 1e-6 shows 5e-8 or more
 FORM_RTOL = 1e-9
 
 
@@ -352,7 +352,7 @@ def analytic_form(s: SchmidtSpectrum) -> AnalyticForm | None:
     Metadata the constructor refuses gives None. Metadata it accepts must
     reproduce the stored ln g(n) at every n = 0..length to ``FORM_RTOL``,
     else the file misdescribes itself and :class:`ValidationError` is
-    raised: past the stored range the form is trusted blindly.
+    raised. Past the stored range the named family is assumed, not checked.
     """
     meta = s.metadata
     family = meta.get("family")

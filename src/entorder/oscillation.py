@@ -22,7 +22,7 @@ from enum import Enum
 import numpy as np
 
 from . import families
-from .errors import TooShort, TruncationUnsafe
+from .errors import TooShort, TruncationUnsafe, ValidationError
 from .families import PairRatio, pair_ratio
 from .spectrum import SchmidtSpectrum, safe_horizon
 
@@ -436,11 +436,12 @@ def verify_certificate(cert: OscillationCertificate, a: SchmidtSpectrum, b: Schm
 
     The certificate's window is resolved by :func:`comparison_window`, so
     a pair without closed form must be stored over all of it. Raises
-    ValueError on such a window and on any mismatch beyond ``atol``.
+    ValueError on such a window, on metadata that misdescribes a stored
+    tail, and on any mismatch beyond ``atol``.
     """
     try:
         cw = comparison_window(a, b, cert.window)
-    except TruncationUnsafe as exc:
+    except (TruncationUnsafe, ValidationError) as exc:
         raise ValueError(f"certificate window cannot be resolved: {exc}") from exc
     for name, wit in (("up", cert.up_witnesses), ("down", cert.down_witnesses)):
         for n, v in wit:

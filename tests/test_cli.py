@@ -285,19 +285,13 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("usage error: ") and "--delta" in err
 
-    @staticmethod
-    def _relabelled(tmp_path, k_from, k_to):
-        """A psi k_from file whose #k line claims k_to, and the honest psi1 file."""
-        honest = tmp_path / f"psi{k_from}.spec"
-        assert run(["gen", "psi", "--k", str(k_from), "--n", "2000", "-o", str(honest)]) == 0
-        edited = tmp_path / f"psi{k_from}_as_{k_to}.spec"
-        edited.write_text(honest.read_text().replace(f"\n#k {k_from}\n", f"\n#k {k_to}\n"))
-        assert edited.read_text() != honest.read_text()
-        return str(edited)
-
     @pytest.mark.parametrize("k_from, k_to", [(1, 3), (2, 1)])
     def test_relabelled_family_member_is_bad_file(self, specdir, tmp_path, capsys, k_from, k_to):
-        edited, psi1 = self._relabelled(tmp_path, k_from, k_to), str(specdir / "psi1.spec")
+        honest, edited = tmp_path / "honest.spec", tmp_path / "edited.spec"
+        assert run(["gen", "psi", "--k", str(k_from), "--n", "2000", "-o", str(honest)]) == 0
+        edited.write_text(honest.read_text().replace(f"\n#k {k_from}\n", f"\n#k {k_to}\n"))
+        assert edited.read_text() != honest.read_text()
+        edited, psi1 = str(edited), str(specdir / "psi1.spec")
         for argv in (["validate", edited], ["info", edited], ["certify", edited, psi1],
                      ["compare", edited, psi1, "--mode", "slocc"]):
             assert run(argv) == 2, argv

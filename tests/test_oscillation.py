@@ -202,6 +202,13 @@ class TestCertificates:
         with pytest.raises(ValueError):
             eo.verify_certificate(bad, psi_family[1], psi_family[0])
 
+    def test_verify_refuses_relabelled_metadata(self, psi_family):
+        cert = eo.incomparability_certificate(psi_family[2], psi_family[1])
+        s = psi_family[2]
+        relabelled = eo.make_spectrum(s.log_weights, s.log_tail_bound, {**s.metadata, "k": 3}, cut_certified=True)
+        with pytest.raises(ValueError, match="does not reproduce the stored tail"):
+            eo.verify_certificate(cert, relabelled, psi_family[1])
+
     def test_verify_needs_analytic_form_beyond_storage(self, psi_family):
         cert = eo.incomparability_certificate(psi_family[1], psi_family[0])
         assert any(n > 2000 for n, _ in cert.up_witnesses)
