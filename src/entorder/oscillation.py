@@ -92,8 +92,8 @@ class OscillationCertificate:
     ``up_witnesses`` holds (index, value) pairs with strictly increasing
     indices and values, every value beating the previous by at least one
     nat; ``down_witnesses`` mirror this downward. Every index lies inside
-    the inclusive ``window``. Values are natural-log
-    ratio units, re-derivable from the two spectra.
+    the inclusive ``window``. Values are natural-log ratio units,
+    re-derivable from the two spectra.
     """
 
     up_witnesses: tuple
