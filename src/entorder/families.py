@@ -153,6 +153,69 @@ def _profile_conditions(k, r, y):
     return p, M, C
 
 
+#: how far the closed-form bounds of :func:`_y_star` must clear margin and 0: far above
+#: float rounding, so the float-evaluated M and C past y* pass as well
+Y_STAR_SLACK = 1e-6
+
+_L_FLOAT_MAX = math.log(np.finfo(float).max)  # ln of the largest float profile argument
+
+
+def _y_star(k, r, margin):
+    """Cut-off y* past which M > margin and C >= 0 hold at every real y (inf if none is found).
+
+    With L = ln y and p >= 1/L, the closed forms of :func:`eval_p` give
+
+        |q|  <= 2 r L^(r-1) + L^r + L^-2
+        |q'| <= 2 r |r-1| L^(r-2) + 2 r L^(r-1) + L^r + 2 L^-3
+        |u|  <= L |q| / y,    |w| <= L (|q'| + |q|) / y^2
+
+    so M >= 1 - k|u| and C >= (1 - k|u|)^2 - k|w| - k u^2. Both lower
+    bounds increase with L once L > r + 1; y* = e^L for the smallest such
+    L (found by bisection up to ``LOG_ARG_CAP``) where they clear margin
+    and 0 by ``Y_STAR_SLACK``. The same bounds hold for the float values,
+    up to rounding far below that slack, as long as no float term of
+    eval_p (each below 4 max(1, 2r, r|r-1|) L^r) overflows for any float y.
+    """
+    if r * math.log(_L_FLOAT_MAX) + math.log(4.0 * max(1.0, 2.0 * r, r * abs(r - 1.0))) >= _L_FLOAT_MAX:
+        return math.inf
+
+    def proven(L):
+        q = 2.0 * r * L ** (r - 1) + L**r + L**-2
+        qp = 2.0 * r * abs(r - 1.0) * L ** (r - 2) + 2.0 * r * L ** (r - 1) + L**r + 2.0 * L**-3
+        e = math.exp(-L)
+        u = L * q * e
+        w = L * (qp + q) * e * e
+        M = 1.0 - k * u
+        return M >= margin + Y_STAR_SLACK and M * M - k * w - k * u * u >= Y_STAR_SLACK
+
+    lo, hi = r + 1.0, LOG_ARG_CAP
+    if not (lo < hi and proven(hi)):
+        return math.inf
+    if proven(lo):
+        return math.exp(lo)
+    for _ in range(64):  # proven(hi) holds throughout, proven(lo) never
+        mid = 0.5 * (lo + hi)
+        if proven(mid):
+            hi = mid
+        else:
+            lo = mid
+    return math.exp(hi)
+
+
+def _cut_index(k, r, margin, base, step):
+    """First lattice index i whose float point base + i*step is >= y* (inf past 2**53)."""
+    y = _y_star(k, r, margin)
+    est = (y - base) / step
+    if not est < 2.0**53:  # also y* = inf: no lattice reaches it
+        return math.inf
+    i = max(0, math.ceil(est))
+    while i > 0 and base + (i - 1) * step >= y:
+        i -= 1
+    while base + i * step < y:
+        i += 1
+    return i
+
+
 #: Most condition-lattice points one generation request may scan: about 100 s at the
 #: ~1e7 points/s measured on 2 vCPUs; the largest lattice in use (xi, n = 5e4) has 5e6
 MAX_SCAN_POINTS = 10**9
@@ -166,13 +229,17 @@ def _first_clean(k, r, base, step, first, last, W, margin):
     """Smallest j in [first, last] whose window base + i*step, i = j..j+W, is clean.
 
     Clean: p > 0, M > margin and C >= 0 at every point, so a NaN
-    condition is not clean (None if no j is).
+    condition is not clean (None if no j is). Points at or past
+    :func:`_y_star` are proven clean and never evaluated.
     The lattice is walked once, in blocks of at most ``EVAL_BLOCK`` points:
     a failing point at index i rules out every candidate up to i.
     """
+    cut = _cut_index(k, r, margin, base, step)
     j = i = first  # indices j..i-1 are known clean
     while j <= last:
-        stop = min(i + EVAL_BLOCK, j + W + 1)
+        if i >= cut:  # j..j+W are clean: below i scanned, from the cut on proven
+            return j
+        stop = min(i + EVAL_BLOCK, j + W + 1, cut)
         idx = np.arange(i, stop, dtype=float)
         p, M, C = _profile_conditions(k, r, base + idx * step)
         bad = np.flatnonzero(~((p > 0) & (M > margin) & (C >= 0.0)))
@@ -195,8 +262,11 @@ def find_offset(
     """Smallest grid multiple a such that the shifted curve is valid on [0, horizon].
 
     Validity means M(x) > margin >= 0 and C(x) >= 0 at every grid point of
-    step ``grid_step`` in [0, horizon], with x + a > 1 throughout. The
-    check is finite: nothing beyond the horizon is certified. Raises
+    step ``grid_step`` in [0, horizon], with x + a > 1 throughout. Grid
+    points whose profile argument x + a lies at or past :func:`_y_star`
+    are not evaluated: there the conditions hold for every real x, so the
+    result is the full scan's. Below y* only grid points are checked, and
+    nothing beyond the horizon is certified unless y* lies inside it. Raises
     :class:`OffsetNotFound` past ``a_max`` (default 1e6 * grid_step).
     """
     if grid_step <= 0 or horizon <= 0:
@@ -228,7 +298,9 @@ def discretize(form: AnalyticForm, n: int, family: str = "psi") -> SchmidtSpectr
     at x = i*s for i = 0..ceil(delta*(n+1)/s), with s = min(0.01, delta).
     That grid covers [0, delta*(n+1)] and overshoots it by less than one
     step (the step past the horizon certifies the ordering of the first
-    hidden weight at the cut). The tail bound is the exact analytic g(n).
+    hidden weight at the cut). Points with x + offset at or past
+    :func:`_y_star` are proven in closed form, for every real x there,
+    instead of evaluated. The tail bound is the exact analytic g(n).
     """
     if n < 1:
         raise ValueError("need at least one stored weight")
@@ -329,7 +401,8 @@ def _family_state(family, k, r, delta, n, offset, grid_step, margin) -> SchmidtS
     # the constructor refuses k, r and delta before the scan; any offset above 1 passes it
     form = replace(AnalyticForm(k, r, 2.0, delta), offset=find_offset(k, r, grid_step, delta * (n + 1), margin))
     # The search proved M > margin >= 0 and C >= 0 at j*g, j = m..m+W, for
-    # a = m*g and W = ceil(delta*(n+1)/g). When g equals discretize's step
+    # a = m*g and W = ceil(delta*(n+1)/g), from y* on in closed form (y* at
+    # discretize's margin 0 is no larger). When g equals discretize's step
     # min(0.01, delta), its check points a + i*g, i = 0..W, are the same W+1
     # points up to rounding, so it need not scan them again (n < 1 it refuses).
     if grid_step == min(0.01, delta) and n >= 1:

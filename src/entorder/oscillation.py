@@ -323,11 +323,18 @@ def _analytic_candidates(pair: PairRatio, n_min, n_max):
         # one arange per neighbourhood: past 2**53 its float fill decides
         # which indices are sampled, and that must not change
         grids = [np.arange(start, stop + 1, dtype=float) for start, stop in spans[g:g + per]]
-        ends = np.cumsum([grid.size for grid in grids])
-        for ns, vs in zip(grids, np.split(pair.values(np.concatenate(grids)), ends[:-1])):
-            top, bottom = int(np.argmax(vs)), int(np.argmin(vs))
-            cands_max.append((int(ns[top]), float(vs[top])))
-            cands_min.append((int(ns[bottom]), float(vs[bottom])))
+        sizes = [grid.size for grid in grids]
+        starts = np.cumsum([0] + sizes[:-1])
+        ns = np.concatenate(grids)
+        vs = pair.values(ns)
+        for reduce, cands in ((np.maximum, cands_max), (np.minimum, cands_min)):
+            # first index equal to each neighbourhood's extreme, as argmax/argmin
+            # pick it (a NaN is the extreme once present, as there too)
+            extreme = np.repeat(reduce.reduceat(vs, starts), sizes)
+            at = np.flatnonzero((vs == extreme) | np.isnan(vs))
+            first = at[np.searchsorted(at, starts)]
+            # indices reach 1e163: through Python int, not int64
+            cands.extend(zip(map(int, ns[first].tolist()), vs[first].tolist()))
     return sorted(set(cands_max)), sorted(set(cands_min))
 
 
@@ -354,8 +361,9 @@ def _slow_drift(cands, pair: PairRatio, sign):
     """
     if len(cands) < _SLOW_MIN_STEPS:
         return False
-    vals = np.array([sign * v for _, v in cands])
-    pos = np.array([math.log(math.log(pair.delta * max(n, 1) + pair.max_offset)) for n, _ in cands])
+    ns, vals = np.array(cands, dtype=float).T
+    vals = sign * vals
+    pos = np.log(np.log(pair.delta * np.maximum(ns, 1.0) + pair.max_offset))
     env = np.minimum.accumulate(vals)
     drops = np.diff(env)
     steps = int(np.sum(drops < 0))

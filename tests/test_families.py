@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -190,9 +191,13 @@ class TestScanner:
         span=st.integers(-2, 25),
         W=st.integers(0, 10),
         chunk=st.integers(1, 8),
+        cut=st.one_of(st.none(), st.integers(0, 80)),
     )
-    def test_first_clean_on_synthetic_failures(self, bad, first, span, W, chunk):
-        # lattice point i is y = i (base 0, step 1); M fails exactly on `bad`
+    # a block ends just below the cut, on the one failing point left
+    @example(bad={3}, first=0, span=10, W=5, chunk=3, cut=4)
+    def test_first_clean_on_synthetic_failures(self, bad, first, span, W, chunk, cut):
+        # lattice point i is y = i (base 0, step 1); M fails exactly on `bad`,
+        # and y* = cut makes every index from `cut` on clean unevaluated
         calls = []
 
         def conditions(k, r, y):
@@ -200,18 +205,22 @@ class TestScanner:
             return np.ones_like(y), np.where(np.isin(y, list(bad)), -1.0, 1.0), np.ones_like(y)
 
         last = first + span
+        y_star = math.inf if cut is None else float(cut)
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(families, "_profile_conditions", conditions)
             mp.setattr(families, "EVAL_BLOCK", chunk)
+            mp.setattr(families, "_y_star", lambda k, r, margin: y_star)
             got = families._first_clean(1, 1.0, 0.0, 1.0, first, last, W, 0.0)
+        failing = {i for i in bad if i < y_star}
         expected = next(
-            (j for j in range(first, last + 1) if not bad & set(range(j, j + W + 1))), None
+            (j for j in range(first, last + 1) if not failing & set(range(j, j + W + 1))), None
         )
         assert got == expected
         points = np.concatenate(calls) if calls else np.zeros(0)
         assert np.unique(points).size == points.size  # each point evaluated once
         assert all(c.size <= chunk for c in calls)
         assert points.size == 0 or points.max() <= last + W
+        assert points.size == 0 or points.max() < y_star  # nothing at or past the cut
 
     @pytest.fixture
     def scanned(self, monkeypatch):
@@ -231,9 +240,11 @@ class TestScanner:
         points = np.concatenate(scanned)
         assert np.unique(points).size == points.size
         assert max(c.size for c in scanned) <= families.EVAL_BLOCK
-        # the search window already reaches delta*(n+1) = 2001 past the offset,
-        # the end of discretize's check grid
-        assert points.max() >= spec.metadata["offset"] + 2001 - 1e-9
+        # the search reaches delta*(n+1) = 2001 past the offset, the end of
+        # discretize's check grid, or else the last lattice point below y*,
+        # from which on the conditions are proven
+        reach = min(spec.metadata["offset"] + 2001, families._y_star(2, 1.0, 0.0))
+        assert reach - 0.01 - 1e-9 <= points.max() <= reach + 1e-9
 
     def test_finer_check_grid_is_scanned(self, scanned):
         # delta 0.005 checks on step 0.005, the offset search on step 0.01
@@ -259,6 +270,96 @@ class TestScanner:
         delta, n = 0.002, 100_000
         offset = eo.find_offset(k, 1.0, 0.01, delta * (n + 1))
         assert_blocks_equal_one_call(k, 1.0, offset, delta, 0, math.ceil(delta * (n + 1) / delta))
+
+
+def mp_conditions(k, r, y):
+    """M and C at y to 50 digits, from p_r written in L = ln y and the chain rule."""
+    with mpmath.workdps(50):
+        y, r = mpmath.mpf(y), mpmath.mpf(r)
+        L = mpmath.log(y)
+        s, c = mpmath.sin(L), mpmath.cos(L)
+        # p(L) and its first two L-derivatives; d/dy = (d/dL) / y
+        f = L**r * (s + 1) + 1 / L
+        f1 = r * L ** (r - 1) * (s + 1) + L**r * c - L**-2
+        f2 = r * (r - 1) * L ** (r - 2) * (s + 1) + 2 * r * L ** (r - 1) * c - L**r * s + 2 * L**-3
+        u = f1 / (y * f)
+        w = (f2 - f1) / (y * y * f)
+        M = 1 - k * u
+        return M, M * M + k * (w - u * u)
+
+
+CUT_CASES = [(k, r, m) for k in (1, 2, 3, 4) for r in (0.5, 1.0, 1.37, 2.0, 3.0) for m in (0.0, 0.2)]
+
+
+class TestCutOff:
+    """y*: past it the conditions are proven, below it the lattice is scanned."""
+
+    @pytest.mark.parametrize("k,r,margin", CUT_CASES)
+    def test_bound_holds_at_50_digits(self, k, r, margin):
+        y_star = families._y_star(k, r, margin)
+        rng = np.random.default_rng(k * 100 + round(r * 10) + round(margin * 10))
+        for L in [math.log(y_star), *rng.uniform(math.log(y_star), 700.0, 30)]:
+            M, C = mp_conditions(k, r, mpmath.exp(L))
+            assert M > margin and C >= 0, (L, M, C)
+
+    @pytest.mark.parametrize("k,r,margin", CUT_CASES)
+    def test_float_conditions_pass_past_the_cut(self, k, r, margin):
+        y_star = families._y_star(k, r, margin)
+        lattice = y_star + np.arange(100_001) * 0.01
+        geometric = np.geomspace(y_star, math.exp(700.0), 20_000)
+        for y in (lattice, geometric):
+            p, M, C = families._profile_conditions(k, r, y)
+            assert np.all((p > 0) & (M > margin) & (C >= 0))
+
+    def test_largest_finite_exponent_stays_finite_in_float(self):
+        # r = 105 is the largest integer r with a cut-off below e^700; its float
+        # conditions must not overflow anywhere up to the float range's end
+        y_star = families._y_star(1, 105.0, 0.0)
+        assert y_star < math.exp(700.0)
+        p, M, C = families._profile_conditions(1, 105.0, np.geomspace(y_star, 1e308, 2000))
+        assert np.all((p > 0) & (M > 0) & (C >= 0))
+
+    @pytest.mark.parametrize("k,r,margin", [(1, 400.0, 0.0), (4, 400.0, 0.2), (1, 106.0, 0.0),
+                                            (1, 1.0, 1.0), (4, 2.0, 1.5), (1, 1.0, 1.0 - 1e-7)])
+    def test_no_cut_off_is_inf(self, k, r, margin):
+        assert families._y_star(k, r, margin) == math.inf
+
+    @pytest.mark.parametrize("k,r,table", [(1, 1.0, 47), (4, 1.0, 255), (1, 2.0, 1075), (4, 2.0, 5720)])
+    def test_matches_the_roadmap_table(self, k, r, table):
+        assert families._y_star(k, r, 0.0) == pytest.approx(table, rel=0.02)
+
+    @pytest.mark.parametrize("margin", [0.0, 0.2])
+    @pytest.mark.parametrize("r", [1.0, 1.37, 2.0])
+    @pytest.mark.parametrize("k", [1, 2, 3, 4])
+    def test_search_equals_the_full_scan(self, monkeypatch, k, r, margin):
+        # find_offset for a delta = 1, n = 2000 member; y* = inf scans everything
+        cut = eo.find_offset(k, r, 0.01, DELTA * 2001, margin)
+        monkeypatch.setattr(families, "_y_star", lambda k, r, margin: math.inf)
+        assert cut == eo.find_offset(k, r, 0.01, DELTA * 2001, margin)
+
+    @pytest.mark.parametrize("offset", [None, 3.0])
+    @pytest.mark.parametrize("delta", [0.002, 0.005])
+    @pytest.mark.parametrize("k", [1, 2, 3, 4])
+    def test_check_equals_the_full_check(self, monkeypatch, k, delta, offset):
+        # discretize's check at a searched or a given offset (3.0 fails for k = 4),
+        # over a span that holds y*
+        n = 150_000
+        if offset is None:
+            offset = eo.find_offset(k, 1.0, 0.01, delta * (n + 1))
+        assert families._y_star(k, 1.0, 0.0) < offset + delta * (n + 1)
+        form = eo.AnalyticForm(k, 1.0, offset, delta)
+
+        def outcome():
+            try:
+                spec = eo.discretize(form, n)
+            except ConditionViolated:
+                return None
+            return spec.log_weights.tobytes(), spec.log_tail_bound
+
+        cut = outcome()
+        monkeypatch.setattr(families, "_y_star", lambda k, r, margin: math.inf)
+        assert cut == outcome()
+        assert (cut is None) == (k == 4 and offset == 3.0)
 
 
 class TestDiscretize:

@@ -1,4 +1,5 @@
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -270,6 +271,17 @@ class TestGroupedProbe:
             want = per_target_candidates(pair, n_min, n_max)
             assert [[(n, v.hex()) for n, v in c] for c in got] == \
                 [[(n, v.hex()) for n, v in c] for c in want]
+
+    @pytest.mark.parametrize("points", [1, 7, 6144])
+    def test_ties_take_the_first_index(self, probe_pairs, monkeypatch, points):
+        # the ratio rounded to whole nats: below 2**53 too, most neighbourhoods
+        # tie at their extreme, and the first tied index must be the candidate
+        monkeypatch.setattr(families, "EVAL_BLOCK", points)
+        real = probe_pairs["psi2/psi1"]
+        pair = SimpleNamespace(delta=real.delta, max_offset=real.max_offset, offset_gap=real.offset_gap,
+                               values=lambda n: np.round(real.values(n)))
+        for n_min, n_max in ((0, real.max_index()), (50, 5000)):
+            assert oscillation._analytic_candidates(pair, n_min, n_max) == per_target_candidates(pair, n_min, n_max)
 
     def test_probe_evaluates_in_few_grouped_calls(self, monkeypatch):
         a, b = eo.psi_state(2, DELTA, 10000), eo.psi_state(1, DELTA, 10000)

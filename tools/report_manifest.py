@@ -16,8 +16,9 @@ trees produce the same reports exactly when their manifests are equal::
 
 All commands run in one interpreter through ``entorder.cli.run``; the set
 covers generation (searched and given offsets, on and off the default
-check grid, one offset that fails, one member scanned in many evaluation
-blocks), validation, summaries, every ordered
+check grid, one offset that fails, one member with a 5e6-point lattice,
+two members whose closed-form cut-off y* lies far inside the span),
+validation, summaries, every ordered
 pair of the psi ladder, locc/slocc comparisons (one of them on a window
 long enough to be subsampled), a certificate on a fine grid (delta 0.002,
 3,145-point probe neighbourhoods), a certificate and a comparison on a
@@ -49,8 +50,12 @@ GEN = [
     ("psi3_m02.spec", ["gen", "psi", "--k", "3", "--offset-margin", "0.2", "--n", "2000"]),
     # a grid so fine that each probe neighbourhood holds 3,145 points
     *[(f"psi{k}_d0002.spec", ["gen", "psi", "--k", str(k), "--delta", "0.002", "--n", "2000"]) for k in (1, 2)],
-    # a long member: its offset search scans 5e6 points in about 800 evaluation blocks
+    # a long member: a 5e6-point search lattice, evaluated only below y* (about 206)
     ("xi_n50k.spec", ["gen", "xi", "--r", "1.5", "--n", "50000"]),
+    # the closed-form cut-off y* inside the span: the largest one in use
+    # (k = 4, r = 2, about 5,669) on a search, and about 1,069 at a given offset
+    ("psi4_r2.spec", ["gen", "psi", "--k", "4", "--r", "2", "--n", "10000"]),
+    ("xi_r2_a3.spec", ["gen", "xi", "--r", "2", "--offset", "3", "--n", "10000"]),
 ]
 
 INSPECTED = ["psi0", "psi2", "xi", "t06", "t999", "xi_n50k"]
@@ -64,6 +69,7 @@ def commands():
     for name in INSPECTED:
         out.append((f"validate_{name}.json", ["validate", f"{name}.spec"]))
         out.append((f"info_{name}.json", ["info", f"{name}.spec"]))
+    out.append(("validate_psi4_r2.json", ["validate", "psi4_r2.spec"]))
     for i in range(5):
         for j in range(5):
             if i != j:
