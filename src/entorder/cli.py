@@ -30,7 +30,7 @@ from .convertibility import (
     slocc_decide,
 )
 from .errors import EntOrderError, ParseError, ValidationError
-from .families import MAX_SCAN_POINTS, analytic_form, delta_from_q, psi_state, tmss, xi_state
+from .families import analytic_form, delta_from_q, psi_state, tmss, xi_state
 from .fileio import emit_report, read_spectrum, write_spectrum
 from .oscillation import TrendThresholds, incomparability_certificate
 from .spectrum import summary_stats, vidal_conditions
@@ -185,12 +185,11 @@ def _resolve_delta(args):
     return 1.0
 
 
-def _check_span(delta, delta_name, n, n_option, grid=None):
+def _check_span(delta, delta_name, n, n_option):
     """Refuse a grid step and horizon whose generated span delta * (n + 1) is not finite.
 
-    ``grid`` is the offset grid of a member whose curve conditions are
-    scanned: its lattice of span / min(grid, 0.01) points must not exceed
-    ``families.MAX_SCAN_POINTS`` either.
+    The work of a finite span's condition scan is bounded where it is done,
+    in the families module, which counts only the points below y*.
     """
     try:
         span = delta * (n + 1)
@@ -198,11 +197,6 @@ def _check_span(delta, delta_name, n, n_option, grid=None):
         span = math.inf
     if not math.isfinite(span):
         raise _UsageError(f"{delta_name} * ({n_option} + 1) overflows; give a smaller {delta_name} or {n_option}")
-    if grid is not None and span / min(grid, 0.01) > MAX_SCAN_POINTS:
-        raise _UsageError(
-            f"{delta_name} * ({n_option} + 1) needs {span / min(grid, 0.01):.3g} condition-scan points, more than "
-            f"{MAX_SCAN_POINTS:.0e}; give a smaller {delta_name} or {n_option}"
-        )
 
 
 def _emit(args, report) -> None:
@@ -244,7 +238,7 @@ def _cmd_gen(args) -> int:
         if k > 0 and args.offset is not None and args.offset <= 1.0:
             raise _UsageError("--offset must exceed 1 so that the profile argument stays above 1")
         delta = _resolve_delta(args)
-        _check_span(delta, "--delta", args.n, "--n", args.offset_grid if k else None)
+        _check_span(delta, "--delta", args.n, "--n")
         kwargs = dict(
             delta=delta,
             n=args.n,
@@ -334,7 +328,7 @@ def _cmd_estimate_r(args) -> int:
         raise _UsageError("--steps must be >= 1")
     if args.member_n < 1:
         raise _UsageError("--member-n must be >= 1")
-    _check_span(delta, delta_name, args.member_n, "--member-n", 0.01)  # xi members scan the default grid
+    _check_span(delta, delta_name, args.member_n, "--member-n")
     if args.r_min <= 0 or args.r_max < args.r_min:
         raise _UsageError("need 0 < --r-min <= --r-max")
 

@@ -216,8 +216,8 @@ def _cut_index(k, r, margin, base, step):
     return i
 
 
-#: Most condition-lattice points one generation request may scan: about 100 s at the
-#: ~1e7 points/s measured on 2 vCPUs; the largest lattice in use (xi, n = 5e4) has 5e6
+#: Most lattice points below y* one condition scan may evaluate: about 100 s at the
+#: ~1e7 points/s measured on 2 vCPUs; a search on the 0.01 grid at k <= 4, r <= 2 needs 5.7e5
 MAX_SCAN_POINTS = 10**9
 
 # Most points per closed-form call: 48 KiB temporaries reuse the heap; from 8,192 on they page-fault anew each call
@@ -230,11 +230,15 @@ def _first_clean(k, r, base, step, first, last, W, margin):
 
     Clean: p > 0, M > margin and C >= 0 at every point, so a NaN
     condition is not clean (None if no j is). Points at or past
-    :func:`_y_star` are proven clean and never evaluated.
+    :func:`_y_star` are proven clean and never evaluated; more than
+    ``MAX_SCAN_POINTS`` to evaluate below it raise ValueError at once.
     The lattice is walked once, in blocks of at most ``EVAL_BLOCK`` points:
     a failing point at index i rules out every candidate up to i.
     """
     cut = _cut_index(k, r, margin, base, step)
+    most = min(cut, last + W + 1) - first  # points below the cut that the walk may evaluate
+    if most > MAX_SCAN_POINTS:
+        raise ValueError(f"the condition scan may evaluate {most:.3g} lattice points, more than {MAX_SCAN_POINTS:.0e}")
     j = i = first  # indices j..i-1 are known clean
     while j <= last:
         if i >= cut:  # j..j+W are clean: below i scanned, from the cut on proven
@@ -267,7 +271,8 @@ def find_offset(
     are not evaluated: there the conditions hold for every real x, so the
     result is the full scan's. Below y* only grid points are checked, and
     nothing beyond the horizon is certified unless y* lies inside it. Raises
-    :class:`OffsetNotFound` past ``a_max`` (default 1e6 * grid_step).
+    :class:`OffsetNotFound` past ``a_max`` (default 1e6 * grid_step), and
+    ValueError if it may evaluate more than ``MAX_SCAN_POINTS`` points below y*.
     """
     if grid_step <= 0 or horizon <= 0:
         raise ValueError("grid_step and horizon must be positive")
@@ -300,7 +305,8 @@ def discretize(form: AnalyticForm, n: int, family: str = "psi") -> SchmidtSpectr
     step (the step past the horizon certifies the ordering of the first
     hidden weight at the cut). Points with x + offset at or past
     :func:`_y_star` are proven in closed form, for every real x there,
-    instead of evaluated. The tail bound is the exact analytic g(n).
+    instead of evaluated; more than ``MAX_SCAN_POINTS`` points below it raise
+    ValueError. The tail bound is the exact analytic g(n).
     """
     if n < 1:
         raise ValueError("need at least one stored weight")

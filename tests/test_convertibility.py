@@ -221,6 +221,18 @@ class TestEstimateRBounds:
         verdicts = dict(est.per_r)
         assert verdicts[1.5] is Verdict.TwoWay
 
+    @pytest.mark.parametrize("r, bound, verdict", [(2.5, 2.0, Verdict.OneWayAtoB), (0.5, 1.0, Verdict.OneWayBtoA)])
+    def test_state_outside_the_span_pins_the_nearer_end(self, r, bound, verdict):
+        # higher r converts to lower r, so a state above the sampled span
+        # converts to every member and every member converts to one below it
+        def gen(r):
+            return eo.xi_state(r, DELTA, 10_000)
+
+        est = eo.estimate_r_bounds(gen(r), gen, 1.0, 2.0, 5)
+        assert est.r_minus == est.r_plus == bound
+        assert [v for _, v in est.per_r] == [verdict] * 5
+        assert est.undecided_band == ()
+
     def test_family_orientation_consistent(self):
         # spot check of the total order: higher r converts to lower r
         members = {r: eo.xi_state(r, DELTA, 3000) for r in (1.0, 1.5, 2.0)}

@@ -222,6 +222,32 @@ class TestScanner:
         assert points.size == 0 or points.max() <= last + W
         assert points.size == 0 or points.max() < y_star  # nothing at or past the cut
 
+    @pytest.mark.parametrize("first, last, W, cut, refused", [
+        (0, 0, 9, None, False),  # 10 points, the cap
+        (0, 0, 10, None, True),
+        (5, 6, 9, None, True),  # the window of candidate 6 ends at index 16
+        (3, 3, 10**6, 13, False),  # points from the cut on are not counted
+        (3, 3, 10**6, 14, True),
+    ])
+    def test_scan_past_the_cap_refused_before_evaluating(self, monkeypatch, first, last, W, cut, refused):
+        # lattice point i is y = i; every point is clean, and at most 10 may be evaluated
+        calls = []
+
+        def conditions(k, r, y):
+            calls.append(y)
+            return np.ones_like(y), np.ones_like(y), np.ones_like(y)
+
+        y_star = math.inf if cut is None else float(cut)
+        monkeypatch.setattr(families, "_profile_conditions", conditions)
+        monkeypatch.setattr(families, "_y_star", lambda k, r, margin: y_star)
+        monkeypatch.setattr(families, "MAX_SCAN_POINTS", 10)
+        if refused:
+            with pytest.raises(ValueError, match=r"may evaluate 11 lattice points, more than 1e\+01"):
+                families._first_clean(1, 1.0, 0.0, 1.0, first, last, W, 0.0)
+            assert not calls
+        else:
+            assert families._first_clean(1, 1.0, 0.0, 1.0, first, last, W, 0.0) == first
+
     @pytest.fixture
     def scanned(self, monkeypatch):
         """Every argument array the curve conditions are evaluated on."""
@@ -323,6 +349,22 @@ class TestCutOff:
                                             (1, 1.0, 1.0), (4, 2.0, 1.5), (1, 1.0, 1.0 - 1e-7)])
     def test_no_cut_off_is_inf(self, k, r, margin):
         assert families._y_star(k, r, margin) == math.inf
+
+    def test_cut_index_is_the_first_float_point_at_or_past_y_star(self, monkeypatch):
+        # y* on a float lattice point and one ulp either side of it; the
+        # estimate ceil((y* - base) / step) misses the first index both ways
+        misses = set()
+        for base, step in [(0.0, 0.01), (1.01, 0.002), (3.7, 0.3), (101.3, 0.07)]:
+            lattice = base + np.arange(600, dtype=float) * step
+            for point in lattice[:500]:
+                for y in (np.nextafter(point, -np.inf), point, np.nextafter(point, np.inf)):
+                    y = float(y)
+                    monkeypatch.setattr(families, "_y_star", lambda k, r, margin: y)
+                    expected = int(np.searchsorted(lattice, y, side="left"))
+                    assert families._cut_index(1, 1.0, 0.0, base, step) == expected, (base, step, y)
+                    estimate = max(0, math.ceil((y - base) / step))
+                    misses.add((estimate > expected) - (estimate < expected))
+        assert misses == {-1, 0, 1}  # both corrections were needed
 
     @pytest.mark.parametrize("k,r,table", [(1, 1.0, 47), (4, 1.0, 255), (1, 2.0, 1075), (4, 2.0, 5720)])
     def test_matches_the_roadmap_table(self, k, r, table):

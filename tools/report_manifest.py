@@ -17,7 +17,8 @@ trees produce the same reports exactly when their manifests are equal::
 All commands run in one interpreter through ``entorder.cli.run``; the set
 covers generation (searched and given offsets, on and off the default
 check grid, one offset that fails, one member with a 5e6-point lattice,
-two members whose closed-form cut-off y* lies far inside the span),
+two members whose closed-form cut-off y* lies far inside the span, a
+span of 1e301 that y* bounds and one whose scan is refused),
 validation, summaries, every ordered
 pair of the psi ladder, locc/slocc comparisons (one of them on a window
 long enough to be subsampled), a certificate on a fine grid (delta 0.002,
@@ -56,6 +57,10 @@ GEN = [
     # (k = 4, r = 2, about 5,669) on a search, and about 1,069 at a given offset
     ("psi4_r2.spec", ["gen", "psi", "--k", "4", "--r", "2", "--n", "10000"]),
     ("xi_r2_a3.spec", ["gen", "xi", "--r", "2", "--offset", "3", "--n", "10000"]),
+    # a span of 1e301: y* = 46.2 bounds the scan to about 4,620 points; at r = 6
+    # y* = 1.06e10 leaves 1.06e12 points below it, and the scan is refused
+    ("psi1_d1e300.spec", ["gen", "psi", "--k", "1", "--delta", "1e300", "--n", "10"]),
+    ("xi_r6_d1e300.spec", ["gen", "xi", "--r", "6", "--delta", "1e300", "--n", "10"]),
 ]
 
 INSPECTED = ["psi0", "psi2", "xi", "t06", "t999", "xi_n50k"]
@@ -70,6 +75,7 @@ def commands():
         out.append((f"validate_{name}.json", ["validate", f"{name}.spec"]))
         out.append((f"info_{name}.json", ["info", f"{name}.spec"]))
     out.append(("validate_psi4_r2.json", ["validate", "psi4_r2.spec"]))
+    out.append(("validate_psi1_d1e300.json", ["validate", "psi1_d1e300.spec"]))
     for i in range(5):
         for j in range(5):
             if i != j:
