@@ -1,11 +1,14 @@
 import math
+import re
 
 import numpy as np
 import pytest
 
 import entorder as eo
-from entorder.errors import ParseError
-from entorder.fileio import emit_report
+from entorder.errors import EntOrderError, NonPositive, ParseError
+from entorder.fileio import HEADER, META_KEYS, _log10_exact, emit_report
+from entorder.numutil import LN10, NEG_INF
+from entorder.spectrum import make_spectrum
 
 
 class TestSpectrumFiles:
@@ -69,6 +72,237 @@ class TestSpectrumFiles:
         s = eo.read_spectrum(f)
         assert s.length == 2
         assert s.weights()[0] == pytest.approx(0.5, rel=1e-15)
+
+
+def _reference_read(path):
+    """Per-line reader that the whole-array one replaced, kept as an oracle."""
+    with open(path, "r", encoding="ascii") as fh:
+        try:
+            raw = fh.read().splitlines()
+        except UnicodeDecodeError as exc:
+            raise ParseError(f"not ASCII text: {exc}") from exc
+    if not raw or raw[0].strip() != HEADER:
+        raise ParseError(f"expected header {HEADER!r}", line=1)
+    metadata = {}
+    log_tail = NEG_INF
+    log_weights = []
+    in_weights = False
+    for lineno, line in enumerate(raw[1:], start=2):
+        text = line.strip()
+        if not text:
+            raise ParseError("blank line not allowed", line=lineno)
+        if text.startswith("#"):
+            if in_weights:
+                raise ParseError("metadata after weight lines", line=lineno)
+            parts = text[1:].split(None, 1)
+            if len(parts) != 2:
+                raise ParseError("metadata line needs a key and a value", line=lineno)
+            key, value = parts
+            if key not in META_KEYS:
+                raise ParseError(f"unknown metadata key {key!r}", line=lineno)
+            try:
+                if key == "family":
+                    metadata[key] = value
+                elif key == "k":
+                    metadata[key] = int(value)
+                elif not math.isfinite(float(value)):
+                    raise ValueError(f"non-finite {key}")
+                elif key == "tail_bound":
+                    log_tail = float(value) * LN10
+                else:
+                    metadata[key] = float(value)
+            except ValueError as exc:
+                raise ParseError(f"bad value for {key!r}: {value!r}", line=lineno) from exc
+            continue
+        in_weights = True
+        try:
+            log_weights.append(float(text) * LN10)
+        except ValueError as exc:
+            raise ParseError(f"bad weight literal {text!r}", line=lineno) from exc
+    if not log_weights:
+        raise ParseError("file contains no weights", line=len(raw))
+    return make_spectrum(log_weights, log_tail, metadata, cut_certified="family" in metadata)
+
+
+def _reference_log10_exact(ln_value):
+    """Scalar ulp search that the array one replaced: (value, step that hit).
+
+    The step is 0 when the plain quotient round-trips and None when no
+    candidate does.
+    """
+    v = ln_value / LN10
+    if v * LN10 == ln_value:
+        return v, 0
+    for step in (1, -1, 2, -2):
+        cand = v
+        for _ in range(abs(step)):
+            cand = math.nextafter(cand, math.copysign(math.inf, step))
+        if cand * LN10 == ln_value:
+            return cand, step
+    return v, None
+
+
+def _reference_write(s, path):
+    """Per-line writer that the whole-array one replaced."""
+    lines = [HEADER]
+    meta = dict(s.metadata)
+    if not s.is_exact:
+        meta["tail_bound"] = _reference_log10_exact(s.log_tail_bound)[0]
+    for key in META_KEYS:
+        if key in meta:
+            value = meta[key]
+            text = str(value) if key == "family" else repr(int(value) if key == "k" else float(value))
+            lines.append(f"#{key} {text}")
+    for ln_w in s.log_weights:
+        lines.append(repr(_reference_log10_exact(float(ln_w))[0]))
+    with open(path, "w", encoding="ascii") as fh:
+        fh.write("\n".join(lines) + "\n")
+
+
+def _outcome(reader, path):
+    """What a reader makes of a file: the spectrum's bits, or the error's type, text and line."""
+    try:
+        s = reader(path)
+    except EntOrderError as exc:
+        return type(exc), str(exc), getattr(exc, "line", None)
+    return s.log_weights.tobytes(), s.metadata, np.float64(s.log_tail_bound).tobytes()
+
+
+@pytest.fixture(scope="module")
+def generated(tmp_path_factory):
+    """Generated files of every kind: name -> path."""
+    w = np.random.default_rng(7).random(500)
+    states = {
+        "tmss": eo.tmss(0.7, 3000),
+        "psi": eo.psi_state(2, 1.0, 2000),
+        "xi": eo.xi_state(1.5, 1.0, 2000),
+        "exact": eo.build_spectrum(w / w.sum()),
+    }
+    root = tmp_path_factory.mktemp("generated")
+    paths = {}
+    for name, s in states.items():
+        paths[name] = root / f"{name}.spec"
+        eo.write_spectrum(s, paths[name])
+    return paths
+
+
+def _weight_lines(edit):
+    """Apply edit to each weight line (the lines not starting with '#')."""
+    return lambda lines: [line if line.startswith("#") else edit(line) for line in lines]
+
+
+# text edits a reader must treat exactly as the per-line reader did
+ACCEPTED_EDITS = {
+    "as_written": lambda lines: lines,
+    "crlf": lambda lines: [line + "\r" for line in lines],
+    "padded": lambda lines: [f" \t{line}\t " for line in lines],
+    "digits18": _weight_lines(lambda line: format(float(line), ".18g")),
+    "underscores": _weight_lines(lambda line: re.sub(r"(?<=\d)(?=\d)", "_", line)),
+    "underscore_weight": lambda lines: lines + ["-1_000"],
+    # float() keeps \x1f where str.strip() removes it: the line-by-line path
+    "unit_separator": _weight_lines(lambda line: f"\x1f{line}\x1f"),
+}
+
+
+class TestReaderEquivalence:
+    @pytest.mark.parametrize("kind", ["tmss", "psi", "xi", "exact"])
+    @pytest.mark.parametrize("edit", sorted(ACCEPTED_EDITS))
+    def test_matches_per_line_reader(self, generated, tmp_path, kind, edit):
+        lines = generated[kind].read_text().splitlines()
+        path = tmp_path / "edited.spec"
+        path.write_bytes(("\n".join(ACCEPTED_EDITS[edit](lines)) + "\n").encode("ascii"))
+        got = _outcome(eo.read_spectrum, path)
+        assert got == _outcome(_reference_read, path)
+        assert isinstance(got[0], bytes), got  # every edit here still reads
+
+    @pytest.mark.parametrize("kind", ["tmss", "psi", "xi", "exact"])
+    def test_nan_weight_is_non_positive(self, generated, tmp_path, kind):
+        lines = generated[kind].read_text().splitlines()
+        path = tmp_path / "nan.spec"
+        path.write_text("\n".join(lines[:-1] + [" nan"]) + "\n")
+        got = _outcome(eo.read_spectrum, path)
+        assert got == _outcome(_reference_read, path)
+        assert got[0] is NonPositive
+
+    @pytest.mark.parametrize("kind", ["tmss", "psi", "xi", "exact"])
+    def test_writer_bytes_match_per_line_writer(self, generated, tmp_path, kind):
+        s = eo.read_spectrum(generated[kind])
+        eo.write_spectrum(s, tmp_path / "new.spec")
+        _reference_write(s, tmp_path / "old.spec")
+        assert (tmp_path / "new.spec").read_bytes() == (tmp_path / "old.spec").read_bytes()
+
+
+def _insert(index, text):
+    return lambda lines: lines[:index] + [text] + lines[index:]
+
+
+# (edit of the psi file's lines, the 1-based line the error must name, its
+# message); the file has a header, six metadata lines and 2,000 weights
+BROKEN_EDITS = {
+    "blank_in_metadata": (_insert(2, ""), 3, "blank line not allowed"),
+    "blank_among_weights": (_insert(10, ""), 11, "blank line not allowed"),
+    "whitespace_only": (_insert(10, " \t "), 11, "blank line not allowed"),
+    "trailing_blank": (lambda lines: lines + [""], 2008, "blank line not allowed"),
+    "metadata_after_weight": (_insert(8, "#k 1"), 9, "metadata after weight lines"),
+    "bad_literal_last": (lambda lines: lines[:-1] + ["-0.3x"], 2007, "bad weight literal '-0.3x'"),
+    "delta_nan": (lambda lines: [("#delta nan" if x.startswith("#delta") else x) for x in lines],
+                  5, "bad value for 'delta': 'nan'"),
+    "header_only": (lambda lines: lines[:1], 1, "file contains no weights"),
+    "metadata_only": (lambda lines: lines[:7], 7, "file contains no weights"),
+}
+
+
+class TestErrorLines:
+    def test_psi_file_layout(self, generated):
+        # the line numbers above assume this layout
+        lines = generated["psi"].read_text().splitlines()
+        assert lines[4].startswith("#delta") and lines[6].startswith("#")
+        assert not lines[7].startswith("#") and len(lines) == 2007
+
+    @pytest.mark.parametrize("case", sorted(BROKEN_EDITS))
+    def test_parse_error_names_its_line(self, generated, tmp_path, case):
+        edit, line, message = BROKEN_EDITS[case]
+        path = tmp_path / "broken.spec"
+        path.write_text("\n".join(edit(generated["psi"].read_text().splitlines())) + "\n")
+        with pytest.raises(ParseError) as err:
+            eo.read_spectrum(path)
+        assert err.value.line == line
+        assert str(err.value) == f"line {line}: {message}"
+        assert _outcome(eo.read_spectrum, path) == _outcome(_reference_read, path)
+
+
+def _binade_edges(ulps=40):
+    """Every double within `ulps` ulp of -2**e on either side, e = -8..9."""
+    out = []
+    for e in range(-8, 10):
+        for toward in (math.inf, -math.inf):
+            x = -(2.0 ** e)
+            for _ in range(ulps):
+                x = math.nextafter(x, toward)
+                out.append(x)
+        out.append(-(2.0 ** e))
+    return np.array(out)
+
+
+class TestLog10Exact:
+    def test_matches_scalar_search_bit_for_bit(self):
+        rng = np.random.default_rng(3)
+        x = np.concatenate([rng.uniform(-665.0, -0.007, 10**5), _binade_edges()])
+        expected = np.array([_reference_log10_exact(float(v))[0] for v in x])
+        assert _log10_exact(x).tobytes() == expected.tobytes()
+
+    def test_minus_one_ulp_branch_fires_at_binade_edges(self):
+        edges = _binade_edges()
+        steps = [_reference_log10_exact(float(v))[1] for v in edges]
+        hits = [i for i, step in enumerate(steps) if step == -1]
+        assert hits
+        got = _log10_exact(edges[hits])
+        assert np.all(got * LN10 == edges[hits])
+        assert np.all(got == np.nextafter(edges[hits] / LN10, -math.inf))
+
+    def test_scalar_input(self):
+        # the writer passes the tail bound as a scalar
+        assert _log10_exact(-3.5)[0] == _reference_log10_exact(-3.5)[0]
 
 
 class TestCanonicalJson:

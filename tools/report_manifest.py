@@ -19,12 +19,14 @@ covers generation (searched and given offsets, on and off the default
 check grid, one offset that fails, one member with a 5e6-point lattice,
 two members whose closed-form cut-off y* lies far inside the span, a
 span of 1e301 that y* bounds and one whose scan is refused),
-validation, summaries, every ordered
-pair of the psi ladder, locc/slocc comparisons (one of them on a window
-long enough to be subsampled), a certificate on a fine grid (delta 0.002,
-3,145-point probe neighbourhoods), a certificate and a comparison on a
-window past the stored horizon of a pair with no closed-form
-continuation, and two ``estimate-r`` runs.
+validation (also of four edited copies of psi2.spec: CRLF endings with
+padded lines, which read, and a blank line, metadata after a weight and
+a bad literal, which exit 2), summaries, every ordered pair of the psi
+ladder, locc/slocc comparisons (one of them on a window long enough to
+be subsampled), a certificate on a fine grid (delta 0.002, 3,145-point
+probe neighbourhoods), a certificate and a comparison on a window past
+the stored horizon of a pair with no closed-form continuation, and two
+``estimate-r`` runs.
 """
 
 from __future__ import annotations
@@ -63,6 +65,15 @@ GEN = [
     ("xi_r6_d1e300.spec", ["gen", "xi", "--r", "6", "--delta", "1e300", "--n", "10"]),
 ]
 
+# edited copies of psi2.spec, written after generation: padding the reader
+# accepts (exit 0) and three malformed files it refuses (exit 2)
+EDITED = {
+    "psi2_padded.spec": lambda lines: "\r\n".join(f" \t{line}\t " for line in lines) + "\r\n",
+    "psi2_blank.spec": lambda lines: "\n".join(lines[:10] + [""] + lines[10:]) + "\n",
+    "psi2_late_meta.spec": lambda lines: "\n".join(lines[:10] + ["#k 2"] + lines[10:]) + "\n",
+    "psi2_bad_literal.spec": lambda lines: "\n".join(lines[:-1] + ["-0.3x"]) + "\n",
+}
+
 INSPECTED = ["psi0", "psi2", "xi", "t06", "t999", "xi_n50k"]
 
 PAIRS = [("t06", "t04"), ("t999", "t998"), ("psi0", "xi"), ("psi2", "xi")]
@@ -74,6 +85,8 @@ def commands():
     for name in INSPECTED:
         out.append((f"validate_{name}.json", ["validate", f"{name}.spec"]))
         out.append((f"info_{name}.json", ["info", f"{name}.spec"]))
+    for name in EDITED:
+        out.append((f"validate_{name[:-5]}.json", ["validate", name]))
     out.append(("validate_psi4_r2.json", ["validate", "psi4_r2.spec"]))
     out.append(("validate_psi1_d1e300.json", ["validate", "psi1_d1e300.spec"]))
     for i in range(5):
@@ -107,7 +120,11 @@ def main(argv):
     out.mkdir(parents=True, exist_ok=True)
     lines = []
     written = []
-    for name, argv_cmd in commands():
+    for i, (name, argv_cmd) in enumerate(commands()):
+        if i == len(GEN):
+            psi2 = (out / "psi2.spec").read_text(encoding="ascii").splitlines()
+            for edited, edit in EDITED.items():
+                (out / edited).write_bytes(edit(psi2).encode("ascii"))
         target = out / name
         target.unlink(missing_ok=True)
         full = [str(out / a) if a.endswith(".spec") else a for a in argv_cmd] + ["-o", str(target)]
