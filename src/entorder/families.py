@@ -16,8 +16,8 @@ on a grid.
 
 ``AnalyticForm(k, r, offset, delta)`` is the one type for a family member:
 its constructor checks the parameters, it generates the stored weights,
-and ``analytic_form`` rebuilds it from a spectrum's metadata to continue
-the tail past the stored horizon.
+and ``analytic_form`` (read as ``s.form``) rebuilds it from a spectrum's
+metadata to continue the tail past the stored horizon.
 """
 
 from __future__ import annotations
@@ -334,7 +334,7 @@ def _sample(form: AnalyticForm, n: int, family: str) -> SchmidtSpectrum:
         "delta": float(form.delta),
         "offset": float(form.offset),
     }
-    return make_spectrum(log_weights, float(log_g[-1]), metadata, cut_certified=True)
+    return make_spectrum(log_weights, float(log_g[-1]), metadata)
 
 
 def tmss(q: float, n: int = 1000) -> SchmidtSpectrum:
@@ -354,7 +354,7 @@ def tmss(q: float, n: int = 1000) -> SchmidtSpectrum:
     log_weights = log_head + log_q2 * np.arange(n, dtype=float)
     log_tail = log_q2 * n
     metadata = {"family": "tmss", "q": float(q), "delta": -log_q2}
-    return make_spectrum(log_weights, log_tail, metadata, cut_certified=True)
+    return make_spectrum(log_weights, log_tail, metadata)
 
 
 def delta_from_q(q: float, convention: str = "schmidt") -> float:
@@ -430,8 +430,10 @@ def analytic_form(s: SchmidtSpectrum) -> AnalyticForm | None:
 
     Metadata the constructor refuses gives None. Metadata it accepts must
     reproduce the stored ln g(n) at every n = 0..length to ``FORM_RTOL``,
-    else the file misdescribes itself and :class:`ValidationError` is
-    raised. Past the stored range the named family is assumed, not checked.
+    and a tmss ``delta`` must be exactly -2 ln q, else the file
+    misdescribes itself and :class:`ValidationError` is raised. Past the
+    stored range the named family is assumed, not checked. Callers read
+    the memoised ``s.form``.
     """
     meta = s.metadata
     family = meta.get("family")
@@ -440,6 +442,8 @@ def analytic_form(s: SchmidtSpectrum) -> AnalyticForm | None:
         if not (0.0 < q < 1.0):
             return None
         form = AnalyticForm(k=0, r=1.0, offset=0.0, delta=-2.0 * math.log(q))
+        if meta.get("delta", form.delta) != form.delta:
+            raise ValidationError(f"the tmss delta {meta['delta']!r} is not -2 ln q = {form.delta!r}")
     elif family in ("xi", "psi"):
         try:
             form = AnalyticForm(meta["k"], float(meta.get("r", 1.0)), float(meta["offset"]), float(meta["delta"]))
@@ -501,8 +505,7 @@ def pair_ratio(a: SchmidtSpectrum, b: SchmidtSpectrum) -> PairRatio | None:
     Requires identical grid steps: otherwise the exponential parts do not
     cancel and the materialized window is the only honest comparison.
     """
-    fa = analytic_form(a)
-    fb = analytic_form(b)
+    fa, fb = a.form, b.form
     if fa is None or fb is None:
         return None
     if fa.delta != fb.delta:
@@ -518,7 +521,7 @@ def excitation_remainder_bound(s: SchmidtSpectrum) -> float | None:
     with the envelope ratio exp(-delta + rk*delta/(y ln y)), summed as a
     geometric series. Returns None when no certified form applies.
     """
-    form = analytic_form(s)
+    form = s.form
     N = s.length
     if form is None:
         return None

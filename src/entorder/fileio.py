@@ -17,9 +17,11 @@ accept at least 18 significant digits). ``tail_bound`` is likewise a
 base-10 log, since linear tails underflow for deep truncations.
 
 The reader accepts whitespace around any line and CRLF endings. It
-refuses blank (or whitespace-only) lines and metadata after the first
-weight. Every parse error is a ``ParseError`` (exit 2 in the CLI); all
-but the refusal of a non-ASCII file name their 1-based line.
+refuses blank (or whitespace-only) lines, metadata after the first
+weight and non-ASCII bytes. Every parse error is a ``ParseError`` (exit
+2 in the CLI) that names its 1-based line. The reader then checks the
+family metadata once, through ``s.form``: metadata whose closed form
+misses the stored tail raises ``ValidationError`` (also exit 2).
 """
 
 from __future__ import annotations
@@ -82,13 +84,26 @@ def _fmt_meta(key, value):
     return repr(float(value))
 
 
+def _read_ascii(path) -> str:
+    """The file's text; a non-ASCII byte raises a ParseError that names its line."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        return data.decode("ascii")
+    except UnicodeDecodeError as exc:
+        line = len((data[: exc.start].decode("ascii") + "?").splitlines())  # CR and CRLF count as in the reader
+        raise ParseError(f"not ASCII text: byte {data[exc.start]:#04x}", line=line) from exc
+
+
 def read_spectrum(path) -> SchmidtSpectrum:
-    """Parse a v1 spectrum file; errors carry 1-based line numbers."""
-    with open(path, "r", encoding="ascii") as fh:
-        try:
-            raw = fh.read().splitlines()
-        except UnicodeDecodeError as exc:
-            raise ParseError(f"not ASCII text: {exc}") from exc
+    """Parse a v1 spectrum file, then check its family metadata once; parse errors name their line."""
+    s = make_spectrum(*_parse(_read_ascii(path).splitlines()))
+    s.form  # noqa: B018  refuses metadata that misdescribes the tail; the parsed text is freed by now
+    return s
+
+
+def _parse(raw):
+    """(ln weights, ln tail bound, metadata) from the lines of a v1 file."""
     if not raw or raw[0].strip() != HEADER:
         raise ParseError(f"expected header {HEADER!r}", line=1)
     metadata = {}
@@ -127,13 +142,7 @@ def read_spectrum(path) -> SchmidtSpectrum:
         values = list(map(float, body))
     except ValueError:
         values = _weights_line_by_line(body, lineno)
-    log_weights = np.array(values) * LN10
-    return make_spectrum(
-        log_weights,
-        log_tail,
-        metadata,
-        cut_certified="family" in metadata,
-    )
+    return np.array(values) * LN10, log_tail, metadata
 
 
 def _weights_line_by_line(body, first_lineno):

@@ -6,6 +6,9 @@ certified bound on the mass beyond the stored horizon. All downstream
 operations (majorization, conversion probability, ratio trends) consume
 the tail function g(n) = sum of weights from index n on, also in log
 domain.
+
+:func:`make_spectrum` is the one validity check. Family metadata is
+trusted only through ``s.form``, which checks it once per spectrum.
 """
 
 from __future__ import annotations
@@ -84,6 +87,13 @@ class SchmidtSpectrum:
         """
         return tail_function(self)
 
+    @cached_property
+    def form(self):
+        """Closed form the metadata names, checked once: :func:`entorder.families.analytic_form`."""
+        from .families import analytic_form  # deferred: families imports us
+
+        return analytic_form(self)
+
 
 @dataclass(frozen=True)
 class ConditionCheck:
@@ -134,20 +144,32 @@ class ConditionReport:
         }
 
 
-def _normalization_residual(log_weights, log_tail_bound):
-    """Midpoint residual of (sum of weights + tail interval) against 1.
+def _normalization(log_weights, log_tail_bound):
+    """(ok, residual, S, t) for stored sum S and certified tail t.
 
-    The stored sum S and the certified tail t bracket the true total in
-    [S, S + t]; the residual reported is S + t/2 - 1.
+    The true total lies in [S, S + t]; it is ok when 1 is reachable inside
+    that interval up to NORMALIZATION_RTOL. The residual reported is
+    S + t/2 - 1.
     """
     log_s = logsumexp(log_weights)
     log_mid = np.logaddexp(log_s, log_tail_bound - LN2)
+    total = math.exp(log_s)
     tail = math.exp(log_tail_bound) if log_tail_bound != NEG_INF else 0.0
-    return float(math.expm1(log_mid)), float(math.exp(log_s)), tail
+    ok = total <= 1.0 + NORMALIZATION_RTOL and total + tail >= 1.0 - NORMALIZATION_RTOL
+    return ok, float(math.expm1(log_mid)), total, tail
 
 
-def _validate_log_weights(log_weights, log_tail_bound, cut_certified):
-    lw = np.asarray(log_weights, dtype=float)
+def make_spectrum(log_weights, log_tail_bound=NEG_INF, metadata=None) -> SchmidtSpectrum:
+    """Build a spectrum from natural-log weights: the one check of its invariants.
+
+    The weights must be finite, nonincreasing (to ``ORDER_LOG_TOL``) and
+    normalized with the tail bound. A tail bound at or above the last
+    stored weight may hide a weight larger than it, so it is accepted
+    only when the metadata names a closed form that reproduces the
+    stored tail (``s.form``); that form then continues the tail past the cut.
+    """
+    s = SchmidtSpectrum(log_weights, log_tail_bound, dict(metadata or {}))
+    lw, log_tail = s.log_weights, s.log_tail_bound
     if lw.size == 0:
         raise ValidationError("spectrum must contain at least one weight")
     if not np.all(np.isfinite(lw)):
@@ -158,49 +180,20 @@ def _validate_log_weights(log_weights, log_tail_bound, cut_certified):
         raise ValidationError(
             f"log weights increase at index {bad} by more than {ORDER_LOG_TOL}"
         )
-    if not (log_tail_bound == NEG_INF or np.isfinite(log_tail_bound)):
+    if not (log_tail == NEG_INF or math.isfinite(log_tail)):
         raise ValidationError("tail bound must be finite or exactly zero (-inf log)")
-
-    resid, total, tail = _normalization_residual(lw, log_tail_bound)
-    # The true total lies in [S, S + tail]; 1 must be reachable inside
-    # that interval up to NORMALIZATION_RTOL.
-    if total > 1.0 + NORMALIZATION_RTOL or total + tail < 1.0 - NORMALIZATION_RTOL:
+    ok, resid, total, tail = _normalization(lw, log_tail)
+    if not ok:
         raise NotNormalized(
             f"stored weights sum to {total!r} with tail bound {tail!r}; "
             f"residual {resid!r} exceeds {NORMALIZATION_RTOL}"
         )
-
-    if log_tail_bound != NEG_INF and not cut_certified:
-        # Proxy for ordering at the cut: the whole hidden mass must sit
-        # below the last stored weight. Analytic generators certify the
-        # cut directly instead (their tails can exceed the last weight
-        # even though every hidden weight is ordered).
-        if not (log_tail_bound < lw[-1]):
-            raise ValidationError(
-                "tail bound is not below the last stored weight; "
-                "refine the truncation or certify the cut analytically"
-            )
-
-
-def make_spectrum(
-    log_weights,
-    log_tail_bound=NEG_INF,
-    metadata=None,
-    *,
-    cut_certified=False,
-) -> SchmidtSpectrum:
-    """Build a spectrum from natural-log weights, validating invariants.
-
-    ``cut_certified`` marks tails whose per-index ordering at the cut is
-    guaranteed by the generating family, lifting the tail < last-weight
-    proxy check.
-    """
-    _validate_log_weights(log_weights, log_tail_bound, cut_certified)
-    return SchmidtSpectrum(
-        np.asarray(log_weights, dtype=float),
-        float(log_tail_bound),
-        dict(metadata or {}),
-    )
+    if not log_tail < lw[-1] and s.form is None:
+        raise ValidationError(
+            "tail bound is not below the last stored weight; refine the "
+            "truncation or give family metadata whose closed form reproduces the stored tail"
+        )
+    return s
 
 
 def build_spectrum(weights, strict_order: bool = False) -> SchmidtSpectrum:
@@ -229,11 +222,7 @@ def build_spectrum(weights, strict_order: bool = False) -> SchmidtSpectrum:
             raise NotSorted("weights are not nonincreasing")
     else:
         w = np.sort(w)[::-1]
-    log_w = np.log(w)
-    resid, total, _ = _normalization_residual(log_w, NEG_INF)
-    if abs(resid) > NORMALIZATION_RTOL:
-        raise NotNormalized(f"weights sum to {total!r}, residual {resid!r}")
-    return SchmidtSpectrum(log_w, NEG_INF, {})
+    return make_spectrum(np.log(w))
 
 
 def tail_function(s: SchmidtSpectrum) -> np.ndarray:
@@ -275,11 +264,7 @@ def vidal_conditions(s: SchmidtSpectrum) -> ConditionReport:
     conv_bad = np.nonzero(wdiff > ORDER_LOG_TOL)[0]
     convexity = ConditionCheck(conv_bad.size == 0, int(conv_bad[0]) if conv_bad.size else None)
 
-    resid, total, tail = _normalization_residual(s.log_weights, s.log_tail_bound)
-    norm_ok = (
-        total <= 1.0 + NORMALIZATION_RTOL
-        and total + tail >= 1.0 - NORMALIZATION_RTOL
-    )
+    norm_ok, resid, _, _ = _normalization(s.log_weights, s.log_tail_bound)
     return ConditionReport(positivity, strict_mono, convexity, norm_ok, resid)
 
 

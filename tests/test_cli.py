@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -256,9 +257,13 @@ class TestExitCodes:
 
     @staticmethod
     def _with_delta_line(specdir, tmp_path, line):
-        """tmss06.spec with its #delta line replaced by `line` (dropped when None)."""
+        """tmss06.spec with its #delta line replaced by `line` (dropped when None).
+
+        The #family line is dropped too: a tmss file whose #delta is not
+        -2 ln q is refused when read, before estimate-r sees the step.
+        """
         lines = (specdir / "tmss06.spec").read_text().splitlines()
-        lines = [x if not x.startswith("#delta ") else line for x in lines]
+        lines = [x if not x.startswith("#delta ") else line for x in lines if x != "#family tmss"]
         f = tmp_path / "edited.spec"
         f.write_text("\n".join(x for x in lines if x is not None) + "\n")
         return str(f)
@@ -374,6 +379,60 @@ class TestExitCodes:
         assert run([
             "compare", str(specdir / "tmss05.spec"), str(specdir / "tmss05.spec"), "--mode", "slocc",
         ]) == 3
+
+
+def _drop_lines(*prefixes):
+    return lambda text: "".join(x for x in text.splitlines(True) if not x.startswith(prefixes))
+
+
+class TestMetadataCheckedOnRead:
+    """Every command reads a file's family metadata once, through ``s.form``."""
+
+    @pytest.fixture(scope="class")
+    def above(self, tmp_path_factory):
+        """Generated files whose tail bound lies at or above their last weight."""
+        d = tmp_path_factory.mktemp("above")
+        for name, argv in (("psi1_d005", ["psi", "--k", "1", "--delta", "0.005", "--n", "2000"]),
+                           ("psi1_d002", ["psi", "--k", "1", "--delta", "0.002", "--n", "2000"]),
+                           ("t999", ["tmss", "--q", "0.999", "--n", "2000"])):
+            assert run(["gen", *argv, "-o", str(d / f"{name}.spec")]) == 0
+        return d
+
+    @pytest.mark.parametrize("name", ["psi1_d005", "psi1_d002", "t999"])
+    def test_generated_cut_above_last_weight_validates(self, above, capsys, name):
+        s = eo.read_spectrum(above / f"{name}.spec")
+        assert not s.log_tail_bound < s.log_weights[-1]
+        assert s.form is not None
+        code, rep = run_json(capsys, ["validate", str(above / f"{name}.spec")])
+        assert code == 0 and rep["valid"] is True
+
+    @pytest.mark.parametrize("name, edit", [
+        ("psi1_d005", lambda text: text.replace("#family psi\n", "#family foo\n")),
+        ("psi1_d005", _drop_lines("#k ", "#r ", "#delta ", "#offset ")),
+        ("t999", _drop_lines("#q ")),
+    ], ids=["family_foo", "psi_without_parameters", "tmss_without_q"])
+    def test_cut_without_verified_form_is_bad_file(self, above, tmp_path, capsys, name, edit):
+        text = (above / f"{name}.spec").read_text()
+        edited = tmp_path / "edited.spec"
+        edited.write_text(edit(text))
+        assert edited.read_text() != text
+        assert run(["validate", str(edited)]) == 2
+        assert "tail bound is not below the last stored weight" in capsys.readouterr().err
+
+    def test_tmss_delta_must_be_minus_two_ln_q(self, tmp_path, capsys):
+        honest, edited = tmp_path / "honest.spec", tmp_path / "edited.spec"
+        assert run(["gen", "tmss", "--q", "0.6065306597126334", "--n", "10000", "-o", str(honest)]) == 0
+        text = honest.read_text()
+        edited.write_text(re.sub("#delta .*", "#delta 0.5", text))
+        estimate = ["--r-min", "1", "--r-max", "2", "--steps", "3", "--member-n", "2000"]
+        code, rep = run_json(capsys, ["estimate-r", str(honest), *estimate])
+        assert code == 0 and [v for _, v in rep["per_r"]] == ["Incomparable"] * 3
+        assert run(["validate", str(honest)]) == 0
+        capsys.readouterr()
+        for argv in (["validate", str(edited)], ["estimate-r", str(edited), *estimate]):
+            assert run(argv) == 2, argv
+            err = capsys.readouterr().err
+            assert err.startswith("invalid input: the tmss delta 0.5 is not -2 ln q = "), err
 
 
 class TestDeterminism:

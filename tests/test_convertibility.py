@@ -123,7 +123,7 @@ class TestSloccDecide:
         e = (w[1000] - w[1001]) / 4
         lw = a.log_weights.copy()
         lw[1000], lw[1001] = math.log(w[1000] - e), math.log(w[1001] + e)
-        b = eo.make_spectrum(lw, a.log_tail_bound, cut_certified=True)
+        b = eo.make_spectrum(lw, lw[-1] - 1.0)  # no metadata: its tail bound must lie below its last weight
         rep = eo.slocc_decide(a, b)
         lo, hi = rep.window
         assert hi - lo + 1 > 65536
@@ -207,6 +207,34 @@ class TestSloccDecide:
         assert eo.slocc_decide(deep, small).verdict is Verdict.OneWayAtoB
 
 
+@pytest.fixture
+def form_calls(monkeypatch):
+    """Every spectrum families.analytic_form is called on, in order."""
+    calls = []
+    real = families.analytic_form
+
+    def counted(s):
+        calls.append(s)
+        return real(s)
+
+    monkeypatch.setattr(families, "analytic_form", counted)
+    return calls
+
+
+class TestFormOncePerSpectrum:
+    def test_estimate_r_reads_each_form_once(self, form_calls):
+        psi = eo.tmss(math.exp(-DELTA / 2), 2000)
+        eo.estimate_r_bounds(psi, lambda r: eo.xi_state(r, DELTA, 2000), 1.0, 2.0, 21)
+        assert len(form_calls) == 22  # psi once, each of the 21 members once
+        assert sum(s is psi for s in form_calls) == 1
+
+    def test_repeated_decisions_reuse_the_forms(self, form_calls):
+        a, b = eo.psi_state(2, DELTA, 2000), eo.psi_state(1, DELTA, 2000)
+        first = eo.slocc_decide(a, b)
+        assert eo.slocc_decide(a, b).to_dict() == first.to_dict()
+        assert len(form_calls) == 2
+
+
 class TestEstimateRBounds:
     def test_intra_family_pinpoints_r(self):
         ref = eo.xi_state(1.5, DELTA, 4000)
@@ -259,7 +287,7 @@ class TestEstimateRBounds:
 
 def _relabelled(s, key, change):
     meta = {**s.metadata, key: change(s.metadata[key])}
-    return eo.make_spectrum(s.log_weights, s.log_tail_bound, meta, cut_certified=True)
+    return eo.make_spectrum(s.log_weights, s.log_tail_bound, meta)
 
 
 _BELOW_TOLERANCE = 1 + 1e-12  # moves ln g by less than FORM_RTOL: the check must accept it

@@ -460,7 +460,7 @@ class TestAnalyticForm:
     def test_metadata_must_reproduce_the_stored_tail(self, patch):
         base = eo.psi_state(1, DELTA, 2000)
         meta = {**base.metadata, **patch}
-        edited = eo.make_spectrum(base.log_weights, base.log_tail_bound, meta, cut_certified=True)
+        edited = eo.make_spectrum(base.log_weights, base.log_tail_bound, meta)
         eo.AnalyticForm(meta["k"], meta["r"], meta["offset"], meta["delta"])  # the constructor accepts it
         with pytest.raises(eo.ValidationError, match="does not reproduce the stored tail"):
             analytic_form(edited)
@@ -469,10 +469,9 @@ class TestAnalyticForm:
         # at delta = 0.002 the safe horizon is 0, so the whole stored range is what tells
         base = eo.psi_state(1, 0.002, 2000)
         assert eo.safe_horizon(base) == 0
-        edited = eo.make_spectrum(base.log_weights, base.log_tail_bound, {**base.metadata, "k": 2},
-                                  cut_certified=True)
-        with pytest.raises(eo.ValidationError):
-            analytic_form(edited)
+        # its tail lies above its last weight, so construction reads the form and refuses it
+        with pytest.raises(eo.ValidationError, match="does not reproduce the stored tail"):
+            eo.make_spectrum(base.log_weights, base.log_tail_bound, {**base.metadata, "k": 2})
 
     def test_plain_spectra_have_no_form(self):
         assert analytic_form(eo.build_spectrum([0.5, 0.5])) is None
@@ -492,7 +491,7 @@ class TestAnalyticForm:
             {"k": 0, "offset": -1.0},
         ):
             meta = {**base.metadata, **patch}
-            broken = eo.make_spectrum(base.log_weights, base.log_tail_bound, meta, cut_certified=True)
+            broken = eo.make_spectrum(base.log_weights, base.log_tail_bound, meta)
             assert analytic_form(broken) is None
             # the constructor is where the refusal comes from
             with pytest.raises((TypeError, ValueError)):

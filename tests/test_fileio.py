@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import entorder as eo
-from entorder.errors import EntOrderError, NonPositive, ParseError
+from entorder.errors import EntOrderError, NonPositive, ParseError, ValidationError
 from entorder.fileio import HEADER, META_KEYS, _log10_exact, emit_report
 from entorder.numutil import LN10, NEG_INF
 from entorder.spectrum import make_spectrum
@@ -121,7 +121,9 @@ def _reference_read(path):
             raise ParseError(f"bad weight literal {text!r}", line=lineno) from exc
     if not log_weights:
         raise ParseError("file contains no weights", line=len(raw))
-    return make_spectrum(log_weights, log_tail, metadata, cut_certified="family" in metadata)
+    s = make_spectrum(log_weights, log_tail, metadata)
+    s.form  # noqa: B018  the metadata check of read_spectrum
+    return s
 
 
 def _reference_log10_exact(ln_value):
@@ -213,7 +215,12 @@ class TestReaderEquivalence:
         path.write_bytes(("\n".join(ACCEPTED_EDITS[edit](lines)) + "\n").encode("ascii"))
         got = _outcome(eo.read_spectrum, path)
         assert got == _outcome(_reference_read, path)
-        assert isinstance(got[0], bytes), got  # every edit here still reads
+        if edit == "underscore_weight" and kind != "exact":
+            # a weight appended far below the tail bound, which now lies above the last
+            # weight: the file is refused once the cut check reads its closed form
+            assert got[0] is ValidationError, got
+        else:
+            assert isinstance(got[0], bytes), got  # every other edit here still reads
 
     @pytest.mark.parametrize("kind", ["tmss", "psi", "xi", "exact"])
     def test_nan_weight_is_non_positive(self, generated, tmp_path, kind):
@@ -269,6 +276,31 @@ class TestErrorLines:
         assert err.value.line == line
         assert str(err.value) == f"line {line}: {message}"
         assert _outcome(eo.read_spectrum, path) == _outcome(_reference_read, path)
+
+
+# (line ending, 0-based line index, byte offset in that line, expected 1-based line) of an
+# inserted 0xff byte in the psi file: header, metadata line, third weight line, line starts
+NON_ASCII = {
+    "header": (b"\n", 0, 19, 1),
+    "metadata": (b"\n", 2, 0, 3),
+    "third_weight": (b"\n", 9, 5, 10),
+    "third_weight_after_crlf": (b"\r\n", 9, 0, 10),
+    "metadata_after_cr": (b"\r", 2, 0, 3),
+}
+
+
+class TestNonAscii:
+    @pytest.mark.parametrize("case", sorted(NON_ASCII))
+    def test_parse_error_names_its_line(self, generated, tmp_path, case):
+        ending, index, offset, line = NON_ASCII[case]
+        lines = generated["psi"].read_bytes().splitlines()
+        lines[index] = lines[index][:offset] + b"\xff" + lines[index][offset:]
+        path = tmp_path / "non_ascii.spec"
+        path.write_bytes(ending.join(lines) + ending)
+        with pytest.raises(ParseError) as err:
+            eo.read_spectrum(path)
+        assert err.value.line == line
+        assert str(err.value) == f"line {line}: not ASCII text: byte 0xff"
 
 
 def _binade_edges(ulps=40):

@@ -206,7 +206,7 @@ class TestCertificates:
     def test_verify_refuses_relabelled_metadata(self, psi_family):
         cert = eo.incomparability_certificate(psi_family[2], psi_family[1])
         s = psi_family[2]
-        relabelled = eo.make_spectrum(s.log_weights, s.log_tail_bound, {**s.metadata, "k": 3}, cut_certified=True)
+        relabelled = eo.make_spectrum(s.log_weights, s.log_tail_bound, {**s.metadata, "k": 3})
         with pytest.raises(ValueError, match="does not reproduce the stored tail"):
             eo.verify_certificate(cert, relabelled, psi_family[1])
 
@@ -214,7 +214,7 @@ class TestCertificates:
         cert = eo.incomparability_certificate(psi_family[1], psi_family[0])
         assert any(n > 2000 for n, _ in cert.up_witnesses)
         stripped = [
-            eo.make_spectrum(s.log_weights, s.log_tail_bound, {}, cut_certified=True)
+            eo.make_spectrum(s.log_weights, s.log_tail_bound, {})
             for s in (psi_family[1], psi_family[0])
         ]
         with pytest.raises(ValueError):

@@ -42,12 +42,16 @@ class TestBuildSpectrum:
         assert eo.vidal_conditions(s).convexity.ok
 
     def test_truncation_proxy_rejected_without_certification(self):
-        # hidden mass above the last stored weight needs a certified cut
-        log_w = np.log([0.6, 0.2])
-        with pytest.raises(ValidationError):
-            make_spectrum(log_w, math.log(0.2), cut_certified=False)
-        s = make_spectrum(log_w, math.log(0.2), cut_certified=True)
-        assert not s.is_exact
+        # squeezed state at q = 0.8 cut after two weights: the tail q^4 = 0.4096
+        # lies above the last weight 0.2304, so only a verified closed form admits it
+        q = 0.8
+        log_w = math.log1p(-q * q) + 2.0 * math.log(q) * np.arange(2.0)
+        log_tail = 4.0 * math.log(q)
+        with pytest.raises(ValidationError, match="not below the last stored weight"):
+            make_spectrum(log_w, log_tail)
+        meta = {"family": "tmss", "q": q, "delta": -2.0 * math.log(q)}
+        s = make_spectrum(log_w, log_tail, meta)
+        assert not s.is_exact and s.form.delta == meta["delta"]
 
 
 class TestTailFunction:

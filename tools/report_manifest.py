@@ -19,14 +19,17 @@ covers generation (searched and given offsets, on and off the default
 check grid, one offset that fails, one member with a 5e6-point lattice,
 two members whose closed-form cut-off y* lies far inside the span, a
 span of 1e301 that y* bounds and one whose scan is refused),
-validation (also of four edited copies of psi2.spec: CRLF endings with
-padded lines, which read, and a blank line, metadata after a weight and
-a bad literal, which exit 2), summaries, every ordered pair of the psi
-ladder, locc/slocc comparisons (one of them on a window long enough to
-be subsampled), a certificate on a fine grid (delta 0.002, 3,145-point
-probe neighbourhoods), a certificate and a comparison on a window past
-the stored horizon of a pair with no closed-form continuation, and two
-``estimate-r`` runs.
+validation (also of edited copies: psi2.spec with CRLF endings and
+padded lines, which reads, and with a blank line, metadata after a
+weight, a bad literal or a 0xff byte; psi1_d005.spec, whose tail lies
+above its last weight, relabelled ``#family foo``; t999.spec with
+``#delta 0.5``, also run through ``estimate-r``; each of these exits 2),
+summaries, every ordered pair of the psi ladder, locc/slocc comparisons
+(one of them on a window long enough to be subsampled), a certificate on
+a fine grid (delta 0.002, 3,145-point probe neighbourhoods), a
+certificate and a comparison on a window past the stored horizon of a
+pair with no closed-form continuation, and two ``estimate-r`` runs on
+generated files.
 """
 
 from __future__ import annotations
@@ -65,13 +68,23 @@ GEN = [
     ("xi_r6_d1e300.spec", ["gen", "xi", "--r", "6", "--delta", "1e300", "--n", "10"]),
 ]
 
-# edited copies of psi2.spec, written after generation: padding the reader
-# accepts (exit 0) and three malformed files it refuses (exit 2)
+
+def _replace_line(prefix, new):
+    return lambda lines: "\n".join(new if line.startswith(prefix) else line for line in lines) + "\n"
+
+
+# edited copies of generated files, written after generation as (source, edit of its
+# lines): padding the reader accepts (exit 0); three malformed files, a tail above the
+# last weight under a family with no closed form, a tmss #delta that is not -2 ln q and
+# a 0xff byte in the third weight line, each of which it refuses (exit 2)
 EDITED = {
-    "psi2_padded.spec": lambda lines: "\r\n".join(f" \t{line}\t " for line in lines) + "\r\n",
-    "psi2_blank.spec": lambda lines: "\n".join(lines[:10] + [""] + lines[10:]) + "\n",
-    "psi2_late_meta.spec": lambda lines: "\n".join(lines[:10] + ["#k 2"] + lines[10:]) + "\n",
-    "psi2_bad_literal.spec": lambda lines: "\n".join(lines[:-1] + ["-0.3x"]) + "\n",
+    "psi2_padded.spec": ("psi2.spec", lambda lines: "\r\n".join(f" \t{line}\t " for line in lines) + "\r\n"),
+    "psi2_blank.spec": ("psi2.spec", lambda lines: "\n".join(lines[:10] + [""] + lines[10:]) + "\n"),
+    "psi2_late_meta.spec": ("psi2.spec", lambda lines: "\n".join(lines[:10] + ["#k 2"] + lines[10:]) + "\n"),
+    "psi2_bad_literal.spec": ("psi2.spec", lambda lines: "\n".join(lines[:-1] + ["-0.3x"]) + "\n"),
+    "psi1_d005_foo.spec": ("psi1_d005.spec", _replace_line("#family ", "#family foo")),
+    "t999_delta05.spec": ("t999.spec", _replace_line("#delta ", "#delta 0.5")),
+    "psi2_non_ascii.spec": ("psi2.spec", lambda lines: "\n".join(lines[:9] + [lines[9] + "\xff"] + lines[10:]) + "\n"),
 }
 
 INSPECTED = ["psi0", "psi2", "xi", "t06", "t999", "xi_n50k"]
@@ -106,6 +119,8 @@ def commands():
                                        "--steps", "3", "--member-n", "2000"]))
     out.append(("estimate_psi1.json", ["estimate-r", "psi1.spec", "--r-min", "0.5", "--r-max", "1.5",
                                        "--steps", "5", "--member-n", "2000"]))
+    out.append(("estimate_t999_delta05.json", ["estimate-r", "t999_delta05.spec", "--r-min", "1", "--r-max", "2",
+                                               "--steps", "3", "--member-n", "2000"]))
     return out
 
 
@@ -122,9 +137,9 @@ def main(argv):
     written = []
     for i, (name, argv_cmd) in enumerate(commands()):
         if i == len(GEN):
-            psi2 = (out / "psi2.spec").read_text(encoding="ascii").splitlines()
-            for edited, edit in EDITED.items():
-                (out / edited).write_bytes(edit(psi2).encode("ascii"))
+            for edited, (source, edit) in EDITED.items():
+                source_lines = (out / source).read_text(encoding="ascii").splitlines()
+                (out / edited).write_bytes(edit(source_lines).encode("latin-1"))  # ASCII but for the one 0xff
         target = out / name
         target.unlink(missing_ok=True)
         full = [str(out / a) if a.endswith(".spec") else a for a in argv_cmd] + ["-o", str(target)]
