@@ -9,7 +9,9 @@ Two generators beyond the plain two-mode squeezed state:
 
 The profile p_r(x) = (log x)^r (sin log x + 1) + 1/(log x) swings between
 ~2 (log x)^r and 1/(log x) as log x runs through multiples of pi, which is
-what makes distinct family members mutually non-convertible. Shifting the
+what makes distinct family members mutually non-convertible. ``profile``
+evaluates p_r alone, for the tail values; ``eval_p`` adds its first two
+derivatives, which only the curve conditions use. Shifting the
 profile by a large enough offset keeps the resulting tail strictly
 decreasing and convex; ``find_offset`` searches for the smallest such shift
 on a grid.
@@ -41,6 +43,29 @@ from .spectrum import SchmidtSpectrum, make_spectrum
 LOG_ARG_CAP = 700.0
 
 
+def _profile_terms(r, x):
+    """x > 1 as an array, with L = ln x, sin L, L^r and p_r(x): the one expression for p."""
+    if not (r > 0):
+        raise ValueError("profile exponent r must be positive")
+    x = np.asarray(x, dtype=float)
+    if np.any(x <= 1.0):
+        raise DomainError("profile defined only for x > 1")
+    L = np.log(x)
+    sinL = np.sin(L)
+    Lr = L**r
+    return x, L, sinL, Lr, Lr * (sinL + 1.0) + 1.0 / L
+
+
+def profile(r: float, x):
+    """Profile p_r(x) = L^r (sin L + 1) + 1/L with L = ln x, at x > 1.
+
+    The value of :func:`eval_p` without its derivatives, bit for bit; a
+    float or an array matching the input shape.
+    """
+    p = _profile_terms(r, x)[-1]
+    return float(p) if np.isscalar(x) else p
+
+
 def eval_p(r: float, x):
     """Profile p_r and its first two derivatives at x > 1.
 
@@ -53,19 +78,11 @@ def eval_p(r: float, x):
 
     Returns (p, p', p'') as floats or arrays matching the input shape.
     """
-    if not (r > 0):
-        raise ValueError("profile exponent r must be positive")
     scalar = np.isscalar(x)
-    x = np.asarray(x, dtype=float)
-    if np.any(x <= 1.0):
-        raise DomainError("profile defined only for x > 1")
-    L = np.log(x)
-    sinL = np.sin(L)
+    x, L, sinL, Lr, p = _profile_terms(r, x)
     cosL = np.cos(L)
     s1 = sinL + 1.0
-    Lr = L**r
     L2 = L**2
-    p = Lr * s1 + 1.0 / L
     q = r * Lr / L * s1 + Lr * cosL - 1.0 / L2
     qp = (
         r * (r - 1.0) * Lr / L2 * s1
@@ -115,8 +132,7 @@ class AnalyticForm:
         x = np.asarray(x, dtype=float)
         if self.k == 0:
             return -x
-        p, _, _ = eval_p(self.r, x + self.offset)
-        return -x + self.k * np.log(p)
+        return -x + self.k * np.log(profile(self.r, x + self.offset))
 
     def log_g(self, n):
         """ln g(n) for float indices; valid while delta*n stays in float range."""
@@ -128,8 +144,8 @@ class AnalyticForm:
         n = np.asarray(n, dtype=float)
         if not self.k:
             return np.zeros_like(n)
-        p0, _, _ = eval_p(self.r, self.offset)
-        p, _, _ = eval_p(self.r, self.delta * n + self.offset)
+        p0 = profile(self.r, self.offset)
+        p = profile(self.r, self.delta * n + self.offset)
         return self.k * (np.log(p) - math.log(p0))
 
 
@@ -424,19 +440,26 @@ def _family_state(family, k, r, delta, n, offset, grid_step, margin) -> SchmidtS
 #: generated files stay below 4e-14, while moving r, offset or delta by 1e-6 shows 5e-8 or more
 FORM_RTOL = 1e-9
 
+# keys of the other families, which a file of the named family must not carry
+_UNUSED_KEYS = {"tmss": ("k", "r", "offset"), "xi": ("q",), "psi": ("q",)}
+
 
 def analytic_form(s: SchmidtSpectrum) -> AnalyticForm | None:
     """Closed form of a spectrum's tail function, if its metadata names one.
 
     Metadata the constructor refuses gives None. Metadata it accepts must
     reproduce the stored ln g(n) at every n = 0..length to ``FORM_RTOL``,
-    and a tmss ``delta`` must be exactly -2 ln q, else the file
-    misdescribes itself and :class:`ValidationError` is raised. Past the
-    stored range the named family is assumed, not checked. Callers read
-    the memoised ``s.form``.
+    a tmss ``delta`` must be exactly -2 ln q, and no key of another family
+    may appear (``k``, ``r`` or ``offset`` in a tmss file, ``q`` in a psi
+    or xi file), else the file misdescribes itself and
+    :class:`ValidationError` is raised. Past the stored range the named
+    family is assumed, not checked. Callers read the memoised ``s.form``.
     """
     meta = s.metadata
     family = meta.get("family")
+    stray = [key for key in _UNUSED_KEYS.get(family, ()) if key in meta]
+    if stray:
+        raise ValidationError(f"a {family} file does not use the metadata key(s) {', '.join(stray)}")
     if family == "tmss":
         q = float(meta.get("q", 0.0))
         if not (0.0 < q < 1.0):
@@ -538,7 +561,7 @@ def excitation_remainder_bound(s: SchmidtSpectrum) -> float | None:
     rho = math.exp(-form.delta + rk * form.delta / (y_next * L_next))
     if rho >= 1.0:
         return None
-    p0, _, _ = eval_p(form.r, form.offset)
+    p0 = profile(form.r, form.offset)
     # ln G(N+1) with G(n) = exp(-delta n) * (3 ln y)^(rk) / p(offset)^k
     log_G = (
         -form.delta * (N + 1)

@@ -294,7 +294,8 @@ def _analytic_candidates(pair: PairRatio, n_min, n_max):
     Targets sit where sin(ln y) crosses its extremes and zeros; each one
     is refined by scanning the integer grid inside a radius wide enough
     to cover the phase misalignment from differing offsets, in groups
-    of about ``families.EVAL_BLOCK`` points per evaluation of the closed form.
+    of about ``families.EVAL_BLOCK`` points per evaluation of the closed
+    form, which sees each distinct float index of a group once.
     """
     delta = pair.delta
     a_ref = max(pair.max_offset, 1.0)
@@ -311,22 +312,35 @@ def _analytic_candidates(pair: PairRatio, n_min, n_max):
     targets.sort()
     radius = min(int(math.ceil((math.pi + pair.offset_gap) / delta)) + 1, _MAX_NEIGHBORHOOD)
 
-    spans = []
-    for L in targets:
-        n0 = int(round((math.exp(L) - a_ref) / delta))
-        n0 = max(lo, min(n0, n_max))
-        spans.append((max(lo, n0 - radius), min(n_max, n0 + radius)))
+    # Each neighbourhood [start, stop] is sampled as np.arange(start, stop + 1,
+    # dtype=float) fills it, float(start) + i * (float(start + 1) - float(start)):
+    # past 2**53 that fill decides which indices are sampled, and that must not
+    # change. n0 = round((e^L - a_ref) / delta) is an exact integer as a float.
+    n0 = np.rint((np.array([math.exp(L) for L in targets]) - a_ref) / delta)
+    # n0 in [lo + radius, n_max - radius] leaves a neighbourhood unclipped; as floats,
+    # these bounds round inward, so the comparisons below are exact
+    inner_lo, inner_hi = float(lo + radius), float(n_max - radius)
+    if inner_lo < lo + radius:
+        inner_lo = math.nextafter(inner_lo, math.inf)
+    if inner_hi > n_max - radius:
+        inner_hi = math.nextafter(inner_hi, -math.inf)
+    start = n0 - radius  # one rounding of the exact n0 - radius, as float() makes it
+    step = (n0 - (radius - 1)) - start
+    size = np.full(n0.size, 2 * radius + 1)
+    for i in np.flatnonzero((n0 < inner_lo) | (n0 > inner_hi)).tolist():  # clipped: in exact ints
+        c = max(lo, min(int(n0[i]), n_max))
+        s, e = max(lo, c - radius), min(n_max, c + radius)
+        start[i], step[i], size[i] = float(s), float(s + 1) - float(s), e - s + 1
 
     cands_max, cands_min = [], []
     per = max(1, families.EVAL_BLOCK // (2 * radius + 1))
-    for g in range(0, len(spans), per):
-        # one arange per neighbourhood: past 2**53 its float fill decides
-        # which indices are sampled, and that must not change
-        grids = [np.arange(start, stop + 1, dtype=float) for start, stop in spans[g:g + per]]
-        sizes = [grid.size for grid in grids]
-        starts = np.cumsum([0] + sizes[:-1])
-        ns = np.concatenate(grids)
-        vs = pair.values(ns)
+    for g in range(0, len(targets), per):
+        sizes = size[g:g + per]
+        starts = np.cumsum(sizes) - sizes
+        j = np.arange(starts[-1] + sizes[-1]) - np.repeat(starts, sizes)  # position in its neighbourhood
+        ns = np.repeat(start[g:g + per], sizes) + j * np.repeat(step[g:g + per], sizes)
+        distinct, back = np.unique(ns, return_inverse=True)
+        vs = pair.values(distinct)[back]
         for reduce, cands in ((np.maximum, cands_max), (np.minimum, cands_min)):
             # first index equal to each neighbourhood's extreme, as argmax/argmin
             # pick it (a NaN is the extreme once present, as there too)

@@ -434,6 +434,20 @@ class TestMetadataCheckedOnRead:
             err = capsys.readouterr().err
             assert err.startswith("invalid input: the tmss delta 0.5 is not -2 ln q = "), err
 
+    @pytest.mark.parametrize("source, keys", [
+        ("tmss06.spec", ["#k 3", "#offset 7.0"]),
+        ("tmss06.spec", ["#r 1.0"]),
+        ("psi1.spec", ["#q 0.5"]),
+    ], ids=["tmss_k_offset", "tmss_r", "psi_q"])
+    def test_keys_of_another_family_are_refused(self, specdir, tmp_path, capsys, source, keys):
+        header, rest = (specdir / source).read_text().split("\n", 1)
+        edited = tmp_path / "edited.spec"
+        edited.write_text("\n".join([header, *keys, rest]))
+        assert run(["validate", str(edited)]) == 2
+        family = "tmss" if source.startswith("tmss") else "psi"
+        names = ", ".join(key.split()[0][1:] for key in keys)
+        assert f"a {family} file does not use the metadata key(s) {names}" in capsys.readouterr().err
+
 
 class TestDeterminism:
     def test_byte_identical_reports(self, specdir, capsys):

@@ -82,6 +82,44 @@ class TestEvalP:
         assert np.max(np.abs(fd - p2) / np.maximum(np.abs(p2), p0 / x**2)) < 1e-6
 
 
+# x from just above 1 to 1e300: near 1, L = ln x is tiny and 1/L dominates
+PROFILE_X = np.concatenate([1.0 + np.geomspace(1e-12, 1.0, 120), np.geomspace(2.5, 1e300, 480)])
+
+
+class TestProfile:
+    @pytest.mark.parametrize("r", [0.5, 1.0, 1.37, 2.0, 3.0, 4.0])
+    def test_equals_the_value_of_eval_p(self, r):
+        got, want = families.profile(r, PROFILE_X), eo.eval_p(r, PROFILE_X)[0]
+        assert got.shape == PROFILE_X.shape
+        assert [v.hex() for v in got.tolist()] == [v.hex() for v in want.tolist()]
+        for x in PROFILE_X[::7].tolist():
+            p = families.profile(r, x)
+            assert type(p) is float and p.hex() == eo.eval_p(r, x)[0].hex()
+
+    @pytest.mark.parametrize("r, x, error", [
+        (0.0, 2.0, ValueError), (-1.0, 2.0, ValueError), (math.nan, 2.0, ValueError),
+        (1.0, 1.0, DomainError), (1.0, 0.5, DomainError), (1.0, np.array([2.0, 1.0]), DomainError),
+    ])
+    def test_refuses_what_eval_p_refuses(self, r, x, error):
+        for f in (families.profile, eo.eval_p):
+            with pytest.raises(error) as info:
+                f(r, x)
+            assert type(info.value) is error
+
+    @pytest.mark.parametrize("k, r, offset, delta", [
+        (1, 1.0, 2.5, 1.0), (2, 1.37, 7.25, 0.005), (4, 2.0, 1.01, 1.0), (3, 4.0, 3.0, 1e-3),
+    ])
+    def test_analytic_form_values_unchanged(self, k, r, offset, delta):
+        # the reference builds ln g and ln d on eval_p, as they were before profile existed
+        form = eo.AnalyticForm(k, r, offset, delta)
+        n = np.concatenate([np.arange(0.0, 2001.0), np.geomspace(2001.0, 1e300, 400)])
+        log_g = -delta * n + k * (np.log(eo.eval_p(r, delta * n + offset)[0]) - math.log(eo.eval_p(r, offset)[0]))
+        x = delta * n[:2001]
+        log_d = -x + k * np.log(eo.eval_p(r, x + offset)[0])
+        for got, want in ((form.log_g(n), log_g), (form.log_d(x), log_d)):
+            assert [v.hex() for v in got.tolist()] == [v.hex() for v in want.tolist()]
+
+
 class TestCurveConditions:
     def test_k_zero_trivial(self):
         assert families._profile_conditions(0, 1.0, 5.0)[1:] == (1.0, 1.0)
@@ -524,13 +562,9 @@ class TestAnalyticForm:
     ], ids=["k=-1", "k=1.5", "psi-delta=0", "xi-delta=0", "r=0"])
     def test_bad_parameters_refused_before_the_scan(self, monkeypatch, make):
         calls = []
-        real = families.eval_p
-
-        def counting(r, x):
-            calls.append(np.size(x))
-            return real(r, x)
-
-        monkeypatch.setattr(families, "eval_p", counting)
+        for name in ("eval_p", "profile"):
+            real = getattr(families, name)
+            monkeypatch.setattr(families, name, lambda r, x, real=real: calls.append(np.size(x)) or real(r, x))
         with pytest.raises(ValueError):
             make()
         assert calls == []

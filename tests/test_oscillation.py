@@ -221,8 +221,8 @@ class TestCertificates:
             eo.verify_certificate(cert, *stripped)
 
 
-def per_target_candidates(pair, n_min, n_max):
-    """Reference for the grouped probe: one closed-form evaluation per phase target."""
+def neighbourhoods(pair, n_min, n_max):
+    """Reference for the probe's grid: one float arange per phase target, clipped to the window."""
     delta = pair.delta
     a_ref = max(pair.max_offset, 1.0)
     lo = max(n_min, 1)
@@ -237,16 +237,34 @@ def per_target_candidates(pair, n_min, n_max):
             L += 2 * math.pi
     targets.sort()
     radius = min(int(math.ceil((math.pi + pair.offset_gap) / delta)) + 1, 20000)
-    cands_max, cands_min = [], []
+    grids = []
     for L in targets:
         n0 = int(round((math.exp(L) - a_ref) / delta))
         n0 = max(lo, min(n0, n_max))
         start, stop = max(lo, n0 - radius), min(n_max, n0 + radius)
-        ns = np.arange(start, stop + 1, dtype=float)
+        grids.append(np.arange(start, stop + 1, dtype=float))
+    return grids
+
+
+def per_target_candidates(pair, n_min, n_max):
+    """Reference for the grouped probe: one closed-form evaluation per phase target."""
+    cands_max, cands_min = [], []
+    for ns in neighbourhoods(pair, n_min, n_max):
         vs = pair.values(ns)
         cands_max.append((int(ns[np.argmax(vs)]), float(np.max(vs))))
         cands_min.append((int(ns[np.argmin(vs)]), float(np.min(vs))))
     return sorted(set(cands_max)), sorted(set(cands_min))
+
+
+def probe_windows(pair):
+    """The full window, an inner one, and windows whose end neighbourhoods are clipped."""
+    top = pair.max_index()
+    # n0 of the phase target at ln y = 12.5 pi (y near 1.1e17): windows that cut one index
+    # off either end of its neighbourhood, where float steps are 0 or 16 and more
+    n0 = int(round((math.exp(math.pi / 2 + 12 * math.pi) - max(pair.max_offset, 1.0)) / pair.delta))
+    radius = min(int(math.ceil((math.pi + pair.offset_gap) / pair.delta)) + 1, 20000)
+    return ((0, top), (50, 5000), (0, top - 1), (3, 2**53 + 1), (2**53 - 7, 2**53 + 9),
+            (10**16, 10**18), (0, 10**80 + 12345), (n0 - radius + 1, 2 * n0), (0, n0 + radius - 1))
 
 
 @pytest.fixture(scope="module")
@@ -266,11 +284,37 @@ class TestGroupedProbe:
     def test_matches_per_target_evaluation(self, probe_pairs, monkeypatch, name, points):
         monkeypatch.setattr(families, "EVAL_BLOCK", points)
         pair = probe_pairs[name]
-        for n_min, n_max in ((0, pair.max_index()), (50, 5000)):
+        for n_min, n_max in probe_windows(pair):
             got = oscillation._analytic_candidates(pair, n_min, n_max)
             want = per_target_candidates(pair, n_min, n_max)
             assert [[(n, v.hex()) for n, v in c] for c in got] == \
                 [[(n, v.hex()) for n, v in c] for c in want]
+
+    @pytest.mark.parametrize("name", ["psi2/psi1", "psi3/psi0", "tmss/xi", "fine psi2/psi1"])
+    def test_windows_clip_neighbourhoods_past_2_53(self, probe_pairs, name):
+        pair = probe_pairs[name]
+        full = 2 * min(int(math.ceil((math.pi + pair.offset_gap) / pair.delta)) + 1, 20000) + 1
+        *_, starts_below, ends_past = probe_windows(pair)
+        for window, end in ((starts_below, 0), (ends_past, -1)):
+            grid = neighbourhoods(pair, *window)[end]
+            assert grid.size == full - 1 and grid[0] > 2**53 and np.any(np.diff(grid) != 1.0)
+
+    @pytest.mark.parametrize("points", [1, 7, 6144])
+    @pytest.mark.parametrize("name", ["psi2/psi1", "psi3/psi0", "tmss/xi", "fine psi2/psi1"])
+    def test_evaluates_each_distinct_index_once(self, probe_pairs, monkeypatch, name, points):
+        monkeypatch.setattr(families, "EVAL_BLOCK", points)
+        real = probe_pairs[name]
+        calls = []
+        pair = SimpleNamespace(delta=real.delta, max_offset=real.max_offset, offset_gap=real.offset_gap,
+                               values=lambda n: calls.append(n) or real.values(n))
+        for window in probe_windows(real):
+            calls.clear()
+            oscillation._analytic_candidates(pair, *window)
+            grids = neighbourhoods(real, *window)
+            assert bool(calls) == bool(grids)
+            if grids:  # each group's call holds distinct floats, together those of every arange
+                assert all(np.unique(n).size == n.size for n in calls)
+                assert np.array_equal(np.unique(np.concatenate(calls)), np.unique(np.concatenate(grids)))
 
     @pytest.mark.parametrize("points", [1, 7, 6144])
     def test_ties_take_the_first_index(self, probe_pairs, monkeypatch, points):
@@ -280,7 +324,7 @@ class TestGroupedProbe:
         real = probe_pairs["psi2/psi1"]
         pair = SimpleNamespace(delta=real.delta, max_offset=real.max_offset, offset_gap=real.offset_gap,
                                values=lambda n: np.round(real.values(n)))
-        for n_min, n_max in ((0, real.max_index()), (50, 5000)):
+        for n_min, n_max in probe_windows(real):
             assert oscillation._analytic_candidates(pair, n_min, n_max) == per_target_candidates(pair, n_min, n_max)
 
     def test_probe_evaluates_in_few_grouped_calls(self, monkeypatch):
@@ -289,18 +333,22 @@ class TestGroupedProbe:
         cw = oscillation.comparison_window(a, b)  # its metadata check evaluates both forms once
         radius = min(int(math.ceil((math.pi + pair.offset_gap) / DELTA)) + 1, 20000)
         sizes = []
-        real = families.eval_p
+        real = families.profile
 
         def counting(r, x):
             sizes.append(np.size(x))
             return real(r, x)
 
-        monkeypatch.setattr(families, "eval_p", counting)
+        monkeypatch.setattr(families, "profile", counting)
         probe = oscillation.probe_pair(cw, eo.TrendThresholds())
         assert probe.analytic and len(probe.up_records) >= 5
         # one grouped PairRatio.values call: per form, p at its offset and on the grid
         assert 0 < len(sizes) <= 4
         assert max(sizes) <= max(families.EVAL_BLOCK, 2 * radius + 1)
+        # the grid is each distinct float of the neighbourhoods, once: past 2**53 most repeat
+        grid = np.concatenate(neighbourhoods(pair, *cw.window))
+        assert (grid.size, np.unique(grid).size) == (4893, 673)
+        assert sorted(sizes) == [1, 1, 673, 673]
 
 
 class TestComparisonWindow:

@@ -23,13 +23,14 @@ validation (also of edited copies: psi2.spec with CRLF endings and
 padded lines, which reads, and with a blank line, metadata after a
 weight, a bad literal or a 0xff byte; psi1_d005.spec, whose tail lies
 above its last weight, relabelled ``#family foo``; t999.spec with
-``#delta 0.5``, also run through ``estimate-r``; each of these exits 2),
+``#delta 0.5``, also run through ``estimate-r``; t06.spec given ``#k``
+and ``#offset`` and psi2.spec given ``#q``; each of these exits 2),
 summaries, every ordered pair of the psi ladder, locc/slocc comparisons
 (one of them on a window long enough to be subsampled), a certificate on
-a fine grid (delta 0.002, 3,145-point probe neighbourhoods), a
-certificate and a comparison on a window past the stored horizon of a
-pair with no closed-form continuation, and two ``estimate-r`` runs on
-generated files.
+a fine grid (delta 0.002, 3,145-point probe neighbourhoods), one on a
+window that ends at 10**80 + 12345, a certificate and a comparison on a
+window past the stored horizon of a pair with no closed-form
+continuation, and two ``estimate-r`` runs on generated files.
 """
 
 from __future__ import annotations
@@ -73,10 +74,15 @@ def _replace_line(prefix, new):
     return lambda lines: "\n".join(new if line.startswith(prefix) else line for line in lines) + "\n"
 
 
+def _insert_after_header(*new):
+    return lambda lines: "\n".join(lines[:1] + list(new) + lines[1:]) + "\n"
+
+
 # edited copies of generated files, written after generation as (source, edit of its
 # lines): padding the reader accepts (exit 0); three malformed files, a tail above the
-# last weight under a family with no closed form, a tmss #delta that is not -2 ln q and
-# a 0xff byte in the third weight line, each of which it refuses (exit 2)
+# last weight under a family with no closed form, a tmss #delta that is not -2 ln q,
+# a 0xff byte in the third weight line and keys of another family, each of which it
+# refuses (exit 2)
 EDITED = {
     "psi2_padded.spec": ("psi2.spec", lambda lines: "\r\n".join(f" \t{line}\t " for line in lines) + "\r\n"),
     "psi2_blank.spec": ("psi2.spec", lambda lines: "\n".join(lines[:10] + [""] + lines[10:]) + "\n"),
@@ -85,6 +91,8 @@ EDITED = {
     "psi1_d005_foo.spec": ("psi1_d005.spec", _replace_line("#family ", "#family foo")),
     "t999_delta05.spec": ("t999.spec", _replace_line("#delta ", "#delta 0.5")),
     "psi2_non_ascii.spec": ("psi2.spec", lambda lines: "\n".join(lines[:9] + [lines[9] + "\xff"] + lines[10:]) + "\n"),
+    "t06_k_offset.spec": ("t06.spec", _insert_after_header("#k 3", "#offset 7.0")),
+    "psi2_q.spec": ("psi2.spec", _insert_after_header("#q 0.5")),
 }
 
 INSPECTED = ["psi0", "psi2", "xi", "t06", "t999", "xi_n50k"]
@@ -112,6 +120,8 @@ def commands():
         for mode in ("locc", "slocc"):
             out.append((f"{mode}_{a}_{b}.json", ["compare", f"{a}.spec", f"{b}.spec", "--mode", mode]))
     out.append(("certify_psi2_d0002_psi1_d0002.json", ["certify", "psi2_d0002.spec", "psi1_d0002.spec"]))
+    # a window end that no float holds, far past 2**53: the probe clips to it in exact ints
+    out.append(("certify_psi2_psi1_w1e80.json", ["certify", "psi2.spec", "psi1.spec", "--window", f"0:{10**80 + 12345}"]))
     past_horizon = ["t06.spec", "t04.spec", "--window", "0:100000"]
     out.append(("certify_t06_t04_w100000.json", ["certify", *past_horizon]))
     out.append(("slocc_t06_t04_w100000.json", ["compare", *past_horizon, "--mode", "slocc"]))
