@@ -189,7 +189,7 @@ def _check_span(delta, delta_name, n, n_option):
     """Refuse a grid step and horizon whose generated span delta * (n + 1) is not finite.
 
     The work of a finite span's condition scan is bounded where it is done,
-    in the families module, which counts only the points below y*.
+    in the families module, which counts only the points it may evaluate.
     """
     try:
         span = delta * (n + 1)

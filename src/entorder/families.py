@@ -14,7 +14,8 @@ evaluates p_r alone, for the tail values; ``eval_p`` adds its first two
 derivatives, which only the curve conditions use. Shifting the
 profile by a large enough offset keeps the resulting tail strictly
 decreasing and convex; ``find_offset`` searches for the smallest such shift
-on a grid.
+on a grid, proving the conditions in closed form where it can (past a
+cut-off y*, and cell by cell below it) and evaluating them elsewhere.
 
 ``AnalyticForm(k, r, offset, delta)`` is the one type for a family member:
 its constructor checks the parameters, it generates the stored weights,
@@ -232,8 +233,126 @@ def _cut_index(k, r, margin, base, step):
     return i
 
 
-#: Most lattice points below y* one condition scan may evaluate: about 100 s at the
-#: ~1e7 points/s measured on 2 vCPUs; a search on the 0.01 grid at k <= 4, r <= 2 needs 5.7e5
+#: Relative width of the cells below y* that the scan tries to prove before it evaluates their
+#: lattice points (never below one lattice step). An unproven cell of more than ``CELL_SPLIT``
+#: steps is cut into ``CELL_SPLIT`` parts and tried again, up to ``CELL_ROUNDS`` times.
+CELL_WIDTH = 0.01
+CELL_SPLIT = 4
+CELL_ROUNDS = 3
+
+# Intervals below are stacked arrays, row 0 the lower and row 1 the upper bound of each cell.
+_WIDEN = 2.0**-49  # outward rounding: 8 ulps of each bound, above the error of the few operations before it
+_POS = np.array([[1.0 - _WIDEN], [1.0 + _WIDEN]])  # widens a positive interval outward in one product
+_SIGNED = np.array([[-_WIDEN], [_WIDEN]])
+_TRIG_PAD = np.array([[-1e-14], [1e-14]])  # sin and cos get an absolute pad: their ulps vanish at their zeros
+_QUARTERS = np.arange(4)[:, None]  # L = j pi/2 with j mod 4 = 0: cos peak, 1: sin peak, 2: cos trough, 3: sin trough
+
+
+def _out(a):
+    """A signed interval, rounded outward."""
+    return a + np.abs(a) * _SIGNED
+
+
+def _dn(x):
+    return x - np.abs(x) * _WIDEN
+
+
+def _up(x):
+    return x + np.abs(x) * _WIDEN
+
+
+def _scaled(c, a):
+    """Scalar c times positive interval a, rounded outward."""
+    return _out(c * a if c >= 0 else c * a[::-1])
+
+
+def _times(a, c):
+    """Positive interval a times signed interval c, rounded outward."""
+    return _out(c * np.where(c >= 0, a, a[::-1]))
+
+
+def _over(a, d):
+    """Signed interval a over positive interval d, rounded outward."""
+    return _out(a / np.where(a >= 0, d[::-1], d))
+
+
+@np.errstate(over="ignore", invalid="ignore", divide="ignore")  # an inf or NaN bound proves nothing
+def _cell_bounds(k, r, y):
+    """Lower bounds of p, M and C over every real y in each cell [y[0], y[1]] (arrays).
+
+    The closed forms of :func:`eval_p` in interval arithmetic, with L in
+    [ln y0, ln y1]: sin L and cos L lie between their end values unless a
+    peak or trough lies inside; L^r, L^(r-1), L^(r-2) and L^-1..L^-3 are
+    each monotone, so their end values bound them. Each bound rounds
+    outward by a few ulps (sin and cos by ``_TRIG_PAD``). Then
+    M >= 1 - k max u and, where M > 0, C = M^2 + k(w - u^2) >=
+    M_lo^2 - k max u^2 + k min w. The p bound is NaN where L may be <= 0 or
+    a float term of eval_p (each below 4 max(1, 2r, r|r-1|) L^r) may overflow.
+    """
+    L = np.log(y) * _POS
+    Lr = L**r  # L^r, L^(r-1) and L^(r-2) at both ends, each ordered by its direction
+    Lr1 = Lr / L
+    Lr2 = (Lr1 / L if r >= 2 else (Lr1 / L)[::-1]) * _POS
+    Lr1 = (Lr1 if r >= 1 else Lr1[::-1]) * _POS
+    Lr = Lr * _POS
+    iL = 1.0 / L[::-1] * _POS
+    iL2 = iL * iL * _POS
+    j = L * (2.0 / np.pi)
+    j0 = np.ceil(j[0] - 1e-9)
+    hit = ((_QUARTERS - j0.astype(np.int64)) & 3) <= np.floor(j[1] + 1e-9) - j0  # a j pi/2 of each class inside
+    s, c = (np.where(hit[ends], [[-1.0], [1.0]], np.array((np.minimum(*v), np.maximum(*v))) + _TRIG_PAD)
+            for v, ends in ((np.sin(L), [3, 1]), (np.cos(L), [2, 0])))
+    s1 = np.maximum(s + 1.0, 0.0)
+    p = (Lr * s1 + iL) * _POS
+    q = _out(_out(r * Lr1 * s1 * _POS + _times(Lr, c)) - iL2[::-1])
+    qp = _out(
+        _out(_scaled(r * (r - 1.0), Lr2 * s1) + _times(2.0 * r * Lr1 * _POS, c))
+        + _out(_times(Lr, -s[::-1]) + 2.0 * iL2 * iL * _POS)
+    )
+    yp = y * p * _POS
+    u = _over(q, yp)
+    w = _over(_over(_out(qp - q[::-1]), yp), y)
+    M = _dn(1.0 - _up(k * u[1]))
+    C = _dn(_dn(_dn(M * M) - _up(k * np.max(u * u, axis=0))) + _dn(k * w[0]))
+    fits = (L[0] > 0) & (Lr[1] * (4.0 * max(1.0, 2.0 * r, r * abs(r - 1.0))) < np.finfo(float).max)
+    return np.where(fits, p[0], np.nan), M, C
+
+
+def _proven_cells(k, r, margin, base, step, first, end):
+    """Index pairs (a, b), in order, of cells [a, b] inside [first, end) proven clean at every real y.
+
+    A cell runs between two lattice points, so a lattice index lies in it
+    by its float point base + i*step, as in :func:`_cut_index`. The cells
+    grow by ``CELL_WIDTH`` of y each and meet at their end points. One whose
+    :func:`_cell_bounds` show p > 0, M > margin + ``Y_STAR_SLACK`` and
+    C >= ``Y_STAR_SLACK`` is proven; an unproven one is split (``CELL_SPLIT``,
+    ``CELL_ROUNDS``) before its points are left to the lattice scan.
+    """
+    start = max(base + first * step, 1.0 + step)
+    growth = math.log1p(CELL_WIDTH)
+    count = math.ceil(math.log(max(base + (end - 1) * step, start) / start) / growth)
+    ys = start * np.exp(growth * np.arange(count + 1))
+    edges = np.unique(np.concatenate(([first, end - 1], np.clip(np.floor((ys - base) / step), first, end - 1))))
+    a, b = edges[:-1], edges[1:]
+    cells = []
+    for rounds_left in range(CELL_ROUNDS, -1, -1):
+        p, M, C = _cell_bounds(k, r, base + np.array((a, b)) * step)
+        proven = (p > 0) & (M > margin + Y_STAR_SLACK) & (C >= Y_STAR_SLACK)
+        cells.append((a[proven], b[proven]))
+        split = ~proven & (b - a > CELL_SPLIT)
+        if not (rounds_left and split.any()):
+            break
+        a, b = a[split], b[split]
+        parts = a[:, None] + np.floor((b - a)[:, None] * np.arange(CELL_SPLIT + 1) / CELL_SPLIT)
+        a, b = parts[:, :-1].ravel(), parts[:, 1:].ravel()
+    a, b = (np.concatenate(ends) for ends in zip(*cells))
+    order = np.argsort(a)
+    return a[order].astype(np.int64), b[order].astype(np.int64)
+
+
+#: Most lattice points one condition scan may evaluate, those below y* that no proven cell
+#: holds: about 100 s at the ~1e7 points/s measured on 2 vCPUs. A search on the 0.01 grid at
+#: k <= 4, r <= 2 leaves at most a few hundred, and r = 6 at delta 1e300 a few thousand.
 MAX_SCAN_POINTS = 10**9
 
 # Most points per closed-form call: 48 KiB temporaries reuse the heap; from 8,192 on they page-fault anew each call
@@ -246,29 +365,39 @@ def _first_clean(k, r, base, step, first, last, W, margin):
 
     Clean: p > 0, M > margin and C >= 0 at every point, so a NaN
     condition is not clean (None if no j is). Points at or past
-    :func:`_y_star` are proven clean and never evaluated; more than
-    ``MAX_SCAN_POINTS`` to evaluate below it raise ValueError at once.
-    The lattice is walked once, in blocks of at most ``EVAL_BLOCK`` points:
-    a failing point at index i rules out every candidate up to i.
+    :func:`_y_star` are proven clean in closed form, and so are the points
+    below it that a cell of :func:`_proven_cells` holds; neither is
+    evaluated. More than ``MAX_SCAN_POINTS`` points left to evaluate raise
+    ValueError before any is (a range of more than 2**53 indices tries no
+    cell). The points left are walked once, in blocks of at most
+    ``EVAL_BLOCK``: a failing point at index i rules out every candidate
+    up to i.
     """
-    cut = _cut_index(k, r, margin, base, step)
-    most = min(cut, last + W + 1) - first  # points below the cut that the walk may evaluate
+    end = min(_cut_index(k, r, margin, base, step), last + W + 1)
+    starts, stops = [first], [end]
+    if 1 < end - first <= 2**53:  # past 2**53 float indices are not exact, and no cell is tried
+        a, b = _proven_cells(k, r, margin, base, step, first, end)
+        # the lattice left between proven cells, which may share an end point
+        starts, stops = np.append(first, b + 1).tolist(), np.append(a, end).tolist()
+    runs = [(i, stop) for i, stop in zip(starts, stops) if i < stop]
+    most = sum(stop - i for i, stop in runs)
     if most > MAX_SCAN_POINTS:
         raise ValueError(f"the condition scan may evaluate {most:.3g} lattice points, more than {MAX_SCAN_POINTS:.0e}")
-    j = i = first  # indices j..i-1 are known clean
-    while j <= last:
-        if i >= cut:  # j..j+W are clean: below i scanned, from the cut on proven
-            return j
-        stop = min(i + EVAL_BLOCK, j + W + 1, cut)
-        idx = np.arange(i, stop, dtype=float)
-        p, M, C = _profile_conditions(k, r, base + idx * step)
-        bad = np.flatnonzero(~((p > 0) & (M > margin) & (C >= 0.0)))
-        if bad.size:
-            j = i + int(bad[-1]) + 1
-        elif stop == j + W + 1:
-            return j
-        i = stop
-    return None
+    j = first  # every point from j up to the walk's position is clean
+    for i, run_end in runs:
+        while i < run_end:
+            if i > j + W:  # j..j+W are clean: evaluated or proven
+                return j
+            stop = min(i + EVAL_BLOCK, run_end, j + W + 1)
+            idx = np.arange(i, stop, dtype=float)
+            p, M, C = _profile_conditions(k, r, base + idx * step)
+            bad = np.flatnonzero(~((p > 0) & (M > margin) & (C >= 0.0)))
+            if bad.size:
+                j = i + int(bad[-1]) + 1
+                if j > last:
+                    return None
+            i = stop
+    return j if j <= last else None
 
 
 def find_offset(
@@ -283,12 +412,13 @@ def find_offset(
 
     Validity means M(x) > margin >= 0 and C(x) >= 0 at every grid point of
     step ``grid_step`` in [0, horizon], with x + a > 1 throughout. Grid
-    points whose profile argument x + a lies at or past :func:`_y_star`
-    are not evaluated: there the conditions hold for every real x, so the
-    result is the full scan's. Below y* only grid points are checked, and
+    points whose profile argument x + a lies at or past :func:`_y_star`, or
+    in a cell below it that :func:`_proven_cells` proves, are not
+    evaluated: there the conditions hold for every real x, so the result
+    is the full scan's. The other grid points below y* are evaluated, and
     nothing beyond the horizon is certified unless y* lies inside it. Raises
     :class:`OffsetNotFound` past ``a_max`` (default 1e6 * grid_step), and
-    ValueError if it may evaluate more than ``MAX_SCAN_POINTS`` points below y*.
+    ValueError if it may evaluate more than ``MAX_SCAN_POINTS`` points.
     """
     if grid_step <= 0 or horizon <= 0:
         raise ValueError("grid_step and horizon must be positive")
@@ -320,9 +450,10 @@ def discretize(form: AnalyticForm, n: int, family: str = "psi") -> SchmidtSpectr
     That grid covers [0, delta*(n+1)] and overshoots it by less than one
     step (the step past the horizon certifies the ordering of the first
     hidden weight at the cut). Points with x + offset at or past
-    :func:`_y_star` are proven in closed form, for every real x there,
-    instead of evaluated; more than ``MAX_SCAN_POINTS`` points below it raise
-    ValueError. The tail bound is the exact analytic g(n).
+    :func:`_y_star`, or in a proven cell below it, are proven in closed
+    form, for every real x there, instead of evaluated; more than
+    ``MAX_SCAN_POINTS`` points left to evaluate raise ValueError. The tail
+    bound is the exact analytic g(n).
     """
     if n < 1:
         raise ValueError("need at least one stored weight")
@@ -423,10 +554,11 @@ def _family_state(family, k, r, delta, n, offset, grid_step, margin) -> SchmidtS
     # the constructor refuses k, r and delta before the scan; any offset above 1 passes it
     form = replace(AnalyticForm(k, r, 2.0, delta), offset=find_offset(k, r, grid_step, delta * (n + 1), margin))
     # The search proved M > margin >= 0 and C >= 0 at j*g, j = m..m+W, for
-    # a = m*g and W = ceil(delta*(n+1)/g), from y* on in closed form (y* at
-    # discretize's margin 0 is no larger). When g equals discretize's step
-    # min(0.01, delta), its check points a + i*g, i = 0..W, are the same W+1
-    # points up to rounding, so it need not scan them again (n < 1 it refuses).
+    # a = m*g and W = ceil(delta*(n+1)/g), in closed form from y* on and in
+    # proven cells below it (y* at discretize's margin 0 is no larger). When
+    # g equals discretize's step min(0.01, delta), its check points a + i*g,
+    # i = 0..W, are the same W+1 points up to rounding, so it need not scan
+    # them again (n < 1 it refuses).
     if grid_step == min(0.01, delta) and n >= 1:
         return _sample(form, n, family)
     return discretize(form, n, family)

@@ -310,8 +310,8 @@ class TestExitCodes:
         assert not out.exists()
 
     def test_huge_scan_lattice_refused_at_once(self, specdir, tmp_path):
-        # each span is finite and its lattice huge; the scan is bounded by y*
-        # where y* is finite and its cut index small, and refused at once otherwise
+        # each span is finite and its lattice huge; the scan is bounded by y* and
+        # by the cells proven below it where y* is finite, and refused at once otherwise
         env = {**os.environ, "PYTHONPATH": str(Path(eo.__file__).parents[1])}
         out = tmp_path / "h.spec"
 
@@ -319,8 +319,10 @@ class TestExitCodes:
             return subprocess.run([sys.executable, "-m", "entorder", *argv], env=env,
                                   capture_output=True, text=True, timeout=timeout)
 
+        # y* = 1.06e10 at r = 6 leaves 1.06e12 lattice points below it, nearly all in proven cells
         for argv in (["gen", "psi", "--k", "1", "--delta", "1e300", "--n", "10", "-o", str(out)],
                      ["gen", "xi", "--r", "1.5", "--offset", "2", "--delta", "1e300", "--n", "10", "-o", str(out)],
+                     ["gen", "xi", "--r", "6", "--delta", "1e300", "--n", "10", "-o", str(out)],
                      ["estimate-r", str(specdir / "tmss05.spec"), "--delta", "1e300",
                       "--r-min", "1", "--r-max", "2", "--steps", "2"]):
             proc = entorder(argv, 60)
@@ -328,27 +330,28 @@ class TestExitCodes:
             if argv[0] == "gen":
                 assert run(["validate", str(out)]) == 0
                 out.unlink()
-        # y* = 1.06e10 at r = 6, a cut index of 1.06e12 on the 0.01 grid; no y* at a margin of 1
-        for argv in (["gen", "xi", "--r", "6", "--delta", "1e300", "--n", "10", "-o", str(out)],
+        # no y* at a margin of 1, nor where L^r may overflow (r >= 106): 1.1e303 points
+        for argv in (["gen", "xi", "--r", "120", "--delta", "1e300", "--n", "10", "-o", str(out)],
                      ["gen", "psi", "--k", "1", "--offset-margin", "1", "--delta", "1e300", "--n", "10",
                       "-o", str(out)]):
             proc = entorder(argv, 30)
             assert proc.returncode == 3, proc.stderr
-            assert proc.stderr.startswith("operation failed: the condition scan may evaluate")
+            assert proc.stderr.startswith("operation failed: the condition scan may evaluate 1.1e+303")
             assert "lattice points, more than 1e+09" in proc.stderr
             assert not out.exists()
         # a k = 0 member scans nothing, so the same span is generated
         assert run(["gen", "psi", "--k", "0", "--delta", "1e300", "--n", "10", "-o", str(out)]) == 0
 
     def test_library_scan_past_the_cap_refused_at_once(self):
-        # the cap is the scanner's own, so a library caller cannot start an endless scan
+        # the cap is the scanner's own, so a library caller cannot start an endless scan:
+        # at a margin of 1 the proven cells hold 5.6e6 of the 1.1e13 lattice points
         env = {**os.environ, "PYTHONPATH": str(Path(eo.__file__).parents[1])}
         code = (
             "import time\n"
-            "from entorder import xi_state\n"
+            "from entorder import psi_state\n"
             "start = time.perf_counter()\n"
             "try:\n"
-            "    xi_state(6, 1e300, 10)\n"
+            "    psi_state(1, 1e10, 10, margin=1.0)\n"
             "except ValueError as exc:\n"
             "    print(time.perf_counter() - start, exc)\n"
         )
@@ -356,7 +359,7 @@ class TestExitCodes:
         assert proc.returncode == 0, proc.stderr
         seconds, message = proc.stdout.split(" ", 1)
         assert float(seconds) < 5.0
-        assert message.startswith("the condition scan may evaluate 1.06e+12 lattice points")
+        assert message.startswith("the condition scan may evaluate 1.1e+13 lattice points")
 
     def test_reversed_window(self, specdir):
         psi1, psi0 = str(specdir / "psi1.spec"), str(specdir / "psi0.spec")

@@ -185,6 +185,38 @@ def brute_force_offset(k, r, g, horizon, margin, a_max):
     return None
 
 
+def full_scan(k, r, base, step, first, last, W, margin):
+    """_first_clean by the plain lattice walk: every point evaluated, no y* and no cells."""
+    j = i = first
+    while j <= last:
+        stop = min(i + 100_000, j + W + 1)
+        p, M, C = families._profile_conditions(k, r, base + np.arange(i, stop, dtype=float) * step)
+        bad = np.flatnonzero(~((p > 0) & (M > margin) & (C >= 0)))
+        if bad.size:
+            j = i + int(bad[-1]) + 1
+        elif stop == j + W + 1:
+            return j
+        i = stop
+    return None
+
+
+def cell_indices(cells):
+    """Every lattice index inside the proven cells (a, b), end points included."""
+    a, b = cells
+    return np.unique(np.concatenate([np.arange(x, y + 1) for x, y in zip(a.tolist(), b.tolist())] or [[]]))
+
+
+def assert_covered(k, r, margin, base, step, first, stop, points):
+    """Every index of [first, stop) was evaluated (its float point is in points), lies in a proven
+    cell, or lies at or past y*; and no evaluated point lies in a proven cell."""
+    end = min(families._cut_index(k, r, margin, base, step), stop)
+    proven = cell_indices(families._proven_cells(k, r, margin, base, step, first, end))
+    idx = np.arange(first, end)
+    evaluated = np.isin(base + idx * step, points)
+    assert not np.any(evaluated & np.isin(idx, proven))
+    assert np.all(evaluated | np.isin(idx, proven))
+
+
 def assert_blocks_equal_one_call(k, r, base, step, first, last):
     """(p, M, C) on base + i*step, i = first..last: the scanner's EVAL_BLOCK blocks equal one call."""
     block = families.EVAL_BLOCK
@@ -223,6 +255,13 @@ class TestScanner:
         else:
             assert eo.find_offset(k, r, g, horizon, margin, a_max) == expected
 
+    @staticmethod
+    def cells_from(edges, flags, first, end):
+        """Proven cells (a, b) between consecutive drawn edges whose flag is set, clipped to [first, end)."""
+        edges = sorted(e for e in edges if first <= e < end)
+        cells = [(a, b) for (a, b), keep in zip(zip(edges, edges[1:]), flags) if keep]
+        return np.array([a for a, _ in cells], dtype=np.int64), np.array([b for _, b in cells], dtype=np.int64)
+
     @given(
         bad=st.sets(st.integers(0, 60), max_size=12),
         first=st.integers(0, 20),
@@ -230,12 +269,18 @@ class TestScanner:
         W=st.integers(0, 10),
         chunk=st.integers(1, 8),
         cut=st.one_of(st.none(), st.integers(0, 80)),
+        edges=st.sets(st.integers(0, 80), max_size=12),
+        flags=st.lists(st.booleans(), max_size=12),
     )
     # a block ends just below the cut, on the one failing point left
-    @example(bad={3}, first=0, span=10, W=5, chunk=3, cut=4)
-    def test_first_clean_on_synthetic_failures(self, bad, first, span, W, chunk, cut):
+    @example(bad={3}, first=0, span=10, W=5, chunk=3, cut=4, edges=set(), flags=[])
+    # proven cells [2, 5] and [5, 9] hide the failures at 4 and 5: once 0 and 1 are
+    # evaluated, candidate 2's window 2..8 lies in them and 12 is never reached
+    @example(bad={1, 4, 5, 12}, first=0, span=20, W=6, chunk=2, cut=None, edges={2, 5, 9}, flags=[True, True])
+    def test_first_clean_on_synthetic_failures(self, bad, first, span, W, chunk, cut, edges, flags):
         # lattice point i is y = i (base 0, step 1); M fails exactly on `bad`,
-        # and y* = cut makes every index from `cut` on clean unevaluated
+        # y* = cut makes every index from `cut` on clean unevaluated, and the
+        # drawn proven cells make every index inside them clean unevaluated
         calls = []
 
         def conditions(k, r, y):
@@ -244,12 +289,22 @@ class TestScanner:
 
         last = first + span
         y_star = math.inf if cut is None else float(cut)
+        seen = []
+
+        def proven_cells(k, r, margin, base, step, lo, end):
+            seen.append((lo, end))
+            return self.cells_from(edges, flags, lo, end)
+
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(families, "_profile_conditions", conditions)
             mp.setattr(families, "EVAL_BLOCK", chunk)
             mp.setattr(families, "_y_star", lambda k, r, margin: y_star)
+            mp.setattr(families, "_proven_cells", proven_cells)
             got = families._first_clean(1, 1.0, 0.0, 1.0, first, last, W, 0.0)
-        failing = {i for i in bad if i < y_star}
+        proven = set()
+        for lo, end in seen:
+            proven |= set(cell_indices(self.cells_from(edges, flags, lo, end)).tolist())
+        failing = {i for i in bad if i < y_star and i not in proven}
         expected = next(
             (j for j in range(first, last + 1) if not failing & set(range(j, j + W + 1))), None
         )
@@ -259,6 +314,30 @@ class TestScanner:
         assert all(c.size <= chunk for c in calls)
         assert points.size == 0 or points.max() <= last + W
         assert points.size == 0 or points.max() < y_star  # nothing at or past the cut
+        assert not proven & set(points.tolist())  # nothing inside a proven cell
+
+    @staticmethod
+    def first_clean_under_cap(monkeypatch, first, last, W, cut, cells, refused):
+        # lattice point i is y = i; every point is clean, and at most 10 may be evaluated
+        calls = []
+
+        def conditions(k, r, y):
+            calls.append(y)
+            return np.ones_like(y), np.ones_like(y), np.ones_like(y)
+
+        y_star = math.inf if cut is None else float(cut)
+        proven = np.array([a for a, _ in cells], dtype=np.int64), np.array([b for _, b in cells], dtype=np.int64)
+        monkeypatch.setattr(families, "_profile_conditions", conditions)
+        monkeypatch.setattr(families, "_y_star", lambda k, r, margin: y_star)
+        monkeypatch.setattr(families, "_proven_cells", lambda *args: proven)
+        monkeypatch.setattr(families, "MAX_SCAN_POINTS", 10)
+        if refused:
+            with pytest.raises(ValueError, match=r"may evaluate 11 lattice points, more than 1e\+01"):
+                families._first_clean(1, 1.0, 0.0, 1.0, first, last, W, 0.0)
+            assert not calls
+        else:
+            assert families._first_clean(1, 1.0, 0.0, 1.0, first, last, W, 0.0) == first
+            assert sum(c.size for c in calls) <= 10
 
     @pytest.mark.parametrize("first, last, W, cut, refused", [
         (0, 0, 9, None, False),  # 10 points, the cap
@@ -268,23 +347,16 @@ class TestScanner:
         (3, 3, 10**6, 14, True),
     ])
     def test_scan_past_the_cap_refused_before_evaluating(self, monkeypatch, first, last, W, cut, refused):
-        # lattice point i is y = i; every point is clean, and at most 10 may be evaluated
-        calls = []
+        self.first_clean_under_cap(monkeypatch, first, last, W, cut, [], refused)
 
-        def conditions(k, r, y):
-            calls.append(y)
-            return np.ones_like(y), np.ones_like(y), np.ones_like(y)
-
-        y_star = math.inf if cut is None else float(cut)
-        monkeypatch.setattr(families, "_profile_conditions", conditions)
-        monkeypatch.setattr(families, "_y_star", lambda k, r, margin: y_star)
-        monkeypatch.setattr(families, "MAX_SCAN_POINTS", 10)
-        if refused:
-            with pytest.raises(ValueError, match=r"may evaluate 11 lattice points, more than 1e\+01"):
-                families._first_clean(1, 1.0, 0.0, 1.0, first, last, W, 0.0)
-            assert not calls
-        else:
-            assert families._first_clean(1, 1.0, 0.0, 1.0, first, last, W, 0.0) == first
+    @pytest.mark.parametrize("W, cells, refused", [
+        (20, [(3, 13)], False),  # 21 points, the 11 of a proven cell not counted
+        (20, [(3, 8), (8, 12)], True),  # cells that meet share their end point 8
+        (20, [(3, 8), (8, 13)], False),
+        (21, [(3, 8), (8, 13)], True),
+    ])
+    def test_points_in_proven_cells_are_not_counted(self, monkeypatch, W, cells, refused):
+        self.first_clean_under_cap(monkeypatch, 0, 0, W, None, cells, refused)
 
     @pytest.fixture
     def scanned(self, monkeypatch):
@@ -304,18 +376,33 @@ class TestScanner:
         points = np.concatenate(scanned)
         assert np.unique(points).size == points.size
         assert max(c.size for c in scanned) <= families.EVAL_BLOCK
-        # the search reaches delta*(n+1) = 2001 past the offset, the end of
-        # discretize's check grid, or else the last lattice point below y*,
-        # from which on the conditions are proven
-        reach = min(spec.metadata["offset"] + 2001, families._y_star(2, 1.0, 0.0))
-        assert reach - 0.01 - 1e-9 <= points.max() <= reach + 1e-9
+        # the found window, offset/0.01 + 0..200100, is evaluated or proven
+        # (in a cell or past y*) at every point, and no point is both
+        m = round(spec.metadata["offset"] / 0.01)
+        assert_covered(2, 1.0, 0.0, 0.0, 0.01, m, m + 200_101, points)
+        assert points.max() < m * 0.01 + 2001
 
-    def test_finer_check_grid_is_scanned(self, scanned):
-        # delta 0.005 checks on step 0.005, the offset search on step 0.01
+    def test_finer_check_grid_is_scanned(self, scanned, monkeypatch):
+        # delta 0.005 checks on step 0.005, the offset search on step 0.01:
+        # the check grid is scanned after the search, each of its points
+        # evaluated or proven
+        checks = []
+        real = families._first_clean
+
+        def first_clean(k, r, base, step, first, last, W, margin):
+            before = len(scanned)
+            got = real(k, r, base, step, first, last, W, margin)
+            checks.append((base, step, first, last, W, scanned[before:]))
+            return got
+
+        monkeypatch.setattr(families, "_first_clean", first_clean)
         spec = eo.psi_state(1, 0.005, 2000)
-        a = spec.metadata["offset"]
-        last = math.ceil(0.005 * 2001 / 0.005)
-        assert any(c.size == last + 1 and c[0] == a for c in scanned)
+        (search, check) = checks
+        assert search[1] == 0.01
+        base, step, first, last, W, calls = check
+        assert (base, step, first, last, W) == (spec.metadata["offset"], 0.005, 0, 0, math.ceil(0.005 * 2001 / 0.005))
+        assert calls
+        assert_covered(1, 1.0, 0.0, base, step, 0, W + 1, np.concatenate(calls))
 
     @pytest.mark.parametrize("r", [1.0, 1.37, 2.0])
     @pytest.mark.parametrize("k", [1, 2, 3, 4])
@@ -337,19 +424,20 @@ class TestScanner:
 
 
 def mp_conditions(k, r, y):
-    """M and C at y to 50 digits, from p_r written in L = ln y and the chain rule."""
+    """p, M and C at y to 50 digits, from p_r written in L = ln y and the chain rule."""
     with mpmath.workdps(50):
         y, r = mpmath.mpf(y), mpmath.mpf(r)
         L = mpmath.log(y)
-        s, c = mpmath.sin(L), mpmath.cos(L)
+        c, s = mpmath.cos_sin(L)
+        Lr = L**r
         # p(L) and its first two L-derivatives; d/dy = (d/dL) / y
-        f = L**r * (s + 1) + 1 / L
-        f1 = r * L ** (r - 1) * (s + 1) + L**r * c - L**-2
-        f2 = r * (r - 1) * L ** (r - 2) * (s + 1) + 2 * r * L ** (r - 1) * c - L**r * s + 2 * L**-3
+        f = Lr * (s + 1) + 1 / L
+        f1 = r * Lr / L * (s + 1) + Lr * c - L**-2
+        f2 = r * (r - 1) * Lr / L**2 * (s + 1) + 2 * r * Lr / L * c - Lr * s + 2 * L**-3
         u = f1 / (y * f)
         w = (f2 - f1) / (y * y * f)
         M = 1 - k * u
-        return M, M * M + k * (w - u * u)
+        return f, M, M * M + k * (w - u * u)
 
 
 CUT_CASES = [(k, r, m) for k in (1, 2, 3, 4) for r in (0.5, 1.0, 1.37, 2.0, 3.0) for m in (0.0, 0.2)]
@@ -363,7 +451,7 @@ class TestCutOff:
         y_star = families._y_star(k, r, margin)
         rng = np.random.default_rng(k * 100 + round(r * 10) + round(margin * 10))
         for L in [math.log(y_star), *rng.uniform(math.log(y_star), 700.0, 30)]:
-            M, C = mp_conditions(k, r, mpmath.exp(L))
+            _, M, C = mp_conditions(k, r, mpmath.exp(L))
             assert M > margin and C >= 0, (L, M, C)
 
     @pytest.mark.parametrize("k,r,margin", CUT_CASES)
@@ -409,37 +497,101 @@ class TestCutOff:
         assert families._y_star(k, r, 0.0) == pytest.approx(table, rel=0.02)
 
     @pytest.mark.parametrize("margin", [0.0, 0.2])
-    @pytest.mark.parametrize("r", [1.0, 1.37, 2.0])
+    @pytest.mark.parametrize("r", [1.0, 1.37, 2.0, 3.0, 4.0, 6.0])
     @pytest.mark.parametrize("k", [1, 2, 3, 4])
-    def test_search_equals_the_full_scan(self, monkeypatch, k, r, margin):
-        # find_offset for a delta = 1, n = 2000 member; y* = inf scans everything
-        cut = eo.find_offset(k, r, 0.01, DELTA * 2001, margin)
-        monkeypatch.setattr(families, "_y_star", lambda k, r, margin: math.inf)
-        assert cut == eo.find_offset(k, r, 0.01, DELTA * 2001, margin)
+    def test_search_equals_the_full_scan(self, k, r, margin):
+        # find_offset for a delta = 1, n = 2000 member against the plain lattice walk
+        W = math.ceil(DELTA * 2001 / 0.01)
+        m = full_scan(k, r, 0.0, 0.01, 101, 10**6, W, margin)
+        assert eo.find_offset(k, r, 0.01, DELTA * 2001, margin) == m * 0.01
 
     @pytest.mark.parametrize("offset", [None, 3.0])
     @pytest.mark.parametrize("delta", [0.002, 0.005])
     @pytest.mark.parametrize("k", [1, 2, 3, 4])
-    def test_check_equals_the_full_check(self, monkeypatch, k, delta, offset):
+    def test_check_equals_the_full_check(self, k, delta, offset):
         # discretize's check at a searched or a given offset (3.0 fails for k = 4),
-        # over a span that holds y*
+        # over a span that holds y*, against the plain lattice walk
         n = 150_000
         if offset is None:
             offset = eo.find_offset(k, 1.0, 0.01, delta * (n + 1))
         assert families._y_star(k, 1.0, 0.0) < offset + delta * (n + 1)
         form = eo.AnalyticForm(k, 1.0, offset, delta)
+        try:
+            eo.discretize(form, n)
+            passed = True
+        except ConditionViolated:
+            passed = False
+        full = full_scan(k, 1.0, offset, delta, 0, 0, math.ceil(delta * (n + 1) / delta), 0.0)
+        assert passed == (full is not None) == (not (k == 4 and offset == 3.0))
 
-        def outcome():
-            try:
-                spec = eo.discretize(form, n)
-            except ConditionViolated:
-                return None
-            return spec.log_weights.tobytes(), spec.log_tail_bound
 
-        cut = outcome()
-        monkeypatch.setattr(families, "_y_star", lambda k, r, margin: math.inf)
-        assert cut == outcome()
-        assert (cut is None) == (k == 4 and offset == 3.0)
+CELL_CASES = [(k, r, m) for k in (1, 2, 3, 4) for r in (0.5, 1.0, 1.37, 2.0, 3.0, 4.0, 6.0) for m in (0.0, 0.2)]
+
+
+def search_cells(k, r, margin):
+    """The proven cells of find_offset's lattice (step 0.01, from the first candidate above 1) below y*."""
+    return families._proven_cells(k, r, margin, 0.0, 0.01, 101, families._cut_index(k, r, margin, 0.0, 0.01))
+
+
+class TestCells:
+    """Below y*: cells whose closed-form enclosure proves the conditions at every real y in them."""
+
+    @pytest.mark.parametrize("k,r,margin", CELL_CASES)
+    def test_enclosure_holds_at_50_digits(self, k, r, margin):
+        # 50-digit values at both ends and a random point of proven cells: the
+        # thinnest ones by M and by C, those next to an unproven run, and a random
+        # sample (each 50-digit point takes about 0.3 ms, so not all ~1,000 cells)
+        a, b = search_cells(k, r, margin)
+        y = 0.01 * np.array((a, b), dtype=float)
+        p, M, C = families._cell_bounds(k, r, y)
+        assert np.all((p > 0) & (M > margin) & (C > 0))
+        rng = np.random.default_rng(k * 1000 + round(r * 100) + round(margin * 10))
+        edge = np.flatnonzero(np.diff(a) != (b - a)[:-1])  # a proven cell whose successor starts apart
+        pick = np.unique(np.concatenate([np.argsort(M)[:8], np.argsort(C)[:8], edge, edge + 1, [0, a.size - 1],
+                                         rng.choice(a.size, 16, replace=False)]))
+        for c in pick.tolist():
+            lo, hi = float(y[0, c]), float(y[1, c])
+            for point in (lo, hi, lo + (hi - lo) * rng.random()):
+                mp_p, mp_M, mp_C = mp_conditions(k, r, point)
+                assert mp_M > margin and mp_C >= 0, (k, r, margin, point)
+                assert p[c] <= mp_p and M[c] <= mp_M and C[c] <= mp_C, (k, r, margin, point)
+
+    @pytest.mark.parametrize("k,r,margin", CELL_CASES)
+    def test_proven_points_evaluate_clean_in_float(self, k, r, margin):
+        # every lattice point of every proven cell where they number under 2e6,
+        # else both ends and 8 random points of each cell
+        a, b = search_cells(k, r, margin)
+        if int(np.sum(b - a + 1)) < 2_000_000:
+            idx = cell_indices((a, b))
+        else:
+            rng = np.random.default_rng(k * 1000 + round(r * 100))
+            idx = np.concatenate([a, b, (a[:, None] + rng.random((a.size, 8)) * (b - a)[:, None]).astype(np.int64).ravel()])
+        for block in np.array_split(idx, max(1, idx.size // 100_000)):
+            p, M, C = families._profile_conditions(k, r, block * 0.01)
+            assert np.all((p > 0) & (M > margin) & (C >= 0))
+
+    @pytest.mark.parametrize("r", [4.0, 5.0, 6.0])
+    def test_far_cut_off_generates_after_few_evaluations(self, monkeypatch, r):
+        # y* is 2.0e6, 1.3e8 and 1.06e10: the search lattice below it holds 2e8 to 1.06e12
+        # points, yet the cells leave fewer than 1e4 to evaluate
+        count = []
+        real = families._profile_conditions
+        monkeypatch.setattr(families, "_profile_conditions", lambda k, r, y: count.append(np.size(y)) or real(k, r, y))
+        spec = eo.xi_state(r, 1e300, 10)
+        assert eo.vidal_conditions(spec).all_pass
+        assert 0 < sum(count) < 10_000
+
+    def test_unproven_cells_are_split_before_the_lattice(self, monkeypatch):
+        # r = 6 fails near y = 114 and its cells there hold over 100 lattice points
+        # each; split, the unproven lattice is far smaller than the unproven first cells
+        seen = []
+        real = families._cell_bounds
+        monkeypatch.setattr(families, "_cell_bounds", lambda k, r, y: seen.append(y.shape[1]) or real(k, r, y))
+        a, b = search_cells(1, 6.0, 0.0)
+        assert len(seen) > 1
+        cut = families._cut_index(1, 6.0, 0.0, 0.0, 0.01)
+        unproven = (cut - 101) - int(np.sum(b - a + 1)) + int(np.sum(a[1:] == b[:-1]))
+        assert unproven < 1_000
 
 
 class TestDiscretize:

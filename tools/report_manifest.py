@@ -18,7 +18,8 @@ All commands run in one interpreter through ``entorder.cli.run``; the set
 covers generation (searched and given offsets, on and off the default
 check grid, one offset that fails, one member with a 5e6-point lattice,
 two members whose closed-form cut-off y* lies far inside the span, a
-span of 1e301 that y* bounds and one whose scan is refused),
+span of 1e301 that y* bounds and three whose y* lies at 2e6 to 1e10,
+below which proven cells leave a few hundred points to evaluate),
 validation (also of edited copies: psi2.spec with CRLF endings and
 padded lines, which reads, and with a blank line, metadata after a
 weight, a bad literal or a 0xff byte; psi1_d005.spec, whose tail lies
@@ -63,10 +64,11 @@ GEN = [
     # (k = 4, r = 2, about 5,669) on a search, and about 1,069 at a given offset
     ("psi4_r2.spec", ["gen", "psi", "--k", "4", "--r", "2", "--n", "10000"]),
     ("xi_r2_a3.spec", ["gen", "xi", "--r", "2", "--offset", "3", "--n", "10000"]),
-    # a span of 1e301: y* = 46.2 bounds the scan to about 4,620 points; at r = 6
-    # y* = 1.06e10 leaves 1.06e12 points below it, and the scan is refused
+    # a span of 1e301: y* = 46.2 bounds the scan to about 4,620 points; at r = 4, 5
+    # and 6, y* = 2.0e6, 1.3e8 and 1.06e10 leave 2e8 to 1.06e12 points below it,
+    # of which the cells proven there leave a few hundred to evaluate
     ("psi1_d1e300.spec", ["gen", "psi", "--k", "1", "--delta", "1e300", "--n", "10"]),
-    ("xi_r6_d1e300.spec", ["gen", "xi", "--r", "6", "--delta", "1e300", "--n", "10"]),
+    *[(f"xi_r{r}_d1e300.spec", ["gen", "xi", "--r", str(r), "--delta", "1e300", "--n", "10"]) for r in (4, 5, 6)],
 ]
 
 
