@@ -170,8 +170,14 @@ def _profile_conditions(k, r, y):
     return p, M, C
 
 
-#: how far the closed-form bounds of :func:`_y_star` must clear margin and 0: far above
-#: float rounding, so the float-evaluated M and C past y* pass as well
+#: How far the closed-form bounds of :func:`_y_star` and :func:`_cell_bounds` must clear margin
+#: and 0. Past y* that is far above float rounding, so the float-evaluated M and C pass as well.
+#: Below y*, u and w are O(1), and near a trough of sin L the float L^r (sin L + 1) loses
+#: relative accuracy as y grows, so the slack alone does not cover rounding there. What keeps
+#: float points of proven cells clean is that a cell near a trough proves only far from where
+#: the conditions fail: over 2.2e8 such points (r up to 100, y up to 1.7e10) float M and C
+#: cleared margin and 0 by at least 0.013; the tests evaluate the proven points of several
+#: lattices in float, r up to 100.
 Y_STAR_SLACK = 1e-6
 
 _L_FLOAT_MAX = math.log(np.finfo(float).max)  # ln of the largest float profile argument
@@ -235,7 +241,8 @@ def _cut_index(k, r, margin, base, step):
 
 #: Relative width of the cells below y* that the scan tries to prove before it evaluates their
 #: lattice points (never below one lattice step). An unproven cell of more than ``CELL_SPLIT``
-#: steps is cut into ``CELL_SPLIT`` parts and tried again, up to ``CELL_ROUNDS`` times.
+#: steps is cut into ``CELL_SPLIT`` parts and tried again, up to ``CELL_ROUNDS`` times: with 0,
+#: 1, 2 and 3 rounds ``xi_state(6, 1e300, 10)`` evaluates 119,713, 15,601, 657 and 645 points.
 CELL_WIDTH = 0.01
 CELL_SPLIT = 4
 CELL_ROUNDS = 3

@@ -201,9 +201,10 @@ def full_scan(k, r, base, step, first, last, W, margin):
 
 
 def cell_indices(cells):
-    """Every lattice index inside the proven cells (a, b), end points included."""
+    """Every lattice index inside the proven cells (a, b), end points included, once each."""
     a, b = cells
-    return np.unique(np.concatenate([np.arange(x, y + 1) for x, y in zip(a.tolist(), b.tolist())] or [[]]))
+    idx = np.sort(np.concatenate([np.arange(x, y + 1) for x, y in zip(a.tolist(), b.tolist())] or [[]]))
+    return idx[np.diff(idx, prepend=-1) != 0]  # np.unique, whose hashing takes seconds on millions
 
 
 def assert_covered(k, r, margin, base, step, first, stop, points):
@@ -497,7 +498,7 @@ class TestCutOff:
         assert families._y_star(k, r, 0.0) == pytest.approx(table, rel=0.02)
 
     @pytest.mark.parametrize("margin", [0.0, 0.2])
-    @pytest.mark.parametrize("r", [1.0, 1.37, 2.0, 3.0, 4.0, 6.0])
+    @pytest.mark.parametrize("r", [1.0, 1.37, 2.0, 3.0, 4.0, 6.0, 50.0, 100.0])
     @pytest.mark.parametrize("k", [1, 2, 3, 4])
     def test_search_equals_the_full_scan(self, k, r, margin):
         # find_offset for a delta = 1, n = 2000 member against the plain lattice walk
@@ -569,6 +570,42 @@ class TestCells:
         for block in np.array_split(idx, max(1, idx.size // 100_000)):
             p, M, C = families._profile_conditions(k, r, block * 0.01)
             assert np.all((p > 0) & (M > margin) & (C >= 0))
+
+    @pytest.mark.parametrize("margin", [0.0, 0.9])
+    @pytest.mark.parametrize("k", [1, 4])
+    @pytest.mark.parametrize("r", [50.0, 100.0])
+    def test_proven_points_evaluate_clean_in_float_at_large_r(self, r, k, margin):
+        # Below y*, u and w are O(1) and L^r (sin L + 1) loses relative accuracy
+        # near each trough of sin L, more so as y grows. Every lattice point of
+        # every proven cell: on the search lattice up to the default a_max and
+        # horizon 100, on a check grid across the trough at e^(7 pi/2) ~ 59,874,
+        # and on a coarse lattice across the one at e^(11 pi/2) ~ 3.2e7
+        for base, step, first, stop in [(0.0, 0.01, 101, 10**6 + 10**4 + 1), (50_000.0, 0.01, 0, 2_000_000),
+                                        (3.0e7, 1.0, 0, 2_000_000)]:
+            end = min(families._cut_index(k, r, margin, base, step), stop)
+            idx = cell_indices(families._proven_cells(k, r, margin, base, step, first, end))
+            assert idx.size > (end - first) // 2
+            for block in np.array_split(idx, idx.size // 100_000):
+                p, M, C = families._profile_conditions(k, r, base + block * step)
+                assert np.all((p > 0) & (M > margin) & (C >= 0)), (base, step)
+
+    @pytest.mark.parametrize("offset,passes", [(None, True), (200.0, True), (50_000.0, False)])
+    @pytest.mark.parametrize("k", [1, 4])
+    @pytest.mark.parametrize("r", [50.0, 100.0])
+    def test_check_at_large_r_equals_the_full_check(self, r, k, offset, passes):
+        # discretize's check at a searched or a given offset against the plain
+        # lattice walk; from 50,000 the span holds the trough at y ~ 59,874
+        n, delta = 150_000, 0.01 if offset != 50_000.0 else 0.1
+        if offset is None:
+            offset = eo.find_offset(k, r, 0.01, delta * (n + 1))
+        try:
+            eo.discretize(eo.AnalyticForm(k, r, offset, delta), n)
+            passed = True
+        except ConditionViolated:
+            passed = False
+        step = min(0.01, delta)
+        full = full_scan(k, r, offset, step, 0, 0, math.ceil(delta * (n + 1) / step), 0.0)
+        assert passed == (full is not None) == passes
 
     @pytest.mark.parametrize("r", [4.0, 5.0, 6.0])
     def test_far_cut_off_generates_after_few_evaluations(self, monkeypatch, r):
