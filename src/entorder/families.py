@@ -183,6 +183,18 @@ Y_STAR_SLACK = 1e-6
 _L_FLOAT_MAX = math.log(np.finfo(float).max)  # ln of the largest float profile argument
 
 
+def _term_bound(r):
+    """4 max(1, 2r, r|r-1|): each float term of :func:`eval_p` at L = ln y lies below this times L^r."""
+    return 4.0 * max(1.0, 2.0 * r, r * abs(r - 1.0))
+
+
+def _log_arg_cap(r):
+    """Largest ln y at which p_r is evaluated: ``LOG_ARG_CAP``, or below it the L where
+    ``_term_bound(r)`` L^r reaches the float maximum (from r = 107 on)."""
+    log_L = (_L_FLOAT_MAX - math.log(_term_bound(r))) / r
+    return LOG_ARG_CAP if log_L >= math.log(LOG_ARG_CAP) else math.exp(log_L)
+
+
 def _y_star(k, r, margin):
     """Cut-off y* past which M > margin and C >= 0 hold at every real y (inf if none is found).
 
@@ -199,7 +211,7 @@ def _y_star(k, r, margin):
     up to rounding far below that slack, as long as no float term of
     eval_p (each below 4 max(1, 2r, r|r-1|) L^r) overflows for any float y.
     """
-    if r * math.log(_L_FLOAT_MAX) + math.log(4.0 * max(1.0, 2.0 * r, r * abs(r - 1.0))) >= _L_FLOAT_MAX:
+    if r * math.log(_L_FLOAT_MAX) + math.log(_term_bound(r)) >= _L_FLOAT_MAX:
         return math.inf
 
     def proven(L):
@@ -321,7 +333,7 @@ def _cell_bounds(k, r, y):
     w = _over(_over(_out(qp - q[::-1]), yp), y)
     M = _dn(1.0 - _up(k * u[1]))
     C = _dn(_dn(_dn(M * M) - _up(k * np.max(u * u, axis=0))) + _dn(k * w[0]))
-    fits = (L[0] > 0) & (Lr[1] * (4.0 * max(1.0, 2.0 * r, r * abs(r - 1.0))) < np.finfo(float).max)
+    fits = (L[0] > 0) & (Lr[1] * _term_bound(r) < np.finfo(float).max)
     return np.where(fits, p[0], np.nan), M, C
 
 
@@ -653,8 +665,14 @@ class PairRatio:
         return self.a.k > 0 or self.b.k > 0
 
     def max_index(self) -> int:
-        """Largest index with delta*n + offsets inside float range."""
-        return int(math.exp(LOG_ARG_CAP) / self.delta)
+        """Largest index n with delta*n below e^cap, which leaves every profile term in float range.
+
+        The cap is ``LOG_ARG_CAP``, or lower where a member with k > 0 has
+        so large an r that its profile could overflow first (see
+        :func:`_log_arg_cap`). The offsets, far below e^cap, are left out.
+        """
+        cap = min([LOG_ARG_CAP] + [_log_arg_cap(f.r) for f in (self.a, self.b) if f.k])
+        return int(math.exp(cap) / self.delta)
 
     def values(self, n):
         """ln g_a(n) - ln g_b(n) at float indices n."""

@@ -90,10 +90,10 @@ class OscillationCertificate:
     """Finite witness lists for limsup = +inf and liminf = -inf of ell.
 
     ``up_witnesses`` holds (index, value) pairs with strictly increasing
-    indices and values, every value beating the previous by at least one
-    nat; ``down_witnesses`` mirror this downward. Every index lies inside
-    the inclusive ``window``. Values are natural-log ratio units,
-    re-derivable from the two spectra.
+    indices and finite values, every value beating the previous by at
+    least one nat; ``down_witnesses`` mirror this downward. Every index
+    lies inside the inclusive ``window``. Values are natural-log ratio
+    units, re-derivable from the two spectra.
     """
 
     up_witnesses: tuple
@@ -109,6 +109,8 @@ class OscillationCertificate:
         for name, wit, sign in (("up", self.up_witnesses, 1.0), ("down", self.down_witnesses, -1.0)):
             if len(wit) < self.MIN_ENTRIES:
                 raise ValueError(f"{name} witnesses: need at least {self.MIN_ENTRIES}")
+            if not all(math.isfinite(v) for _, v in wit):  # NaN passes every comparison below
+                raise ValueError(f"{name} witnesses: values must be finite")
             ns = [n for n, _ in wit]
             if any(b <= a for a, b in zip(ns, ns[1:])):
                 raise ValueError(f"{name} witnesses: indices must strictly increase")
@@ -264,28 +266,39 @@ class ProbeReport:
     down_env_drop: float = 0.0
 
 
-def _collect_records(cands, step, sign):
-    """Monotone record subsequence with per-entry gain >= step.
+def _collect_records(ns, vs, step, sign):
+    """Monotone record subsequence with per-entry gain >= step, as (int index, value) pairs.
 
-    ``sign`` +1 builds rising records from local maxima, -1 falling ones
-    from local minima. While only the anchor exists it is replaced by
-    any better (lower for +1 / higher for -1) candidate, so record runs
-    start from the most extreme early value available.
+    ``ns`` and ``vs`` are the candidates' index and value arrays, in
+    index order. ``sign`` +1 builds rising records from local maxima, -1
+    falling ones from local minima. While only the anchor exists it is
+    replaced by any better (lower for +1 / higher for -1) candidate, so
+    record runs start from the most extreme early value available.
     """
-    records = []
-    for n, v in cands:
+    records = []  # (position, value)
+    for i, v in enumerate(vs.tolist()):
         s = sign * v
         if not records:
-            records.append((n, v))
+            records.append((i, v))
         elif len(records) == 1 and s < sign * records[0][1]:
-            records[0] = (n, v)
+            records[0] = (i, v)
         elif s >= sign * records[-1][1] + step:
-            records.append((n, v))
-    return tuple(records)
+            records.append((i, v))
+    return tuple((int(ns[i]), v) for i, v in records)  # float indices reach 1e304: exact as Python ints
 
 
 _PHASES = (0.0, math.pi / 2, math.pi, 3 * math.pi / 2)
 _MAX_NEIGHBORHOOD = 20000
+
+
+def _one_per_index(ns_parts, vs_parts):
+    """The concatenated (indices, values) parts, one entry per distinct index, in index order.
+
+    Each distinct float index was evaluated once and so has one value,
+    which makes this the ``sorted(set(...))`` of the (index, value) pairs.
+    """
+    ns, first = np.unique(np.concatenate([np.empty(0), *ns_parts]), return_index=True)
+    return ns, np.concatenate([np.empty(0), *vs_parts])[first]
 
 
 def _analytic_candidates(pair: PairRatio, n_min, n_max):
@@ -295,7 +308,9 @@ def _analytic_candidates(pair: PairRatio, n_min, n_max):
     is refined by scanning the integer grid inside a radius wide enough
     to cover the phase misalignment from differing offsets, in groups
     of about ``families.EVAL_BLOCK`` points per evaluation of the closed
-    form, which sees each distinct float index of a group once.
+    form, which sees each distinct float index of a group once. Returns
+    the maxima, then the minima, each as float arrays (indices, values)
+    with one entry per distinct index, in index order.
     """
     delta = pair.delta
     a_ref = max(pair.max_offset, 1.0)
@@ -332,7 +347,7 @@ def _analytic_candidates(pair: PairRatio, n_min, n_max):
         s, e = max(lo, c - radius), min(n_max, c + radius)
         start[i], step[i], size[i] = float(s), float(s + 1) - float(s), e - s + 1
 
-    cands_max, cands_min = [], []
+    found = ([], []), ([], [])  # index and value parts of the maxima, then of the minima
     per = max(1, families.EVAL_BLOCK // (2 * radius + 1))
     for g in range(0, len(targets), per):
         sizes = size[g:g + per]
@@ -341,19 +356,19 @@ def _analytic_candidates(pair: PairRatio, n_min, n_max):
         ns = np.repeat(start[g:g + per], sizes) + j * np.repeat(step[g:g + per], sizes)
         distinct, back = np.unique(ns, return_inverse=True)
         vs = pair.values(distinct)[back]
-        for reduce, cands in ((np.maximum, cands_max), (np.minimum, cands_min)):
+        for reduce, (ns_found, vs_found) in zip((np.maximum, np.minimum), found):
             # first index equal to each neighbourhood's extreme, as argmax/argmin
             # pick it (a NaN is the extreme once present, as there too)
             extreme = np.repeat(reduce.reduceat(vs, starts), sizes)
             at = np.flatnonzero((vs == extreme) | np.isnan(vs))
             first = at[np.searchsorted(at, starts)]
-            # indices reach 1e163: through Python int, not int64
-            cands.extend(zip(map(int, ns[first].tolist()), vs[first].tolist()))
-    return sorted(set(cands_max)), sorted(set(cands_min))
+            ns_found.append(ns[first])
+            vs_found.append(vs[first])
+    return tuple(_one_per_index(*parts) for parts in found)
 
 
 def _materialized_candidates(ns, values):
-    """Interior local extrema plus endpoints of a stored window."""
+    """Interior local extrema plus endpoints of a stored window, as (indices, values)."""
     v = np.asarray(values, dtype=float)
     if v.size < 3:
         idx = np.arange(v.size)
@@ -362,20 +377,18 @@ def _materialized_candidates(ns, values):
         right = v[1:-1] - v[2:]
         interior = 1 + np.nonzero((left >= 0) & (right >= 0) | ((left <= 0) & (right <= 0)))[0]
         idx = np.unique(np.concatenate(([0], interior, [v.size - 1])))
-    cands = [(int(ns[i]), float(v[i])) for i in idx]
-    return cands, list(cands)
+    return ns[idx], v[idx]
 
 
-def _slow_drift(cands, pair: PairRatio, sign):
+def _slow_drift(ns, vals, pair: PairRatio, sign):
     """Detect persistent sub-nat drift of the candidate envelope.
 
     Each candidate sits at scale position ln ln(delta n + offset); halves
     of that range must both contribute (a convergent envelope stalls in
     the late half and is rejected).
     """
-    if len(cands) < _SLOW_MIN_STEPS:
+    if ns.size < _SLOW_MIN_STEPS:
         return False
-    ns, vals = np.array(cands, dtype=float).T
     vals = sign * vals
     pos = np.log(np.log(pair.delta * np.maximum(ns, 1.0) + pair.max_offset))
     env = np.minimum.accumulate(vals)
@@ -404,21 +417,23 @@ def probe_pair(cw: ComparisonWindow, thresholds: TrendThresholds) -> ProbeReport
     (n_min, n_max), pair = cw.window, cw.pair
     analytic = pair is not None
     if analytic:
-        cmax, cmin = _analytic_candidates(pair, n_min, min(n_max, pair.max_index()))
+        (up_ns, up_vs), (down_ns, down_vs) = _analytic_candidates(pair, n_min, min(n_max, pair.max_index()))
     else:
         finite = np.isfinite(cw.values)
-        cmax, cmin = _materialized_candidates(cw.ns[finite], cw.values[finite])
+        (up_ns, up_vs) = (down_ns, down_vs) = _materialized_candidates(cw.ns[finite], cw.values[finite])
 
     step = thresholds.witness_step_nats
-    ups = _collect_records(cmax, step, +1.0)
-    downs = _collect_records(cmin, step, -1.0)
+    ups = _collect_records(up_ns, up_vs, step, +1.0)
+    downs = _collect_records(down_ns, down_vs, step, -1.0)
 
     slow_up = slow_down = False
-    if analytic and cmax:
-        slow_up = _slow_drift(cmax, pair, -1.0)
-        slow_down = _slow_drift(cmin, pair, +1.0)
-    up_gain = max((v for _, v in cmax), default=0.0) - cmax[0][1] if cmax else 0.0
-    down_drop = cmin[0][1] - min((v for _, v in cmin), default=0.0) if cmin else 0.0
+    if analytic and up_ns.size:
+        slow_up = _slow_drift(up_ns, up_vs, pair, -1.0)
+        slow_down = _slow_drift(down_ns, down_vs, pair, +1.0)
+    # Python max and min: unlike np.max they skip a NaN after the first value
+    up_vals, down_vals = up_vs.tolist(), down_vs.tolist()
+    up_gain = max(up_vals) - up_vals[0] if up_vals else 0.0
+    down_drop = down_vals[0] - min(down_vals) if down_vals else 0.0
     return ProbeReport(ups, downs, slow_up, slow_down, analytic, float(up_gain), float(down_drop))
 
 

@@ -4,6 +4,7 @@ import os
 import re
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
@@ -150,6 +151,23 @@ class TestCertify:
         ])
         assert code == 0
         assert rep["found"] is False
+
+
+    def test_large_r_pair_stops_before_its_profile_can_overflow(self, tmp_path, capsys):
+        # past ln y = 575 a float term of p_110 could overflow: the window ends there
+        xi, tm = str(tmp_path / "xi110.spec"), str(tmp_path / "t.spec")
+        assert run(["gen", "xi", "--r", "110", "--n", "200", "-o", xi]) == 0
+        assert run(["gen", "tmss", "--q", "0.6065306597126334", "--n", "200", "-o", tm]) == 0
+        capsys.readouterr()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # an overflow warning fails the run
+            for a, b in ((xi, tm), (tm, xi)):
+                code, rep = run_json(capsys, ["certify", a, b])
+                assert code == 0 and rep["found"] is True
+                assert rep["certificate"]["window"][1] < math.exp(576)
+            code, rep = run_json(capsys, ["compare", tm, xi, "--mode", "slocc"])
+            assert code == 0 and rep["verdict"] == "Incomparable"
+        assert capsys.readouterr().err == ""
 
 
 class TestEstimateR:

@@ -8,7 +8,7 @@ from hypothesis import example, given, settings, strategies as st
 import entorder as eo
 from entorder import families
 from entorder.errors import ConditionViolated, DomainError, OffsetNotFound, QOutOfRange
-from entorder.families import analytic_form, pair_ratio
+from entorder.families import PairRatio, analytic_form, pair_ratio
 
 DELTA = 1.0
 
@@ -757,6 +757,30 @@ class TestAnalyticForm:
         with pytest.raises(ValueError):
             make()
         assert calls == []
+
+    @pytest.mark.parametrize("r", [0.5, 1.0, 1.5, 6.0, 50.0, 106.0])
+    def test_max_index_is_the_float_cap_up_to_r_106(self, r):
+        member, tm = eo.AnalyticForm(1, r, 120.0, DELTA), eo.AnalyticForm(0, 1.0, 0.0, DELTA)
+        # a k = 0 form never evaluates its profile, so its r caps nothing
+        flat = eo.AnalyticForm(0, 500.0, 0.0, DELTA)
+        for pair in (PairRatio(member, tm), PairRatio(tm, member), PairRatio(member, flat)):
+            assert pair.max_index() == int(math.exp(families.LOG_ARG_CAP) / DELTA)
+
+    @pytest.mark.parametrize("r", [107.0, 110.0, 150.0, 200.0, 300.0])
+    def test_max_index_stops_where_a_profile_term_could_overflow(self, r):
+        cap = families._log_arg_cap(r)
+        assert cap < families.LOG_ARG_CAP
+        # the cap is the L where 4 max(1, 2r, r|r-1|) L^r reaches the float maximum
+        assert math.isclose(math.log(families._term_bound(r)) + r * math.log(cap), math.log(np.finfo(float).max),
+                            rel_tol=1e-12)
+        big, other = eo.AnalyticForm(1, r, 120.0, DELTA), eo.AnalyticForm(2, 1.5, 10.0, DELTA)
+        for pair in (PairRatio(big, other), PairRatio(other, big)):
+            top = pair.max_index()
+            assert top == int(math.exp(cap) / DELTA)
+            n = np.array([1.0, top / 2, float(top)])
+            with np.errstate(all="raise"):  # every profile term stays finite, derivatives too
+                assert np.all(np.isfinite(pair.values(n)))
+                assert all(np.all(np.isfinite(v)) for v in families.eval_p(r, DELTA * n + big.offset))
 
     def test_excitation_remainder_certified(self, psi_family):
         for k in range(1, 5):

@@ -8,8 +8,8 @@ from hypothesis import given, strategies as st
 import entorder as eo
 from entorder import families, oscillation
 from entorder.errors import TooShort, TruncationUnsafe
-from entorder.families import pair_ratio
-from entorder.oscillation import OscillationCertificate, TrendClass, trend_flags
+from entorder.families import PairRatio, pair_ratio
+from entorder.oscillation import ComparisonWindow, OscillationCertificate, ProbeReport, TrendClass, trend_flags
 
 DELTA = 1.0
 
@@ -185,6 +185,16 @@ class TestCertificates:
         with pytest.raises(ValueError):
             OscillationCertificate([(0, 0.0), (0, 1.0), (2, 2.0), (3, 3.0), (4, 4.0)], down, (0, 100))
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("side", ["up", "down"])
+    @pytest.mark.parametrize("at", [0, 2, 4])
+    def test_witness_values_must_be_finite(self, bad, side, at):
+        # a NaN passes every ordering check, and an inf one passes the 1-nat step
+        wit = {"up": [(i, float(i)) for i in range(5)], "down": [(i, float(-i)) for i in range(5)]}
+        wit[side][at] = (at, bad)
+        with pytest.raises(ValueError, match=f"{side} witnesses: values must be finite"):
+            OscillationCertificate(wit["up"], wit["down"], (0, 100))
+
     def test_witnesses_must_lie_inside_the_window(self):
         good = [(i, float(i)) for i in range(10, 60, 10)]
         down = [(i, float(-i)) for i in range(10, 60, 10)]
@@ -256,6 +266,18 @@ def per_target_candidates(pair, n_min, n_max):
     return sorted(set(cands_max)), sorted(set(cands_min))
 
 
+def hexed(sides):
+    """Candidate lists per side as (int index, float.hex value): equal exactly when bit for bit."""
+    return [[(n, v.hex()) for n, v in side] for side in sides]
+
+
+def array_sides(sides):
+    """The probe's (indices, values) float arrays per side as lists of (int, float) pairs."""
+    for ns, vs in sides:
+        assert ns.dtype == vs.dtype == np.float64 and ns.shape == vs.shape
+    return [list(zip(map(int, ns.tolist()), vs.tolist())) for ns, vs in sides]
+
+
 def probe_windows(pair):
     """The full window, an inner one, and windows whose end neighbourhoods are clipped."""
     top = pair.max_index()
@@ -287,8 +309,7 @@ class TestGroupedProbe:
         for n_min, n_max in probe_windows(pair):
             got = oscillation._analytic_candidates(pair, n_min, n_max)
             want = per_target_candidates(pair, n_min, n_max)
-            assert [[(n, v.hex()) for n, v in c] for c in got] == \
-                [[(n, v.hex()) for n, v in c] for c in want]
+            assert hexed(array_sides(got)) == hexed(want)
 
     @pytest.mark.parametrize("name", ["psi2/psi1", "psi3/psi0", "tmss/xi", "fine psi2/psi1"])
     def test_windows_clip_neighbourhoods_past_2_53(self, probe_pairs, name):
@@ -325,7 +346,21 @@ class TestGroupedProbe:
         pair = SimpleNamespace(delta=real.delta, max_offset=real.max_offset, offset_gap=real.offset_gap,
                                values=lambda n: np.round(real.values(n)))
         for n_min, n_max in probe_windows(real):
-            assert oscillation._analytic_candidates(pair, n_min, n_max) == per_target_candidates(pair, n_min, n_max)
+            got = oscillation._analytic_candidates(pair, n_min, n_max)
+            assert hexed(array_sides(got)) == hexed(per_target_candidates(pair, n_min, n_max))
+
+    @pytest.mark.parametrize("points", [1, 7, 6144])
+    def test_overlapping_neighbourhoods_keep_one_entry_per_index(self, probe_pairs, monkeypatch, points):
+        # the pairs above never share an extreme between neighbourhoods (targets lie e^(pi/2) apart
+        # in y); an offset gap of 60 at offset 1 widens each to 131 points, so early ones overlap
+        monkeypatch.setattr(families, "EVAL_BLOCK", points)
+        real = probe_pairs["psi2/psi1"]
+        pair = SimpleNamespace(delta=real.delta, max_offset=1.0, offset_gap=60.0, values=real.values)
+        for n_min, n_max in ((0, 10**6), (2, 300), (0, real.max_index())):
+            want = per_target_candidates(pair, n_min, n_max)
+            assert len(want[0]) < len(neighbourhoods(pair, n_min, n_max))  # some extremes repeat
+            got = oscillation._analytic_candidates(pair, n_min, n_max)
+            assert hexed(array_sides(got)) == hexed(want)
 
     def test_probe_evaluates_in_few_grouped_calls(self, monkeypatch):
         a, b = eo.psi_state(2, DELTA, 10000), eo.psi_state(1, DELTA, 10000)
@@ -349,6 +384,123 @@ class TestGroupedProbe:
         grid = np.concatenate(neighbourhoods(pair, *cw.window))
         assert (grid.size, np.unique(grid).size) == (4893, 673)
         assert sorted(sizes) == [1, 1, 673, 673]
+
+
+def tuple_probe(cw, thresholds):
+    """Reference for ``probe_pair``: the probe that kept its candidates as sorted (int, float) lists.
+
+    The analytic candidates are ``per_target_candidates``', which that
+    probe's grouped evaluation matched bit for bit; records, slow drift
+    and the envelope follow its code.
+    """
+    (n_min, n_max), pair = cw.window, cw.pair
+    if pair is not None:
+        cmax, cmin = per_target_candidates(pair, n_min, min(n_max, pair.max_index()))
+    else:
+        finite = np.isfinite(cw.values)
+        ns, v = cw.ns[finite], cw.values[finite]
+        if v.size < 3:
+            idx = np.arange(v.size)
+        else:
+            left, right = v[1:-1] - v[:-2], v[1:-1] - v[2:]
+            interior = 1 + np.nonzero((left >= 0) & (right >= 0) | ((left <= 0) & (right <= 0)))[0]
+            idx = np.unique(np.concatenate(([0], interior, [v.size - 1])))
+        cmax = cmin = [(int(ns[i]), float(v[i])) for i in idx]
+
+    def records(cands, sign):
+        out = []
+        for n, v in cands:
+            s = sign * v
+            if not out:
+                out.append((n, v))
+            elif len(out) == 1 and s < sign * out[0][1]:
+                out[0] = (n, v)
+            elif s >= sign * out[-1][1] + thresholds.witness_step_nats:
+                out.append((n, v))
+        return tuple(out)
+
+    def slow(cands, sign):
+        if len(cands) < 8:
+            return False
+        ns, vals = np.array(cands, dtype=float).T
+        vals = sign * vals
+        pos = np.log(np.log(pair.delta * np.maximum(ns, 1.0) + pair.max_offset))
+        env = np.minimum.accumulate(vals)
+        drops = np.diff(env)
+        total = float(env[0] - env[-1])
+        if int(np.sum(drops < 0)) < 8 or total < 0.1:
+            return False
+        late_total = float(-np.sum(drops[pos[1:] >= (pos[0] + pos[-1]) / 2.0]))
+        return total - late_total <= 0 or late_total >= 0.25 * (total - late_total)
+
+    slow_up = slow_down = False
+    if pair is not None and cmax:
+        slow_up, slow_down = slow(cmax, -1.0), slow(cmin, +1.0)
+    up_gain = max((v for _, v in cmax), default=0.0) - cmax[0][1] if cmax else 0.0
+    down_drop = cmin[0][1] - min((v for _, v in cmin), default=0.0) if cmin else 0.0
+    return ProbeReport(records(cmax, +1.0), records(cmin, -1.0), slow_up, slow_down, pair is not None,
+                       float(up_gain), float(down_drop))
+
+
+def report_bits(probe):
+    """A ProbeReport with every float as its hex and every index checked to be a Python int."""
+    for n, v in probe.up_records + probe.down_records:
+        assert type(n) is int and type(v) is float
+    return (hexed((probe.up_records, probe.down_records)), probe.slow_up, probe.slow_down, probe.analytic,
+            probe.up_env_gain.hex(), probe.down_env_drop.hex())
+
+
+PROBE_THRESHOLDS = (eo.TrendThresholds(), eo.TrendThresholds(witness_step_nats=2.0, min_witnesses=7))
+
+
+class TestArrayProbe:
+    """probe_pair against the tuple-list probe it replaced: every report equal bit for bit."""
+
+    @pytest.mark.parametrize("swap", [False, True])
+    @pytest.mark.parametrize("name", ["psi2/psi1", "psi3/psi0", "tmss/xi", "fine psi2/psi1"])
+    def test_analytic_probe_matches_tuple_reference(self, probe_pairs, name, swap):
+        pair = probe_pairs[name]
+        if swap:
+            pair = PairRatio(pair.b, pair.a)
+        empty = np.arange(0)
+        found = 0
+        for window in probe_windows(pair):
+            cw = ComparisonWindow(window, empty, empty.astype(float), pair)
+            for thresholds in PROBE_THRESHOLDS:
+                got = oscillation.probe_pair(cw, thresholds)
+                assert report_bits(got) == report_bits(tuple_probe(cw, thresholds))
+                found += oscillation.certificate_from_probe(got, window, thresholds) is not None
+        assert found  # some windows give certificates, so the record lists are exercised
+
+    @pytest.mark.parametrize("swap", [False, True])
+    def test_materialized_probe_matches_tuple_reference(self, psi_family, tmss_match, swap):
+        bare = [eo.make_spectrum(s.log_weights, s.log_tail_bound, {}) for s in (psi_family[2], psi_family[1])]
+        exact = [eo.build_spectrum((0.6, 0.4)), eo.build_spectrum((0.5, 0.3, 0.2))]
+        grids = [eo.tmss(0.6, 500), eo.tmss(0.4, 500)]
+        cases = [(bare, None), (bare, (50, 1500)), (bare, (7, 9)), (bare, (3, 3)), (exact, None),
+                 (grids, None), ([bare[0], tmss_match], None)]
+        for (a, b), window in cases:
+            if swap:
+                a, b = b, a
+            cw = oscillation.comparison_window(a, b, window)
+            assert cw.pair is None
+            for thresholds in PROBE_THRESHOLDS:
+                got = oscillation.probe_pair(cw, thresholds)
+                assert report_bits(got) == report_bits(tuple_probe(cw, thresholds))
+
+    def test_nan_candidates_keep_the_python_envelope(self, probe_pairs):
+        # a NaN is its neighbourhood's extreme; Python max and min skip it past the first value
+        real = probe_pairs["psi2/psi1"]
+        (up_ns, _), (down_ns, _) = oscillation._analytic_candidates(real, 0, real.max_index())
+        holes = np.concatenate((up_ns[[5, 40]], down_ns[[7, 60]]))
+        pair = SimpleNamespace(delta=real.delta, max_offset=real.max_offset, offset_gap=real.offset_gap,
+                               max_index=real.max_index,
+                               values=lambda n: np.where(np.isin(n, holes), np.nan, real.values(n)))
+        cw = ComparisonWindow((0, real.max_index()), np.arange(0), np.zeros(0), pair)
+        for thresholds in PROBE_THRESHOLDS:
+            got = oscillation.probe_pair(cw, thresholds)
+            assert math.isfinite(got.up_env_gain) and math.isfinite(got.down_env_drop)
+            assert report_bits(got) == report_bits(tuple_probe(cw, thresholds))
 
 
 class TestComparisonWindow:

@@ -19,7 +19,8 @@ covers generation (searched and given offsets, on and off the default
 check grid, one offset that fails, one member with a 5e6-point lattice,
 two members whose closed-form cut-off y* lies far inside the span, a
 span of 1e301 that y* bounds and three whose y* lies at 2e6 to 1e10,
-below which proven cells leave a few hundred points to evaluate),
+below which proven cells leave a few hundred points to evaluate, and
+an r = 110 member with a squeezed state on its grid),
 validation (also of edited copies: psi2.spec with CRLF endings and
 padded lines, which reads, and with a blank line, metadata after a
 weight, a bad literal or a 0xff byte; psi1_d005.spec, whose tail lies
@@ -31,7 +32,11 @@ summaries, every ordered pair of the psi ladder, locc/slocc comparisons
 a fine grid (delta 0.002, 3,145-point probe neighbourhoods), one on a
 window that ends at 10**80 + 12345, a certificate and a comparison on a
 window past the stored horizon of a pair with no closed-form
-continuation, and two ``estimate-r`` runs on generated files.
+continuation, three ``estimate-r`` runs, two certificates and a comparison
+at witness thresholds off their defaults (psi2/psi1 falls short of 7
+witnesses 2 nats apart, psi3/psi0 reaches them), and the r = 110 pair, whose
+closed-form window ends where its profile could overflow (certified in
+both orders and compared).
 """
 
 from __future__ import annotations
@@ -69,6 +74,10 @@ GEN = [
     # of which the cells proven there leave a few hundred to evaluate
     ("psi1_d1e300.spec", ["gen", "psi", "--k", "1", "--delta", "1e300", "--n", "10"]),
     *[(f"xi_r{r}_d1e300.spec", ["gen", "xi", "--r", str(r), "--delta", "1e300", "--n", "10"]) for r in (4, 5, 6)],
+    # r = 110: past ln y = 575 a float term of its profile could overflow, so the closed-form
+    # window of its pair with a squeezed state on the same grid (delta 1) ends there
+    ("xi_r110.spec", ["gen", "xi", "--r", "110", "--n", "200"]),
+    ("t_d1.spec", ["gen", "tmss", "--q", "0.6065306597126334", "--n", "200"]),
 ]
 
 
@@ -133,6 +142,16 @@ def commands():
                                        "--steps", "5", "--member-n", "2000"]))
     out.append(("estimate_t999_delta05.json", ["estimate-r", "t999_delta05.spec", "--r-min", "1", "--r-max", "2",
                                                "--steps", "3", "--member-n", "2000"]))
+    # thresholds off their defaults: the record lists at other steps and counts
+    out.append(("certify_psi2_psi1_step2_min7.json", ["certify", "psi2.spec", "psi1.spec", "--witness-step", "2",
+                                                      "--min-witnesses", "7"]))
+    out.append(("certify_psi3_psi0_step2_min7.json", ["certify", "psi3.spec", "psi0.spec", "--witness-step", "2",
+                                                      "--min-witnesses", "7"]))
+    out.append(("slocc_psi3_psi1_step3.json", ["compare", "psi3.spec", "psi1.spec", "--mode", "slocc",
+                                               "--witness-step", "3"]))
+    out.append(("certify_xi_r110_t_d1.json", ["certify", "xi_r110.spec", "t_d1.spec"]))
+    out.append(("certify_t_d1_xi_r110.json", ["certify", "t_d1.spec", "xi_r110.spec"]))
+    out.append(("slocc_t_d1_xi_r110.json", ["compare", "t_d1.spec", "xi_r110.spec", "--mode", "slocc"]))
     return out
 
 
