@@ -224,16 +224,20 @@ def _windowed_evidence(cw: ComparisonWindow, th):
     probe = probe_pair(cw, th)
 
     step = th.witness_step_nats
+    # where a profile's overflow ends the closed form early, a probe short of
+    # records may have stopped before the envelope moves: it shows no stable extreme
+    pair = cw.pair
+    cut = pair is not None and pair.range_cut and cw.window[1] >= pair.max_index()
     fwd = _direction(
         no=flags.down_div or len(probe.down_records) >= th.min_witnesses or probe.slow_down,
-        yes=flags.min_stable and probe.down_env_drop < step and not probe.slow_down,
+        yes=flags.min_stable and probe.down_env_drop < step and not probe.slow_down and not cut,
         no_grade="trend" if flags.down_div else (
             "witnesses" if len(probe.down_records) >= th.min_witnesses else "slow-drift"),
         yes_grade="stable-minimum",
     )
     bwd = _direction(
         no=flags.up_div or len(probe.up_records) >= th.min_witnesses or probe.slow_up,
-        yes=flags.max_stable and probe.up_env_gain < step and not probe.slow_up,
+        yes=flags.max_stable and probe.up_env_gain < step and not probe.slow_up and not cut,
         no_grade="trend" if flags.up_div else (
             "witnesses" if len(probe.up_records) >= th.min_witnesses else "slow-drift"),
         yes_grade="stable-maximum",

@@ -664,15 +664,24 @@ class PairRatio:
     def oscillating(self) -> bool:
         return self.a.k > 0 or self.b.k > 0
 
+    @property
+    def log_arg_cap(self) -> float:
+        """Largest ln y the closed form reaches: ``LOG_ARG_CAP``, or lower where a member
+        with k > 0 has so large an r that its profile could overflow first (see
+        :func:`_log_arg_cap`)."""
+        return min((_log_arg_cap(f.r) for f in (self.a, self.b) if f.k), default=LOG_ARG_CAP)
+
+    @property
+    def range_cut(self) -> bool:
+        """Whether a profile's overflow ends the closed form below ``LOG_ARG_CAP``."""
+        return self.log_arg_cap < LOG_ARG_CAP
+
     def max_index(self) -> int:
         """Largest index n with delta*n below e^cap, which leaves every profile term in float range.
 
-        The cap is ``LOG_ARG_CAP``, or lower where a member with k > 0 has
-        so large an r that its profile could overflow first (see
-        :func:`_log_arg_cap`). The offsets, far below e^cap, are left out.
+        The cap is :attr:`log_arg_cap`. The offsets, far below e^cap, are left out.
         """
-        cap = min([LOG_ARG_CAP] + [_log_arg_cap(f.r) for f in (self.a, self.b) if f.k])
-        return int(math.exp(cap) / self.delta)
+        return int(math.exp(self.log_arg_cap) / self.delta)
 
     def values(self, n):
         """ln g_a(n) - ln g_b(n) at float indices n."""

@@ -169,6 +169,20 @@ class TestCertify:
             assert code == 0 and rep["verdict"] == "Incomparable"
         assert capsys.readouterr().err == ""
 
+    @pytest.mark.parametrize("window", [[], ["--window", "0:1000000"]], ids=["default", "past-cut"])
+    def test_cut_window_gives_no_stable_extreme(self, tmp_path, capsys, window):
+        # for r = 300 the window ends at ln y 10.2, before the trough envelope
+        # ln L has risen a nat: a probe that short must not read as a stable maximum
+        xi, tm = str(tmp_path / "xi300.spec"), str(tmp_path / "t.spec")
+        assert run(["gen", "xi", "--r", "300", "--n", "200", "-o", xi]) == 0
+        assert run(["gen", "tmss", "--q", "0.6065306597126334", "--n", "200", "-o", tm]) == 0
+        capsys.readouterr()
+        for a, b, stable in ((tm, xi, "backward"), (xi, tm, "forward")):
+            code, rep = run_json(capsys, ["compare", a, b, "--mode", "slocc"] + window)
+            assert code == 0 and rep["verdict"] == "Undecided"
+            assert rep["evidence"][stable] == "insufficient"
+        assert capsys.readouterr().err == ""
+
 
 class TestEstimateR:
     def test_smoke(self, specdir, capsys):

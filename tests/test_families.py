@@ -765,6 +765,7 @@ class TestAnalyticForm:
         flat = eo.AnalyticForm(0, 500.0, 0.0, DELTA)
         for pair in (PairRatio(member, tm), PairRatio(tm, member), PairRatio(member, flat)):
             assert pair.max_index() == int(math.exp(families.LOG_ARG_CAP) / DELTA)
+            assert not pair.range_cut
 
     @pytest.mark.parametrize("r", [107.0, 110.0, 150.0, 200.0, 300.0])
     def test_max_index_stops_where_a_profile_term_could_overflow(self, r):
@@ -777,6 +778,7 @@ class TestAnalyticForm:
         for pair in (PairRatio(big, other), PairRatio(other, big)):
             top = pair.max_index()
             assert top == int(math.exp(cap) / DELTA)
+            assert pair.range_cut and pair.log_arg_cap == cap
             n = np.array([1.0, top / 2, float(top)])
             with np.errstate(all="raise"):  # every profile term stays finite, derivatives too
                 assert np.all(np.isfinite(pair.values(n)))

@@ -20,7 +20,7 @@ check grid, one offset that fails, one member with a 5e6-point lattice,
 two members whose closed-form cut-off y* lies far inside the span, a
 span of 1e301 that y* bounds and three whose y* lies at 2e6 to 1e10,
 below which proven cells leave a few hundred points to evaluate, and
-an r = 110 member with a squeezed state on its grid),
+r = 110 and r = 300 members with a squeezed state on their grid),
 validation (also of edited copies: psi2.spec with CRLF endings and
 padded lines, which reads, and with a blank line, metadata after a
 weight, a bad literal or a 0xff byte; psi1_d005.spec, whose tail lies
@@ -34,9 +34,10 @@ window that ends at 10**80 + 12345, a certificate and a comparison on a
 window past the stored horizon of a pair with no closed-form
 continuation, three ``estimate-r`` runs, two certificates and a comparison
 at witness thresholds off their defaults (psi2/psi1 falls short of 7
-witnesses 2 nats apart, psi3/psi0 reaches them), and the r = 110 pair, whose
+witnesses 2 nats apart, psi3/psi0 reaches them), the r = 110 pair, whose
 closed-form window ends where its profile could overflow (certified in
-both orders and compared).
+both orders and compared), and the r = 300 pair, whose window ends too
+early to show a stable extreme (compared).
 """
 
 from __future__ import annotations
@@ -78,6 +79,8 @@ GEN = [
     # window of its pair with a squeezed state on the same grid (delta 1) ends there
     ("xi_r110.spec", ["gen", "xi", "--r", "110", "--n", "200"]),
     ("t_d1.spec", ["gen", "tmss", "--q", "0.6065306597126334", "--n", "200"]),
+    # r = 300: the same cap ends the window at ln y = 10.2
+    ("xi_r300.spec", ["gen", "xi", "--r", "300", "--n", "200"]),
 ]
 
 
@@ -152,6 +155,7 @@ def commands():
     out.append(("certify_xi_r110_t_d1.json", ["certify", "xi_r110.spec", "t_d1.spec"]))
     out.append(("certify_t_d1_xi_r110.json", ["certify", "t_d1.spec", "xi_r110.spec"]))
     out.append(("slocc_t_d1_xi_r110.json", ["compare", "t_d1.spec", "xi_r110.spec", "--mode", "slocc"]))
+    out.append(("slocc_t_d1_xi_r300.json", ["compare", "t_d1.spec", "xi_r300.spec", "--mode", "slocc"]))
     return out
 
 
