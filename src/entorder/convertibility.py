@@ -6,8 +6,8 @@ ratio of tail functions. Finite data cannot prove a liminf, so the
 stochastic verdicts here are evidence-based with an explicit Undecided
 state: convertibility is asserted only when the windowed running minimum
 provably stabilizes and nothing beyond the window contradicts it, and
-non-convertibility only on hard rank facts, certified drift, or record
-witnesses.
+non-convertibility only on hard rank facts, certified drift, record
+witnesses, or the sign of a closed-form pair's asymptotic exponent.
 """
 
 from __future__ import annotations
@@ -165,9 +165,11 @@ class _Direction:
     grade: str
 
 
-def _direction(no: bool, yes: bool, no_grade: str, yes_grade: str) -> _Direction:
-    if no:
-        return _Direction(_Ev.NO, no_grade)
+def _direction(no, yes: bool, yes_grade: str) -> _Direction:
+    """NO by the first (grade, fired) of ``no`` that fired, else YES if ``yes``, else undecided."""
+    for grade, fired in no:
+        if fired:
+            return _Direction(_Ev.NO, grade)
     if yes:
         return _Direction(_Ev.YES, yes_grade)
     return _Direction(_Ev.UND, "insufficient")
@@ -207,7 +209,7 @@ def _windowed_evidence(cw: ComparisonWindow, th):
         if values.size >= th.min_points:
             flags = trend_flags(values, th)
             trends = (flags.label(), flags.mirrored().label())
-        return fwd, bwd, ProbeReport((), (), False, False, False), eps, trends
+        return fwd, bwd, ProbeReport((), ()), eps, trends
 
     if values.size < th.min_points:
         raise WindowTooSmall(
@@ -223,23 +225,18 @@ def _windowed_evidence(cw: ComparisonWindow, th):
     flags = trend_flags(values, th)
     probe = probe_pair(cw, th)
 
-    step = th.witness_step_nats
-    # where a profile's overflow ends the closed form early, a probe short of
-    # records may have stopped before the envelope moves: it shows no stable extreme
-    pair = cw.pair
-    cut = pair is not None and pair.range_cut and cw.window[1] >= pair.max_index()
+    # the closed form's exponents settle each limit exactly (PairRatio.exponents);
+    # a trend or witness NO, found first, keeps its grade
+    lo, hi = cw.pair.exponents() if cw.pair else (0, 0)
+    step, enough = th.witness_step_nats, th.min_witnesses
     fwd = _direction(
-        no=flags.down_div or len(probe.down_records) >= th.min_witnesses or probe.slow_down,
-        yes=flags.min_stable and probe.down_env_drop < step and not probe.slow_down and not cut,
-        no_grade="trend" if flags.down_div else (
-            "witnesses" if len(probe.down_records) >= th.min_witnesses else "slow-drift"),
+        (("trend", flags.down_div), ("witnesses", len(probe.down_records) >= enough), ("asymptotic", lo < 0)),
+        yes=flags.min_stable and probe.down_env_drop < step,
         yes_grade="stable-minimum",
     )
     bwd = _direction(
-        no=flags.up_div or len(probe.up_records) >= th.min_witnesses or probe.slow_up,
-        yes=flags.max_stable and probe.up_env_gain < step and not probe.slow_up and not cut,
-        no_grade="trend" if flags.up_div else (
-            "witnesses" if len(probe.up_records) >= th.min_witnesses else "slow-drift"),
+        (("trend", flags.up_div), ("witnesses", len(probe.up_records) >= enough), ("asymptotic", hi > 0)),
+        yes=flags.max_stable and probe.up_env_gain < step,
         yes_grade="stable-maximum",
     )
     return fwd, bwd, probe, eps, (flags.label(), flags.mirrored().label())

@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from fractions import Fraction
 
 import numpy as np
 
@@ -671,11 +672,6 @@ class PairRatio:
         :func:`_log_arg_cap`)."""
         return min((_log_arg_cap(f.r) for f in (self.a, self.b) if f.k), default=LOG_ARG_CAP)
 
-    @property
-    def range_cut(self) -> bool:
-        """Whether a profile's overflow ends the closed form below ``LOG_ARG_CAP``."""
-        return self.log_arg_cap < LOG_ARG_CAP
-
     def max_index(self) -> int:
         """Largest index n with delta*n below e^cap, which leaves every profile term in float range.
 
@@ -686,6 +682,18 @@ class PairRatio:
     def values(self, n):
         """ln g_a(n) - ln g_b(n) at float indices n."""
         return self.a.log_profile(n) - self.b.log_profile(n)
+
+    def exponents(self) -> tuple[Fraction, Fraction]:
+        """(lo, hi), the extremes over s >= 0 of e(s) in ell = e(s) ln L + O(1), exact in the parameters.
+
+        Where sin L + 1 = L^-s (L = ln y), ln p_r = max(r - s, -1) ln L + O(1), so
+        e(s) = k_a max(r_a - s, -1) - k_b max(r_b - s, -1). Being piecewise linear, e has
+        its extremes at s in {0, r_a + 1, r_b + 1, inf}, with e(inf) = k_b - k_a. So
+        liminf ell = -inf exactly when lo < 0, and limsup ell = +inf exactly when hi > 0.
+        """
+        (ka, ra), (kb, rb) = ((Fraction(f.k), Fraction(f.r)) for f in (self.a, self.b))
+        e = [ka * max(ra - s, -1) - kb * max(rb - s, -1) for s in (0, ra + 1, rb + 1)] + [kb - ka]
+        return min(e), max(e)
 
 
 def pair_ratio(a: SchmidtSpectrum, b: SchmidtSpectrum) -> PairRatio | None:

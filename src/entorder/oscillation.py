@@ -9,8 +9,10 @@ explicit thresholds:
 * windowed running-extreme drift tests (``classify_trend``),
 * record witnesses at targeted phases of the oscillating profile
   (``incomparability_certificate``), reaching indices far beyond any
-  stored array via the analytic family forms carried in metadata,
-* slow-drift detection for ratios that diverge like a power of ln ln n.
+  stored array via the analytic family forms carried in metadata.
+
+A pair with a closed form also knows its limits exactly
+(``PairRatio.exponents``), which the verdicts consult after this evidence.
 """
 
 from __future__ import annotations
@@ -28,9 +30,6 @@ from .spectrum import SchmidtSpectrum, safe_horizon
 
 
 _MIN_WINDOWS = 3          # dyadic sub-windows that must extend the extreme
-_SLOW_MIN_TOTAL = 0.1     # smallest certified slow envelope drift
-_SLOW_MIN_STEPS = 8
-_SLOW_TAIL_RATIO = 0.25   # late-range drift share that rules out convergence
 
 
 @dataclass(frozen=True)
@@ -188,7 +187,7 @@ def log_ratio_sequence(a: SchmidtSpectrum, b: SchmidtSpectrum, window, indices=N
         )
     if indices is not None:
         ns = np.asarray(indices, dtype=int)
-        if ns.size and (ns[0] < n_min or ns[-1] > n_max):
+        if np.any((ns < n_min) | (ns > n_max)):  # a negative one would wrap around below
             raise ValueError("indices outside window")
         values = values[ns - n_min]
     if not np.all(np.isfinite(values)):
@@ -259,9 +258,6 @@ class ProbeReport:
 
     up_records: tuple
     down_records: tuple
-    slow_up: bool
-    slow_down: bool
-    analytic: bool
     up_env_gain: float = 0.0
     down_env_drop: float = 0.0
 
@@ -380,43 +376,15 @@ def _materialized_candidates(ns, values):
     return ns[idx], v[idx]
 
 
-def _slow_drift(ns, vals, pair: PairRatio, sign):
-    """Detect persistent sub-nat drift of the candidate envelope.
-
-    Each candidate sits at scale position ln ln(delta n + offset); halves
-    of that range must both contribute (a convergent envelope stalls in
-    the late half and is rejected).
-    """
-    if ns.size < _SLOW_MIN_STEPS:
-        return False
-    vals = sign * vals
-    pos = np.log(np.log(pair.delta * np.maximum(ns, 1.0) + pair.max_offset))
-    env = np.minimum.accumulate(vals)
-    drops = np.diff(env)
-    steps = int(np.sum(drops < 0))
-    total = float(env[0] - env[-1])
-    if steps < _SLOW_MIN_STEPS or total < _SLOW_MIN_TOTAL:
-        return False
-    mid = (pos[0] + pos[-1]) / 2.0
-    late = pos[1:] >= mid
-    late_total = float(-np.sum(drops[late]))
-    early_total = total - late_total
-    if early_total <= 0:
-        return True
-    return late_total >= _SLOW_TAIL_RATIO * early_total
-
-
 def probe_pair(cw: ComparisonWindow, thresholds: TrendThresholds) -> ProbeReport:
     """Witness candidates for ell = ln g_a - ln g_b over a comparison window.
 
     Uses the pair's closed form when it has one (reaching indices far
     past the stored horizon); otherwise falls back to the local extremes
-    of the stored ratio. Slow drift is only assessed on analytic pairs,
-    where the scale coordinate is known.
+    of the stored ratio.
     """
     (n_min, n_max), pair = cw.window, cw.pair
-    analytic = pair is not None
-    if analytic:
+    if pair is not None:
         (up_ns, up_vs), (down_ns, down_vs) = _analytic_candidates(pair, n_min, min(n_max, pair.max_index()))
     else:
         finite = np.isfinite(cw.values)
@@ -425,16 +393,11 @@ def probe_pair(cw: ComparisonWindow, thresholds: TrendThresholds) -> ProbeReport
     step = thresholds.witness_step_nats
     ups = _collect_records(up_ns, up_vs, step, +1.0)
     downs = _collect_records(down_ns, down_vs, step, -1.0)
-
-    slow_up = slow_down = False
-    if analytic and up_ns.size:
-        slow_up = _slow_drift(up_ns, up_vs, pair, -1.0)
-        slow_down = _slow_drift(down_ns, down_vs, pair, +1.0)
     # Python max and min: unlike np.max they skip a NaN after the first value
     up_vals, down_vals = up_vs.tolist(), down_vs.tolist()
     up_gain = max(up_vals) - up_vals[0] if up_vals else 0.0
     down_drop = down_vals[0] - min(down_vals) if down_vals else 0.0
-    return ProbeReport(ups, downs, slow_up, slow_down, analytic, float(up_gain), float(down_drop))
+    return ProbeReport(ups, downs, float(up_gain), float(down_drop))
 
 
 def incomparability_certificate(

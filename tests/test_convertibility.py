@@ -207,6 +207,54 @@ class TestSloccDecide:
         assert eo.slocc_decide(deep, small).verdict is Verdict.OneWayAtoB
 
 
+@pytest.fixture(scope="module")
+def oracle_members():
+    """41 psi members on one grid: k = 0, and k = 1..4 at five r, each at its searched offset and at 10."""
+    members = {(0, None, None): eo.psi_state(0, DELTA, 2000)}
+    for k in range(1, 5):
+        for r in (0.5, 1.0, 1.37, 2.0, 3.0):
+            for offset in (None, 10.0):
+                members[k, r, offset] = eo.psi_state(k, DELTA, 2000, r=r, offset=offset)
+    return members
+
+
+class TestExponentOracle:
+    """Verdicts against the closed form's exponents (lo, hi): liminf ell = -inf iff lo < 0, limsup = +inf iff hi > 0."""
+
+    def test_every_ordered_pair_agrees_with_the_exponents(self, oracle_members):
+        wrong = []
+        for ka, a in oracle_members.items():
+            for kb, b in oracle_members.items():
+                if ka == kb:
+                    continue
+                lo, hi = families.pair_ratio(a, b).exponents()
+                rep = eo.slocc_decide(a, b)
+                fwd, bwd = rep.evidence["forward"], rep.evidence["backward"]
+                ok = [
+                    # a trend or witness NO sees the limit the exponent gives; the exponent
+                    # gives the other NOs, so no stable extreme stands against one
+                    (fwd in ("trend", "witnesses", "asymptotic")) == (lo < 0),
+                    (bwd in ("trend", "witnesses", "asymptotic")) == (hi > 0),
+                    # the probe finds two-sided witnesses only where both limits diverge
+                    lo < 0 < hi or eo.incomparability_certificate(a, b) is None,
+                ]
+                if not all(ok):
+                    wrong.append((ka, kb, (lo, hi), rep.verdict.value, fwd, bwd, ok))
+        assert wrong == []
+
+    @pytest.mark.parametrize("swap", [False, True])
+    def test_exponent_no_wins_over_a_stable_extreme(self, oracle_members, swap):
+        # e(0) = 1.37 - 3 * 0.5 = -0.13: ell falls like -0.13 ln L at the peaks, under one nat
+        # by ln y = 700, so the windowed minimum looks stable
+        a, b = oracle_members[1, 1.37, None], oracle_members[3, 0.5, None]
+        if swap:
+            a, b = b, a
+        rep = eo.slocc_decide(a, b)
+        assert rep.verdict is Verdict.Incomparable and rep.witnesses is None
+        assert rep.evidence == ({"forward": "witnesses", "backward": "asymptotic"} if swap
+                                else {"forward": "asymptotic", "backward": "witnesses"})
+
+
 @pytest.fixture
 def form_calls(monkeypatch):
     """Every spectrum families.analytic_form is called on, in order."""

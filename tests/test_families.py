@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import mpmath
 import numpy as np
@@ -765,7 +766,6 @@ class TestAnalyticForm:
         flat = eo.AnalyticForm(0, 500.0, 0.0, DELTA)
         for pair in (PairRatio(member, tm), PairRatio(tm, member), PairRatio(member, flat)):
             assert pair.max_index() == int(math.exp(families.LOG_ARG_CAP) / DELTA)
-            assert not pair.range_cut
 
     @pytest.mark.parametrize("r", [107.0, 110.0, 150.0, 200.0, 300.0])
     def test_max_index_stops_where_a_profile_term_could_overflow(self, r):
@@ -778,7 +778,7 @@ class TestAnalyticForm:
         for pair in (PairRatio(big, other), PairRatio(other, big)):
             top = pair.max_index()
             assert top == int(math.exp(cap) / DELTA)
-            assert pair.range_cut and pair.log_arg_cap == cap
+            assert pair.log_arg_cap == cap
             n = np.array([1.0, top / 2, float(top)])
             with np.errstate(all="raise"):  # every profile term stays finite, derivatives too
                 assert np.all(np.isfinite(pair.values(n)))
@@ -790,3 +790,39 @@ class TestAnalyticForm:
             assert math.isfinite(stats["mean_excitation"])
             assert stats["excitation_tail_bound"] is not None
             assert stats["excitation_tail_bound"] < 1e-9
+
+
+class TestExponents:
+    """PairRatio.exponents: the extremes over s >= 0 of e(s) = k_a max(r_a - s, -1) - k_b max(r_b - s, -1)."""
+
+    @staticmethod
+    def pair(a, b):
+        """The PairRatio of two (k, r) members on one grid; the offsets do not enter e(s)."""
+        return PairRatio(*(eo.AnalyticForm(k, r, 5.0 if k else 0.0, DELTA) for k, r in (a, b)))
+
+    @pytest.mark.parametrize("a, b, want", [
+        ((2, 1.0), (1, 1.5), (Fraction(-3, 2), Fraction(1, 2))),
+        ((0, 1.0), (1, 1.5), (Fraction(-3, 2), Fraction(1))),
+        ((3, 2.0), (3, 0.5), (Fraction(0), Fraction(9, 2))),
+        ((1, 300.0), (1, 200.0), (Fraction(0), Fraction(100))),
+    ], ids=["psi2/xi", "tmss/xi", "psi(k3,r2)/psi(k3,r0.5)", "xi300/xi200"])
+    def test_exact_values(self, a, b, want):
+        assert self.pair(a, b).exponents() == want
+        assert self.pair(b, a).exponents() == (-want[1], -want[0])
+
+    def test_sign_is_exact_a_few_ulps_from_zero(self):
+        # e(0) = 0.3 - 3 * 0.1 is -2.8e-17 in the exact values of the two floats
+        lo, hi = self.pair((1, 0.3), (3, 0.1)).exponents()
+        assert lo == Fraction(0.3) - 3 * Fraction(0.1) and -1e-16 < lo < 0
+        assert hi == Fraction(0.3) - Fraction(0.1) + 2  # e(r_b + 1) = (r_a - r_b - 1) + 3
+
+    @given(st.integers(0, 4), st.floats(0.05, 400.0), st.integers(0, 4), st.floats(0.05, 400.0),
+           st.lists(st.fractions(0, 500), min_size=1, max_size=20))
+    def test_bounds_e_everywhere_and_are_attained(self, ka, ra, kb, rb, ss):
+        lo, hi = self.pair((ka, ra), (kb, rb)).exponents()
+        fa, fb = Fraction(ra), Fraction(rb)
+        e = lambda s: ka * max(fa - s, -1) - kb * max(fb - s, -1)
+        far = max(fa, fb) + 1  # e is constant from the last breakpoint on
+        assert all(lo <= e(s) <= hi for s in [*ss, far])
+        attained = {e(s) for s in (0, fa + 1, fb + 1, far)}
+        assert lo in attained and hi in attained

@@ -46,6 +46,13 @@ class TestLogRatioSequence:
         ns, vals = eo.log_ratio_sequence(s1, s0, (0, 300), indices=idx)
         assert list(ns) == idx
 
+    @pytest.mark.parametrize("idx", [[5, -3, 7], [5, 11, 7]])
+    def test_every_index_must_lie_in_the_window(self, idx):
+        # only an end index used to be checked: -3 read the value at 8
+        s1, s0 = eo.tmss(0.6, 400), eo.tmss(0.5, 400)
+        with pytest.raises(ValueError, match="outside"):
+            eo.log_ratio_sequence(s1, s0, (0, 10), indices=idx)
+
 
 class TestClassifyTrend:
     def test_linear_descent(self):
@@ -376,7 +383,7 @@ class TestGroupedProbe:
 
         monkeypatch.setattr(families, "profile", counting)
         probe = oscillation.probe_pair(cw, eo.TrendThresholds())
-        assert probe.analytic and len(probe.up_records) >= 5
+        assert cw.pair is not None and len(probe.up_records) >= 5
         # one grouped PairRatio.values call: per form, p at its offset and on the grid
         assert 0 < len(sizes) <= 4
         assert max(sizes) <= max(families.EVAL_BLOCK, 2 * radius + 1)
@@ -390,8 +397,8 @@ def tuple_probe(cw, thresholds):
     """Reference for ``probe_pair``: the probe that kept its candidates as sorted (int, float) lists.
 
     The analytic candidates are ``per_target_candidates``', which that
-    probe's grouped evaluation matched bit for bit; records, slow drift
-    and the envelope follow its code.
+    probe's grouped evaluation matched bit for bit; records and the
+    envelope follow its code.
     """
     (n_min, n_max), pair = cw.window, cw.pair
     if pair is not None:
@@ -419,35 +426,16 @@ def tuple_probe(cw, thresholds):
                 out.append((n, v))
         return tuple(out)
 
-    def slow(cands, sign):
-        if len(cands) < 8:
-            return False
-        ns, vals = np.array(cands, dtype=float).T
-        vals = sign * vals
-        pos = np.log(np.log(pair.delta * np.maximum(ns, 1.0) + pair.max_offset))
-        env = np.minimum.accumulate(vals)
-        drops = np.diff(env)
-        total = float(env[0] - env[-1])
-        if int(np.sum(drops < 0)) < 8 or total < 0.1:
-            return False
-        late_total = float(-np.sum(drops[pos[1:] >= (pos[0] + pos[-1]) / 2.0]))
-        return total - late_total <= 0 or late_total >= 0.25 * (total - late_total)
-
-    slow_up = slow_down = False
-    if pair is not None and cmax:
-        slow_up, slow_down = slow(cmax, -1.0), slow(cmin, +1.0)
     up_gain = max((v for _, v in cmax), default=0.0) - cmax[0][1] if cmax else 0.0
     down_drop = cmin[0][1] - min((v for _, v in cmin), default=0.0) if cmin else 0.0
-    return ProbeReport(records(cmax, +1.0), records(cmin, -1.0), slow_up, slow_down, pair is not None,
-                       float(up_gain), float(down_drop))
+    return ProbeReport(records(cmax, +1.0), records(cmin, -1.0), float(up_gain), float(down_drop))
 
 
 def report_bits(probe):
     """A ProbeReport with every float as its hex and every index checked to be a Python int."""
     for n, v in probe.up_records + probe.down_records:
         assert type(n) is int and type(v) is float
-    return (hexed((probe.up_records, probe.down_records)), probe.slow_up, probe.slow_down, probe.analytic,
-            probe.up_env_gain.hex(), probe.down_env_drop.hex())
+    return (hexed((probe.up_records, probe.down_records)), probe.up_env_gain.hex(), probe.down_env_drop.hex())
 
 
 PROBE_THRESHOLDS = (eo.TrendThresholds(), eo.TrendThresholds(witness_step_nats=2.0, min_witnesses=7))

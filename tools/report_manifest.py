@@ -19,8 +19,9 @@ covers generation (searched and given offsets, on and off the default
 check grid, one offset that fails, one member with a 5e6-point lattice,
 two members whose closed-form cut-off y* lies far inside the span, a
 span of 1e301 that y* bounds and three whose y* lies at 2e6 to 1e10,
-below which proven cells leave a few hundred points to evaluate, and
-r = 110 and r = 300 members with a squeezed state on their grid),
+below which proven cells leave a few hundred points to evaluate,
+r = 110, 150 and 300 members with a squeezed state on their grid, and
+members at r = 0.5, 1.37 and 2 for the exponent pairs below),
 validation (also of edited copies: psi2.spec with CRLF endings and
 padded lines, which reads, and with a blank line, metadata after a
 weight, a bad literal or a 0xff byte; psi1_d005.spec, whose tail lies
@@ -36,8 +37,13 @@ continuation, three ``estimate-r`` runs, two certificates and a comparison
 at witness thresholds off their defaults (psi2/psi1 falls short of 7
 witnesses 2 nats apart, psi3/psi0 reaches them), the r = 110 pair, whose
 closed-form window ends where its profile could overflow (certified in
-both orders and compared), and the r = 300 pair, whose window ends too
-early to show a stable extreme (compared).
+both orders and compared), the r = 150 and r = 300 pairs, whose windows
+end too early for the probe to see the envelope move, so the closed
+form's exponent decides them (compared), and three pairs the exponent
+alone tells apart from a stable extreme: xi(r 1.37) against psi(k 3,
+r 0.5) in both orders, incomparable though the windowed minimum looks
+stable, and the tie psi(k 3, r 2) against psi(k 3, r 0.5), whose
+exponent minimum is 0 (compared).
 """
 
 from __future__ import annotations
@@ -79,8 +85,14 @@ GEN = [
     # window of its pair with a squeezed state on the same grid (delta 1) ends there
     ("xi_r110.spec", ["gen", "xi", "--r", "110", "--n", "200"]),
     ("t_d1.spec", ["gen", "tmss", "--q", "0.6065306597126334", "--n", "200"]),
-    # r = 300: the same cap ends the window at ln y = 10.2
+    # r = 300: the same cap ends the window at ln y = 10.2, and at r = 150 at ln y = 105
     ("xi_r300.spec", ["gen", "xi", "--r", "300", "--n", "200"]),
+    ("xi_r150.spec", ["gen", "xi", "--r", "150", "--n", "200"]),
+    # a pair whose exponent e(0) = 1.37 - 3 * 0.5 is below 0, so ell falls at the peaks
+    # too slowly for the windowed minimum to move, and a tie pair (lo = 0)
+    ("psi3_r05.spec", ["gen", "psi", "--k", "3", "--r", "0.5", "--n", "2000"]),
+    ("xi_r137.spec", ["gen", "xi", "--r", "1.37", "--n", "2000"]),
+    ("psi3_r2.spec", ["gen", "psi", "--k", "3", "--r", "2", "--n", "2000"]),
 ]
 
 
@@ -156,6 +168,9 @@ def commands():
     out.append(("certify_t_d1_xi_r110.json", ["certify", "t_d1.spec", "xi_r110.spec"]))
     out.append(("slocc_t_d1_xi_r110.json", ["compare", "t_d1.spec", "xi_r110.spec", "--mode", "slocc"]))
     out.append(("slocc_t_d1_xi_r300.json", ["compare", "t_d1.spec", "xi_r300.spec", "--mode", "slocc"]))
+    out.append(("slocc_t_d1_xi_r150.json", ["compare", "t_d1.spec", "xi_r150.spec", "--mode", "slocc"]))
+    for a, b in (("xi_r137", "psi3_r05"), ("psi3_r05", "xi_r137"), ("psi3_r2", "psi3_r05")):
+        out.append((f"slocc_{a}_{b}.json", ["compare", f"{a}.spec", f"{b}.spec", "--mode", "slocc"]))
     return out
 
 
