@@ -8,6 +8,10 @@ state: convertibility is asserted only when the windowed running minimum
 provably stabilizes and nothing beyond the window contradicts it, and
 non-convertibility only on hard rank facts, certified drift, record
 witnesses, or the sign of a closed-form pair's asymptotic exponent.
+A family bracket (``estimate_r_bounds``) reads only the two directions
+per member: where the exponents settle both limits it computes no
+windowed evidence, and otherwise it uses the same evidence as
+``slocc_decide``.
 """
 
 from __future__ import annotations
@@ -185,12 +189,13 @@ def _verdict(fwd: _Ev, bwd: _Ev) -> Verdict:
     return table.get((fwd, bwd), Verdict.Undecided)
 
 
-def _windowed_evidence(cw: ComparisonWindow, th):
-    """Shared evidence assembly for one ordered pair over its comparison window.
+def _window_facts(cw: ComparisonWindow, th):
+    """The checks every windowed decision makes first: rank facts, then window size.
 
-    Returns (fwd, bwd, probe, (log eps fwd, log eps bwd), (trend fwd, trend bwd)).
-    The epsilons cover every finite point of the stored window; the
-    trend tests may see a subsample of it.
+    Returns (rank, values): ``values`` holds the finite points of the
+    stored window, and ``rank`` the (fwd, bwd) directions when one g hits
+    zero in the window, else None. Raises :class:`WindowTooSmall` when no
+    rank fact decides and fewer than ``th.min_points`` finite points remain.
     """
     values = cw.values
 
@@ -200,21 +205,33 @@ def _windowed_evidence(cw: ComparisonWindow, th):
     a_exhausted = bool(np.any(values == -np.inf))
     b_exhausted = bool(np.any(values == np.inf))
     values = values[np.isfinite(values)]
-    eps = (float(np.min(values)), float(-np.max(values))) if values.size else (NEG_INF, NEG_INF)
-
     if a_exhausted or b_exhausted:
         fwd = _Direction(_Ev.NO if a_exhausted else _Ev.YES, "rank")
         bwd = _Direction(_Ev.NO if b_exhausted else _Ev.YES, "rank")
-        trends = (None, None)
-        if values.size >= th.min_points:
-            flags = trend_flags(values, th)
-            trends = (flags.label(), flags.mirrored().label())
-        return fwd, bwd, ProbeReport((), ()), eps, trends
-
+        return (fwd, bwd), values
     if values.size < th.min_points:
         raise WindowTooSmall(
             f"{values.size} finite window points < minimum {th.min_points}"
         )
+    return None, values
+
+
+def _asymptotic_no(cw: ComparisonWindow):
+    """(forward NO, backward NO) as the closed form's exponents settle them (PairRatio.exponents).
+
+    liminf ell = -inf exactly when lo < 0 and limsup ell = +inf exactly when
+    hi > 0; a pair without a closed form settles neither.
+    """
+    lo, hi = cw.pair.exponents() if cw.pair else (0, 0)
+    return lo < 0, hi > 0
+
+
+def _windowed_directions(cw: ComparisonWindow, values, th):
+    """Forward and backward directions of a pair no rank fact decides, with its probe and trend flags.
+
+    ``values`` are the finite window points from :func:`_window_facts`;
+    the trend tests may see a subsample of them.
+    """
     if values.size > _MAX_TREND_POINTS:
         stride = int(math.ceil(values.size / _MAX_TREND_POINTS))
         keep = np.arange(0, values.size, stride)
@@ -225,21 +242,56 @@ def _windowed_evidence(cw: ComparisonWindow, th):
     flags = trend_flags(values, th)
     probe = probe_pair(cw, th)
 
-    # the closed form's exponents settle each limit exactly (PairRatio.exponents);
     # a trend or witness NO, found first, keeps its grade
-    lo, hi = cw.pair.exponents() if cw.pair else (0, 0)
+    fwd_no, bwd_no = _asymptotic_no(cw)
     step, enough = th.witness_step_nats, th.min_witnesses
     fwd = _direction(
-        (("trend", flags.down_div), ("witnesses", len(probe.down_records) >= enough), ("asymptotic", lo < 0)),
+        (("trend", flags.down_div), ("witnesses", len(probe.down_records) >= enough), ("asymptotic", fwd_no)),
         yes=flags.min_stable and probe.down_env_drop < step,
         yes_grade="stable-minimum",
     )
     bwd = _direction(
-        (("trend", flags.up_div), ("witnesses", len(probe.up_records) >= enough), ("asymptotic", hi > 0)),
+        (("trend", flags.up_div), ("witnesses", len(probe.up_records) >= enough), ("asymptotic", bwd_no)),
         yes=flags.max_stable and probe.up_env_gain < step,
         yes_grade="stable-maximum",
     )
+    return fwd, bwd, probe, flags
+
+
+def _windowed_evidence(cw: ComparisonWindow, th):
+    """Shared evidence assembly for one ordered pair over its comparison window.
+
+    Returns (fwd, bwd, probe, (log eps fwd, log eps bwd), (trend fwd, trend bwd)).
+    The epsilons cover every finite point of the stored window; the
+    trend tests may see a subsample of it.
+    """
+    rank, values = _window_facts(cw, th)
+    eps = (float(np.min(values)), float(-np.max(values))) if values.size else (NEG_INF, NEG_INF)
+    if rank:
+        trends = (None, None)
+        if values.size >= th.min_points:
+            flags = trend_flags(values, th)
+            trends = (flags.label(), flags.mirrored().label())
+        return *rank, ProbeReport((), ()), eps, trends
+    fwd, bwd, probe, flags = _windowed_directions(cw, values, th)
     return fwd, bwd, probe, eps, (flags.label(), flags.mirrored().label())
+
+
+def _member_evidence(cw: ComparisonWindow, th):
+    """Forward and backward evidence of one estimate-r member, without grades or witnesses.
+
+    Where the closed form's exponents give lo < 0 < hi, both limits are
+    settled (both directions NO), so no trend test or probe runs; every
+    other pair takes the windowed directions, as :func:`slocc_decide` does.
+    """
+    rank, values = _window_facts(cw, th)
+    if rank:
+        fwd, bwd = rank
+    elif all(_asymptotic_no(cw)):
+        return _Ev.NO, _Ev.NO
+    else:
+        fwd, bwd, _, _ = _windowed_directions(cw, values, th)
+    return fwd.evidence, bwd.evidence
 
 
 def slocc_decide(
@@ -330,9 +382,13 @@ def estimate_r_bounds(
     """Bracket a state inside a parameterized reference family.
 
     ``family_gen(r)`` must yield a valid spectrum per sampled r (checked
-    via the four tail-function conditions). For each r the liminf and
-    limsup of g_psi/g_(family r) are classified with the same evidence
-    machinery as :func:`slocc_decide`:
+    via the four tail-function conditions); ``r_min <= r_max`` must be
+    finite. For each r the liminf and limsup of g_psi/g_(family r) are
+    classified after the same rank and window-size checks as
+    :func:`slocc_decide`. Where the pair's closed-form exponents give
+    lo < 0 < hi, both limits are settled and no windowed evidence is
+    computed; every other member gets :func:`slocc_decide`'s trend tests
+    and probe, of which only the two directions are read:
 
     * r_minus estimates inf{r : liminf vanishes}; evidence at the lowest
       sampled r pins it there, otherwise one grid step below the first
@@ -346,6 +402,8 @@ def estimate_r_bounds(
     th = thresholds or TrendThresholds()
     if steps < 1:
         raise ValueError("steps must be >= 1")
+    if not (math.isfinite(r_min) and math.isfinite(r_max)) or r_min > r_max:
+        raise ValueError(f"need finite r_min <= r_max, got [{r_min}, {r_max}]")
     rs = np.linspace(r_min, r_max, steps)
     grid = (r_max - r_min) / (steps - 1) if steps > 1 else 0.0
 
@@ -358,8 +416,7 @@ def estimate_r_bounds(
         if not vidal_conditions(member).all_pass:
             raise InvalidFamily(f"family member at r={r} fails tail-function conditions")
         try:
-            fwd, bwd, _, _, _ = _windowed_evidence(comparison_window(psi, member, window), th)
-            fe, be = fwd.evidence, bwd.evidence
+            fe, be = _member_evidence(comparison_window(psi, member, window), th)
         except WindowTooSmall:
             fe = be = _Ev.UND
         per_r.append((float(r), _verdict(fe, be)))

@@ -1,3 +1,4 @@
+import functools
 import math
 
 import numpy as np
@@ -331,6 +332,102 @@ class TestEstimateRBounds:
 
         with pytest.raises(InvalidFamily):
             eo.estimate_r_bounds(tmss_match, gen, 1.0, 2.0, 3)
+
+    @pytest.mark.parametrize("r_min, r_max", [(2.0, 1.0), (math.nan, 2.0), (1.0, math.nan),
+                                              (-math.inf, 2.0), (1.0, math.inf)],
+                             ids=["reversed", "nan-min", "nan-max", "inf-min", "inf-max"])
+    def test_reversed_or_non_finite_range_refused(self, tmss_match, r_min, r_max):
+        generated = []
+
+        def gen(r):
+            generated.append(r)
+            return eo.xi_state(r, DELTA, 2000)
+
+        with pytest.raises(ValueError, match="r_min <= r_max"):
+            eo.estimate_r_bounds(tmss_match, gen, r_min, r_max, 5)
+        assert generated == []
+
+
+@functools.lru_cache(maxsize=None)
+def _xi_member(r, delta):
+    return eo.xi_state(r, delta, 2000)
+
+
+def _estimate_outcome(psi, delta, window):
+    """The estimate of psi over xi members r in [1, 2] on grid step delta, or the error it raises."""
+    try:
+        return eo.estimate_r_bounds(psi, lambda r: _xi_member(r, delta), 1.0, 2.0, 5, window=window)
+    except TruncationUnsafe as exc:  # both paths must fail alike where they fail
+        return type(exc), str(exc)
+
+
+def _without_metadata(s):
+    return eo.make_spectrum(s.log_weights, s.log_tail_bound, {})
+
+
+def _evidence_everywhere(cw, th):
+    """Reference member evidence: the full windowed evidence at every step, as slocc_decide runs it."""
+    fwd, bwd, _, _, _ = convertibility._windowed_evidence(cw, th)
+    return fwd.evidence, bwd.evidence
+
+
+_ESTIMATE_TARGETS = {
+    # squeezed states on the psi grid at three steps: lo = -r < 0 < hi = 1, all fast path
+    **{f"tmss-d{d}": (lambda d=d: eo.tmss(math.exp(-d / 2), 2000), d) for d in (0.5, 1.0, 2.0)},
+    # xi targets inside and on either side of the span: ties and one-sided exponents
+    **{f"xi-r{r}": (lambda r=r: eo.xi_state(r, DELTA, 2000), DELTA) for r in (0.5, 1.5, 2.5)},
+    **{f"psi{k}": (lambda k=k: eo.psi_state(k, DELTA, 2000), DELTA) for k in range(1, 5)},
+    # no closed form on one side, and members on another grid step: no pair
+    "formless": (lambda: _without_metadata(eo.tmss(math.exp(-DELTA / 2), 2000)), DELTA),
+    "off-grid": (lambda: eo.tmss(math.exp(-DELTA / 2), 2000), 1.1),
+    # an exact state of rank 30: the rank facts decide every member
+    "exact": (lambda: eo.build_spectrum([2 ** -i for i in range(1, 30)] + [2 ** -29]), DELTA),
+}
+
+
+class TestEstimateFastPath:
+    """estimate_r_bounds skips the trend tests and the probe exactly where the exponents settle both limits."""
+
+    @pytest.mark.parametrize("window", [(0, 40), (0, 1000), None, (0, 10**80)],
+                             ids=["w40", "w1000", "default", "w1e80"])
+    @pytest.mark.parametrize("target", list(_ESTIMATE_TARGETS))
+    def test_same_estimate_as_full_evidence_at_every_step(self, monkeypatch, target, window):
+        make, delta = _ESTIMATE_TARGETS[target]
+        psi = make()
+        got = _estimate_outcome(psi, delta, window)
+        monkeypatch.setattr(convertibility, "_member_evidence", _evidence_everywhere)
+        want = _estimate_outcome(psi, delta, window)
+        assert got == want  # MonotoneEstimate equality: per_r, undecided_band, r_minus and r_plus
+
+    @staticmethod
+    def _count_calls(monkeypatch):
+        calls = {"probe_pair": 0, "trend_flags": 0}
+        for name in calls:
+            real = getattr(convertibility, name)
+
+            def counted(*args, name=name, real=real, **kwargs):
+                calls[name] += 1
+                return real(*args, **kwargs)
+
+            monkeypatch.setattr(convertibility, name, counted)
+        return calls
+
+    def test_criterion_6_pass_runs_no_trend_test_or_probe(self, monkeypatch, tmss_match):
+        calls = self._count_calls(monkeypatch)
+        est = eo.estimate_r_bounds(tmss_match, lambda r: _xi_member(r, DELTA), 1.0, 2.0, 21)
+        assert [v for _, v in est.per_r] == [Verdict.Incomparable] * 21
+        assert calls == {"probe_pair": 0, "trend_flags": 0}
+
+    def test_tie_and_one_sided_exponents_take_the_windowed_evidence(self, monkeypatch):
+        calls = self._count_calls(monkeypatch)
+        psi = eo.xi_state(1.5, DELTA, 2000)
+        est = eo.estimate_r_bounds(psi, lambda r: _xi_member(r, DELTA), 1.0, 2.0, 5)
+        # lo = 0 below r = 1.5 and hi = 0 above it; both at r = 1.5
+        for r, _ in est.per_r:
+            lo, hi = families.pair_ratio(psi, _xi_member(r, DELTA)).exponents()
+            assert lo == 0 or hi == 0
+        assert dict(est.per_r)[1.5] is Verdict.TwoWay
+        assert calls == {"probe_pair": 5, "trend_flags": 5}
 
 
 def _relabelled(s, key, change):

@@ -33,7 +33,12 @@ summaries, every ordered pair of the psi ladder, locc/slocc comparisons
 a fine grid (delta 0.002, 3,145-point probe neighbourhoods), one on a
 window that ends at 10**80 + 12345, a certificate and a comparison on a
 window past the stored horizon of a pair with no closed-form
-continuation, three ``estimate-r`` runs, two certificates and a comparison
+continuation, seven ``estimate-r`` runs (among them a squeezed state on
+its own grid, whose exponents decide every member, the same state on a
+window too short for evidence, xi.spec against xi 1..2, where ties and
+one-sided exponents take the windowed evidence, and the squeezed state
+against members on another grid step, with no closed-form pair), two
+certificates and a comparison
 at witness thresholds off their defaults (psi2/psi1 falls short of 7
 witnesses 2 nats apart, psi3/psi0 reaches them), the r = 110 pair, whose
 closed-form window ends where its profile could overflow (certified in
@@ -157,6 +162,14 @@ def commands():
                                        "--steps", "5", "--member-n", "2000"]))
     out.append(("estimate_t999_delta05.json", ["estimate-r", "t999_delta05.spec", "--r-min", "1", "--r-max", "2",
                                                "--steps", "3", "--member-n", "2000"]))
+    # each way estimate-r decides a member: the exponents alone (tmss on its own grid),
+    # too few window points, the windowed evidence (a tie or one-sided exponent), no pair
+    est_t_d1 = ["estimate-r", "t_d1.spec", "--r-min", "1", "--r-max", "2", "--steps", "5", "--member-n", "2000"]
+    out.append(("estimate_t_d1.json", est_t_d1))
+    out.append(("estimate_t_d1_w40.json", [*est_t_d1, "--window", "0:40"]))
+    out.append(("estimate_xi.json", ["estimate-r", "xi.spec", "--r-min", "1", "--r-max", "2", "--steps", "5",
+                                     "--member-n", "2000"]))
+    out.append(("estimate_t_d1_d11.json", [*est_t_d1, "--delta", "1.1"]))
     # thresholds off their defaults: the record lists at other steps and counts
     out.append(("certify_psi2_psi1_step2_min7.json", ["certify", "psi2.spec", "psi1.spec", "--witness-step", "2",
                                                       "--min-witnesses", "7"]))
