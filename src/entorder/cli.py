@@ -12,12 +12,17 @@ Subcommands:
 All reports are canonical JSON on stdout (or -o FILE): identical inputs
 produce byte-identical output. Exit codes: 0 success (an Undecided
 verdict is data, not failure), 1 usage error, 2 invalid input file,
-3 operation error.
+3 operation error (an output path that cannot be written among them).
+
+``run`` builds its argument parser once per process and reuses it, so an
+in-process caller that runs many commands pays for the build once.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
+import functools
 import math
 import sys
 from dataclasses import fields
@@ -92,7 +97,9 @@ def _add_gen_common(p):
     _add_output(p)
 
 
+@functools.cache
 def build_parser() -> _Parser:
+    """The argument parser, built at the first call and shared by every later one."""
     parser = _Parser(prog="entorder", description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
     parser.add_argument("--version", action="version", version=f"entorder {__version__}")
     sub = parser.add_subparsers(dest="cmd", required=True)
@@ -199,10 +206,19 @@ def _check_span(delta, delta_name, n, n_option):
         raise _UsageError(f"{delta_name} * ({n_option} + 1) overflows; give a smaller {delta_name} or {n_option}")
 
 
+@contextlib.contextmanager
+def _writing_output(path):
+    """Report a failed write of the output as an operation error naming the path, not as bad input."""
+    try:
+        yield
+    except OSError as exc:
+        raise EntOrderError(f"cannot write the output {path}: {exc.strerror or exc}") from exc
+
+
 def _emit(args, report) -> None:
     text = emit_report(report)
     if args.output:
-        with open(args.output, "w", encoding="ascii") as fh:
+        with _writing_output(args.output), open(args.output, "w", encoding="ascii") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
@@ -250,7 +266,8 @@ def _cmd_gen(args) -> int:
             spectrum = xi_state(args.r, **kwargs)
         else:
             spectrum = psi_state(k, r=args.r, **kwargs)
-    write_spectrum(spectrum, args.output)
+    with _writing_output(args.output):
+        write_spectrum(spectrum, args.output)
     return EXIT_OK
 
 

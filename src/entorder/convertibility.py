@@ -383,12 +383,14 @@ def estimate_r_bounds(
 
     ``family_gen(r)`` must yield a valid spectrum per sampled r (checked
     via the four tail-function conditions); ``r_min <= r_max`` must be
-    finite. For each r the liminf and limsup of g_psi/g_(family r) are
-    classified after the same rank and window-size checks as
-    :func:`slocc_decide`. Where the pair's closed-form exponents give
-    lo < 0 < hi, both limits are settled and no windowed evidence is
-    computed; every other member gets :func:`slocc_decide`'s trend tests
-    and probe, of which only the two directions are read:
+    finite. Each distinct r of the ``steps``-point grid is sampled once,
+    so ``r_min == r_max`` gives one member whatever ``steps`` is. For each
+    r the liminf and limsup of g_psi/g_(family r) are classified after the
+    same rank and window-size checks as :func:`slocc_decide`. Where the
+    pair's closed-form exponents give lo < 0 < hi, both limits are settled
+    and no windowed evidence is computed; every other member gets
+    :func:`slocc_decide`'s trend tests and probe, of which only the two
+    directions are read:
 
     * r_minus estimates inf{r : liminf vanishes}; evidence at the lowest
       sampled r pins it there, otherwise one grid step below the first
@@ -404,7 +406,7 @@ def estimate_r_bounds(
         raise ValueError("steps must be >= 1")
     if not (math.isfinite(r_min) and math.isfinite(r_max)) or r_min > r_max:
         raise ValueError(f"need finite r_min <= r_max, got [{r_min}, {r_max}]")
-    rs = np.linspace(r_min, r_max, steps)
+    rs = np.unique(np.linspace(r_min, r_max, steps))  # each distinct r once; the grid is nondecreasing
     grid = (r_max - r_min) / (steps - 1) if steps > 1 else 0.0
 
     per_r = []

@@ -394,6 +394,19 @@ class TestExitCodes:
         assert float(seconds) < 5.0
         assert message.startswith("the condition scan may evaluate 1.1e+13 lattice points")
 
+    @pytest.mark.parametrize("argv", [
+        ["gen", "tmss", "--q", "0.5", "--n", "10", "-o", "{out}"],
+        ["validate", "{dir}/tmss05.spec", "-o", "{out}"],
+    ], ids=["gen", "validate"])
+    def test_unwritable_output_is_operation_error(self, specdir, tmp_path, capsys, argv):
+        out = tmp_path / "missing" / "x"
+        assert run([a.format(dir=specdir, out=out) for a in argv]) == 3
+        assert capsys.readouterr().err.startswith(f"operation failed: cannot write the output {out}: ")
+
+    def test_directory_input_is_bad_file(self, tmp_path, capsys):
+        assert run(["validate", str(tmp_path)]) == 2
+        assert capsys.readouterr().err.startswith("invalid input: ")
+
     def test_reversed_window(self, specdir):
         psi1, psi0 = str(specdir / "psi1.spec"), str(specdir / "psi0.spec")
         assert run(["certify", psi1, psi0, "--window", "50:10"]) == 1
@@ -499,3 +512,66 @@ class TestDeterminism:
         assert run(["gen", "psi", "--k", "1", "--n", "500", "-o", str(a)]) == 0
         assert run(["gen", "psi", "--k", "1", "--n", "500", "-o", str(b)]) == 0
         assert a.read_bytes() == b.read_bytes()
+
+
+def _stdout(capsys, argv):
+    """Standard output of one run, which may end in SystemExit(0) (--help, --version)."""
+    try:
+        run(argv)
+    except SystemExit as exc:
+        assert exc.code == 0
+    return capsys.readouterr().out.encode()
+
+
+class TestParserReuse:
+    """run builds its parser once per process; no run leaves a trace in the next."""
+
+    @pytest.fixture
+    def fresh_parser(self):
+        cli.build_parser.cache_clear()
+        yield
+        cli.build_parser.cache_clear()
+
+    def test_built_once_across_runs(self, specdir, monkeypatch, capsys, fresh_parser):
+        built = []
+
+        class Counting(cli._Parser):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                built.append(self.prog)
+
+        monkeypatch.setattr(cli, "_Parser", Counting)
+        argv = ["validate", str(specdir / "rank2.spec")]
+        assert run(argv) == 0
+        first = list(built)
+        assert first.count("entorder") == 1
+        assert run(argv) == 0
+        assert run(["compare", "a", "b"]) == 1
+        assert run(argv) == 0
+        assert built == first
+
+    @pytest.mark.parametrize("between", [
+        ["compare", "{dir}/psi1.spec", "{dir}/psi0.spec"],
+        ["compare", "{dir}/psi1.spec", "{dir}/psi0.spec", "--mode", "slocc", "--window", "5"],
+        ["--version"],
+        ["compare", "--help"],
+        ["certify", "{dir}/psi1.spec", "{dir}/psi0.spec", "--min-witnesses", "7"],
+    ], ids=["no-mode", "bad-window", "version", "help", "min-witnesses"])
+    def test_no_run_changes_a_later_compare(self, specdir, capsys, between):
+        argv = ["compare", str(specdir / "psi1.spec"), str(specdir / "psi0.spec"), "--mode", "slocc"]
+        before = _stdout(capsys, argv)
+        _stdout(capsys, [a.format(dir=specdir) for a in between])
+        assert _stdout(capsys, argv) == before
+
+    def test_overridden_option_does_not_leak_into_defaults(self, specdir, capsys):
+        argv = ["certify", str(specdir / "psi1.spec"), str(specdir / "psi0.spec")]
+        before = _stdout(capsys, argv)
+        assert _stdout(capsys, [*argv, "--min-witnesses", "7"]) != before
+        assert _stdout(capsys, argv) == before
+
+    def test_help_unchanged_by_earlier_runs(self, specdir, capsys, fresh_parser):
+        first = _stdout(capsys, ["compare", "--help"])
+        assert first.startswith(b"usage: entorder compare")
+        _stdout(capsys, ["compare", str(specdir / "psi1.spec"), str(specdir / "psi0.spec"), "--mode", "locc"])
+        _stdout(capsys, ["compare", "a", "b"])
+        assert _stdout(capsys, ["compare", "--help"]) == first

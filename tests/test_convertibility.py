@@ -347,6 +347,21 @@ class TestEstimateRBounds:
             eo.estimate_r_bounds(tmss_match, gen, r_min, r_max, 5)
         assert generated == []
 
+    @pytest.mark.parametrize("r_max, steps, members", [
+        (1.0, 3, [1.0]),
+        (math.nextafter(1.0, 2.0), 4, [1.0, math.nextafter(1.0, 2.0)]),
+    ], ids=["equal", "one-ulp"])
+    def test_each_distinct_r_sampled_once(self, tmss_match, r_max, steps, members):
+        generated = []
+
+        def gen(r):
+            generated.append(r)
+            return eo.xi_state(r, DELTA, 2000)
+
+        est = eo.estimate_r_bounds(tmss_match, gen, 1.0, r_max, steps)
+        assert generated == members
+        assert est.per_r == tuple((r, Verdict.Incomparable) for r in members)
+
 
 @functools.lru_cache(maxsize=None)
 def _xi_member(r, delta):

@@ -14,8 +14,11 @@ trees produce the same reports exactly when their manifests are equal::
     python3 tools/report_manifest.py src /tmp/after
     diff /tmp/before/MANIFEST /tmp/after/MANIFEST
 
-All commands run in one interpreter through ``entorder.cli.run``; the set
-covers generation (searched and given offsets, on and off the default
+All commands run in one interpreter through ``entorder.cli.run``, which
+builds its parser once, at the first command. That command is a usage
+error (``compare`` without ``--mode``, exit 1), so every later command
+runs on a parser that has already refused a parse. The set then covers
+generation (searched and given offsets, on and off the default
 check grid, one offset that fails, one member with a 5e6-point lattice,
 two members whose closed-form cut-off y* lies far inside the span, a
 span of 1e301 that y* bounds and three whose y* lies at 2e6 to 1e10,
@@ -33,11 +36,12 @@ summaries, every ordered pair of the psi ladder, locc/slocc comparisons
 a fine grid (delta 0.002, 3,145-point probe neighbourhoods), one on a
 window that ends at 10**80 + 12345, a certificate and a comparison on a
 window past the stored horizon of a pair with no closed-form
-continuation, seven ``estimate-r`` runs (among them a squeezed state on
+continuation, eight ``estimate-r`` runs (among them a squeezed state on
 its own grid, whose exponents decide every member, the same state on a
 window too short for evidence, xi.spec against xi 1..2, where ties and
-one-sided exponents take the windowed evidence, and the squeezed state
-against members on another grid step, with no closed-form pair), two
+one-sided exponents take the windowed evidence, the squeezed state
+against members on another grid step, with no closed-form pair, and a
+span with r-min = r-max at three steps, which samples its one r once), two
 certificates and a comparison
 at witness thresholds off their defaults (psi2/psi1 falls short of 7
 witnesses 2 nats apart, psi3/psi0 reaches them), the r = 110 pair, whose
@@ -58,6 +62,9 @@ import hashlib
 import io
 import sys
 from pathlib import Path
+
+# run first, before any file exists: the parser refuses it for want of --mode
+REFUSED = ("compare_no_mode.json", ["compare", "psi2.spec", "psi1.spec"])
 
 GEN = [
     *[(f"psi{k}.spec", ["gen", "psi", "--k", str(k), "--n", "10000"]) for k in range(5)],
@@ -133,7 +140,7 @@ PAIRS = [("t06", "t04"), ("t999", "t998"), ("psi0", "xi"), ("psi2", "xi")]
 
 def commands():
     """(output file name, argv with spectrum names still bare) in run order."""
-    out = list(GEN)
+    out = [REFUSED, *GEN]
     for name in INSPECTED:
         out.append((f"validate_{name}.json", ["validate", f"{name}.spec"]))
         out.append((f"info_{name}.json", ["info", f"{name}.spec"]))
@@ -170,6 +177,7 @@ def commands():
     out.append(("estimate_xi.json", ["estimate-r", "xi.spec", "--r-min", "1", "--r-max", "2", "--steps", "5",
                                      "--member-n", "2000"]))
     out.append(("estimate_t_d1_d11.json", [*est_t_d1, "--delta", "1.1"]))
+    out.append(("estimate_t_d1_r1.json", ["estimate-r", "t_d1.spec", "--r-min", "1", "--r-max", "1", "--steps", "3"]))
     # thresholds off their defaults: the record lists at other steps and counts
     out.append(("certify_psi2_psi1_step2_min7.json", ["certify", "psi2.spec", "psi1.spec", "--witness-step", "2",
                                                       "--min-witnesses", "7"]))
@@ -199,7 +207,7 @@ def main(argv):
     lines = []
     written = []
     for i, (name, argv_cmd) in enumerate(commands()):
-        if i == len(GEN):
+        if i == 1 + len(GEN):  # right after the last generated file
             for edited, (source, edit) in EDITED.items():
                 source_lines = (out / source).read_text(encoding="ascii").splitlines()
                 (out / edited).write_bytes(edit(source_lines).encode("latin-1"))  # ASCII but for the one 0xff
