@@ -12,7 +12,8 @@ Subcommands:
 All reports are canonical JSON on stdout (or -o FILE): identical inputs
 produce byte-identical output. Exit codes: 0 success (an Undecided
 verdict is data, not failure), 1 usage error, 2 invalid input file,
-3 operation error (an output path that cannot be written among them).
+3 operation error (an output path that cannot be written and an
+allocation that fails for want of memory among them).
 
 ``run`` builds its argument parser once per process and reuses it, so an
 in-process caller that runs many commands pays for the build once.
@@ -389,6 +390,9 @@ def run(argv) -> int:
         return EXIT_BAD_FILE
     except (EntOrderError, ValueError, OverflowError) as exc:
         print(f"operation failed: {exc}", file=sys.stderr)
+        return EXIT_OPERATION
+    except MemoryError as exc:  # e.g. an --n or --steps too large to allocate
+        print(f"operation failed: not enough memory: {exc}", file=sys.stderr)
         return EXIT_OPERATION
 
 

@@ -39,8 +39,6 @@ from .oscillation import (
 )
 from .spectrum import SchmidtSpectrum, vidal_conditions
 
-_MAX_TREND_POINTS = 65536
-
 
 class Verdict(Enum):
     TwoWay = "TwoWay"
@@ -226,20 +224,12 @@ def _asymptotic_no(cw: ComparisonWindow):
     return lo < 0, hi > 0
 
 
-def _windowed_directions(cw: ComparisonWindow, values, th):
-    """Forward and backward directions of a pair no rank fact decides, with its probe and trend flags.
+def _windowed_directions(cw: ComparisonWindow, flags, th):
+    """Forward and backward directions of a pair no rank fact decides, with its probe.
 
-    ``values`` are the finite window points from :func:`_window_facts`;
-    the trend tests may see a subsample of them.
+    ``flags`` are the trend flags of the finite window points from
+    :func:`_window_facts`.
     """
-    if values.size > _MAX_TREND_POINTS:
-        stride = int(math.ceil(values.size / _MAX_TREND_POINTS))
-        keep = np.arange(0, values.size, stride)
-        if keep[-1] != values.size - 1:
-            keep = np.append(keep, values.size - 1)
-        values = values[keep]
-
-    flags = trend_flags(values, th)
     probe = probe_pair(cw, th)
 
     # a trend or witness NO, found first, keeps its grade
@@ -255,26 +245,23 @@ def _windowed_directions(cw: ComparisonWindow, values, th):
         yes=flags.max_stable and probe.up_env_gain < step,
         yes_grade="stable-maximum",
     )
-    return fwd, bwd, probe, flags
+    return fwd, bwd, probe
 
 
 def _windowed_evidence(cw: ComparisonWindow, th):
     """Shared evidence assembly for one ordered pair over its comparison window.
 
     Returns (fwd, bwd, probe, (log eps fwd, log eps bwd), (trend fwd, trend bwd)).
-    The epsilons cover every finite point of the stored window; the
-    trend tests may see a subsample of it.
+    The epsilons and the trend tests both read every finite point of the
+    stored window; a rank-decided pair with too few of them has no trends.
     """
     rank, values = _window_facts(cw, th)
     eps = (float(np.min(values)), float(-np.max(values))) if values.size else (NEG_INF, NEG_INF)
+    flags = trend_flags(values, th) if values.size >= th.min_points else None
+    trends = (flags.label(), flags.mirrored().label()) if flags else (None, None)
     if rank:
-        trends = (None, None)
-        if values.size >= th.min_points:
-            flags = trend_flags(values, th)
-            trends = (flags.label(), flags.mirrored().label())
         return *rank, ProbeReport((), ()), eps, trends
-    fwd, bwd, probe, flags = _windowed_directions(cw, values, th)
-    return fwd, bwd, probe, eps, (flags.label(), flags.mirrored().label())
+    return *_windowed_directions(cw, flags, th), eps, trends
 
 
 def _member_evidence(cw: ComparisonWindow, th):
@@ -290,7 +277,7 @@ def _member_evidence(cw: ComparisonWindow, th):
     elif all(_asymptotic_no(cw)):
         return _Ev.NO, _Ev.NO
     else:
-        fwd, bwd, _, _ = _windowed_directions(cw, values, th)
+        fwd, bwd, _ = _windowed_directions(cw, trend_flags(values, th), th)
     return fwd.evidence, bwd.evidence
 
 

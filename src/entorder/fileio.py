@@ -42,23 +42,27 @@ META_KEYS = ("family", "q", "r", "k", "delta", "offset", "tail_bound")
 def _log10_exact(ln_values):
     """Base-10 logs whose parse-back (* ln 10) reproduces each ln value where it can.
 
-    Each entry is the quotient x / ln 10. Where its parse-back misses x,
-    the doubles +1, -1, +2 and -2 ulp away are tried in that order, and
-    the first that hits replaces it. About 10 % of ln values have no
-    double v with v * ln 10 == x at all; they keep the quotient, one ulp
-    or so off on parse-back. On sampled inputs the search recovered only
-    ones near a binade edge -2**e, each through the -1 ulp candidate.
+    Each entry is v = fl(x / c), c = ln 10. Where v * c misses x, only the
+    double one ulp away from zero can hit, and it replaces v where it does.
+    About 10 % of ln values have no double v with v * c == x at all; they
+    keep the quotient, one ulp or so off on parse-back.
+
+    Why one candidate suffices: x ~ 2.30 v, so ulp(x) is 4 ulp(v) or
+    2 ulp(v), and |v c - x| <= 1.15 ulp(v). Where ulp(x) = 4 ulp(v) that
+    lies within ulp(x) / 2, so v itself hits. Where ulp(x) = 2 ulp(v),
+    every other double v' has |v' c - x| >= 1.15 ulp(v) > ulp(x) / 2, so
+    none hits, the toward-zero and 2-ulp neighbours included (below the
+    normal range ulp(x) = ulp(v), and the same bound holds). The exception
+    is x = +-2**e, whose rounding interval reaches only ulp(x) / 4 toward
+    zero: there only the neighbour away from zero can land. At v = +-2**k
+    the spacing toward zero halves, but there v itself hits.
     """
     x = np.atleast_1d(np.asarray(ln_values, dtype=float))
     v = x / LN10
     miss = np.flatnonzero(v * LN10 != x)
-    for step in (1, -1, 2, -2):
-        cand = v[miss]
-        for _ in range(abs(step)):
-            cand = np.nextafter(cand, math.copysign(math.inf, step))
-        hit = cand * LN10 == x[miss]
-        v[miss[hit]] = cand[hit]
-        miss = miss[~hit]
+    cand = np.nextafter(v[miss], np.copysign(np.inf, v[miss]))
+    hit = cand * LN10 == x[miss]
+    v[miss[hit]] = cand[hit]
     return v
 
 

@@ -117,8 +117,8 @@ class TestSloccDecide:
         assert rev.verdict is Verdict.OneWayBtoA
 
     def test_epsilon_covers_the_whole_window(self):
-        # a one-index dip at an odd n: the trend tests see every second
-        # point of this window, epsilon must still see the dip
+        # a one-index dip at an odd n in a window of more than 65,536
+        # points: epsilon must see the dip, as the trend tests do
         a = eo.tmss(0.999, 90000)
         w = a.weights()
         e = (w[1000] - w[1001]) / 4
@@ -206,6 +206,37 @@ class TestSloccDecide:
         assert rep.verdict is Verdict.OneWayBtoA
         assert rep.evidence == {"forward": "rank", "backward": "rank"}
         assert eo.slocc_decide(deep, small).verdict is Verdict.OneWayAtoB
+
+    def test_rank_decided_pair_reports_its_trends(self):
+        # the first 100 weights of a squeezed state, exact, against the
+        # truncated state: rank decides, the trend tests read the window
+        deep = eo.tmss(0.4, 500)
+        exact = eo.make_spectrum(deep.log_weights[:100])
+        rep = eo.slocc_decide(exact, deep)
+        assert rep.verdict is Verdict.OneWayBtoA
+        assert rep.evidence == {"forward": "rank", "backward": "rank"}
+        assert rep.window == (0, 100)
+        assert (rep.trend_forward, rep.trend_reverse) == (TrendClass.BoundedBelow, TrendClass.BoundedBelow)
+        assert rep.witnesses is None
+
+    @pytest.mark.parametrize("pair", ["rank", "stored", "closed-form"])
+    def test_trend_tests_run_once_per_decision(self, monkeypatch, psi_family, pair):
+        deep = eo.tmss(0.4, 500)
+        a, b = {
+            "rank": (eo.make_spectrum(deep.log_weights[:100]), deep),
+            "stored": (eo.tmss(0.6, 500), deep),
+            "closed-form": (psi_family[2], psi_family[1]),
+        }[pair]
+        calls = []
+        real = convertibility.trend_flags
+
+        def counting(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(convertibility, "trend_flags", counting)
+        eo.slocc_decide(a, b)
+        assert len(calls) == 1
 
 
 @pytest.fixture(scope="module")
@@ -346,6 +377,10 @@ class TestEstimateRBounds:
         with pytest.raises(ValueError, match="r_min <= r_max"):
             eo.estimate_r_bounds(tmss_match, gen, r_min, r_max, 5)
         assert generated == []
+
+    def test_no_steps_refused(self, tmss_match):
+        with pytest.raises(ValueError, match="steps must be >= 1"):
+            eo.estimate_r_bounds(tmss_match, lambda r: eo.xi_state(r, DELTA, 2000), 1.0, 2.0, 0)
 
     @pytest.mark.parametrize("r_max, steps, members", [
         (1.0, 3, [1.0]),

@@ -44,6 +44,17 @@ class TestTmss:
             eo.delta_from_q(0.5, "bogus")
 
 
+class TestInputChecks:
+    @pytest.mark.parametrize("call, message", [
+        (lambda: eo.find_offset(1, grid_step=0), "grid_step and horizon must be positive"),
+        (lambda: eo.discretize(eo.AnalyticForm(1, 1.0, 2.0, DELTA), 0), "need at least one stored weight"),
+        (lambda: eo.tmss(0.5, 0), "need at least one stored weight"),
+    ], ids=["find_offset-grid_step-0", "discretize-n-0", "tmss-n-0"])
+    def test_refused_with_value_error(self, call, message):
+        with pytest.raises(ValueError, match=message):
+            call()
+
+
 class TestEvalP:
     def test_peak_value(self):
         # sin(ln x) = 1 at ln x = pi/2: p = L^r * 2 + 1/L with L = pi/2

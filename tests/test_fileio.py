@@ -59,6 +59,13 @@ class TestSpectrumFiles:
             eo.read_spectrum(f)
         assert err.value.line == 2
 
+    def test_metadata_key_without_value(self, tmp_path):
+        f = tmp_path / "bad.spec"
+        f.write_text("#schmidt-spectrum 1\n#q\n-0.3\n")
+        with pytest.raises(ParseError, match="needs a key and a value") as err:
+            eo.read_spectrum(f)
+        assert err.value.line == 2
+
     def test_no_weights(self, tmp_path):
         f = tmp_path / "bad.spec"
         f.write_text("#schmidt-spectrum 1\n#family tmss\n")
@@ -303,25 +310,43 @@ class TestNonAscii:
         assert str(err.value) == f"line {line}: not ASCII text: byte 0xff"
 
 
-def _binade_edges(ulps=40):
-    """Every double within `ulps` ulp of -2**e on either side, e = -8..9."""
+def _binade_edges(ulps=40, exponents=range(-8, 10), signs=(-1.0,), scale=1.0):
+    """Every double within `ulps` ulp of sign * scale * 2**e on either side, e in `exponents`."""
     out = []
-    for e in range(-8, 10):
-        for toward in (math.inf, -math.inf):
-            x = -(2.0 ** e)
-            for _ in range(ulps):
-                x = math.nextafter(x, toward)
-                out.append(x)
-        out.append(-(2.0 ** e))
+    for e in exponents:
+        for sign in signs:
+            edge = sign * scale * 2.0 ** e
+            if not math.isfinite(edge):
+                continue
+            for toward in (math.inf, -math.inf):
+                x = edge
+                for _ in range(ulps):
+                    x = math.nextafter(x, toward)
+                    out.append(x)
+            out.append(edge)
     return np.array(out)
+
+
+def _every_edge(ulps=8):
+    """Every double within `ulps` ulp of each +-2**e and each +-LN10 * 2**e (where x / LN10 is one), e = -1074..1023."""
+    return np.concatenate([_binade_edges(ulps, range(-1074, 1024), (1.0, -1.0), scale) for scale in (1.0, LN10)])
 
 
 class TestLog10Exact:
     def test_matches_scalar_search_bit_for_bit(self):
         rng = np.random.default_rng(3)
-        x = np.concatenate([rng.uniform(-665.0, -0.007, 10**5), _binade_edges()])
+        x = np.concatenate([
+            rng.uniform(-665.0, -0.007, 10**5),
+            _binade_edges(),
+            _every_edge(),
+        ])
         expected = np.array([_reference_log10_exact(float(v))[0] for v in x])
         assert _log10_exact(x).tobytes() == expected.tobytes()
+
+    def test_only_the_neighbour_away_from_zero_ever_hits(self):
+        steps = {(math.copysign(1.0, v), _reference_log10_exact(float(v))[1]) for v in _every_edge()}
+        assert steps <= {(1.0, 0), (1.0, None), (1.0, 1), (-1.0, 0), (-1.0, None), (-1.0, -1)}
+        assert (1.0, 1) in steps and (-1.0, -1) in steps
 
     def test_minus_one_ulp_branch_fires_at_binade_edges(self):
         edges = _binade_edges()

@@ -9,9 +9,16 @@ import entorder as eo
 from entorder import families, oscillation
 from entorder.errors import TooShort, TruncationUnsafe
 from entorder.families import PairRatio, pair_ratio
+from entorder.numutil import log1mexp
 from entorder.oscillation import ComparisonWindow, OscillationCertificate, ProbeReport, TrendClass, trend_flags
 
 DELTA = 1.0
+
+
+def _formless(log_g):
+    """The metadata-free spectrum whose ln g(0..N) is ``log_g`` (shifted to g(0) = 1), tail bound g(N)."""
+    log_g = log_g - log_g[0]
+    return eo.make_spectrum(log_g[:-1] + log1mexp(np.diff(log_g)), log_g[-1])
 
 
 class TestLogRatioSequence:
@@ -39,6 +46,16 @@ class TestLogRatioSequence:
         s = eo.tmss(0.5, 200)
         with pytest.raises(TruncationUnsafe):
             eo.log_ratio_sequence(s, s, (0, 200))
+
+    def test_continued_pair_past_its_stored_horizon(self, psi_family):
+        # the closed form lets the window pass the horizon; the stored sequence cannot
+        with pytest.raises(TruncationUnsafe, match="beyond truncation-safe horizon"):
+            eo.log_ratio_sequence(psi_family[1], psi_family[0], (0, 10**6))
+
+    def test_exhausted_indices(self):
+        a, b = eo.build_spectrum((0.6, 0.4)), eo.build_spectrum((0.5, 0.3, 0.2))
+        with pytest.raises(TruncationUnsafe, match="exhausted"):
+            eo.log_ratio_sequence(a, b, (0, 2))
 
     def test_subsampled_indices(self):
         s1, s0 = eo.tmss(0.6, 400), eo.tmss(0.5, 400)
@@ -68,6 +85,10 @@ class TestClassifyTrend:
         # falls 3 nats over the second half: too much for stability,
         # not enough for certified divergence at the default 5
         assert eo.classify_trend(-np.linspace(0, 6.0, 512)) is TrendClass.Undecided
+
+    def test_thresholds_must_be_positive(self):
+        with pytest.raises(ValueError, match="positive"):
+            eo.TrendThresholds(drift_nats=0)
 
     def test_too_short(self):
         with pytest.raises(TooShort):
@@ -144,6 +165,22 @@ class TestCertificates:
         assert all(b - a >= 1.0 - 1e-9 for a, b in zip(ups, ups[1:]))
         assert all(a - b >= 1.0 - 1e-9 for a, b in zip(downs, downs[1:]))
         eo.verify_certificate(cert, psi_family[2], psi_family[1])
+
+    def test_certificate_of_a_pair_without_closed_form(self):
+        # ell(n) = (n / 1000) sin(2 pi n / 2000) against a plain exponential,
+        # both stored without metadata: the witnesses are stored points
+        n = np.arange(12201.0)
+        a = _formless(-n + n / 1000 * np.sin(2 * np.pi * n / 2000))
+        b = _formless(-n)
+        assert pair_ratio(a, b) is None
+        cert = eo.incomparability_certificate(a, b)
+        assert cert is not None
+        assert min(len(cert.up_witnesses), len(cert.down_witnesses)) >= 5
+        assert eo.verify_certificate(cert, a, b)
+        (n0, v0), *rest = cert.up_witnesses
+        tampered = OscillationCertificate([(n0, v0 - 0.5), *rest], cert.down_witnesses, cert.window)
+        with pytest.raises(ValueError, match=f"up witness at {n0}"):
+            eo.verify_certificate(tampered, a, b)
 
     def test_monotone_ratio_not_found(self):
         a, b = eo.tmss(0.6, 500), eo.tmss(0.4, 500)

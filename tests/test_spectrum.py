@@ -14,6 +14,19 @@ weights_lists = st.lists(
 ).map(lambda ws: [w / sum(ws) for w in ws])
 
 
+class TestInputChecks:
+    @pytest.mark.parametrize("call, message", [
+        (lambda: make_spectrum([]), "at least one weight"),
+        (lambda: make_spectrum(np.log([0.4, 0.6])), "increase at index 0"),
+        (lambda: make_spectrum(np.log([0.6, 0.4]), math.nan), "tail bound must be finite"),
+        (lambda: eo.build_spectrum([]), "nonempty"),
+        (lambda: eo.build_spectrum([math.nan]), "must all be finite"),
+    ], ids=["make-empty", "make-increasing", "make-nan-tail", "build-empty", "build-nan"])
+    def test_refused_with_validation_error(self, call, message):
+        with pytest.raises(ValidationError, match=message):
+            call()
+
+
 class TestBuildSpectrum:
     def test_symmetric_two_term(self):
         s = eo.build_spectrum((0.5, 0.5))

@@ -32,7 +32,7 @@ above its last weight, relabelled ``#family foo``; t999.spec with
 ``#delta 0.5``, also run through ``estimate-r``; t06.spec given ``#k``
 and ``#offset`` and psi2.spec given ``#q``; each of these exits 2),
 summaries, every ordered pair of the psi ladder, locc/slocc comparisons
-(one of them on a window long enough to be subsampled), a certificate on
+(one of them on a 90,000-point window), a certificate on
 a fine grid (delta 0.002, 3,145-point probe neighbourhoods), one on a
 window that ends at 10**80 + 12345, a certificate and a comparison on a
 window past the stored horizon of a pair with no closed-form
@@ -52,7 +52,12 @@ form's exponent decides them (compared), and three pairs the exponent
 alone tells apart from a stable extreme: xi(r 1.37) against psi(k 3,
 r 0.5) in both orders, incomparable though the windowed minimum looks
 stable, and the tie psi(k 3, r 2) against psi(k 3, r 0.5), whose
-exponent minimum is 0 (compared).
+exponent minimum is 0 (compared). Last come exact finite-rank states:
+t06.spec and t04.spec stripped of their metadata (rank 500) and the first
+100 weights of t04.spec (rank 100), validated, summarized and compared in
+every mode, and the rank-100 copy against the truncated t04.spec, whose
+rank decides it while the trend tests still read its window (compared and
+certified).
 """
 
 from __future__ import annotations
@@ -116,11 +121,16 @@ def _insert_after_header(*new):
     return lambda lines: "\n".join(lines[:1] + list(new) + lines[1:]) + "\n"
 
 
+def _exact(count=None):
+    """The file without its metadata lines, so with no tail bound, cut to its first ``count`` weights."""
+    return lambda lines: "\n".join(lines[:1] + [line for line in lines[1:] if not line.startswith("#")][:count]) + "\n"
+
+
 # edited copies of generated files, written after generation as (source, edit of its
 # lines): padding the reader accepts (exit 0); three malformed files, a tail above the
 # last weight under a family with no closed form, a tmss #delta that is not -2 ln q,
 # a 0xff byte in the third weight line and keys of another family, each of which it
-# refuses (exit 2)
+# refuses (exit 2); three exact finite-rank states (exit 0)
 EDITED = {
     "psi2_padded.spec": ("psi2.spec", lambda lines: "\r\n".join(f" \t{line}\t " for line in lines) + "\r\n"),
     "psi2_blank.spec": ("psi2.spec", lambda lines: "\n".join(lines[:10] + [""] + lines[10:]) + "\n"),
@@ -131,6 +141,9 @@ EDITED = {
     "psi2_non_ascii.spec": ("psi2.spec", lambda lines: "\n".join(lines[:9] + [lines[9] + "\xff"] + lines[10:]) + "\n"),
     "t06_k_offset.spec": ("t06.spec", _insert_after_header("#k 3", "#offset 7.0")),
     "psi2_q.spec": ("psi2.spec", _insert_after_header("#q 0.5")),
+    "t06_exact.spec": ("t06.spec", _exact()),
+    "t04_exact.spec": ("t04.spec", _exact()),
+    "t04_exact100.spec": ("t04.spec", _exact(100)),
 }
 
 INSPECTED = ["psi0", "psi2", "xi", "t06", "t999", "xi_n50k"]
@@ -192,6 +205,14 @@ def commands():
     out.append(("slocc_t_d1_xi_r150.json", ["compare", "t_d1.spec", "xi_r150.spec", "--mode", "slocc"]))
     for a, b in (("xi_r137", "psi3_r05"), ("psi3_r05", "xi_r137"), ("psi3_r2", "psi3_r05")):
         out.append((f"slocc_{a}_{b}.json", ["compare", f"{a}.spec", f"{b}.spec", "--mode", "slocc"]))
+    for name in ("t06_exact", "t04_exact", "t04_exact100"):
+        out.append((f"info_{name}.json", ["info", f"{name}.spec"]))
+    for a, b in (("t06_exact", "t04_exact"), ("t04_exact100", "t04_exact")):
+        for mode in ("locc", "prob", "slocc"):
+            out.append((f"{mode}_{a}_{b}.json", ["compare", f"{a}.spec", f"{b}.spec", "--mode", mode]))
+    # exact against truncated: rank decides, and the trend labels are still reported
+    out.append(("slocc_t04_exact100_t04.json", ["compare", "t04_exact100.spec", "t04.spec", "--mode", "slocc"]))
+    out.append(("certify_t04_exact100_t04.json", ["certify", "t04_exact100.spec", "t04.spec"]))
     return out
 
 
