@@ -14,11 +14,9 @@ from .errors import (
     InvalidFamily,
     NonPositive,
     NotNormalized,
-    NotSorted,
     OffsetNotFound,
     ParseError,
     QOutOfRange,
-    TooShort,
     TruncationUnsafe,
     ValidationError,
     WindowTooSmall,
@@ -47,9 +45,7 @@ from .oscillation import (
     OscillationCertificate,
     TrendClass,
     TrendThresholds,
-    classify_trend,
     incomparability_certificate,
-    log_ratio_sequence,
     verify_certificate,
 )
 from .convertibility import (

@@ -1,4 +1,4 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package: one type per failure, wherever it is detected."""
 
 
 class EntOrderError(Exception):
@@ -11,10 +11,6 @@ class ValidationError(EntOrderError):
 
 class NonPositive(ValidationError):
     """A Schmidt weight is zero or negative."""
-
-
-class NotSorted(ValidationError):
-    """Weights are not nonincreasing and strict ordering was requested."""
 
 
 class NotNormalized(ValidationError):
@@ -54,12 +50,8 @@ class TruncationUnsafe(EntOrderError):
     """A truncation tail is large enough to contaminate a requested comparison."""
 
 
-class TooShort(EntOrderError):
-    """A sequence is shorter than the minimum the classifier needs."""
-
-
 class WindowTooSmall(EntOrderError):
-    """A comparison window holds fewer points than the configured minimum."""
+    """A comparison window or trend-test sequence holds fewer points than ``min_points``."""
 
 
 class InvalidFamily(EntOrderError):

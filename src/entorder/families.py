@@ -701,11 +701,20 @@ def pair_ratio(a: SchmidtSpectrum, b: SchmidtSpectrum) -> PairRatio | None:
 
     Requires identical grid steps: otherwise the exponential parts do not
     cancel and the materialized window is the only honest comparison.
+    Steps within ``FORM_RTOL`` of each other are ones the metadata check
+    cannot tell apart, so such a pair with a member of k > 0 raises
+    :class:`ValidationError`; a squeezed pair (both k = 0) keeps its
+    stored window.
     """
     fa, fb = a.form, b.form
     if fa is None or fb is None:
         return None
     if fa.delta != fb.delta:
+        if (fa.k or fb.k) and abs(fa.delta - fb.delta) <= FORM_RTOL * max(fa.delta, fb.delta):
+            raise ValidationError(
+                f"grid steps {fa.delta!r} and {fb.delta!r} differ by no more than FORM_RTOL "
+                f"({FORM_RTOL:g}), which the metadata check cannot resolve: give both files one step"
+            )
         return None
     return PairRatio(fa, fb)
 

@@ -6,7 +6,8 @@ away, or swings unboundedly both ways decides convertibility. Finite
 windows cannot prove limits, so everything here produces evidence with
 explicit thresholds:
 
-* windowed running-extreme drift tests (``classify_trend``),
+* windowed running-extreme drift tests (``trend_flags``), read over the
+  one comparison window (``comparison_window``),
 * record witnesses at targeted phases of the oscillating profile
   (``incomparability_certificate``), reaching indices far beyond any
   stored array via the analytic family forms carried in metadata.
@@ -24,12 +25,15 @@ from enum import Enum
 import numpy as np
 
 from . import families
-from .errors import TooShort, TruncationUnsafe, ValidationError
+from .errors import TruncationUnsafe, ValidationError, WindowTooSmall
 from .families import PairRatio, pair_ratio
 from .spectrum import SchmidtSpectrum, safe_horizon
 
 
 _MIN_WINDOWS = 3          # dyadic sub-windows that must extend the extreme
+
+#: relative and absolute tolerance of a recomputed witness value
+WITNESS_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -72,7 +76,13 @@ class TrendFlags:
         return TrendFlags(self.up_div, self.down_div, self.max_stable, self.min_stable)
 
     def label(self) -> TrendClass:
-        """Trend class of the sequence; see :func:`classify_trend`."""
+        """Label the sequence by its running-extreme behaviour.
+
+        Divergence labels require the extreme to move by ``drift_nats`` over
+        the second half and to improve in three dyadic sub-windows;
+        BoundedBelow requires the running minimum to move less than a
+        quarter of that. Anything between is Undecided.
+        """
         if self.down_div and self.up_div:
             return TrendClass.Oscillating
         if self.down_div:
@@ -147,8 +157,9 @@ def comparison_window(a: SchmidtSpectrum, b: SchmidtSpectrum, window=None) -> Co
 
     The default window is the widest honest one: up to the closed form's
     float cap, or without one up to the nearer safe horizon. Raises
-    ValueError on a negative or reversed window and
-    :class:`TruncationUnsafe` past the horizon of a pair without one.
+    ValueError on a negative or reversed window,
+    :class:`TruncationUnsafe` past the horizon of a pair without one, and
+    :class:`ValidationError` on grid steps :func:`pair_ratio` cannot resolve.
     """
     pair = pair_ratio(a, b)
     pair = pair if pair is not None and pair.oscillating else None
@@ -167,43 +178,16 @@ def comparison_window(a: SchmidtSpectrum, b: SchmidtSpectrum, window=None) -> Co
     return ComparisonWindow((n_min, n_max), ns, a.log_g[ns] - b.log_g[ns], pair)
 
 
-def log_ratio_sequence(a: SchmidtSpectrum, b: SchmidtSpectrum, window, indices=None):
-    """ell(n) = ln g_a(n) - ln g_b(n) over an index window, log domain only.
-
-    ``window`` is an inclusive (n_min, n_max) pair within both stored,
-    truncation-safe ranges; ``indices`` optionally restricts evaluation
-    to a sorted subset (for log-spaced sampling of long windows).
-
-    Returns (indices, values) as arrays. Raises
-    :class:`TruncationUnsafe` when either tail bound could move a used
-    ln g by more than the default tolerance, and on windows touching
-    exhausted (zero-tail) indices of exact states.
-    """
-    cw = comparison_window(a, b, window)
-    (n_min, n_max), ns, values = cw.window, cw.ns, cw.values
-    if n_min + ns.size - 1 < n_max:
-        raise TruncationUnsafe(
-            f"window end {n_max} beyond truncation-safe horizon {n_min + ns.size - 1}"
-        )
-    if indices is not None:
-        ns = np.asarray(indices, dtype=int)
-        if np.any((ns < n_min) | (ns > n_max)):  # a negative one would wrap around below
-            raise ValueError("indices outside window")
-        values = values[ns - n_min]
-    if not np.all(np.isfinite(values)):
-        raise TruncationUnsafe("window touches exhausted indices; ratio undefined there")
-    return ns, values
-
-
 def trend_flags(values, thresholds: TrendThresholds) -> TrendFlags:
     """Two-sided drift tests on a sequence of ratio logs.
 
     The sequence's list positions define the dyadic structure, so callers
     control the index spacing (linear, geometric, ...) independently.
+    Raises :class:`WindowTooSmall` on fewer than ``min_points`` values.
     """
     v = np.asarray(values, dtype=float)
     if v.size < thresholds.min_points:
-        raise TooShort(f"{v.size} points < minimum {thresholds.min_points}")
+        raise WindowTooSmall(f"{v.size} points < minimum {thresholds.min_points}")
     half = v.size // 2
     rmin = np.minimum.accumulate(v)
     rmax = np.maximum.accumulate(v)
@@ -229,17 +213,6 @@ def trend_flags(values, thresholds: TrendThresholds) -> TrendFlags:
         min_stable=abs(dmin) < thresholds.drift_nats / 4.0,
         max_stable=abs(dmax) < thresholds.drift_nats / 4.0,
     )
-
-
-def classify_trend(values, thresholds: TrendThresholds | None = None) -> TrendClass:
-    """Label a log-ratio sequence by its running-extreme behaviour.
-
-    Divergence labels require the extreme to move by ``drift_nats`` over
-    the second half and to improve in three dyadic
-    sub-windows; BoundedBelow requires the running minimum to move less
-    than a quarter of that. Anything between is Undecided.
-    """
-    return trend_flags(values, thresholds or TrendThresholds()).label()
 
 
 # ---------------------------------------------------------------------------
@@ -431,13 +404,13 @@ def certificate_from_probe(
     return None
 
 
-def verify_certificate(cert: OscillationCertificate, a: SchmidtSpectrum, b: SchmidtSpectrum, atol=1e-12):
+def verify_certificate(cert: OscillationCertificate, a: SchmidtSpectrum, b: SchmidtSpectrum):
     """Recompute every witness value from the two spectra.
 
     The certificate's window is resolved by :func:`comparison_window`, so
     a pair without closed form must be stored over all of it. Raises
     ValueError on such a window, on metadata that misdescribes a stored
-    tail, and on any mismatch beyond ``atol``.
+    tail, and on any mismatch beyond ``WITNESS_TOL``.
     """
     try:
         cw = comparison_window(a, b, cert.window)
@@ -449,6 +422,6 @@ def verify_certificate(cert: OscillationCertificate, a: SchmidtSpectrum, b: Schm
                 got = float(cw.pair.values(np.array([float(n)]))[0])
             else:
                 got = float(cw.values[n - cw.window[0]])
-            if not math.isclose(got, v, rel_tol=atol, abs_tol=atol):
+            if not math.isclose(got, v, rel_tol=WITNESS_TOL, abs_tol=WITNESS_TOL):
                 raise ValueError(f"{name} witness at {n}: stated {v!r}, recomputed {got!r}")
     return True

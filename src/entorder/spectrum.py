@@ -7,8 +7,10 @@ operations (majorization, conversion probability, ratio trends) consume
 the tail function g(n) = sum of weights from index n on, also in log
 domain.
 
-:func:`make_spectrum` is the one validity check. Family metadata is
-trusted only through ``s.form``, which checks it once per spectrum.
+The :class:`SchmidtSpectrum` constructor is the one validity check, so no
+spectrum exists unchecked; :func:`make_spectrum` is the call that builds
+one. Family metadata is trusted only through ``s.form``, which checks it
+once per spectrum.
 """
 
 from __future__ import annotations
@@ -19,12 +21,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import (
-    NonPositive,
-    NotNormalized,
-    NotSorted,
-    ValidationError,
-)
+from .errors import NonPositive, NotNormalized, ValidationError
 from .numutil import LN2, NEG_INF, logsumexp
 
 #: relative tolerance for the normalization of a spectrum
@@ -40,7 +37,7 @@ TRUNCATION_RTOL = 1e-6
 
 @dataclass(frozen=True, eq=False)
 class SchmidtSpectrum:
-    """Nonincreasing, normalized Schmidt weights stored as natural logs.
+    """Nonincreasing, normalized Schmidt weights stored as natural logs, checked on construction.
 
     Attributes
     ----------
@@ -59,10 +56,42 @@ class SchmidtSpectrum:
     metadata: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        arr = np.asarray(self.log_weights, dtype=float).copy()
-        arr.setflags(write=False)
-        object.__setattr__(self, "log_weights", arr)
-        object.__setattr__(self, "log_tail_bound", float(self.log_tail_bound))
+        """Refuse weights that are not finite, nonincreasing (to ``ORDER_LOG_TOL``) and normalized.
+
+        A tail bound at or above the last stored weight may hide a weight
+        larger than it, so it is accepted only when the metadata names a
+        closed form that reproduces the stored tail (``s.form``); that form
+        then continues the tail past the cut.
+        """
+        lw = np.asarray(self.log_weights, dtype=float).copy()
+        lw.setflags(write=False)
+        log_tail = float(self.log_tail_bound)
+        object.__setattr__(self, "log_weights", lw)
+        object.__setattr__(self, "log_tail_bound", log_tail)
+        object.__setattr__(self, "metadata", dict(self.metadata))
+        if lw.size == 0:
+            raise ValidationError("spectrum must contain at least one weight")
+        if not np.all(np.isfinite(lw)):
+            raise NonPositive("all weights must be strictly positive and finite")
+        diffs = np.diff(lw)
+        if np.any(diffs > ORDER_LOG_TOL):
+            bad = int(np.argmax(diffs > ORDER_LOG_TOL))
+            raise ValidationError(
+                f"log weights increase at index {bad} by more than {ORDER_LOG_TOL}"
+            )
+        if not (log_tail == NEG_INF or math.isfinite(log_tail)):
+            raise ValidationError("tail bound must be finite or exactly zero (-inf log)")
+        ok, resid, total, tail = _normalization(lw, log_tail)
+        if not ok:
+            raise NotNormalized(
+                f"stored weights sum to {total!r} with tail bound {tail!r}; "
+                f"residual {resid!r} exceeds {NORMALIZATION_RTOL}"
+            )
+        if not log_tail < lw[-1] and self.form is None:
+            raise ValidationError(
+                "tail bound is not below the last stored weight; refine the "
+                "truncation or give family metadata whose closed form reproduces the stored tail"
+            )
 
     @property
     def length(self) -> int:
@@ -160,55 +189,15 @@ def _normalization(log_weights, log_tail_bound):
 
 
 def make_spectrum(log_weights, log_tail_bound=NEG_INF, metadata=None) -> SchmidtSpectrum:
-    """Build a spectrum from natural-log weights: the one check of its invariants.
-
-    The weights must be finite, nonincreasing (to ``ORDER_LOG_TOL``) and
-    normalized with the tail bound. A tail bound at or above the last
-    stored weight may hide a weight larger than it, so it is accepted
-    only when the metadata names a closed form that reproduces the
-    stored tail (``s.form``); that form then continues the tail past the cut.
-    """
-    s = SchmidtSpectrum(log_weights, log_tail_bound, dict(metadata or {}))
-    lw, log_tail = s.log_weights, s.log_tail_bound
-    if lw.size == 0:
-        raise ValidationError("spectrum must contain at least one weight")
-    if not np.all(np.isfinite(lw)):
-        raise NonPositive("all weights must be strictly positive and finite")
-    diffs = np.diff(lw)
-    if np.any(diffs > ORDER_LOG_TOL):
-        bad = int(np.argmax(diffs > ORDER_LOG_TOL))
-        raise ValidationError(
-            f"log weights increase at index {bad} by more than {ORDER_LOG_TOL}"
-        )
-    if not (log_tail == NEG_INF or math.isfinite(log_tail)):
-        raise ValidationError("tail bound must be finite or exactly zero (-inf log)")
-    ok, resid, total, tail = _normalization(lw, log_tail)
-    if not ok:
-        raise NotNormalized(
-            f"stored weights sum to {total!r} with tail bound {tail!r}; "
-            f"residual {resid!r} exceeds {NORMALIZATION_RTOL}"
-        )
-    if not log_tail < lw[-1] and s.form is None:
-        raise ValidationError(
-            "tail bound is not below the last stored weight; refine the "
-            "truncation or give family metadata whose closed form reproduces the stored tail"
-        )
-    return s
+    """Build a spectrum from natural-log weights; its constructor checks every invariant."""
+    return SchmidtSpectrum(log_weights, log_tail_bound, metadata or {})
 
 
-def build_spectrum(weights, strict_order: bool = False) -> SchmidtSpectrum:
-    """Validate linear-domain weights into a :class:`SchmidtSpectrum`.
+def build_spectrum(weights) -> SchmidtSpectrum:
+    """Validate positive, finite linear-domain weights summing to 1, in any order, into a spectrum.
 
-    Parameters
-    ----------
-    weights:
-        Positive reals summing to 1 within ``NORMALIZATION_RTOL``.
-    strict_order:
-        When true, reject any out-of-order input instead of sorting.
-
-    Raises
-    ------
-    NonPositive, NotSorted, NotNormalized
+    The weights are sorted nonincreasing. Raises ValidationError (an empty
+    or non-finite input), NonPositive or NotNormalized.
     """
     w = np.asarray(list(weights), dtype=float)
     if w.size == 0:
@@ -217,12 +206,7 @@ def build_spectrum(weights, strict_order: bool = False) -> SchmidtSpectrum:
         raise ValidationError("weights must all be finite")
     if np.any(w <= 0.0):
         raise NonPositive("weights must all be strictly positive")
-    if strict_order:
-        if np.any(np.diff(w) > 0):
-            raise NotSorted("weights are not nonincreasing")
-    else:
-        w = np.sort(w)[::-1]
-    return make_spectrum(np.log(w))
+    return make_spectrum(np.log(np.sort(w)[::-1]))
 
 
 def tail_function(s: SchmidtSpectrum) -> np.ndarray:

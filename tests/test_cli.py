@@ -532,6 +532,18 @@ class TestMetadataCheckedOnRead:
             err = capsys.readouterr().err
             assert err.startswith("invalid input: the tmss delta 0.5 is not -2 ln q = "), err
 
+    def test_near_equal_grid_steps_are_bad_files(self, specdir, tmp_path, capsys):
+        # #delta moved by 1e-12 relative: the file itself passes, its pair with psi0 cannot be continued
+        text = (specdir / "psi1.spec").read_text()
+        delta = eo.read_spectrum(specdir / "psi1.spec").metadata["delta"]
+        edited = tmp_path / "edited.spec"
+        edited.write_text(text.replace(f"#delta {delta!r}\n", f"#delta {delta * (1 + 1e-12)!r}\n"))
+        assert run(["validate", str(edited)]) == 0
+        capsys.readouterr()
+        for cmd in (["compare", "--mode", "slocc"], ["certify"]):
+            assert run([*cmd, str(edited), str(specdir / "psi0.spec")]) == 2
+            assert "differ by no more than FORM_RTOL" in capsys.readouterr().err
+
     @pytest.mark.parametrize("source, keys", [
         ("tmss06.spec", ["#k 3", "#offset 7.0"]),
         ("tmss06.spec", ["#r 1.0"]),
@@ -555,6 +567,14 @@ class TestDeterminism:
         run(argv)
         second = capsys.readouterr().out
         assert first.encode() == second.encode()
+
+    def test_output_file_holds_the_stdout_bytes(self, specdir, capsys, tmp_path):
+        argv = ["compare", str(specdir / "psi1.spec"), str(specdir / "psi0.spec"), "--mode", "slocc"]
+        assert run(argv) == 0
+        out = capsys.readouterr().out.encode()
+        assert run([*argv, "-o", str(tmp_path / "report.json")]) == 0
+        assert capsys.readouterr().out == ""
+        assert (tmp_path / "report.json").read_bytes() == out
 
     def test_gen_files_byte_identical(self, tmp_path):
         a, b = tmp_path / "a.spec", tmp_path / "b.spec"

@@ -1,5 +1,6 @@
 import functools
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -115,6 +116,13 @@ class TestSloccDecide:
         assert rep.trend_reverse is TrendClass.DivergesDown
         rev = eo.slocc_decide(b, a, window=(0, 500))
         assert rev.verdict is Verdict.OneWayBtoA
+
+    def test_overflowing_epsilon_reads_the_float_maximum(self):
+        # g_a/g_b falls below e^-709 over this window, so its inverse has no float
+        rep = eo.slocc_decide(eo.tmss(0.1, 400), eo.tmss(0.6, 400), window=(200, 300))
+        assert rep.log_epsilon_b_to_a == pytest.approx(716.70, abs=0.01)
+        assert rep.epsilon_b_to_a == sys.float_info.max
+        assert rep.to_dict()["epsilon"]["b_to_a"] == sys.float_info.max
 
     def test_epsilon_covers_the_whole_window(self):
         # a one-index dip at an odd n in a window of more than 65,536
@@ -348,6 +356,18 @@ class TestEstimateRBounds:
             rep = eo.slocc_decide(members[hi], members[lo])
             assert rep.verdict is Verdict.OneWayAtoB, (hi, lo, rep.verdict)
 
+    def test_constant_family_pins_both_ends_at_r_min(self):
+        # every member is the state itself: each converts both ways, so r_plus = r_min
+        # and r_minus, with no vanishing liminf anywhere, is clamped down to it
+        psi = eo.xi_state(1.5, DELTA, 2000)
+        est = eo.estimate_r_bounds(psi, lambda r: psi, 1.0, 2.0, 5)
+        assert est.r_minus == est.r_plus == 1.0
+        assert [v for _, v in est.per_r] == [Verdict.TwoWay] * 5
+
+    def test_reversed_estimate_refused(self):
+        with pytest.raises(ValueError, match="r_minus must not exceed r_plus"):
+            eo.MonotoneEstimate(2, 1, (), ())
+
     def test_small_window_degrades_to_span(self, tmss_match):
         def gen(r):
             return eo.xi_state(r, DELTA, 3000)
@@ -499,9 +519,7 @@ _BELOW_TOLERANCE = 1 + 1e-12  # moves ln g by less than FORM_RTOL: the check mus
     ("offset", lambda a: a * _BELOW_TOLERANCE),
     ("delta", lambda d: 1.5 * d),
     ("delta", lambda d: d * (1 + 1e-6)),
-    pytest.param("delta", lambda d: d * _BELOW_TOLERANCE, marks=pytest.mark.xfail(
-        strict=True, reason="pair_ratio compares grid steps exactly, so the pair loses its "
-        "continuation and the verdict falls to Undecided")),
+    ("delta", lambda d: d * _BELOW_TOLERANCE),  # pair_ratio refuses steps FORM_RTOL cannot resolve
 ], ids=["k+1", "k-1", "r*1.5", "r*(1+1e-6)", "r*(1+1e-12)", "offset+1", "offset*(1+1e-6)",
         "offset*(1+1e-12)", "delta*1.5", "delta*(1+1e-6)", "delta*(1+1e-12)"])
 @pytest.mark.parametrize("member", ["psi2", "xi"])

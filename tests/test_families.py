@@ -695,6 +695,25 @@ class TestAnalyticForm:
         pr = pair_ratio(c, d)
         assert pr is not None and not pr.oscillating
 
+    def test_near_equal_grid_steps_refused(self, psi_family):
+        # a step moved by 1e-12 relative passes the metadata check, yet the pair cannot be continued
+        s = psi_family[2]
+        delta = s.metadata["delta"] * (1 + 1e-12)
+        edited = eo.make_spectrum(s.log_weights, s.log_tail_bound, {**s.metadata, "delta": delta})
+        assert edited.form is not None
+        for a, b in ((edited, psi_family[0]), (psi_family[1], edited)):
+            with pytest.raises(eo.ValidationError, match=f"grid steps {a.form.delta!r} and {b.form.delta!r}"):
+                pair_ratio(a, b)
+            with pytest.raises(eo.ValidationError, match="differ by no more than FORM_RTOL"):
+                eo.slocc_decide(a, b)
+
+    def test_near_equal_squeezed_steps_keep_the_stored_window(self):
+        a, b = eo.tmss(0.5, 200), eo.tmss(0.5 * (1 + 1e-12), 200)
+        assert a.form.delta != b.form.delta
+        assert abs(a.form.delta - b.form.delta) <= families.FORM_RTOL * a.form.delta
+        assert pair_ratio(a, b) is None
+        assert eo.slocc_decide(a, b).window == (0, min(eo.safe_horizon(a), eo.safe_horizon(b)))
+
     @pytest.mark.parametrize("patch", [{"k": 3}, {"k": 0}, {"r": 1.5}, {"offset": 2.5}, {"delta": 1.5}])
     def test_metadata_must_reproduce_the_stored_tail(self, patch):
         base = eo.psi_state(1, DELTA, 2000)
@@ -794,6 +813,18 @@ class TestAnalyticForm:
             with np.errstate(all="raise"):  # every profile term stays finite, derivatives too
                 assert np.all(np.isfinite(pair.values(n)))
                 assert all(np.all(np.isfinite(v)) for v in families.eval_p(r, DELTA * n + big.offset))
+
+    @pytest.mark.parametrize("make", [
+        lambda: eo.make_spectrum(eo.tmss(0.6, 50).log_weights, eo.tmss(0.6, 50).log_tail_bound),
+        lambda: eo.psi_state(4, 0.1, 5, r=3.0),
+        lambda: eo.psi_state(1, 0.3, 5, r=3.0),
+    ], ids=["no-form", "ln-y-below-1", "ratio-at-least-1"])
+    def test_excitation_remainder_without_a_certified_form(self, make):
+        s = make()
+        assert not s.is_exact
+        assert families.excitation_remainder_bound(s) is None
+        stats = eo.summary_stats(s)
+        assert stats["excitation_tail_bound"] is None and stats["log_excitation_tail_bound"] is None
 
     def test_excitation_remainder_certified(self, psi_family):
         for k in range(1, 5):

@@ -7,12 +7,15 @@ from hypothesis import given, strategies as st
 
 import entorder as eo
 from entorder import families, oscillation
-from entorder.errors import TooShort, TruncationUnsafe
+from entorder.errors import TruncationUnsafe, WindowTooSmall
 from entorder.families import PairRatio, pair_ratio
 from entorder.numutil import log1mexp
-from entorder.oscillation import ComparisonWindow, OscillationCertificate, ProbeReport, TrendClass, trend_flags
+from entorder.oscillation import (
+    ComparisonWindow, OscillationCertificate, ProbeReport, TrendClass, comparison_window, trend_flags,
+)
 
 DELTA = 1.0
+TH = eo.TrendThresholds()
 
 
 def _formless(log_g):
@@ -21,78 +24,55 @@ def _formless(log_g):
     return eo.make_spectrum(log_g[:-1] + log1mexp(np.diff(log_g)), log_g[-1])
 
 
-class TestLogRatioSequence:
+class TestComparisonWindowValues:
     def test_identical_spectra_all_zero(self):
         s = eo.tmss(0.5, 300)
-        ns, vals = eo.log_ratio_sequence(s, s, (0, 250))
-        assert np.all(vals == 0.0)
-        assert ns[0] == 0 and ns[-1] == 250
+        cw = comparison_window(s, s, (0, 250))
+        assert np.all(cw.values == 0.0)
+        assert cw.ns[0] == 0 and cw.ns[-1] == 250
 
     def test_tmss_pair_closed_form(self):
         a, b = eo.tmss(0.6, 400), eo.tmss(0.4, 400)
-        ns, vals = eo.log_ratio_sequence(a, b, (0, 300))
-        expect = 2 * ns * (math.log(0.6) - math.log(0.4))
-        assert np.max(np.abs(vals - expect)) < 1e-9
+        cw = comparison_window(a, b, (0, 300))
+        expect = 2 * cw.ns * (math.log(0.6) - math.log(0.4))
+        assert np.max(np.abs(cw.values - expect)) < 1e-9
 
     def test_profile_ratio_definitional(self, psi_family):
         s1, s0 = psi_family[1], psi_family[0]
         a = s1.metadata["offset"]
-        ns, vals = eo.log_ratio_sequence(s1, s0, (0, 1500))
-        p, _, _ = eo.eval_p(1.0, DELTA * ns + a)
+        cw = comparison_window(s1, s0, (0, 1500))
+        p, _, _ = eo.eval_p(1.0, DELTA * cw.ns + a)
         p0, _, _ = eo.eval_p(1.0, a)
-        assert np.max(np.abs(vals - (np.log(p) - math.log(p0)))) < 1e-9
+        assert np.max(np.abs(cw.values - (np.log(p) - math.log(p0)))) < 1e-9
 
     def test_truncation_unsafe_beyond_horizon(self):
         s = eo.tmss(0.5, 200)
         with pytest.raises(TruncationUnsafe):
-            eo.log_ratio_sequence(s, s, (0, 200))
-
-    def test_continued_pair_past_its_stored_horizon(self, psi_family):
-        # the closed form lets the window pass the horizon; the stored sequence cannot
-        with pytest.raises(TruncationUnsafe, match="beyond truncation-safe horizon"):
-            eo.log_ratio_sequence(psi_family[1], psi_family[0], (0, 10**6))
-
-    def test_exhausted_indices(self):
-        a, b = eo.build_spectrum((0.6, 0.4)), eo.build_spectrum((0.5, 0.3, 0.2))
-        with pytest.raises(TruncationUnsafe, match="exhausted"):
-            eo.log_ratio_sequence(a, b, (0, 2))
-
-    def test_subsampled_indices(self):
-        s1, s0 = eo.tmss(0.6, 400), eo.tmss(0.5, 400)
-        idx = [0, 10, 100, 300]
-        ns, vals = eo.log_ratio_sequence(s1, s0, (0, 300), indices=idx)
-        assert list(ns) == idx
-
-    @pytest.mark.parametrize("idx", [[5, -3, 7], [5, 11, 7]])
-    def test_every_index_must_lie_in_the_window(self, idx):
-        # only an end index used to be checked: -3 read the value at 8
-        s1, s0 = eo.tmss(0.6, 400), eo.tmss(0.5, 400)
-        with pytest.raises(ValueError, match="outside"):
-            eo.log_ratio_sequence(s1, s0, (0, 10), indices=idx)
+            comparison_window(s, s, (0, 200))
 
 
-class TestClassifyTrend:
+class TestTrendLabel:
     def test_linear_descent(self):
-        assert eo.classify_trend(-0.1 * np.arange(500)) is TrendClass.DivergesDown
+        assert trend_flags(-0.1 * np.arange(500), TH).label() is TrendClass.DivergesDown
 
     def test_constant(self):
-        assert eo.classify_trend(np.zeros(200)) is TrendClass.BoundedBelow
+        assert trend_flags(np.zeros(200), TH).label() is TrendClass.BoundedBelow
 
     def test_linear_ascent(self):
-        assert eo.classify_trend(0.1 * np.arange(500)) is TrendClass.DivergesUp
+        assert trend_flags(0.1 * np.arange(500), TH).label() is TrendClass.DivergesUp
 
     def test_slow_creep_is_undecided(self):
         # falls 3 nats over the second half: too much for stability,
         # not enough for certified divergence at the default 5
-        assert eo.classify_trend(-np.linspace(0, 6.0, 512)) is TrendClass.Undecided
+        assert trend_flags(-np.linspace(0, 6.0, 512), TH).label() is TrendClass.Undecided
 
     def test_thresholds_must_be_positive(self):
         with pytest.raises(ValueError, match="positive"):
             eo.TrendThresholds(drift_nats=0)
 
     def test_too_short(self):
-        with pytest.raises(TooShort):
-            eo.classify_trend(np.zeros(10))
+        with pytest.raises(WindowTooSmall):
+            trend_flags(np.zeros(10), TH)
 
     def test_profile_extreme_ladder_oscillates(self, psi_family):
         # evaluate the k=1/k=0 ratio at a geometric ladder of peak and
@@ -110,7 +90,7 @@ class TestClassifyTrend:
         ns = np.array(sorted(set(ladder)), dtype=float)
         vals = pr.values(ns)
         th = eo.TrendThresholds(drift_nats=2.0, min_points=32)
-        assert eo.classify_trend(vals, th) is TrendClass.Oscillating
+        assert trend_flags(vals, th).label() is TrendClass.Oscillating
 
     def test_mirror_specific(self):
         seqs = [
@@ -120,12 +100,12 @@ class TestClassifyTrend:
             np.sin(np.arange(300)) * 0.1,
         ]
         for v in seqs:
-            got = eo.classify_trend(-v)
+            got = trend_flags(-v, TH).label()
             mirror = {
                 TrendClass.DivergesDown: TrendClass.DivergesUp,
                 TrendClass.DivergesUp: TrendClass.DivergesDown,
             }
-            base = eo.classify_trend(v)
+            base = trend_flags(v, TH).label()
             if base in mirror:
                 assert got is mirror[base]
             elif base is TrendClass.Oscillating or base is TrendClass.Undecided:
@@ -141,8 +121,8 @@ class TestClassifyTrend:
         v = np.array(vals)
         th = eo.TrendThresholds()
         assert trend_flags(-v, th) == trend_flags(v, th).mirrored()
-        base = eo.classify_trend(v)
-        flipped = eo.classify_trend(-v)
+        base = trend_flags(v, th).label()
+        flipped = trend_flags(-v, th).label()
         mirror = {
             TrendClass.DivergesDown: TrendClass.DivergesUp,
             TrendClass.DivergesUp: TrendClass.DivergesDown,

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 import entorder as eo
-from entorder.errors import NonPositive, NotNormalized, NotSorted, ValidationError
+from entorder.errors import NonPositive, NotNormalized, ValidationError
 from entorder.numutil import NEG_INF, log1mexp
 from entorder.spectrum import make_spectrum
 
@@ -26,16 +26,24 @@ class TestInputChecks:
         with pytest.raises(ValidationError, match=message):
             call()
 
+    @pytest.mark.parametrize("args, error, message", [
+        ((np.log([0.4, 0.6]),), ValidationError, "increase at index 0"),
+        ((np.log([0.5, 0.4]),), NotNormalized, "residual"),
+        ((np.log([0.6, 0.4]), math.log(0.5)), ValidationError, "not below the last stored weight"),
+        (([0.0, -math.inf],), NonPositive, "strictly positive"),
+    ], ids=["increasing", "unnormalized", "tail-above-last", "zero-weight"])
+    def test_constructor_checks_as_make_spectrum(self, args, error, message):
+        # no spectrum exists unchecked: the constructor itself refuses what make_spectrum refuses
+        for build in (eo.SchmidtSpectrum, make_spectrum):
+            with pytest.raises(error, match=message):
+                build(*args)
+
 
 class TestBuildSpectrum:
     def test_symmetric_two_term(self):
         s = eo.build_spectrum((0.5, 0.5))
         assert np.allclose(s.weights(), [0.5, 0.5])
         assert s.is_exact
-
-    def test_strict_order_rejects_unsorted(self):
-        with pytest.raises(NotSorted):
-            eo.build_spectrum((0.2, 0.5, 0.3), strict_order=True)
 
     def test_not_normalized(self):
         with pytest.raises(NotNormalized):

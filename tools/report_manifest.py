@@ -57,7 +57,12 @@ t06.spec and t04.spec stripped of their metadata (rank 500) and the first
 100 weights of t04.spec (rank 100), validated, summarized and compared in
 every mode, and the rank-100 copy against the truncated t04.spec, whose
 rank decides it while the trend tests still read its window (compared and
-certified).
+certified). Then a psi2.spec whose ``#delta`` is moved by 1e-12 relative,
+which validates but whose pair with psi1.spec no closed form can continue
+(compared: exit 2), a truncated copy of t06.spec without its family
+metadata, which has no certified excitation remainder (validated and
+summarized), and a squeezed pair at q = 0.1 and 0.6 on the window
+200:300, whose ``b_to_a`` epsilon exceeds the float range (compared).
 """
 
 from __future__ import annotations
@@ -110,6 +115,7 @@ GEN = [
     ("psi3_r05.spec", ["gen", "psi", "--k", "3", "--r", "0.5", "--n", "2000"]),
     ("xi_r137.spec", ["gen", "xi", "--r", "1.37", "--n", "2000"]),
     ("psi3_r2.spec", ["gen", "psi", "--k", "3", "--r", "2", "--n", "2000"]),
+    ("t01.spec", ["gen", "tmss", "--q", "0.1", "--n", "500"]),
 ]
 
 
@@ -126,11 +132,23 @@ def _exact(count=None):
     return lambda lines: "\n".join(lines[:1] + [line for line in lines[1:] if not line.startswith("#")][:count]) + "\n"
 
 
+def _formless(lines):
+    """The file without its family metadata, so with no closed form, but with its tail bound."""
+    return "\n".join(line for line in lines if not line.startswith("#") or line.startswith(("#schmidt", "#tail_bound"))) + "\n"
+
+
+def _scaled_delta(factor):
+    return lambda lines: "\n".join(
+        f"#delta {float(line.split()[1]) * factor!r}" if line.startswith("#delta ") else line for line in lines
+    ) + "\n"
+
+
 # edited copies of generated files, written after generation as (source, edit of its
 # lines): padding the reader accepts (exit 0); three malformed files, a tail above the
 # last weight under a family with no closed form, a tmss #delta that is not -2 ln q,
 # a 0xff byte in the third weight line and keys of another family, each of which it
-# refuses (exit 2); three exact finite-rank states (exit 0)
+# refuses (exit 2); three exact finite-rank states, a grid step moved by 1e-12 relative
+# and a truncated state without a closed form (exit 0)
 EDITED = {
     "psi2_padded.spec": ("psi2.spec", lambda lines: "\r\n".join(f" \t{line}\t " for line in lines) + "\r\n"),
     "psi2_blank.spec": ("psi2.spec", lambda lines: "\n".join(lines[:10] + [""] + lines[10:]) + "\n"),
@@ -144,6 +162,8 @@ EDITED = {
     "t06_exact.spec": ("t06.spec", _exact()),
     "t04_exact.spec": ("t04.spec", _exact()),
     "t04_exact100.spec": ("t04.spec", _exact(100)),
+    "psi2_delta_1e12.spec": ("psi2.spec", _scaled_delta(1 + 1e-12)),
+    "t06_formless.spec": ("t06.spec", _formless),
 }
 
 INSPECTED = ["psi0", "psi2", "xi", "t06", "t999", "xi_n50k"]
@@ -213,6 +233,12 @@ def commands():
     # exact against truncated: rank decides, and the trend labels are still reported
     out.append(("slocc_t04_exact100_t04.json", ["compare", "t04_exact100.spec", "t04.spec", "--mode", "slocc"]))
     out.append(("certify_t04_exact100_t04.json", ["certify", "t04_exact100.spec", "t04.spec"]))
+    # grid steps no metadata check can tell apart: refused (exit 2)
+    out.append(("slocc_psi2_delta_1e12_psi1.json", ["compare", "psi2_delta_1e12.spec", "psi1.spec", "--mode", "slocc"]))
+    out.append(("info_t06_formless.json", ["info", "t06_formless.spec"]))
+    # g_b/g_a reaches e^716.7 at n = 200: its epsilon reads the float maximum
+    out.append(("slocc_t01_t06_w200_300.json", ["compare", "t01.spec", "t06.spec", "--mode", "slocc",
+                                                "--window", "200:300"]))
     return out
 
 
