@@ -33,7 +33,6 @@ from .spectrum import (
 )
 from .families import (
     AnalyticForm,
-    delta_from_q,
     discretize,
     eval_p,
     find_offset,

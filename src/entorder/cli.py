@@ -7,7 +7,7 @@ Subcommands:
     info <file>              entropy, rank, mean excitation, metadata
     compare <a> <b> --mode locc|prob|slocc
     certify <a> <b>          oscillation certificate search
-    estimate-r <psi> --family xi --r-min .. --r-max .. --steps ..
+    estimate-r <psi> --r-min .. --r-max .. --steps ..   (against the xi family)
 
 All reports are canonical JSON on stdout (or -o FILE): identical inputs
 produce byte-identical output. Exit codes: 0 success (an Undecided
@@ -36,7 +36,7 @@ from .convertibility import (
     slocc_decide,
 )
 from .errors import EntOrderError, ParseError, ValidationError
-from .families import delta_from_q, psi_state, tmss, xi_state
+from .families import FORM_RTOL, near_equal_steps, psi_state, tmss, xi_state
 from .fileio import emit_report, read_spectrum, write_spectrum
 from .oscillation import TrendThresholds, incomparability_certificate
 from .spectrum import summary_stats, vidal_conditions
@@ -84,14 +84,7 @@ def _add_thresholds(p):
 
 def _add_gen_common(p):
     p.add_argument("--n", type=int, default=10000, help="stored horizon (number of weights)")
-    p.add_argument("--delta", type=_finite_float, default=None, help="grid step of the tail function")
-    p.add_argument("--q", type=_finite_float, default=None, help="squeezing parameter implying the grid step")
-    p.add_argument(
-        "--delta-convention",
-        choices=("schmidt", "amplitude"),
-        default="schmidt",
-        help="how --q maps to the grid step: schmidt (delta=-2 ln q) or amplitude (delta=-ln q)",
-    )
+    p.add_argument("--delta", type=_finite_float, default=1.0, help="grid step of the tail function")
     p.add_argument("--offset", type=_finite_float, default=None, help="profile shift (default: searched)")
     p.add_argument("--offset-grid", type=_finite_float, default=0.01, help="offset search grid step")
     p.add_argument("--offset-margin", type=_finite_float, default=0.0, help="safety margin required of the decrease functional")
@@ -144,7 +137,6 @@ def build_parser() -> _Parser:
 
     est = sub.add_parser("estimate-r", help="bracket a state against the reference family")
     est.add_argument("psi")
-    est.add_argument("--family", choices=("xi",), default="xi")
     est.add_argument("--r-min", type=_finite_float, required=True)
     est.add_argument("--r-max", type=_finite_float, required=True)
     est.add_argument("--steps", type=int, default=21)
@@ -177,20 +169,6 @@ def _thresholds(args) -> TrendThresholds:
         return TrendThresholds(**overrides)
     except ValueError as exc:
         raise _UsageError(str(exc)) from exc
-
-
-def _resolve_delta(args):
-    if args.delta is not None and args.q is not None:
-        raise _UsageError("give either --delta or --q, not both")
-    if args.delta is not None:
-        if args.delta <= 0:
-            raise _UsageError("--delta must be positive")
-        return args.delta
-    if args.q is not None:
-        if not (0.0 < args.q < 1.0):
-            raise _UsageError("--q must lie in (0, 1)")
-        return delta_from_q(args.q, args.delta_convention)
-    return 1.0
 
 
 def _check_span(delta, delta_name, n, n_option):
@@ -254,10 +232,11 @@ def _cmd_gen(args) -> int:
             raise _UsageError("--k must be a nonnegative integer")
         if k > 0 and args.offset is not None and args.offset <= 1.0:
             raise _UsageError("--offset must exceed 1 so that the profile argument stays above 1")
-        delta = _resolve_delta(args)
-        _check_span(delta, "--delta", args.n, "--n")
+        if args.delta <= 0:
+            raise _UsageError("--delta must be positive")
+        _check_span(args.delta, "--delta", args.n, "--n")
         kwargs = dict(
-            delta=delta,
+            delta=args.delta,
             n=args.n,
             offset=args.offset,
             grid_step=args.offset_grid,
@@ -341,6 +320,9 @@ def _cmd_estimate_r(args) -> int:
         raise _UsageError("no grid step: give --delta or use a file with a #delta line")
     if delta <= 0:
         raise bad_delta(f"{delta_name} must be positive")
+    if psi.form is not None and near_equal_steps(psi.form.delta, delta):
+        raise _UsageError(f"--delta {delta!r} differs from the file's grid step {psi.form.delta!r} by no more than "
+                          f"FORM_RTOL ({FORM_RTOL:g}), which the metadata check cannot resolve: give --delta that step")
     if args.steps < 1:
         raise _UsageError("--steps must be >= 1")
     if args.member_n < 1:
@@ -358,7 +340,7 @@ def _cmd_estimate_r(args) -> int:
     )
     _emit(args, {
         "type": "r_bounds",
-        "family": args.family,
+        "family": "xi",
         "delta": delta,
         "psi": _spectrum_summary(psi),
         **est.to_dict(),

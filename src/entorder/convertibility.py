@@ -37,7 +37,7 @@ from .oscillation import (
     probe_pair,
     trend_flags,
 )
-from .spectrum import SchmidtSpectrum, vidal_conditions
+from .spectrum import SchmidtSpectrum
 
 
 class Verdict(Enum):
@@ -368,8 +368,9 @@ def estimate_r_bounds(
 ) -> MonotoneEstimate:
     """Bracket a state inside a parameterized reference family.
 
-    ``family_gen(r)`` must yield a valid spectrum per sampled r (checked
-    via the four tail-function conditions); ``r_min <= r_max`` must be
+    ``family_gen(r)`` must yield a truncated spectrum per sampled r: an
+    exact one raises :class:`InvalidFamily`, and its constructor holds
+    every other tail-function condition. ``r_min <= r_max`` must be
     finite. Each distinct r of the ``steps``-point grid is sampled once,
     so ``r_min == r_max`` gives one member whatever ``steps`` is. For each
     r the liminf and limsup of g_psi/g_(family r) are classified after the
@@ -402,7 +403,7 @@ def estimate_r_bounds(
     limsup_finite = []
     for r in rs:
         member = family_gen(float(r))
-        if not vidal_conditions(member).all_pass:
+        if member.is_exact:  # g reaches 0: the one condition the constructor does not refuse
             raise InvalidFamily(f"family member at r={r} fails tail-function conditions")
         try:
             fe, be = _member_evidence(comparison_window(psi, member, window), th)
@@ -417,19 +418,11 @@ def estimate_r_bounds(
             limsup_finite.append(float(r))
 
     if liminf_zero:
-        r_minus = max(r_min, min(liminf_zero) - grid)
+        r_minus = max(float(r_min), min(liminf_zero) - grid)
     elif len(band) == len(per_r):
         r_minus = float(r_min)
     else:
         r_minus = float(r_max)
 
-    if limsup_finite:
-        r_plus = min(limsup_finite)
-    else:
-        r_plus = float(r_max)
-
-    r_minus = min(max(float(r_minus), float(r_min)), float(r_max))
-    r_plus = min(max(float(r_plus), float(r_min)), float(r_max))
-    if r_minus > r_plus:
-        r_minus = r_plus
-    return MonotoneEstimate(r_minus, r_plus, tuple(per_r), tuple(band))
+    r_plus = min(limsup_finite) if limsup_finite else float(r_max)
+    return MonotoneEstimate(min(r_minus, r_plus), r_plus, tuple(per_r), tuple(band))

@@ -524,21 +524,6 @@ def tmss(q: float, n: int = 1000) -> SchmidtSpectrum:
     return make_spectrum(log_weights, log_tail, metadata)
 
 
-def delta_from_q(q: float, convention: str = "schmidt") -> float:
-    """Grid step matching a squeezing parameter.
-
-    ``schmidt`` (default): weights fall like q^(2n), delta = -2 ln q.
-    ``amplitude``: state amplitudes fall like q^n, delta = -ln q.
-    """
-    if not (0.0 < q < 1.0):
-        raise QOutOfRange(f"q={q} outside (0, 1)")
-    if convention == "schmidt":
-        return -2.0 * math.log(q)
-    if convention == "amplitude":
-        return -math.log(q)
-    raise ValueError(f"unknown delta convention {convention!r}")
-
-
 def xi_state(
     r: float,
     delta: float,
@@ -696,6 +681,11 @@ class PairRatio:
         return min(e), max(e)
 
 
+def near_equal_steps(delta_a: float, delta_b: float) -> bool:
+    """True when two grid steps differ by no more than ``FORM_RTOL`` of the larger, yet differ."""
+    return delta_a != delta_b and abs(delta_a - delta_b) <= FORM_RTOL * max(delta_a, delta_b)
+
+
 def pair_ratio(a: SchmidtSpectrum, b: SchmidtSpectrum) -> PairRatio | None:
     """Analytic log-ratio evaluator for two spectra, when both allow one.
 
@@ -709,14 +699,12 @@ def pair_ratio(a: SchmidtSpectrum, b: SchmidtSpectrum) -> PairRatio | None:
     fa, fb = a.form, b.form
     if fa is None or fb is None:
         return None
-    if fa.delta != fb.delta:
-        if (fa.k or fb.k) and abs(fa.delta - fb.delta) <= FORM_RTOL * max(fa.delta, fb.delta):
-            raise ValidationError(
-                f"grid steps {fa.delta!r} and {fb.delta!r} differ by no more than FORM_RTOL "
-                f"({FORM_RTOL:g}), which the metadata check cannot resolve: give both files one step"
-            )
-        return None
-    return PairRatio(fa, fb)
+    if (fa.k or fb.k) and near_equal_steps(fa.delta, fb.delta):
+        raise ValidationError(
+            f"grid steps {fa.delta!r} and {fb.delta!r} differ by no more than FORM_RTOL "
+            f"({FORM_RTOL:g}), which the metadata check cannot resolve: give both files one step"
+        )
+    return PairRatio(fa, fb) if fa.delta == fb.delta else None
 
 
 def excitation_remainder_bound(s: SchmidtSpectrum) -> float | None:

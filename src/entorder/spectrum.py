@@ -194,19 +194,16 @@ def make_spectrum(log_weights, log_tail_bound=NEG_INF, metadata=None) -> Schmidt
 
 
 def build_spectrum(weights) -> SchmidtSpectrum:
-    """Validate positive, finite linear-domain weights summing to 1, in any order, into a spectrum.
+    """Build a spectrum from linear-domain weights summing to 1, in any order.
 
-    The weights are sorted nonincreasing. Raises ValidationError (an empty
-    or non-finite input), NonPositive or NotNormalized.
+    The weights are sorted nonincreasing and their logs go to the
+    constructor, which refuses an empty input (ValidationError), a zero,
+    negative or non-finite weight (NonPositive) and a sum other than 1
+    (NotNormalized).
     """
-    w = np.asarray(list(weights), dtype=float)
-    if w.size == 0:
-        raise ValidationError("weights must be nonempty")
-    if not np.all(np.isfinite(w)):
-        raise ValidationError("weights must all be finite")
-    if np.any(w <= 0.0):
-        raise NonPositive("weights must all be strictly positive")
-    return make_spectrum(np.log(np.sort(w)[::-1]))
+    with np.errstate(divide="ignore", invalid="ignore"):  # the constructor refuses ln 0 = -inf and ln(-w) = nan
+        log_weights = np.log(np.sort(np.asarray(list(weights), dtype=float))[::-1])
+    return make_spectrum(log_weights)
 
 
 def tail_function(s: SchmidtSpectrum) -> np.ndarray:

@@ -188,7 +188,7 @@ class TestCertify:
 class TestEstimateR:
     def test_smoke(self, specdir, capsys):
         code, rep = run_json(capsys, [
-            "estimate-r", str(specdir / "psi0.spec"), "--family", "xi",
+            "estimate-r", str(specdir / "psi0.spec"),
             "--r-min", "1.0", "--r-max", "2.0", "--steps", "3",
             "--member-n", "2000",
         ])
@@ -250,33 +250,27 @@ class TestExitCodes:
     @pytest.mark.parametrize("argv, message", [
         (["gen", "psi", "--k", "1", "--delta", "abc"], "argument --delta: expected a finite number, got 'abc'"),
         (["gen", "psi", "--k", "1", "--delta", "0"], "--delta must be positive"),
-        (["gen", "psi", "--k", "1", "--delta", "1", "--q", "0.5"], "give either --delta or --q, not both"),
-        (["gen", "xi", "--r", "1.5", "--q", "1.5"], "--q must lie in (0, 1)"),
         (["gen", "psi", "--k", "1", "--offset-margin", "-1"], "--offset-margin must be nonnegative"),
         (["gen", "xi", "--r", "0"], "--r must be positive"),
         (["gen", "psi", "--k", "-1"], "--k must be a nonnegative integer"),
         (["estimate-r", "{dir}/psi0.spec", "--r-min", "1", "--r-max", "2", "--steps", "0"], "--steps must be >= 1"),
         (["estimate-r", "{dir}/psi0.spec", "--r-min", "1", "--r-max", "2", "--member-n", "0"],
          "--member-n must be >= 1"),
-    ], ids=["delta-abc", "delta-0", "delta-and-q", "q-1.5", "offset-margin--1", "r-0", "k--1", "steps-0",
-            "member-n-0"])
+        (["estimate-r", "{dir}/psi1.spec", "--r-min", "1", "--r-max", "2", "--delta", "1.000000000001"],
+         "--delta 1.000000000001 differs from the file's grid step 1.0 by no more than FORM_RTOL (1e-09), "
+         "which the metadata check cannot resolve: give --delta that step"),
+        (["gen", "psi", "--k", "1", "--n", "200", "--q", "0.6"], "unrecognized arguments: --q 0.6"),
+        (["gen", "xi", "--r", "1.5", "--delta-convention", "amplitude"],
+         "unrecognized arguments: --delta-convention amplitude"),
+        (["estimate-r", "{dir}/psi0.spec", "--family", "xi", "--r-min", "1", "--r-max", "2"],
+         "unrecognized arguments: --family xi"),
+    ], ids=["delta-abc", "delta-0", "offset-margin--1", "r-0", "k--1", "steps-0", "member-n-0",
+            "near-equal-delta", "gen-q", "delta-convention", "family"])
     def test_refused_input_is_usage_error(self, specdir, tmp_path, capsys, argv, message):
         out = tmp_path / "x.out"
         assert run([a.format(dir=specdir) for a in argv] + ["-o", str(out)]) == 1
         assert capsys.readouterr().err == f"usage error: {message}\n"
         assert not out.exists()
-
-    @pytest.mark.parametrize("convention, delta", [
-        ([], -2 * math.log(0.6)),
-        (["--delta-convention", "amplitude"], -math.log(0.6)),
-    ], ids=["schmidt", "amplitude"])
-    def test_q_writes_the_bytes_of_its_delta(self, tmp_path, convention, delta):
-        by_q, by_delta = tmp_path / "q.spec", tmp_path / "delta.spec"
-        common = ["gen", "psi", "--k", "1", "--n", "200"]
-        assert run([*common, "--q", "0.6", *convention, "-o", str(by_q)]) == 0
-        assert run([*common, "--delta", repr(delta), "-o", str(by_delta)]) == 0
-        assert by_q.read_bytes() == by_delta.read_bytes()
-        assert f"#delta {delta!r}\n" in by_q.read_text()
 
     @pytest.mark.parametrize("argv, generator", [
         (["gen", "tmss", "--q", "0.5", "--n", "1000000000000"], "tmss"),

@@ -384,6 +384,15 @@ class TestEstimateRBounds:
         with pytest.raises(InvalidFamily):
             eo.estimate_r_bounds(tmss_match, gen, 1.0, 2.0, 3)
 
+    def test_members_are_not_rechecked(self, tmss_match, monkeypatch):
+        # the constructor holds every condition but positivity, which only an exact member fails
+        reports = []
+        real = eo.spectrum.ConditionReport
+        monkeypatch.setattr(eo.spectrum, "ConditionReport", lambda *a: reports.append(a) or real(*a))
+        est = eo.estimate_r_bounds(tmss_match, lambda r: eo.xi_state(r, DELTA, 2000), 1.0, 2.0, 3)
+        assert len(est.per_r) == 3
+        assert reports == []
+
     @pytest.mark.parametrize("r_min, r_max", [(2.0, 1.0), (math.nan, 2.0), (1.0, math.nan),
                                               (-math.inf, 2.0), (1.0, math.inf)],
                              ids=["reversed", "nan-min", "nan-max", "inf-min", "inf-max"])

@@ -35,14 +35,6 @@ class TestTmss:
         with pytest.raises(QOutOfRange):
             eo.tmss(-0.1)
 
-    def test_delta_conventions(self):
-        assert eo.delta_from_q(0.5) == pytest.approx(2 * math.log(2), rel=1e-15)
-        assert eo.delta_from_q(0.5, "amplitude") == pytest.approx(math.log(2), rel=1e-15)
-        with pytest.raises(QOutOfRange):
-            eo.delta_from_q(0.0)
-        with pytest.raises(ValueError):
-            eo.delta_from_q(0.5, "bogus")
-
 
 class TestInputChecks:
     @pytest.mark.parametrize("call, message", [
@@ -706,6 +698,13 @@ class TestAnalyticForm:
                 pair_ratio(a, b)
             with pytest.raises(eo.ValidationError, match="differ by no more than FORM_RTOL"):
                 eo.slocc_decide(a, b)
+
+    @pytest.mark.parametrize("delta_a, delta_b, near", [
+        (1.0, 1.0, False), (1.0, 1.0 + 1e-12, True), (1.0 + 1e-12, 1.0, True), (1.0, 1.0 + 1e-8, False),
+    ], ids=["equal", "above", "below", "apart"])
+    def test_near_equal_steps(self, delta_a, delta_b, near):
+        # one test serves pair_ratio and the CLI's --delta check
+        assert families.near_equal_steps(delta_a, delta_b) is near
 
     def test_near_equal_squeezed_steps_keep_the_stored_window(self):
         a, b = eo.tmss(0.5, 200), eo.tmss(0.5 * (1 + 1e-12), 200)

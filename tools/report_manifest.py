@@ -63,6 +63,9 @@ which validates but whose pair with psi1.spec no closed form can continue
 metadata, which has no certified excitation remainder (validated and
 summarized), and a squeezed pair at q = 0.1 and 0.6 on the window
 200:300, whose ``b_to_a`` epsilon exceeds the float range (compared).
+Three usage errors close the set: ``gen psi --q`` and ``estimate-r
+--family``, options that are gone, and an ``estimate-r`` whose ``--delta``
+lies within ``FORM_RTOL`` of, but not at, the file's step.
 """
 
 from __future__ import annotations
@@ -239,6 +242,13 @@ def commands():
     # g_b/g_a reaches e^716.7 at n = 200: its epsilon reads the float maximum
     out.append(("slocc_t01_t06_w200_300.json", ["compare", "t01.spec", "t06.spec", "--mode", "slocc",
                                                 "--window", "200:300"]))
+    # usage errors (exit 1): options that gave a second way to a grid step or a family,
+    # and a --delta within FORM_RTOL of the file's own step
+    out.append(("psi1_q06.spec", ["gen", "psi", "--k", "1", "--q", "0.6", "--n", "200"]))
+    out.append(("estimate_psi0_family_xi.json", ["estimate-r", "psi0.spec", "--family", "xi", "--r-min", "1",
+                                                 "--r-max", "2", "--steps", "3", "--member-n", "2000"]))
+    out.append(("estimate_psi1_d1e12.json", ["estimate-r", "psi1.spec", "--delta", "1.000000000001", "--r-min", "1",
+                                             "--r-max", "2", "--steps", "3", "--member-n", "2000"]))
     return out
 
 
