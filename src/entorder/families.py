@@ -21,6 +21,13 @@ cut-off y*, and cell by cell below it) and evaluating them elsewhere.
 its constructor checks the parameters, it generates the stored weights,
 and ``analytic_form`` (read as ``s.form``) rebuilds it from a spectrum's
 metadata to continue the tail past the stored horizon.
+
+Sampling a member and checking a file's metadata both evaluate ln p_r
+at y = delta n + offset for every stored n. The terms of that grid that
+do not depend on r (ln y, sin ln y + 1 and 1/ln y) are kept, as
+read-only arrays, for the latest key (delta, offset, size) only, so
+members on one grid (the 21 of an ``estimate-r`` run) share them, and
+ln p_r comes out bit for bit as ``profile`` gives it.
 """
 
 from __future__ import annotations
@@ -28,6 +35,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from functools import lru_cache
 
 import numpy as np
 
@@ -45,8 +53,13 @@ from .spectrum import SchmidtSpectrum, make_spectrum
 LOG_ARG_CAP = 700.0
 
 
+def _p(Lr, s1, iL):
+    """p_r = L^r (sin L + 1) + 1/L from L^r, sin L + 1 and 1/L: the one expression for p."""
+    return Lr * s1 + iL
+
+
 def _profile_terms(r, x):
-    """x > 1 as an array, with L = ln x, sin L, L^r and p_r(x): the one expression for p."""
+    """x > 1 as an array, with L = ln x, sin L, L^r and p_r(x)."""
     if not (r > 0):
         raise ValueError("profile exponent r must be positive")
     x = np.asarray(x, dtype=float)
@@ -55,7 +68,7 @@ def _profile_terms(r, x):
     L = np.log(x)
     sinL = np.sin(L)
     Lr = L**r
-    return x, L, sinL, Lr, Lr * (sinL + 1.0) + 1.0 / L
+    return x, L, sinL, Lr, _p(Lr, sinL + 1.0, 1.0 / L)
 
 
 def profile(r: float, x):
@@ -66,6 +79,29 @@ def profile(r: float, x):
     """
     p = _profile_terms(r, x)[-1]
     return float(p) if np.isscalar(x) else p
+
+
+@lru_cache(maxsize=1)
+def _grid_terms(delta, offset, size):
+    """ln y, sin ln y + 1 and 1/ln y at y = delta n + offset, n < size, as read-only arrays.
+
+    None of them depends on r, so members that share a grid share them;
+    only the grid of the latest key is kept.
+    """
+    y = np.arange(size, dtype=float) * delta + offset
+    if np.any(y <= 1.0):
+        raise DomainError("profile defined only for x > 1")
+    L = np.log(y)
+    terms = L, np.sin(L) + 1.0, 1.0 / L
+    for t in terms:
+        t.setflags(write=False)
+    return terms
+
+
+def _log_p_on_grid(r, delta, offset, size):
+    """ln p_r(delta n + offset) for n < size, bit for bit ``np.log(profile(r, delta * n + offset))``."""
+    L, s1, iL = _grid_terms(delta, offset, size)
+    return np.log(_p(L**r, s1, iL))
 
 
 def eval_p(r: float, x):
@@ -488,7 +524,9 @@ def discretize(form: AnalyticForm, n: int, family: str = "psi") -> SchmidtSpectr
 def _sample(form: AnalyticForm, n: int, family: str) -> SchmidtSpectrum:
     """The spectrum of :func:`discretize`, for a member already checked on its grid."""
     grid = np.arange(n + 1, dtype=float) * form.delta
-    log_g = form.log_d(grid)
+    log_g = -grid  # form.log_d(grid), with ln p from the kept grid terms
+    if form.k:
+        log_g = log_g + form.k * _log_p_on_grid(form.r, form.delta, form.offset, n + 1)
     log_g = log_g - log_g[0]  # normalization: g(0) = 1 exactly
     diffs = log_g[1:] - log_g[:-1]
     if np.any(diffs >= 0):
@@ -581,6 +619,15 @@ FORM_RTOL = 1e-9
 _UNUSED_KEYS = {"tmss": ("k", "r", "offset"), "xi": ("q",), "psi": ("q",)}
 
 
+def _tail_residual(form: AnalyticForm, stored) -> float:
+    """Largest |form.log_g(n) - stored[n]| / max(1, |stored[n]|), ln p from the kept grid terms."""
+    fit = -form.delta * np.arange(stored.size, dtype=float)
+    if form.k:
+        log_p = _log_p_on_grid(form.r, form.delta, form.offset, stored.size)
+        fit = fit + form.k * (log_p - math.log(profile(form.r, form.offset)))
+    return float(np.max(np.abs(fit - stored) / np.maximum(1.0, np.abs(stored))))
+
+
 def analytic_form(s: SchmidtSpectrum) -> AnalyticForm | None:
     """Closed form of a spectrum's tail function, if its metadata names one.
 
@@ -611,9 +658,7 @@ def analytic_form(s: SchmidtSpectrum) -> AnalyticForm | None:
             return None
     else:
         return None
-    stored = s.log_g
-    gap = np.abs(form.log_g(np.arange(stored.size)) - stored) / np.maximum(1.0, np.abs(stored))
-    residual = float(np.max(gap))
+    residual = _tail_residual(form, s.log_g)
     if not residual <= FORM_RTOL:  # NaN fails too
         raise ValidationError(
             f"the {family} metadata does not reproduce the stored tail: "

@@ -23,7 +23,11 @@ def log1mexp(x):
     x = np.asarray(x, dtype=float)
     if np.any(x >= 0):
         raise ValueError("log1mexp requires x < 0")
-    out = np.where(x > -LN2, np.log(-np.expm1(x)), np.log1p(-np.exp(x)))
+    near = x > -LN2
+    if near.any():
+        out = np.where(near, np.log(-np.expm1(x)), np.log1p(-np.exp(x)))
+    else:  # every entry far from zero, as in a sampled tail: one branch
+        out = np.log1p(-np.exp(x))
     if out.ndim == 0:
         return float(out)
     return out

@@ -81,7 +81,7 @@ class SchmidtSpectrum:
             )
         if not (log_tail == NEG_INF or math.isfinite(log_tail)):
             raise ValidationError("tail bound must be finite or exactly zero (-inf log)")
-        ok, resid, total, tail = _normalization(lw, log_tail)
+        ok, resid, total, tail = self.normalization
         if not ok:
             raise NotNormalized(
                 f"stored weights sum to {total!r} with tail bound {tail!r}; "
@@ -115,6 +115,11 @@ class SchmidtSpectrum:
         for exact states). See :func:`tail_function`.
         """
         return tail_function(self)
+
+    @cached_property
+    def normalization(self) -> tuple:
+        """(ok, residual, S, t) of :func:`_normalization`, computed once per spectrum."""
+        return _normalization(self.log_weights, self.log_tail_bound)
 
     @cached_property
     def form(self):
@@ -196,13 +201,15 @@ def make_spectrum(log_weights, log_tail_bound=NEG_INF, metadata=None) -> Schmidt
 def build_spectrum(weights) -> SchmidtSpectrum:
     """Build a spectrum from linear-domain weights summing to 1, in any order.
 
-    The weights are sorted nonincreasing and their logs go to the
-    constructor, which refuses an empty input (ValidationError), a zero,
-    negative or non-finite weight (NonPositive) and a sum other than 1
-    (NotNormalized).
+    An array is read as it is, any other iterable (a list, a generator)
+    through a list. The weights are sorted nonincreasing and their logs
+    go to the constructor, which refuses an empty input (ValidationError),
+    a zero, negative or non-finite weight (NonPositive) and a sum other
+    than 1 (NotNormalized).
     """
     with np.errstate(divide="ignore", invalid="ignore"):  # the constructor refuses ln 0 = -inf and ln(-w) = nan
-        log_weights = np.log(np.sort(np.asarray(list(weights), dtype=float))[::-1])
+        w = np.asarray(weights if isinstance(weights, np.ndarray) else list(weights), dtype=float)
+        log_weights = np.log(np.sort(w)[::-1])
     return make_spectrum(log_weights)
 
 
@@ -245,7 +252,7 @@ def vidal_conditions(s: SchmidtSpectrum) -> ConditionReport:
     conv_bad = np.nonzero(wdiff > ORDER_LOG_TOL)[0]
     convexity = ConditionCheck(conv_bad.size == 0, int(conv_bad[0]) if conv_bad.size else None)
 
-    norm_ok, resid, _, _ = _normalization(s.log_weights, s.log_tail_bound)
+    norm_ok, resid, _, _ = s.normalization
     return ConditionReport(positivity, strict_mono, convexity, norm_ok, resid)
 
 

@@ -10,6 +10,7 @@ import entorder as eo
 from entorder import families
 from entorder.errors import ConditionViolated, DomainError, OffsetNotFound, QOutOfRange
 from entorder.families import PairRatio, analytic_form, pair_ratio
+from entorder.numutil import log1mexp
 
 DELTA = 1.0
 
@@ -670,6 +671,103 @@ class TestDiscretize:
         xi = eo.xi_state(1.25, DELTA, 200)
         assert xi.metadata["family"] == "xi"
         assert xi.metadata["k"] == 1
+
+
+def two_branch_log1mexp(x):
+    """log1mexp as it was before its far-only path: both branches over the whole array."""
+    x = np.asarray(x, dtype=float)
+    out = np.where(x > -math.log(2.0), np.log(-np.expm1(x)), np.log1p(-np.exp(x)))
+    return float(out) if out.ndim == 0 else out
+
+
+def hexes(a):
+    return [v.hex() for v in np.atleast_1d(a).tolist()]
+
+
+class TestGridTerms:
+    """Members sampled and checked on the kept grid terms give the bits of AnalyticForm's closed form."""
+
+    GIVEN_OFFSET = 9.25  # above every searched offset at k <= 4, r <= 3
+
+    @staticmethod
+    def assert_as_the_closed_form(s, n):
+        # the weights and tail of _sample, and the residual of analytic_form, built on log_d and log_g
+        form = eo.AnalyticForm(s.metadata["k"], s.metadata["r"], s.metadata["offset"], s.metadata["delta"])
+        log_g = form.log_d(np.arange(n + 1, dtype=float) * form.delta)
+        log_g = log_g - log_g[0]
+        want = log_g[:-1] + two_branch_log1mexp(log_g[1:] - log_g[:-1])
+        assert hexes(s.log_weights) == hexes(want)
+        assert s.log_tail_bound.hex() == float(log_g[-1]).hex()
+        stored = s.log_g
+        gap = np.abs(form.log_g(np.arange(stored.size)) - stored) / np.maximum(1.0, np.abs(stored))
+        assert families._tail_residual(form, stored).hex() == float(np.max(gap)).hex()
+        assert s.form == form
+
+    @pytest.mark.parametrize("n", [10, 2000])
+    @pytest.mark.parametrize("given", [False, True], ids=["searched", "given"])
+    @pytest.mark.parametrize("k", range(5))
+    @pytest.mark.parametrize("r", [0.5, 1.0, 1.37, 2.0, 3.0])
+    def test_bits_after_every_change_of_the_kept_grid(self, r, k, given, n):
+        offset = self.GIVEN_OFFSET if given else None
+        a = offset or eo.find_offset(k, r, 0.01, DELTA * (n + 1)) or 1.01  # k = 0 reads no grid; any will do
+        other_r = 2.5 if r != 2.5 else 1.5
+        warm = {
+            "fresh": None,
+            "hit from another r": (DELTA, a, n + 1),
+            "evicted by another offset": (DELTA, a + 0.5, n + 1),
+            "size changed": (DELTA, a, n + 2),
+        }
+        for case, key in warm.items():
+            families._grid_terms.cache_clear()
+            if key is not None:
+                families._log_p_on_grid(other_r, *key)
+            before = families._grid_terms.cache_info()
+            s = eo.psi_state(k, DELTA, n, r=r, offset=offset)
+            after = families._grid_terms.cache_info()
+            if k == 0:  # the bare exponential needs no profile
+                assert after == before, case
+            else:
+                hit = case == "hit from another r"
+                assert (after.misses - before.misses, after.hits - before.hits) == (1 - hit, hit), case
+            self.assert_as_the_closed_form(s, n)
+            self.assert_as_the_closed_form(eo.make_spectrum(s.log_weights, s.log_tail_bound, s.metadata), n)
+
+    def test_kept_arrays_are_read_only(self):
+        families._grid_terms.cache_clear()
+        eo.xi_state(1.5, DELTA, 100)
+        terms = families._grid_terms(DELTA, 1.01, 101)
+        assert families._grid_terms.cache_info().misses == 1
+        for t in terms:
+            assert not t.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                t[0] = 0.0
+
+    def test_grid_below_one_is_refused(self):
+        with pytest.raises(DomainError):
+            families._log_p_on_grid(1.0, DELTA, 0.5, 10)
+
+    def test_estimate_r_members_build_the_grid_once(self, tmss_match):
+        families._grid_terms.cache_clear()
+        est = eo.estimate_r_bounds(tmss_match, lambda r: eo.xi_state(r, DELTA, 2000), 1.0, 2.0, 21)
+        assert len(est.per_r) == 21
+        info = families._grid_terms.cache_info()
+        assert (info.misses, info.hits) == (1, 2 * 21 - 1)
+
+    @pytest.mark.parametrize("x", [
+        -np.geomspace(0.7, 700.0, 200),
+        -np.geomspace(1e-15, 0.69, 200),
+        -np.geomspace(1e-15, 700.0, 400),
+        np.array(-3.0),
+        np.array(-0.25),
+        -math.inf,
+        np.array([-math.inf, -1.0, -1e-3]),
+        np.array([-math.inf, -5.0]),
+        -2.0,
+    ], ids=["far", "near", "mixed", "0d-far", "0d-near", "neg-inf", "mixed-neg-inf", "far-neg-inf", "scalar"])
+    def test_log1mexp_matches_both_branches(self, x):
+        got, want = log1mexp(x), two_branch_log1mexp(x)
+        assert type(got) is type(want)
+        assert hexes(got) == hexes(want)
 
 
 class TestAnalyticForm:

@@ -1,3 +1,4 @@
+import json
 import math
 import tempfile
 from pathlib import Path
@@ -7,6 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import entorder as eo
+from entorder.cli import run
 from entorder.errors import EntOrderError, NonPositive, NotNormalized, ValidationError
 from entorder.numutil import NEG_INF, log1mexp
 from entorder.spectrum import make_spectrum
@@ -63,6 +65,16 @@ class TestBuildSpectrum:
     def test_accepted_spectra_pass_convexity(self, ws):
         s = eo.build_spectrum(ws)
         assert eo.vidal_conditions(s).convexity.ok
+
+    @pytest.mark.parametrize("n", [1, 7, 1000])
+    def test_array_list_and_generator_give_one_spectrum(self, n):
+        w = np.random.default_rng(n).random(n)
+        w /= w.sum()
+        given = w.copy()
+        spectra = [eo.build_spectrum(src) for src in (w, w.tolist(), (v for v in w.tolist()), tuple(w))]
+        for s in spectra:
+            assert s.log_weights.tobytes() == spectra[0].log_weights.tobytes()
+        assert w.tobytes() == given.tobytes()  # the caller's array is not sorted in place
 
     def test_truncation_proxy_rejected_without_certification(self):
         # squeezed state at q = 0.8 cut after two weights: the tail q^4 = 0.4096
@@ -154,6 +166,17 @@ spectrum_sources = st.one_of(
 
 
 class TestVidalConditions:
+    def test_validate_sums_the_weights_once(self, tmp_path, monkeypatch):
+        # the constructor's normalization is kept, and vidal_conditions reads it
+        path = tmp_path / "psi2.spec"
+        eo.write_spectrum(eo.psi_state(2, 1.0, 500), path)
+        calls = []
+        real = eo.spectrum.logsumexp
+        monkeypatch.setattr(eo.spectrum, "logsumexp", lambda v: calls.append(len(v)) or real(v))
+        assert run(["validate", str(path), "-o", str(tmp_path / "report.json")]) == 0
+        assert calls == [500]
+        assert json.loads((tmp_path / "report.json").read_text())["conditions"]["normalization"]["ok"]
+
     @settings(max_examples=200)
     @given(spectrum_sources, st.booleans())
     def test_constructor_holds_all_but_positivity(self, source, via_file):

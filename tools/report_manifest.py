@@ -23,10 +23,14 @@ check grid, one offset that fails, one member with a 5e6-point lattice,
 two members whose closed-form cut-off y* lies far inside the span, a
 span of 1e301 that y* bounds and three whose y* lies at 2e6 to 1e10,
 below which proven cells leave a few hundred points to evaluate,
-r = 110, 150 and 300 members with a squeezed state on their grid, and
-members at r = 0.5, 1.37 and 2 for the exponent pairs below),
-validation (also of edited copies: psi2.spec with CRLF endings and
-padded lines, which reads, and with a blank line, metadata after a
+r = 110, 150 and 300 members with a squeezed state on their grid,
+members at r = 0.5, 1.37 and 2 for the exponent pairs below, and
+members that switch the kept grid terms: xi(1.37) at n = 3000 right
+after n = 2000, and psi(k 2) at a given offset 3.79 right after the
+search on its grid), validation (first of psi1_d005.spec, on another
+grid than the last member generated, then also of edited copies:
+psi2.spec with CRLF endings and padded lines, which reads, and with a
+blank line, metadata after a
 weight, a bad literal or a 0xff byte; psi1_d005.spec, whose tail lies
 above its last weight, relabelled ``#family foo``; t999.spec with
 ``#delta 0.5``, also run through ``estimate-r``; t06.spec given ``#k``
@@ -117,7 +121,12 @@ GEN = [
     # too slowly for the windowed minimum to move, and a tie pair (lo = 0)
     ("psi3_r05.spec", ["gen", "psi", "--k", "3", "--r", "0.5", "--n", "2000"]),
     ("xi_r137.spec", ["gen", "xi", "--r", "1.37", "--n", "2000"]),
+    # the last grid's terms are kept: the same grid (delta 1, offset 1.01) one point longer,
+    # then a searched member on it and the same member at another offset
+    ("xi_r137_n3000.spec", ["gen", "xi", "--r", "1.37", "--n", "3000"]),
     ("psi3_r2.spec", ["gen", "psi", "--k", "3", "--r", "2", "--n", "2000"]),
+    ("psi2_n2000.spec", ["gen", "psi", "--k", "2", "--n", "2000"]),
+    ("psi2_n2000_a379.spec", ["gen", "psi", "--k", "2", "--n", "2000", "--offset", "3.79"]),
     ("t01.spec", ["gen", "tmss", "--q", "0.1", "--n", "500"]),
 ]
 
@@ -177,6 +186,8 @@ PAIRS = [("t06", "t04"), ("t999", "t998"), ("psi0", "xi"), ("psi2", "xi")]
 def commands():
     """(output file name, argv with spectrum names still bare) in run order."""
     out = [REFUSED, *GEN]
+    # a file on another grid (delta 0.005) than the last member generated
+    out.append(("validate_psi1_d005.json", ["validate", "psi1_d005.spec"]))
     for name in INSPECTED:
         out.append((f"validate_{name}.json", ["validate", f"{name}.spec"]))
         out.append((f"info_{name}.json", ["info", f"{name}.spec"]))
