@@ -8,10 +8,12 @@ state: convertibility is asserted only when the windowed running minimum
 provably stabilizes and nothing beyond the window contradicts it, and
 non-convertibility only on hard rank facts, certified drift, record
 witnesses, or the sign of a closed-form pair's asymptotic exponent.
-A family bracket (``estimate_r_bounds``) reads only the two directions
-per member: where the exponents settle both limits it computes no
-windowed evidence, and otherwise it uses the same evidence as
-``slocc_decide``.
+One rule walk (``_rule_walk``) grades both directions of a windowed
+pair, in the order rank, trend, witnesses, asymptotic, stable-minimum or
+stable-maximum, insufficient. ``slocc_decide`` reports its grades; a
+family bracket (``estimate_r_bounds``) reads only the two directions per
+member and lets exponents lo < 0 < hi settle both before any trend test
+or probe runs.
 """
 
 from __future__ import annotations
@@ -29,7 +31,6 @@ from .numutil import NEG_INF
 from .oscillation import (
     ComparisonWindow,
     OscillationCertificate,
-    ProbeReport,
     TrendClass,
     TrendThresholds,
     certificate_from_probe,
@@ -161,20 +162,12 @@ def max_probability(a: SchmidtSpectrum, b: SchmidtSpectrum) -> float:
     return min(math.exp(m), math.nextafter(1.0, 0.0))
 
 
-@dataclass(frozen=True)
-class _Direction:
-    evidence: _Ev
-    grade: str
-
-
-def _direction(no, yes: bool, yes_grade: str) -> _Direction:
-    """NO by the first (grade, fired) of ``no`` that fired, else YES if ``yes``, else undecided."""
+def _direction(no, yes: bool, yes_grade: str):
+    """(NO, grade) by the first (grade, fired) of ``no`` that fired, else (YES, ``yes_grade``) or undecided."""
     for grade, fired in no:
         if fired:
-            return _Direction(_Ev.NO, grade)
-    if yes:
-        return _Direction(_Ev.YES, yes_grade)
-    return _Direction(_Ev.UND, "insufficient")
+            return _Ev.NO, grade
+    return (_Ev.YES, yes_grade) if yes else (_Ev.UND, "insufficient")
 
 
 def _verdict(fwd: _Ev, bwd: _Ev) -> Verdict:
@@ -187,98 +180,58 @@ def _verdict(fwd: _Ev, bwd: _Ev) -> Verdict:
     return table.get((fwd, bwd), Verdict.Undecided)
 
 
-def _window_facts(cw: ComparisonWindow, th):
-    """The checks every windowed decision makes first: rank facts, then window size.
+def _rule_walk(cw: ComparisonWindow, th, exponent_shortcut: bool):
+    """Both directions of one ordered pair, each rule applied once and in order.
 
-    Returns (rank, values): ``values`` holds the finite points of the
-    stored window, and ``rank`` the (fwd, bwd) directions when one g hits
-    zero in the window, else None. Raises :class:`WindowTooSmall` when no
-    rank fact decides and fewer than ``th.min_points`` finite points remain.
+    Returns ((fwd evidence, grade), (bwd evidence, grade), values, flags,
+    probe): ``values`` holds the finite points of the stored window, and
+    ``flags`` and ``probe`` are None where no rule read them.
+
+    1. A rank fact decides both directions: one g hitting zero while the
+       other is positive (zero is terminal, so at most one side hits it
+       first), however short the finite overlap is.
+    2. Fewer than ``th.min_points`` finite points raise
+       :class:`WindowTooSmall`.
+    3. With ``exponent_shortcut`` (estimate-r), closed-form exponents
+       lo < 0 < hi (PairRatio.exponents) settle both limits: both
+       directions NO, graded asymptotic, without trend test or probe.
+    4. Otherwise each direction is NO by trend, then witnesses, then its
+       exponent (liminf ell = -inf exactly when lo < 0, limsup ell = +inf
+       exactly when hi > 0); else YES where the windowed extreme is stable
+       and the probe's envelope moves less than one witness step; else
+       insufficient.
     """
     values = cw.values
-
-    # rank facts: one g hitting zero while the other is positive decides
-    # both directions outright (zero is terminal, so at most one side hits
-    # it first), no matter how short the finite overlap is
     a_exhausted = bool(np.any(values == -np.inf))
     b_exhausted = bool(np.any(values == np.inf))
     values = values[np.isfinite(values)]
     if a_exhausted or b_exhausted:
-        fwd = _Direction(_Ev.NO if a_exhausted else _Ev.YES, "rank")
-        bwd = _Direction(_Ev.NO if b_exhausted else _Ev.YES, "rank")
-        return (fwd, bwd), values
-    if values.size < th.min_points:
-        raise WindowTooSmall(
-            f"{values.size} finite window points < minimum {th.min_points}"
+        # without the shortcut the trend labels are still reported
+        flags = trend_flags(values, th) if not exponent_shortcut and values.size >= th.min_points else None
+        return (
+            (_Ev.NO if a_exhausted else _Ev.YES, "rank"),
+            (_Ev.NO if b_exhausted else _Ev.YES, "rank"),
+            values, flags, None,
         )
-    return None, values
-
-
-def _asymptotic_no(cw: ComparisonWindow):
-    """(forward NO, backward NO) as the closed form's exponents settle them (PairRatio.exponents).
-
-    liminf ell = -inf exactly when lo < 0 and limsup ell = +inf exactly when
-    hi > 0; a pair without a closed form settles neither.
-    """
+    if values.size < th.min_points:
+        raise WindowTooSmall(f"{values.size} finite window points < minimum {th.min_points}")
     lo, hi = cw.pair.exponents() if cw.pair else (0, 0)
-    return lo < 0, hi > 0
+    if exponent_shortcut and lo < 0 < hi:
+        return (_Ev.NO, "asymptotic"), (_Ev.NO, "asymptotic"), values, None, None
 
-
-def _windowed_directions(cw: ComparisonWindow, flags, th):
-    """Forward and backward directions of a pair no rank fact decides, with its probe.
-
-    ``flags`` are the trend flags of the finite window points from
-    :func:`_window_facts`.
-    """
-    probe = probe_pair(cw, th)
-
-    # a trend or witness NO, found first, keeps its grade
-    fwd_no, bwd_no = _asymptotic_no(cw)
+    flags, probe = trend_flags(values, th), probe_pair(cw, th)
     step, enough = th.witness_step_nats, th.min_witnesses
     fwd = _direction(
-        (("trend", flags.down_div), ("witnesses", len(probe.down_records) >= enough), ("asymptotic", fwd_no)),
+        (("trend", flags.down_div), ("witnesses", len(probe.down_records) >= enough), ("asymptotic", lo < 0)),
         yes=flags.min_stable and probe.down_env_drop < step,
         yes_grade="stable-minimum",
     )
     bwd = _direction(
-        (("trend", flags.up_div), ("witnesses", len(probe.up_records) >= enough), ("asymptotic", bwd_no)),
+        (("trend", flags.up_div), ("witnesses", len(probe.up_records) >= enough), ("asymptotic", hi > 0)),
         yes=flags.max_stable and probe.up_env_gain < step,
         yes_grade="stable-maximum",
     )
-    return fwd, bwd, probe
-
-
-def _windowed_evidence(cw: ComparisonWindow, th):
-    """Shared evidence assembly for one ordered pair over its comparison window.
-
-    Returns (fwd, bwd, probe, (log eps fwd, log eps bwd), (trend fwd, trend bwd)).
-    The epsilons and the trend tests both read every finite point of the
-    stored window; a rank-decided pair with too few of them has no trends.
-    """
-    rank, values = _window_facts(cw, th)
-    eps = (float(np.min(values)), float(-np.max(values))) if values.size else (NEG_INF, NEG_INF)
-    flags = trend_flags(values, th) if values.size >= th.min_points else None
-    trends = (flags.label(), flags.mirrored().label()) if flags else (None, None)
-    if rank:
-        return *rank, ProbeReport((), ()), eps, trends
-    return *_windowed_directions(cw, flags, th), eps, trends
-
-
-def _member_evidence(cw: ComparisonWindow, th):
-    """Forward and backward evidence of one estimate-r member, without grades or witnesses.
-
-    Where the closed form's exponents give lo < 0 < hi, both limits are
-    settled (both directions NO), so no trend test or probe runs; every
-    other pair takes the windowed directions, as :func:`slocc_decide` does.
-    """
-    rank, values = _window_facts(cw, th)
-    if rank:
-        fwd, bwd = rank
-    elif all(_asymptotic_no(cw)):
-        return _Ev.NO, _Ev.NO
-    else:
-        fwd, bwd, _ = _windowed_directions(cw, trend_flags(values, th), th)
-    return fwd.evidence, bwd.evidence
+    return fwd, bwd, values, flags, probe
 
 
 def slocc_decide(
@@ -315,17 +268,18 @@ def slocc_decide(
         )
 
     cw = comparison_window(a, b, window)
-    fwd, bwd, probe, (eps_ab, eps_ba), (trend_f, trend_r) = _windowed_evidence(cw, th)
+    (fe, fgrade), (be, bgrade), values, flags, probe = _rule_walk(cw, th, exponent_shortcut=False)
+    # the epsilons and the trend labels read every finite point of the stored window
     return ComparisonReport(
-        verdict=_verdict(fwd.evidence, bwd.evidence),
-        log_epsilon_a_to_b=eps_ab,
-        log_epsilon_b_to_a=eps_ba,
+        verdict=_verdict(fe, be),
+        log_epsilon_a_to_b=float(np.min(values)) if values.size else NEG_INF,
+        log_epsilon_b_to_a=float(-np.max(values)) if values.size else NEG_INF,
         window=cw.window,
-        trend_forward=trend_f,
-        trend_reverse=trend_r,
-        witnesses=certificate_from_probe(probe, cw.window, th),
+        trend_forward=flags.label() if flags else None,
+        trend_reverse=flags.mirrored().label() if flags else None,
+        witnesses=certificate_from_probe(probe, cw.window, th) if probe else None,
         probability=None,
-        evidence={"forward": fwd.grade, "backward": bwd.grade},
+        evidence={"forward": fgrade, "backward": bgrade},
     )
 
 
@@ -373,12 +327,10 @@ def estimate_r_bounds(
     every other tail-function condition. ``r_min <= r_max`` must be
     finite. Each distinct r of the ``steps``-point grid is sampled once,
     so ``r_min == r_max`` gives one member whatever ``steps`` is. For each
-    r the liminf and limsup of g_psi/g_(family r) are classified after the
-    same rank and window-size checks as :func:`slocc_decide`. Where the
-    pair's closed-form exponents give lo < 0 < hi, both limits are settled
-    and no windowed evidence is computed; every other member gets
-    :func:`slocc_decide`'s trend tests and probe, of which only the two
-    directions are read:
+    r the liminf and limsup of g_psi/g_(family r) are classified by the
+    rule walk of :func:`slocc_decide`, of which only the two directions
+    are read. After the rank and window-size checks, closed-form exponents
+    lo < 0 < hi settle both limits, so no trend test or probe runs there:
 
     * r_minus estimates inf{r : liminf vanishes}; evidence at the lowest
       sampled r pins it there, otherwise one grid step below the first
@@ -406,7 +358,7 @@ def estimate_r_bounds(
         if member.is_exact:  # g reaches 0: the one condition the constructor does not refuse
             raise InvalidFamily(f"family member at r={r} fails tail-function conditions")
         try:
-            fe, be = _member_evidence(comparison_window(psi, member, window), th)
+            (fe, _), (be, _), *_ = _rule_walk(comparison_window(psi, member, window), th, exponent_shortcut=True)
         except WindowTooSmall:
             fe = be = _Ev.UND
         per_r.append((float(r), _verdict(fe, be)))

@@ -24,8 +24,10 @@ def log1mexp(x):
     if np.any(x >= 0):
         raise ValueError("log1mexp requires x < 0")
     near = x > -LN2
-    if near.any():
-        out = np.where(near, np.log(-np.expm1(x)), np.log1p(-np.exp(x)))
+    if near.any():  # each branch on its own entries: above -1.1e-16, log1p(-exp(x)) is log1p(-1)
+        out = np.empty_like(x)
+        out[near] = np.log(-np.expm1(x[near]))
+        out[~near] = np.log1p(-np.exp(x[~near]))
     else:  # every entry far from zero, as in a sampled tail: one branch
         out = np.log1p(-np.exp(x))
     if out.ndim == 0:

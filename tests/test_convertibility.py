@@ -227,6 +227,31 @@ class TestSloccDecide:
         assert (rep.trend_forward, rep.trend_reverse) == (TrendClass.BoundedBelow, TrendClass.BoundedBelow)
         assert rep.witnesses is None
 
+    # one MANIFEST pair per report grade (gen defaults: delta 1, r 1), its window,
+    # and its (verdict, forward grade, backward grade)
+    _GRADED_PAIRS = {
+        "rank": (lambda: (eo.make_spectrum(eo.tmss(0.4, 500).log_weights[:100]), eo.tmss(0.4, 500)), None,
+                 (Verdict.OneWayBtoA, "rank", "rank")),
+        "witnesses": (lambda: (eo.psi_state(0, DELTA), eo.psi_state(1, DELTA)), None,
+                      (Verdict.Incomparable, "witnesses", "witnesses")),
+        "trend-asymptotic": (lambda: (eo.tmss(math.exp(-0.5), 200), eo.xi_state(150, DELTA, 200)), None,
+                             (Verdict.Incomparable, "trend", "asymptotic")),
+        "asymptotic-witnesses": (lambda: (eo.xi_state(1.37, DELTA, 2000), eo.psi_state(3, DELTA, 2000, r=0.5)),
+                                 None, (Verdict.Incomparable, "asymptotic", "witnesses")),
+        "stable-minimum": (lambda: (eo.tmss(0.6, 500), eo.tmss(0.4, 500)), None,
+                           (Verdict.OneWayAtoB, "stable-minimum", "trend")),
+        "stable-maximum": (lambda: (eo.tmss(0.1, 500), eo.tmss(0.6, 500)), (200, 300),
+                           (Verdict.OneWayBtoA, "trend", "stable-maximum")),
+        "insufficient": (lambda: (eo.psi_state(3, DELTA, 2000, r=2), eo.psi_state(3, DELTA, 2000, r=0.5)), None,
+                         (Verdict.Undecided, "insufficient", "witnesses")),
+    }
+
+    @pytest.mark.parametrize("pair", list(_GRADED_PAIRS))
+    def test_every_evidence_grade(self, pair):
+        make, window, want = self._GRADED_PAIRS[pair]
+        rep = eo.slocc_decide(*make(), window=window)
+        assert (rep.verdict, rep.evidence["forward"], rep.evidence["backward"]) == want
+
     @pytest.mark.parametrize("pair", ["rank", "stored", "closed-form"])
     def test_trend_tests_run_once_per_decision(self, monkeypatch, psi_family, pair):
         deep = eo.tmss(0.4, 500)
@@ -444,10 +469,12 @@ def _without_metadata(s):
     return eo.make_spectrum(s.log_weights, s.log_tail_bound, {})
 
 
-def _evidence_everywhere(cw, th):
-    """Reference member evidence: the full windowed evidence at every step, as slocc_decide runs it."""
-    fwd, bwd, _, _, _ = convertibility._windowed_evidence(cw, th)
-    return fwd.evidence, bwd.evidence
+_rule_walk = convertibility._rule_walk
+
+
+def _evidence_everywhere(cw, th, exponent_shortcut):
+    """Reference member evidence: the whole rule walk at every step, as slocc_decide runs it."""
+    return _rule_walk(cw, th, exponent_shortcut=False)
 
 
 _ESTIMATE_TARGETS = {
@@ -474,7 +501,7 @@ class TestEstimateFastPath:
         make, delta = _ESTIMATE_TARGETS[target]
         psi = make()
         got = _estimate_outcome(psi, delta, window)
-        monkeypatch.setattr(convertibility, "_member_evidence", _evidence_everywhere)
+        monkeypatch.setattr(convertibility, "_rule_walk", _evidence_everywhere)
         want = _estimate_outcome(psi, delta, window)
         assert got == want  # MonotoneEstimate equality: per_r, undecided_band, r_minus and r_plus
 

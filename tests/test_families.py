@@ -676,7 +676,8 @@ class TestDiscretize:
 def two_branch_log1mexp(x):
     """log1mexp as it was before its far-only path: both branches over the whole array."""
     x = np.asarray(x, dtype=float)
-    out = np.where(x > -math.log(2.0), np.log(-np.expm1(x)), np.log1p(-np.exp(x)))
+    with np.errstate(divide="ignore"):  # log1p(-1) above -1.1e-16, on entries np.where drops
+        out = np.where(x > -math.log(2.0), np.log(-np.expm1(x)), np.log1p(-np.exp(x)))
     return float(out) if out.ndim == 0 else out
 
 
@@ -763,7 +764,13 @@ class TestGridTerms:
         np.array([-math.inf, -1.0, -1e-3]),
         np.array([-math.inf, -5.0]),
         -2.0,
-    ], ids=["far", "near", "mixed", "0d-far", "0d-near", "neg-inf", "mixed-neg-inf", "far-neg-inf", "scalar"])
+        # above -1.1e-16, exp(x) rounds to 1: the far branch would be log1p(-1)
+        np.array([-1e-16, -5e-17, -1e-300, -5e-324]),
+        np.array([-1e-17, -0.25, -5.0, -math.inf]),
+        np.array(-1e-17),
+    ], ids=["far", "near", "mixed", "0d-far", "0d-near", "neg-inf", "mixed-neg-inf", "far-neg-inf", "scalar",
+            "near-zero", "mixed-near-zero", "0d-near-zero"])
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_log1mexp_matches_both_branches(self, x):
         got, want = log1mexp(x), two_branch_log1mexp(x)
         assert type(got) is type(want)

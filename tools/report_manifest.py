@@ -27,8 +27,10 @@ r = 110, 150 and 300 members with a squeezed state on their grid,
 members at r = 0.5, 1.37 and 2 for the exponent pairs below, and
 members that switch the kept grid terms: xi(1.37) at n = 3000 right
 after n = 2000, and psi(k 2) at a given offset 3.79 right after the
-search on its grid), validation (first of psi1_d005.spec, on another
-grid than the last member generated, then also of edited copies:
+search on its grid), a member on the step 1e-17, whose weight
+differences all lie where exp(x) rounds to 1, validation (first of
+psi1_d005.spec, on another grid than the last member generated, then
+also of edited copies:
 psi2.spec with CRLF endings and padded lines, which reads, and with a
 blank line, metadata after a
 weight, a bad literal or a 0xff byte; psi1_d005.spec, whose tail lies
@@ -128,6 +130,8 @@ GEN = [
     ("psi2_n2000.spec", ["gen", "psi", "--k", "2", "--n", "2000"]),
     ("psi2_n2000_a379.spec", ["gen", "psi", "--k", "2", "--n", "2000", "--offset", "3.79"]),
     ("t01.spec", ["gen", "tmss", "--q", "0.1", "--n", "500"]),
+    # a step so small that every weight difference lies above -1.1e-16, where exp rounds to 1
+    ("psi0_d1e17.spec", ["gen", "psi", "--k", "0", "--delta", "1e-17", "--n", "10"]),
 ]
 
 
