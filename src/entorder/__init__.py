@@ -22,7 +22,6 @@ from .errors import (
     WindowTooSmall,
 )
 from .spectrum import (
-    ConditionReport,
     SchmidtSpectrum,
     build_spectrum,
     make_spectrum,

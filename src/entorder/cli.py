@@ -253,11 +253,10 @@ def _cmd_gen(args) -> int:
 
 def _cmd_validate(args) -> int:
     spectrum = read_spectrum(args.file)
-    report = vidal_conditions(spectrum)
     _emit(args, {
         "type": "validation",
         "valid": True,
-        "conditions": report.to_dict(),
+        "conditions": vidal_conditions(spectrum),
         "spectrum": _spectrum_summary(spectrum),
     })
     return EXIT_OK

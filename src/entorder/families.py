@@ -86,12 +86,11 @@ def _grid_terms(delta, offset, size):
     """ln y, sin ln y + 1 and 1/ln y at y = delta n + offset, n < size, as read-only arrays.
 
     None of them depends on r, so members that share a grid share them;
-    only the grid of the latest key is kept.
+    only the grid of the latest key is kept. Callers pass the grid of an
+    :class:`AnalyticForm` with k >= 1, whose constructor holds offset > 1
+    and delta > 0, so every y lies above 1.
     """
-    y = np.arange(size, dtype=float) * delta + offset
-    if np.any(y <= 1.0):
-        raise DomainError("profile defined only for x > 1")
-    L = np.log(y)
+    L = np.log(np.arange(size, dtype=float) * delta + offset)
     terms = L, np.sin(L) + 1.0, 1.0 / L
     for t in terms:
         t.setflags(write=False)
@@ -765,10 +764,9 @@ def excitation_remainder_bound(s: SchmidtSpectrum) -> float | None:
     if form is None:
         return None
     if form.k == 0:
-        # remainder = z^N (N + z/(1-z)) with z = exp(-delta)
+        # remainder = z^N (N + z/(1-z)) with z = exp(-delta), in logs: z rounds to 1 below delta ~1.1e-16
         log_z = -form.delta
-        z = math.exp(log_z)
-        return log_z * N + math.log(N + z / (1.0 - z))
+        return float(log_z * N + np.logaddexp(math.log(N), log_z - log1mexp(log_z)))
     y_next = form.delta * (N + 1) + form.offset
     L_next = math.log(y_next)
     if L_next < 1.0:

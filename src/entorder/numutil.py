@@ -6,12 +6,15 @@ domain, so sums and differences happen on log values.
 """
 
 import math
+import sys
 
 import numpy as np
 
 LN2 = math.log(2.0)
 LN10 = math.log(10.0)
 NEG_INF = float("-inf")
+#: ln of the largest float: exp of anything above it overflows
+LOG_FLOAT_MAX = math.log(sys.float_info.max)
 
 
 def log1mexp(x):

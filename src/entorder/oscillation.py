@@ -175,7 +175,9 @@ def comparison_window(a: SchmidtSpectrum, b: SchmidtSpectrum, window=None) -> Co
             "and the pair has no analytic continuation"
         )
     ns = np.arange(n_min, min(n_max, horizon) + 1)
-    return ComparisonWindow((n_min, n_max), ns, a.log_g[ns] - b.log_g[ns], pair)
+    with np.errstate(invalid="ignore"):  # -inf - -inf = NaN where both exact states have ended
+        values = a.log_g[ns] - b.log_g[ns]
+    return ComparisonWindow((n_min, n_max), ns, values, pair)
 
 
 def trend_flags(values, thresholds: TrendThresholds) -> TrendFlags:

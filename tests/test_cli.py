@@ -1,3 +1,4 @@
+import importlib.util
 import json
 import math
 import os
@@ -52,6 +53,23 @@ class TestGenValidate:
         assert rep["stats"]["schmidt_rank"] == 2
         assert rep["stats"]["excitation_tail_bound"] == 0.0
         assert rep["stats"]["log_excitation_tail_bound"] is None
+
+    @pytest.mark.parametrize("delta, log_bound, bound", [
+        ("1e-17", 39.1439, 1e17),  # z = exp(-delta) rounds to 1
+        ("1e-310", 713.8014, None),  # e^713.8 lies past the float range
+        ("1", -7.6408, 4.8e-4),
+    ])
+    def test_info_on_a_squeezed_member_of_any_step(self, tmp_path, capsys, delta, log_bound, bound):
+        path = str(tmp_path / "psi0.spec")
+        assert run(["gen", "psi", "--k", "0", "--delta", delta, "--n", "10", "-o", path]) == 0
+        code, rep = run_json(capsys, ["info", path])
+        assert code == 0
+        assert rep["stats"]["log_excitation_tail_bound"] == pytest.approx(log_bound, abs=1e-4)
+        if bound is None:
+            assert rep["stats"]["excitation_tail_bound"] is None
+        else:
+            assert rep["stats"]["excitation_tail_bound"] == pytest.approx(bound, rel=1e-2)
+            assert rep["stats"]["excitation_tail_bound"] == math.exp(rep["stats"]["log_excitation_tail_bound"])
 
     def test_gen_requires_output(self, capsys):
         assert run(["gen", "tmss", "--q", "0.5"]) == 1
@@ -167,6 +185,17 @@ class TestCertify:
                 assert rep["certificate"]["window"][1] < math.exp(576)
             code, rep = run_json(capsys, ["compare", tm, xi, "--mode", "slocc"])
             assert code == 0 and rep["verdict"] == "Incomparable"
+        assert capsys.readouterr().err == ""
+
+    def test_certify_exact_pair_of_one_rank_is_quiet(self, tmp_path, capsys):
+        # both tails reach zero at rank 500, where their log ratio is -inf - -inf
+        paths = [str(tmp_path / f"t{q}.spec") for q in (0.6, 0.4)]
+        for q, path in zip((0.6, 0.4), paths):
+            eo.write_spectrum(eo.make_spectrum(eo.tmss(q, 500).log_weights), path)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, rep = run_json(capsys, ["certify", *paths])
+        assert code == 0 and rep["found"] is False
         assert capsys.readouterr().err == ""
 
     @pytest.mark.parametrize("window", [[], ["--window", "0:1000000"]], ids=["default", "past-cut"])
@@ -638,3 +667,29 @@ class TestParserReuse:
         _stdout(capsys, ["compare", str(specdir / "psi1.spec"), str(specdir / "psi0.spec"), "--mode", "locc"])
         _stdout(capsys, ["compare", "a", "b"])
         assert _stdout(capsys, ["compare", "--help"]) == first
+
+
+class TestReportManifest:
+    def test_a_command_that_raises_is_recorded_and_the_rest_run(self, tmp_path, monkeypatch, capsys):
+        spec = importlib.util.spec_from_file_location(
+            "report_manifest", Path(__file__).parents[1] / "tools" / "report_manifest.py")
+        tool = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(tool)
+        monkeypatch.setattr(tool, "GEN", [])
+        monkeypatch.setattr(tool, "EDITED", {})
+        monkeypatch.setattr(tool, "commands", lambda: [
+            ("a.json", ["info", "a.spec"]), ("b.json", ["info", "b.spec"]), ("c.json", ["info", "c.spec"])])
+
+        def fake_run(argv):
+            if argv[1].endswith("b.spec"):
+                raise ZeroDivisionError("float division by zero")
+            Path(argv[-1]).write_text("{}\n")
+            return 0
+
+        monkeypatch.setattr(cli, "run", fake_run)
+        monkeypatch.setattr(sys, "path", list(sys.path))  # the tool puts its source tree first
+        assert tool.main([str(Path(eo.__file__).parents[1]), str(tmp_path)]) == 1
+        lines = (tmp_path / "MANIFEST").read_text().splitlines()
+        assert lines[:3] == ["exit 0 info a.spec", "exit raised ZeroDivisionError info b.spec", "exit 0 info c.spec"]
+        assert [line.split()[1] for line in lines[3:]] == ["a.json", "c.json"]
+        assert "1 commands raised" in capsys.readouterr().out

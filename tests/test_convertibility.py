@@ -412,8 +412,8 @@ class TestEstimateRBounds:
     def test_members_are_not_rechecked(self, tmss_match, monkeypatch):
         # the constructor holds every condition but positivity, which only an exact member fails
         reports = []
-        real = eo.spectrum.ConditionReport
-        monkeypatch.setattr(eo.spectrum, "ConditionReport", lambda *a: reports.append(a) or real(*a))
+        real = eo.spectrum.vidal_conditions
+        monkeypatch.setattr(eo.spectrum, "vidal_conditions", lambda s: reports.append(s) or real(s))
         est = eo.estimate_r_bounds(tmss_match, lambda r: eo.xi_state(r, DELTA, 2000), 1.0, 2.0, 3)
         assert len(est.per_r) == 3
         assert reports == []

@@ -620,7 +620,7 @@ class TestCells:
         real = families._profile_conditions
         monkeypatch.setattr(families, "_profile_conditions", lambda k, r, y: count.append(np.size(y)) or real(k, r, y))
         spec = eo.xi_state(r, 1e300, 10)
-        assert eo.vidal_conditions(spec).all_pass
+        assert eo.vidal_conditions(spec)["all_pass"] is True
         assert 0 < sum(count) < 10_000
 
     def test_unproven_cells_are_split_before_the_lattice(self, monkeypatch):
@@ -664,7 +664,7 @@ class TestDiscretize:
     def test_generated_spectra_pass_conditions(self, psi_family):
         for k, s in psi_family.items():
             rep = eo.vidal_conditions(s)
-            assert rep.all_pass, (k, rep.to_dict())
+            assert rep["all_pass"] is True, (k, rep)
 
     def test_metadata_tags(self, psi_family):
         assert psi_family[2].metadata["family"] == "psi"
@@ -742,10 +742,6 @@ class TestGridTerms:
             assert not t.flags.writeable
             with pytest.raises(ValueError, match="read-only"):
                 t[0] = 0.0
-
-    def test_grid_below_one_is_refused(self):
-        with pytest.raises(DomainError):
-            families._log_p_on_grid(1.0, DELTA, 0.5, 10)
 
     def test_estimate_r_members_build_the_grid_once(self, tmss_match):
         families._grid_terms.cache_clear()
@@ -936,6 +932,15 @@ class TestAnalyticForm:
             assert math.isfinite(stats["mean_excitation"])
             assert stats["excitation_tail_bound"] is not None
             assert stats["excitation_tail_bound"] < 1e-9
+
+    @pytest.mark.parametrize("delta", [1e-310, 1e-17, 1e-3, 0.5, 1.0, 5.0, 40.0])
+    @pytest.mark.parametrize("n", [1, 10, 2000])
+    def test_squeezed_excitation_remainder_matches_its_closed_form(self, delta, n):
+        # ln z^N (N + z/(1-z)) with z = exp(-delta) at 50 digits; below delta ~1.1e-16, z rounds to 1
+        with mpmath.workdps(50):
+            z = mpmath.exp(-mpmath.mpf(delta))
+            ref = float(mpmath.log(z**n * (n + z / -mpmath.expm1(-mpmath.mpf(delta)))))
+        assert families.excitation_remainder_bound(eo.psi_state(0, delta, n)) == pytest.approx(ref, rel=1e-14)
 
 
 class TestExponents:

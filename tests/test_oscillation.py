@@ -45,6 +45,13 @@ class TestComparisonWindowValues:
         p0, _, _ = eo.eval_p(1.0, a)
         assert np.max(np.abs(cw.values - (np.log(p) - math.log(p0)))) < 1e-9
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_exact_pair_of_one_rank_ends_in_nan_without_a_warning(self):
+        a, b = eo.build_spectrum((0.5, 0.3, 0.2)), eo.build_spectrum((0.6, 0.3, 0.1))
+        cw = comparison_window(a, b)
+        assert np.all(np.isfinite(cw.values[:-1])) and math.isnan(cw.values[-1])
+        assert eo.incomparability_certificate(a, b) is None
+
     def test_truncation_unsafe_beyond_horizon(self):
         s = eo.tmss(0.5, 200)
         with pytest.raises(TruncationUnsafe):

@@ -14,6 +14,11 @@ trees produce the same reports exactly when their manifests are equal::
     python3 tools/report_manifest.py src /tmp/after
     diff /tmp/before/MANIFEST /tmp/after/MANIFEST
 
+A command whose exception escapes ``entorder.cli.run`` is recorded as
+``exit raised <ExceptionType> <command>`` and the rest still run, so a
+tree that crashes on one command still yields a full manifest; the tool
+then exits 1 instead of 0.
+
 All commands run in one interpreter through ``entorder.cli.run``, which
 builds its parser once, at the first command. That command is a usage
 error (``compare`` without ``--mode``, exit 1), so every later command
@@ -68,7 +73,11 @@ which validates but whose pair with psi1.spec no closed form can continue
 (compared: exit 2), a truncated copy of t06.spec without its family
 metadata, which has no certified excitation remainder (validated and
 summarized), and a squeezed pair at q = 0.1 and 0.6 on the window
-200:300, whose ``b_to_a`` epsilon exceeds the float range (compared).
+200:300, whose ``b_to_a`` epsilon exceeds the float range (compared),
+the exact rank-500 pair certified, whose tails both reach zero at the
+rank, and squeezed members whose remainder bounds need logs: the step
+1e-17, where exp(-delta) rounds to 1, and the step 1e-310, whose bound
+e^713.8 lies past the float range (summarized).
 Three usage errors close the set: ``gen psi --q`` and ``estimate-r
 --family``, options that are gone, and an ``estimate-r`` whose ``--delta``
 lies within ``FORM_RTOL`` of, but not at, the file's step.
@@ -257,6 +266,12 @@ def commands():
     # g_b/g_a reaches e^716.7 at n = 200: its epsilon reads the float maximum
     out.append(("slocc_t01_t06_w200_300.json", ["compare", "t01.spec", "t06.spec", "--mode", "slocc",
                                                 "--window", "200:300"]))
+    # ln g_a - ln g_b is -inf - -inf at the common rank 500
+    out.append(("certify_t06_exact_t04_exact.json", ["certify", "t06_exact.spec", "t04_exact.spec"]))
+    # z = exp(-delta) rounds to 1, and a remainder bound of e^713.8
+    out.append(("info_psi0_d1e17.json", ["info", "psi0_d1e17.spec"]))
+    out.append(("psi0_d1e310.spec", ["gen", "psi", "--k", "0", "--delta", "1e-310", "--n", "10"]))
+    out.append(("info_psi0_d1e310.json", ["info", "psi0_d1e310.spec"]))
     # usage errors (exit 1): options that gave a second way to a grid step or a family,
     # and a --delta within FORM_RTOL of the file's own step
     out.append(("psi1_q06.spec", ["gen", "psi", "--k", "1", "--q", "0.6", "--n", "200"]))
@@ -278,6 +293,7 @@ def main(argv):
     out.mkdir(parents=True, exist_ok=True)
     lines = []
     written = []
+    raised = 0
     for i, (name, argv_cmd) in enumerate(commands()):
         if i == 1 + len(GEN):  # right after the last generated file
             for edited, (source, edit) in EDITED.items():
@@ -287,7 +303,11 @@ def main(argv):
         target.unlink(missing_ok=True)
         full = [str(out / a) if a.endswith(".spec") else a for a in argv_cmd] + ["-o", str(target)]
         with contextlib.redirect_stderr(io.StringIO()):  # the exit code is what is recorded
-            code = run(full)
+            try:
+                code = run(full)
+            except Exception as exc:  # recorded; the remaining commands still run
+                code = f"raised {type(exc).__name__}"
+                raised += 1
         lines.append(f"exit {code} {' '.join(argv_cmd)}")
         if target.exists():
             written.append(name)
@@ -295,8 +315,8 @@ def main(argv):
         digest = hashlib.sha256((out / name).read_bytes()).hexdigest()
         lines.append(f"{digest}  {name}")
     (out / "MANIFEST").write_text("\n".join(lines) + "\n", encoding="ascii")
-    print(f"{len(written)} outputs, manifest at {out / 'MANIFEST'}")
-    return 0
+    print(f"{len(written)} outputs, {raised} commands raised, manifest at {out / 'MANIFEST'}")
+    return 1 if raised else 0
 
 
 if __name__ == "__main__":
