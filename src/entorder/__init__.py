@@ -15,6 +15,7 @@ from .errors import (
     NonPositive,
     NotNormalized,
     OffsetNotFound,
+    ParameterError,
     ParseError,
     QOutOfRange,
     TruncationUnsafe,

@@ -15,6 +15,10 @@ verdict is data, not failure), 1 usage error, 2 invalid input file,
 3 operation error (an output path that cannot be written and an
 allocation that fails for want of memory among them).
 
+A parameter out of range is refused by the library (``errors.ParameterError``)
+and is a usage error too; this module checks only what the library cannot
+know: required options, the ``--window`` syntax and ``estimate-r``'s grid step.
+
 ``run`` builds its argument parser once per process and reuses it, so an
 in-process caller that runs many commands pays for the build once.
 """
@@ -35,7 +39,7 @@ from .convertibility import (
     max_probability,
     slocc_decide,
 )
-from .errors import EntOrderError, ParseError, ValidationError
+from .errors import EntOrderError, ParameterError, ParseError, ValidationError
 from .families import FORM_RTOL, near_equal_steps, psi_state, tmss, xi_state
 from .fileio import emit_report, read_spectrum, write_spectrum
 from .oscillation import TrendThresholds, incomparability_certificate
@@ -165,24 +169,7 @@ def _parse_window(text):
 def _thresholds(args) -> TrendThresholds:
     overrides = {f.name: getattr(args, f.name) for f in fields(TrendThresholds)
                  if getattr(args, f.name) is not None}
-    try:
-        return TrendThresholds(**overrides)
-    except ValueError as exc:
-        raise _UsageError(str(exc)) from exc
-
-
-def _check_span(delta, delta_name, n, n_option):
-    """Refuse a grid step and horizon whose generated span delta * (n + 1) is not finite.
-
-    The work of a finite span's condition scan is bounded where it is done,
-    in the families module, which counts only the points it may evaluate.
-    """
-    try:
-        span = delta * (n + 1)
-    except OverflowError:  # n too large for a float
-        span = math.inf
-    if not math.isfinite(span):
-        raise _UsageError(f"{delta_name} * ({n_option} + 1) overflows; give a smaller {delta_name} or {n_option}")
+    return TrendThresholds(**overrides)
 
 
 @contextlib.contextmanager
@@ -214,27 +201,9 @@ def _spectrum_summary(s):
 def _cmd_gen(args) -> int:
     if not args.output:
         raise _UsageError("gen requires -o FILE")
-    if args.n < 1:
-        raise _UsageError("--n must be >= 1")
     if args.family == "tmss":
-        if not (0.0 <= args.q < 1.0):
-            raise _UsageError("--q must lie in [0, 1)")
         spectrum = tmss(args.q, args.n)
     else:
-        if args.offset_grid <= 0:
-            raise _UsageError("--offset-grid must be positive")
-        if args.offset_margin < 0:
-            raise _UsageError("--offset-margin must be nonnegative")
-        if args.r <= 0:
-            raise _UsageError("--r must be positive")
-        k = 1 if args.family == "xi" else args.k
-        if k < 0:
-            raise _UsageError("--k must be a nonnegative integer")
-        if k > 0 and args.offset is not None and args.offset <= 1.0:
-            raise _UsageError("--offset must exceed 1 so that the profile argument stays above 1")
-        if args.delta <= 0:
-            raise _UsageError("--delta must be positive")
-        _check_span(args.delta, "--delta", args.n, "--n")
         kwargs = dict(
             delta=args.delta,
             n=args.n,
@@ -245,7 +214,7 @@ def _cmd_gen(args) -> int:
         if args.family == "xi":
             spectrum = xi_state(args.r, **kwargs)
         else:
-            spectrum = psi_state(k, r=args.r, **kwargs)
+            spectrum = psi_state(args.k, r=args.r, **kwargs)
     with _writing_output(args.output):
         write_spectrum(spectrum, args.output)
     return EXIT_OK
@@ -312,23 +281,16 @@ def _cmd_certify(args) -> int:
 def _cmd_estimate_r(args) -> int:
     psi = read_spectrum(args.psi)
     if args.delta is not None:
-        delta, delta_name, bad_delta = args.delta, "--delta", _UsageError
+        delta = args.delta
     elif "delta" in psi.metadata:
-        delta, delta_name, bad_delta = psi.metadata["delta"], "#delta", ValidationError
+        delta = psi.metadata["delta"]
+        if delta <= 0:
+            raise ValidationError("#delta must be positive")
     else:
         raise _UsageError("no grid step: give --delta or use a file with a #delta line")
-    if delta <= 0:
-        raise bad_delta(f"{delta_name} must be positive")
     if psi.form is not None and near_equal_steps(psi.form.delta, delta):
         raise _UsageError(f"--delta {delta!r} differs from the file's grid step {psi.form.delta!r} by no more than "
                           f"FORM_RTOL ({FORM_RTOL:g}), which the metadata check cannot resolve: give --delta that step")
-    if args.steps < 1:
-        raise _UsageError("--steps must be >= 1")
-    if args.member_n < 1:
-        raise _UsageError("--member-n must be >= 1")
-    _check_span(delta, delta_name, args.member_n, "--member-n")
-    if args.r_min <= 0 or args.r_max < args.r_min:
-        raise _UsageError("need 0 < --r-min <= --r-max")
 
     def family_gen(r):
         return xi_state(r, delta=delta, n=args.member_n)
@@ -363,7 +325,7 @@ def run(argv) -> int:
     try:
         args = parser.parse_args(argv)
         return _COMMANDS[args.cmd](args)
-    except _UsageError as exc:
+    except (_UsageError, ParameterError) as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except (ParseError, ValidationError, OSError) as exc:

@@ -19,15 +19,14 @@ or probe runs.
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
 
-from .errors import InvalidFamily, TruncationUnsafe, WindowTooSmall
+from .errors import InvalidFamily, ParameterError, TruncationUnsafe, WindowTooSmall
 from .families import pair_ratio  # noqa: F401  (perfbench's tracer test expects this module's name)
-from .numutil import NEG_INF
+from .numutil import FLOAT_MAX, LOG_FLOAT_MAX, NEG_INF
 from .oscillation import (
     ComparisonWindow,
     OscillationCertificate,
@@ -101,8 +100,8 @@ class ComparisonReport:
 def _safe_exp(x: float) -> float:
     if x == NEG_INF:
         return 0.0
-    if x > 709.0:
-        return sys.float_info.max
+    if x > LOG_FLOAT_MAX:
+        return FLOAT_MAX
     return math.exp(x)
 
 
@@ -324,13 +323,15 @@ def estimate_r_bounds(
 
     ``family_gen(r)`` must yield a truncated spectrum per sampled r: an
     exact one raises :class:`InvalidFamily`, and its constructor holds
-    every other tail-function condition. ``r_min <= r_max`` must be
-    finite. Each distinct r of the ``steps``-point grid is sampled once,
-    so ``r_min == r_max`` gives one member whatever ``steps`` is. For each
-    r the liminf and limsup of g_psi/g_(family r) are classified by the
-    rule walk of :func:`slocc_decide`, of which only the two directions
-    are read. After the rank and window-size checks, closed-form exponents
-    lo < 0 < hi settle both limits, so no trend test or probe runs there:
+    every other tail-function condition. ``steps < 1``, or an r range
+    that is reversed or not finite, raises :class:`ParameterError` before
+    any member is generated. Each distinct r of the ``steps``-point grid
+    is sampled once, so ``r_min == r_max`` gives one member whatever
+    ``steps`` is. For each r the liminf and limsup of g_psi/g_(family r)
+    are classified by the rule walk of :func:`slocc_decide`, of which only
+    the two directions are read. After the rank and window-size checks,
+    closed-form exponents lo < 0 < hi settle both limits, so no trend test
+    or probe runs there:
 
     * r_minus estimates inf{r : liminf vanishes}; evidence at the lowest
       sampled r pins it there, otherwise one grid step below the first
@@ -343,9 +344,9 @@ def estimate_r_bounds(
     """
     th = thresholds or TrendThresholds()
     if steps < 1:
-        raise ValueError("steps must be >= 1")
+        raise ParameterError("steps must be >= 1")
     if not (math.isfinite(r_min) and math.isfinite(r_max)) or r_min > r_max:
-        raise ValueError(f"need finite r_min <= r_max, got [{r_min}, {r_max}]")
+        raise ParameterError(f"need finite r_min <= r_max, got [{r_min}, {r_max}]")
     rs = np.unique(np.linspace(r_min, r_max, steps))  # each distinct r once; the grid is nondecreasing
     grid = (r_max - r_min) / (steps - 1) if steps > 1 else 0.0
 

@@ -1,4 +1,8 @@
-"""Exception types shared across the package: one type per failure, wherever it is detected."""
+"""Exception types shared across the package: one type per failure, wherever it is detected.
+
+The function that takes a value refuses it, before any work, with :class:`ParameterError` when it
+lies outside its range (the CLI's usage error); a plain ``ValueError`` is an internal failure.
+"""
 
 
 class EntOrderError(Exception):
@@ -30,7 +34,11 @@ class ParseError(EntOrderError):
         super().__init__(message)
 
 
-class QOutOfRange(EntOrderError):
+class ParameterError(EntOrderError, ValueError):
+    """A caller gave a value outside its range."""
+
+
+class QOutOfRange(ParameterError):
     """Squeezing parameter outside [0, 1)."""
 
 

@@ -43,6 +43,7 @@ from .errors import (
     ConditionViolated,
     DomainError,
     OffsetNotFound,
+    ParameterError,
     QOutOfRange,
     ValidationError,
 )
@@ -152,17 +153,17 @@ class AnalyticForm:
 
     def __post_init__(self):
         if not all(map(math.isfinite, (self.k, self.r, self.offset, self.delta))):
-            raise ValueError("k, r, offset and delta must be finite")
+            raise ParameterError("k, r, offset and delta must be finite")
         if self.k < 0 or self.k != int(self.k):
-            raise ValueError("k must be a nonnegative integer")
+            raise ParameterError("k must be a nonnegative integer")
         if not (self.r > 0):
-            raise ValueError("r must be positive")
+            raise ParameterError("r must be positive")
         if not (self.delta > 0):
-            raise ValueError("delta must be positive")
+            raise ParameterError("delta must be positive")
         if self.offset < 0:
-            raise ValueError("offset must be nonnegative")
+            raise ParameterError("offset must be nonnegative")
         if self.k > 0 and self.offset <= 1.0:
-            raise ValueError("k >= 1 members need offset > 1 so that x + offset > 1")
+            raise ParameterError("k >= 1 members need offset > 1 so that x + offset > 1")
 
     def log_d(self, x):
         """ln d(x) = -x + k ln p_r(x + offset), the continuous tail at x = delta n."""
@@ -455,6 +456,24 @@ def _first_clean(k, r, base, step, first, last, W, margin):
     return j if j <= last else None
 
 
+def _check_search(grid_step, horizon, margin):
+    """Refuse an offset search's grid step, horizon or margin outside its range."""
+    if not (0 < grid_step < math.inf and 0 < horizon < math.inf):
+        raise ParameterError("grid_step and horizon must be positive and finite")
+    if not (0 <= margin < math.inf):
+        raise ParameterError("margin must be finite and nonnegative")
+
+
+def _span(delta, n):
+    """delta * (n + 1), the span of n stored weights; refuses n < 1 and a span that is not finite."""
+    if n < 1:
+        raise ParameterError("n must be >= 1: need at least one stored weight")
+    span = delta * (n + 1) if n < 1e308 else math.inf  # an n past the float range is not finite
+    if not math.isfinite(span):
+        raise ParameterError("delta * (n + 1) overflows; give a smaller delta or n")
+    return span
+
+
 def find_offset(
     k: int,
     r: float = 1.0,
@@ -474,11 +493,10 @@ def find_offset(
     nothing beyond the horizon is certified unless y* lies inside it. Raises
     :class:`OffsetNotFound` past ``a_max`` (default 1e6 * grid_step), and
     ValueError if it may evaluate more than ``MAX_SCAN_POINTS`` points.
+    A grid step or horizon that is not positive and finite, or a negative
+    margin, raises :class:`ParameterError` before any point is evaluated.
     """
-    if grid_step <= 0 or horizon <= 0:
-        raise ValueError("grid_step and horizon must be positive")
-    if not (margin >= 0):
-        raise ValueError("margin must be nonnegative")
+    _check_search(grid_step, horizon, margin)
     if k == 0:
         return 0.0
     if a_max is None:
@@ -508,11 +526,10 @@ def discretize(form: AnalyticForm, n: int, family: str = "psi") -> SchmidtSpectr
     :func:`_y_star`, or in a proven cell below it, are proven in closed
     form, for every real x there, instead of evaluated; more than
     ``MAX_SCAN_POINTS`` points left to evaluate raise ValueError. The tail
-    bound is the exact analytic g(n).
+    bound is the exact analytic g(n). An n below 1, or one whose span is
+    not finite, raises :class:`ParameterError`.
     """
-    if n < 1:
-        raise ValueError("need at least one stored weight")
-    span = form.delta * (n + 1)
+    span = _span(form.delta, n)
     step = min(0.01, form.delta)
     last = int(math.ceil(span / step))
     if form.k and _first_clean(form.k, form.r, form.offset, step, 0, 0, last, 0.0) is None:
@@ -546,13 +563,14 @@ def tmss(q: float, n: int = 1000) -> SchmidtSpectrum:
 
     ``q`` is the squeezing parameter in [0, 1); q = 0 gives the product
     state. In the grid-step convention used throughout, delta = -2 ln q.
+    A q outside [0, 1), or n < 1 at any q, raises :class:`ParameterError`.
     """
     if not (0.0 <= q < 1.0):
         raise QOutOfRange(f"q={q} outside [0, 1)")
+    if n < 1:
+        raise ParameterError("n must be >= 1: need at least one stored weight")
     if q == 0.0:
         return make_spectrum([0.0], NEG_INF, {"family": "tmss", "q": 0.0})
-    if n < 1:
-        raise ValueError("need at least one stored weight")
     log_q2 = 2.0 * math.log(q)
     log_head = math.log1p(-(q * q))
     log_weights = log_head + log_q2 * np.arange(n, dtype=float)
@@ -590,18 +608,24 @@ def psi_state(
 
 
 def _family_state(family, k, r, delta, n, offset, grid_step, margin) -> SchmidtSpectrum:
-    """Family member at a given or searched offset; each lattice point is scanned once."""
+    """Family member at a given or searched offset; each lattice point is scanned once.
+
+    Every parameter is refused before any scan, ``grid_step`` and ``margin`` even where none runs.
+    """
+    # any offset above 1 passes the constructor; a searched one replaces it
+    form = AnalyticForm(k, r, 0.0 if k == 0 else 2.0 if offset is None else offset, delta)
+    span = _span(delta, n)
+    _check_search(grid_step, span, margin)
     if k == 0 or offset is not None:
-        return discretize(AnalyticForm(k, r, offset if k else 0.0, delta), n, family)
-    # the constructor refuses k, r and delta before the scan; any offset above 1 passes it
-    form = replace(AnalyticForm(k, r, 2.0, delta), offset=find_offset(k, r, grid_step, delta * (n + 1), margin))
+        return discretize(form, n, family)
+    form = replace(form, offset=find_offset(k, r, grid_step, span, margin))
     # The search proved M > margin >= 0 and C >= 0 at j*g, j = m..m+W, for
     # a = m*g and W = ceil(delta*(n+1)/g), in closed form from y* on and in
     # proven cells below it (y* at discretize's margin 0 is no larger). When
     # g equals discretize's step min(0.01, delta), its check points a + i*g,
     # i = 0..W, are the same W+1 points up to rounding, so it need not scan
-    # them again (n < 1 it refuses).
-    if grid_step == min(0.01, delta) and n >= 1:
+    # them again.
+    if grid_step == min(0.01, delta):
         return _sample(form, n, family)
     return discretize(form, n, family)
 

@@ -13,8 +13,9 @@ import numpy as np
 LN2 = math.log(2.0)
 LN10 = math.log(10.0)
 NEG_INF = float("-inf")
+FLOAT_MAX = sys.float_info.max
 #: ln of the largest float: exp of anything above it overflows
-LOG_FLOAT_MAX = math.log(sys.float_info.max)
+LOG_FLOAT_MAX = math.log(FLOAT_MAX)
 
 
 def log1mexp(x):

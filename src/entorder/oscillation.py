@@ -25,7 +25,7 @@ from enum import Enum
 import numpy as np
 
 from . import families
-from .errors import TruncationUnsafe, ValidationError, WindowTooSmall
+from .errors import ParameterError, TruncationUnsafe, ValidationError, WindowTooSmall
 from .families import PairRatio, pair_ratio
 from .spectrum import SchmidtSpectrum, safe_horizon
 
@@ -46,12 +46,12 @@ class TrendThresholds:
     min_witnesses: int = 5
 
     def __post_init__(self):
-        if min(self.drift_nats, self.min_points, self.witness_step_nats, self.min_witnesses) <= 0:
-            raise ValueError("thresholds must all be positive")
+        if not all(t > 0 for t in (self.drift_nats, self.min_points, self.witness_step_nats, self.min_witnesses)):
+            raise ParameterError("thresholds must all be positive")
         if self.witness_step_nats < OscillationCertificate.MIN_STEP:
-            raise ValueError("witness step below one nat cannot form a certificate")
+            raise ParameterError("witness step below one nat cannot form a certificate")
         if self.min_witnesses < OscillationCertificate.MIN_ENTRIES:
-            raise ValueError(f"a certificate needs at least {OscillationCertificate.MIN_ENTRIES} witnesses")
+            raise ParameterError(f"a certificate needs at least {OscillationCertificate.MIN_ENTRIES} witnesses")
 
 
 class TrendClass(Enum):
@@ -157,7 +157,7 @@ def comparison_window(a: SchmidtSpectrum, b: SchmidtSpectrum, window=None) -> Co
 
     The default window is the widest honest one: up to the closed form's
     float cap, or without one up to the nearer safe horizon. Raises
-    ValueError on a negative or reversed window,
+    :class:`ParameterError` on a negative or reversed window,
     :class:`TruncationUnsafe` past the horizon of a pair without one, and
     :class:`ValidationError` on grid steps :func:`pair_ratio` cannot resolve.
     """
@@ -168,7 +168,7 @@ def comparison_window(a: SchmidtSpectrum, b: SchmidtSpectrum, window=None) -> Co
         window = (0, pair.max_index() if pair else horizon)
     n_min, n_max = int(window[0]), int(window[1])
     if n_min < 0 or n_max < n_min:
-        raise ValueError(f"bad window {window}")
+        raise ParameterError(f"bad window {window}")
     if pair is None and n_max > horizon:
         raise TruncationUnsafe(
             f"window end {n_max} beyond the truncation-safe horizon {horizon} "

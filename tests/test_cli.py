@@ -251,13 +251,23 @@ class TestExitCodes:
         ]) == 1
 
     def test_flag_validation(self, specdir, tmp_path):
-        out = str(tmp_path / "x.spec")
-        assert run(["gen", "tmss", "--q", "0.5", "--n", "0", "-o", out]) == 1
-        assert run(["gen", "xi", "--r", "1.5", "--offset-grid", "0", "-o", out]) == 1
-        assert run(["estimate-r", str(specdir / "psi0.spec"),
-                    "--r-min", "2", "--r-max", "1"]) == 1
-        assert run(["compare", str(specdir / "psi1.spec"), str(specdir / "psi0.spec"),
-                    "--mode", "slocc", "--window", "-5:100"]) == 1
+        out = tmp_path / "x.out"
+        psi0, psi1 = str(specdir / "psi0.spec"), str(specdir / "psi1.spec")
+        for argv in (["gen", "tmss", "--q", "0.5", "--n", "0"],
+                     ["gen", "tmss", "--q", "0", "--n", "0"],
+                     ["gen", "xi", "--r", "1.5", "--offset-grid", "0"],
+                     ["gen", "xi", "--r", "1.5", "--offset", "2", "--offset-grid", "0"],
+                     ["gen", "psi", "--k", "0", "--offset-grid", "0"],
+                     ["gen", "psi", "--k", "0", "--offset-margin", "-1"],
+                     ["gen", "psi", "--k", "1", "--n", "0"],
+                     ["estimate-r", psi0, "--r-min", "2", "--r-max", "1"],
+                     ["estimate-r", psi0, "--r-min", "0", "--r-max", "2"],
+                     ["estimate-r", psi0, "--r-min", "1", "--r-max", "2", "--delta", "0"],
+                     ["compare", psi1, psi0, "--mode", "slocc", "--window", "-5:100"],
+                     ["compare", psi1, psi0, "--mode", "locc", "--min-witnesses", "3"],
+                     ["certify", psi1, psi0, "--drift-nats", "0"]):
+            assert run(argv + ["-o", str(out)]) == 1, argv
+            assert not out.exists(), argv
 
     @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
     @pytest.mark.parametrize("argv", [
@@ -278,13 +288,13 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("argv, message", [
         (["gen", "psi", "--k", "1", "--delta", "abc"], "argument --delta: expected a finite number, got 'abc'"),
-        (["gen", "psi", "--k", "1", "--delta", "0"], "--delta must be positive"),
-        (["gen", "psi", "--k", "1", "--offset-margin", "-1"], "--offset-margin must be nonnegative"),
-        (["gen", "xi", "--r", "0"], "--r must be positive"),
-        (["gen", "psi", "--k", "-1"], "--k must be a nonnegative integer"),
-        (["estimate-r", "{dir}/psi0.spec", "--r-min", "1", "--r-max", "2", "--steps", "0"], "--steps must be >= 1"),
+        (["gen", "psi", "--k", "1", "--delta", "0"], "delta must be positive"),
+        (["gen", "psi", "--k", "1", "--offset-margin", "-1"], "margin must be finite and nonnegative"),
+        (["gen", "xi", "--r", "0"], "r must be positive"),
+        (["gen", "psi", "--k", "-1"], "k must be a nonnegative integer"),
+        (["estimate-r", "{dir}/psi0.spec", "--r-min", "1", "--r-max", "2", "--steps", "0"], "steps must be >= 1"),
         (["estimate-r", "{dir}/psi0.spec", "--r-min", "1", "--r-max", "2", "--member-n", "0"],
-         "--member-n must be >= 1"),
+         "n must be >= 1: need at least one stored weight"),
         (["estimate-r", "{dir}/psi1.spec", "--r-min", "1", "--r-max", "2", "--delta", "1.000000000001"],
          "--delta 1.000000000001 differs from the file's grid step 1.0 by no more than FORM_RTOL (1e-09), "
          "which the metadata check cannot resolve: give --delta that step"),
@@ -293,8 +303,23 @@ class TestExitCodes:
          "unrecognized arguments: --delta-convention amplitude"),
         (["estimate-r", "{dir}/psi0.spec", "--family", "xi", "--r-min", "1", "--r-max", "2"],
          "unrecognized arguments: --family xi"),
+        # range refusals of the library, each in the function that takes the parameter
+        (["gen", "tmss", "--q", "0", "--n", "0"], "n must be >= 1: need at least one stored weight"),
+        (["gen", "tmss", "--q", "1.5"], "q=1.5 outside [0, 1)"),
+        (["gen", "xi", "--r", "1.5", "--offset", "0.5"], "k >= 1 members need offset > 1 so that x + offset > 1"),
+        (["gen", "xi", "--r", "1.5", "--offset", "2", "--offset-grid", "0"],
+         "grid_step and horizon must be positive and finite"),
+        (["gen", "psi", "--k", "1", "--delta", "1e308", "--n", "10"],
+         "delta * (n + 1) overflows; give a smaller delta or n"),
+        (["estimate-r", "{dir}/psi0.spec", "--r-min", "2", "--r-max", "1"], "need finite r_min <= r_max, got [2.0, 1.0]"),
+        (["estimate-r", "{dir}/psi0.spec", "--r-min", "0", "--r-max", "2"], "r must be positive"),
+        (["certify", "{dir}/psi1.spec", "{dir}/psi0.spec", "--min-witnesses", "3"],
+         "a certificate needs at least 5 witnesses"),
+        (["certify", "{dir}/psi1.spec", "{dir}/psi0.spec", "--witness-step", "0.5"],
+         "witness step below one nat cannot form a certificate"),
     ], ids=["delta-abc", "delta-0", "offset-margin--1", "r-0", "k--1", "steps-0", "member-n-0",
-            "near-equal-delta", "gen-q", "delta-convention", "family"])
+            "near-equal-delta", "gen-q", "delta-convention", "family", "tmss-q-0-n-0", "q-1.5", "offset-0.5",
+            "offset-grid-0-at-offset", "span", "r-range", "r-min-0", "min-witnesses-3", "witness-step-0.5"])
     def test_refused_input_is_usage_error(self, specdir, tmp_path, capsys, argv, message):
         out = tmp_path / "x.out"
         assert run([a.format(dir=specdir) for a in argv] + ["-o", str(out)]) == 1
@@ -348,16 +373,15 @@ class TestExitCodes:
         assert "invalid input: line 2:" in capsys.readouterr().err
 
     def test_huge_delta_is_operation_error(self, specdir, tmp_path, capsys):
-        # delta * (n + 1) is not finite: the options are refused before any work
+        # delta * (n + 1) is not finite: the generator refuses it before any work
         out = str(tmp_path / "x.spec")
         assert run(["gen", "psi", "--k", "1", "--delta", "1e308", "--n", "10", "-o", out]) == 1
         assert run(["gen", "xi", "--r", "1.5", "--delta", "1e306", "--n", "1000", "-o", out]) == 1
         assert run(["gen", "psi", "--k", "1", "--n", str(10**400), "-o", out]) == 1
         assert run(["estimate-r", str(specdir / "tmss05.spec"), "--delta", "1e308",
-                    "--r-min", "1", "--r-max", "2", "--steps", "2"]) == 1
+                    "--r-min", "1", "--r-max", "2", "--steps", "2", "-o", out]) == 1
         err = capsys.readouterr().err.splitlines()
-        assert err[:3] == ["usage error: --delta * (--n + 1) overflows; give a smaller --delta or --n"] * 3
-        assert err[3] == "usage error: --delta * (--member-n + 1) overflows; give a smaller --delta or --member-n"
+        assert err == ["usage error: delta * (n + 1) overflows; give a smaller delta or n"] * 4
         assert not (tmp_path / "x.spec").exists()
 
     @staticmethod
@@ -379,15 +403,19 @@ class TestExitCodes:
         assert run(["estimate-r", f, "--r-min", "1", "--r-max", "2", "--steps", "2"]) == 2
         assert capsys.readouterr().err == "invalid input: #delta must be positive\n"
         # the same step given as an option is the user's error
-        assert run(["estimate-r", f, "--delta", "-1", "--r-min", "1", "--r-max", "2", "--steps", "2"]) == 1
-        assert capsys.readouterr().err == "usage error: --delta must be positive\n"
+        out = tmp_path / "x.out"
+        assert run(["estimate-r", f, "--delta", "-1", "--r-min", "1", "--r-max", "2", "--steps", "2",
+                    "-o", str(out)]) == 1
+        assert capsys.readouterr().err == "usage error: delta must be positive\n"
+        assert not out.exists()
 
     def test_huge_file_delta_names_the_file_line(self, specdir, tmp_path, capsys):
+        # a finite file step whose span overflows is refused by the member generator, which names its parameters
         f = self._with_delta_line(specdir, tmp_path, "#delta 1e308")
-        assert run(["estimate-r", f, "--r-min", "1", "--r-max", "2", "--steps", "2"]) == 1
-        assert capsys.readouterr().err == (
-            "usage error: #delta * (--member-n + 1) overflows; give a smaller #delta or --member-n\n"
-        )
+        out = tmp_path / "x.out"
+        assert run(["estimate-r", f, "--r-min", "1", "--r-max", "2", "--steps", "2", "-o", str(out)]) == 1
+        assert capsys.readouterr().err == "usage error: delta * (n + 1) overflows; give a smaller delta or n\n"
+        assert not out.exists()
 
     def test_missing_grid_step_is_usage_error(self, specdir, tmp_path, capsys):
         f = self._with_delta_line(specdir, tmp_path, None)
@@ -446,6 +474,14 @@ class TestExitCodes:
             assert not out.exists()
         # a k = 0 member scans nothing, so the same span is generated
         assert run(["gen", "psi", "--k", "0", "--delta", "1e300", "--n", "10", "-o", str(out)]) == 0
+
+    def test_scan_cap_is_operation_error(self, tmp_path, capsys):
+        # the cap is an internal limit, not a parameter out of range: exit 3, not 1
+        out = tmp_path / "x.spec"
+        assert run(["gen", "psi", "--k", "1", "--offset-margin", "1", "--delta", "1e10", "--n", "10",
+                    "-o", str(out)]) == 3
+        assert capsys.readouterr().err.startswith("operation failed: the condition scan may evaluate")
+        assert not out.exists()
 
     def test_library_scan_past_the_cap_refused_at_once(self):
         # the cap is the scanner's own, so a library caller cannot start an endless scan:

@@ -124,6 +124,13 @@ class TestSloccDecide:
         assert rep.epsilon_b_to_a == sys.float_info.max
         assert rep.to_dict()["epsilon"]["b_to_a"] == sys.float_info.max
 
+    @pytest.mark.parametrize("log_eps, eps", [
+        (709.5, math.exp(709.5)),  # representable, though past 709
+        (709.79, sys.float_info.max),  # past ln of the largest float, 709.7827
+    ])
+    def test_epsilon_is_exact_up_to_the_float_range(self, log_eps, eps):
+        assert convertibility._safe_exp(log_eps) == eps
+
     def test_epsilon_covers_the_whole_window(self):
         # a one-index dip at an odd n in a window of more than 65,536
         # points: epsilon must see the dip, as the trend tests do

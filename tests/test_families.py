@@ -47,6 +47,59 @@ class TestInputChecks:
         with pytest.raises(ValueError, match=message):
             call()
 
+    @staticmethod
+    def count_work(monkeypatch):
+        """Names of the offset searches, condition scans and member samplings run, in order."""
+        calls = []
+        for name in ("find_offset", "_first_clean", "_sample"):
+            real = getattr(families, name)
+            monkeypatch.setattr(families, name, lambda *a, real=real, name=name, **kw: calls.append(name) or real(*a, **kw))
+        return calls
+
+    @pytest.mark.parametrize("call", [
+        lambda: eo.AnalyticForm(1, math.nan, 2.0, DELTA),
+        lambda: eo.AnalyticForm(-1, 1.0, 2.0, DELTA),
+        lambda: eo.AnalyticForm(1, 0.0, 2.0, DELTA),
+        lambda: eo.AnalyticForm(1, 1.0, 2.0, 0.0),
+        lambda: eo.AnalyticForm(0, 1.0, -1.0, DELTA),
+        lambda: eo.AnalyticForm(1, 1.0, 1.0, DELTA),
+        lambda: eo.find_offset(1, grid_step=0.0),
+        lambda: eo.find_offset(1, horizon=math.inf),
+        lambda: eo.find_offset(1, margin=-0.1),
+        lambda: eo.tmss(0.0, 0),
+        lambda: eo.tmss(1.0),
+        lambda: eo.discretize(eo.AnalyticForm(1, 1.0, 2.0, DELTA), 0),
+        lambda: eo.xi_state(1.5, DELTA, 0),
+        lambda: eo.xi_state(1.5, 1e308, 10),
+        lambda: eo.psi_state(1, DELTA, 10**400),
+        lambda: eo.xi_state(1.5, DELTA, 10, offset=2.0, grid_step=0.0),
+        lambda: eo.psi_state(0, DELTA, 10, margin=-1.0),
+        lambda: eo.estimate_r_bounds(eo.tmss(0.5, 100), lambda r: eo.xi_state(r, DELTA, 100), 2.0, 1.0, 3),
+        lambda: eo.estimate_r_bounds(eo.tmss(0.5, 100), lambda r: eo.xi_state(r, DELTA, 100), 1.0, 2.0, 0),
+        lambda: eo.estimate_r_bounds(eo.tmss(0.5, 100), lambda r: eo.xi_state(r, DELTA, 100), 0.0, 2.0, 3),
+        lambda: eo.oscillation.comparison_window(eo.tmss(0.5, 100), eo.tmss(0.4, 100), (5, 1)),
+        lambda: eo.TrendThresholds(drift_nats=0.0),
+        lambda: eo.TrendThresholds(drift_nats=math.nan),
+        lambda: eo.TrendThresholds(witness_step_nats=0.5),
+        lambda: eo.TrendThresholds(min_witnesses=3),
+    ], ids=["form-nan", "form-k", "form-r", "form-delta", "form-offset", "form-offset-1", "grid_step",
+            "horizon-inf", "margin", "tmss-q-0-n-0", "tmss-q", "discretize-n", "xi-n", "xi-span", "psi-n-huge",
+            "grid_step-at-offset", "margin-at-k-0", "r-range", "steps", "r-min-0", "window", "drift", "drift-nan",
+            "witness-step", "min-witnesses"])
+    def test_parameter_refused_before_any_work(self, monkeypatch, call):
+        # tmss(0.0, 0) no longer returns the product state, and xi_state(1.5, 1.0, 0) runs no offset search
+        calls = self.count_work(monkeypatch)
+        with pytest.raises(eo.ParameterError) as err:
+            call()
+        assert isinstance(err.value, ValueError)
+        assert calls == []
+
+    def test_scan_cap_is_not_a_parameter_error(self):
+        # an internal limit, not a caller's value: a plain ValueError (1.1e13 points to scan)
+        with pytest.raises(ValueError, match="lattice points") as err:
+            eo.psi_state(1, 1e10, 10, margin=1.0)
+        assert not isinstance(err.value, eo.ParameterError)
+
 
 class TestEvalP:
     def test_peak_value(self):

@@ -78,9 +78,16 @@ the exact rank-500 pair certified, whose tails both reach zero at the
 rank, and squeezed members whose remainder bounds need logs: the step
 1e-17, where exp(-delta) rounds to 1, and the step 1e-310, whose bound
 e^713.8 lies past the float range (summarized).
-Three usage errors close the set: ``gen psi --q`` and ``estimate-r
+Three usage errors follow: ``gen psi --q`` and ``estimate-r
 --family``, options that are gone, and an ``estimate-r`` whose ``--delta``
-lies within ``FORM_RTOL`` of, but not at, the file's step.
+lies within ``FORM_RTOL`` of, but not at, the file's step. Last come
+thirteen values out of range, each refused by the library function that
+takes it (exit 1, no output): ``gen`` with n 0 at q 0, k -1, r 0, delta 0,
+an offset of 0.5, an offset search step 0 next to a given offset, a
+negative margin and a span ``delta * (n + 1)`` past the float range;
+``estimate-r`` with no steps, no member weights, a reversed r range and
+r-min 0; and ``certify`` asking for fewer witnesses than a certificate
+holds.
 """
 
 from __future__ import annotations
@@ -279,6 +286,25 @@ def commands():
                                                  "--r-max", "2", "--steps", "3", "--member-n", "2000"]))
     out.append(("estimate_psi1_d1e12.json", ["estimate-r", "psi1.spec", "--delta", "1.000000000001", "--r-min", "1",
                                              "--r-max", "2", "--steps", "3", "--member-n", "2000"]))
+    # values out of range, refused where the library takes them (exit 1)
+    out.extend([
+        ("t0_n0.spec", ["gen", "tmss", "--q", "0", "--n", "0"]),
+        ("psi_k-1.spec", ["gen", "psi", "--k", "-1"]),
+        ("xi_r0.spec", ["gen", "xi", "--r", "0"]),
+        ("psi1_d0.spec", ["gen", "psi", "--k", "1", "--delta", "0"]),
+        ("xi_a05.spec", ["gen", "xi", "--r", "1.5", "--offset", "0.5"]),
+        ("xi_a2_g0.spec", ["gen", "xi", "--r", "1.5", "--offset", "2", "--offset-grid", "0"]),
+        ("psi1_m-1.spec", ["gen", "psi", "--k", "1", "--offset-margin", "-1"]),
+        ("psi1_d1e308.spec", ["gen", "psi", "--k", "1", "--delta", "1e308", "--n", "10"]),
+    ])
+    est_psi0 = ["estimate-r", "psi0.spec", "--r-min", "1", "--r-max", "2", "--steps", "3", "--member-n", "2000"]
+    out.extend([
+        ("estimate_psi0_steps0.json", [*est_psi0, "--steps", "0"]),
+        ("estimate_psi0_member_n0.json", [*est_psi0, "--member-n", "0"]),
+        ("estimate_psi0_r2_1.json", [*est_psi0, "--r-min", "2", "--r-max", "1"]),
+        ("estimate_psi0_r0.json", [*est_psi0, "--r-min", "0"]),
+        ("certify_psi2_psi1_min3.json", ["certify", "psi2.spec", "psi1.spec", "--min-witnesses", "3"]),
+    ])
     return out
 
 
