@@ -26,7 +26,7 @@ import numpy as np
 
 from .errors import InvalidFamily, ParameterError, TruncationUnsafe, WindowTooSmall
 from .families import pair_ratio  # noqa: F401  (perfbench's tracer test expects this module's name)
-from .numutil import FLOAT_MAX, LOG_FLOAT_MAX, NEG_INF
+from .numutil import FLOAT_MAX, LOG_FLOAT_MAX, NEG_INF, run_starts
 from .oscillation import (
     ComparisonWindow,
     OscillationCertificate,
@@ -201,9 +201,11 @@ def _rule_walk(cw: ComparisonWindow, th, exponent_shortcut: bool):
        insufficient.
     """
     values = cw.values
-    a_exhausted = bool(np.any(values == -np.inf))
-    b_exhausted = bool(np.any(values == np.inf))
-    values = values[np.isfinite(values)]
+    finite = np.isfinite(values)
+    a_exhausted = b_exhausted = False
+    if not finite.all():  # -inf where only g_a has reached zero, +inf where only g_b has
+        a_exhausted, b_exhausted = bool(np.any(values == -np.inf)), bool(np.any(values == np.inf))
+        values = values[finite]
     if a_exhausted or b_exhausted:
         # without the shortcut the trend labels are still reported
         flags = trend_flags(values, th) if not exponent_shortcut and values.size >= th.min_points else None
@@ -347,7 +349,8 @@ def estimate_r_bounds(
         raise ParameterError("steps must be >= 1")
     if not (math.isfinite(r_min) and math.isfinite(r_max)) or r_min > r_max:
         raise ParameterError(f"need finite r_min <= r_max, got [{r_min}, {r_max}]")
-    rs = np.unique(np.linspace(r_min, r_max, steps))  # each distinct r once; the grid is nondecreasing
+    rs = np.sort(np.linspace(r_min, r_max, steps))
+    rs = rs[run_starts(rs)]  # each distinct r once
     grid = (r_max - r_min) / (steps - 1) if steps > 1 else 0.0
 
     per_r = []

@@ -27,7 +27,10 @@ at y = delta n + offset for every stored n. The terms of that grid that
 do not depend on r (ln y, sin ln y + 1 and 1/ln y) are kept, as
 read-only arrays, for the latest key (delta, offset, size) only, so
 members on one grid (the 21 of an ``estimate-r`` run) share them, and
-ln p_r comes out bit for bit as ``profile`` gives it.
+ln p_r comes out bit for bit as ``profile`` gives it. ln p_r itself is
+kept, read-only, for the latest key (r, delta, offset, size), so the
+metadata check of a member just sampled reads the array its sampling
+made.
 """
 
 from __future__ import annotations
@@ -47,7 +50,7 @@ from .errors import (
     QOutOfRange,
     ValidationError,
 )
-from .numutil import NEG_INF, log1mexp
+from .numutil import FLOAT_MAX, NEG_INF, log1mexp, run_starts
 from .spectrum import SchmidtSpectrum, make_spectrum
 
 #: largest log-argument the float64 grid can represent (exp(701) < inf)
@@ -62,7 +65,7 @@ def _p(Lr, s1, iL):
 def _profile_terms(r, x):
     """x > 1 as an array, with L = ln x, sin L, L^r and p_r(x)."""
     if not (r > 0):
-        raise ValueError("profile exponent r must be positive")
+        raise ParameterError("profile exponent r must be positive")
     x = np.asarray(x, dtype=float)
     if np.any(x <= 1.0):
         raise DomainError("profile defined only for x > 1")
@@ -98,10 +101,17 @@ def _grid_terms(delta, offset, size):
     return terms
 
 
+@lru_cache(maxsize=1)
 def _log_p_on_grid(r, delta, offset, size):
-    """ln p_r(delta n + offset) for n < size, bit for bit ``np.log(profile(r, delta * n + offset))``."""
+    """ln p_r(delta n + offset) for n < size, bit for bit ``np.log(profile(r, delta * n + offset))``.
+
+    A read-only array, kept for the latest key only: sampling a member and
+    then checking its metadata (:func:`_tail_residual`) evaluate it once.
+    """
     L, s1, iL = _grid_terms(delta, offset, size)
-    return np.log(_p(L**r, s1, iL))
+    log_p = np.log(_p(L**r, s1, iL))
+    log_p.setflags(write=False)
+    return log_p
 
 
 def eval_p(r: float, x):
@@ -152,7 +162,10 @@ class AnalyticForm:
     delta: float
 
     def __post_init__(self):
-        if not all(map(math.isfinite, (self.k, self.r, self.offset, self.delta))):
+        if self.k > FLOAT_MAX:
+            raise ParameterError("k must be a nonnegative integer within the float range")
+        # not math.isfinite, which raises OverflowError on an int past the float range
+        if not all(abs(v) <= FLOAT_MAX for v in (self.k, self.r, self.offset, self.delta)):
             raise ParameterError("k, r, offset and delta must be finite")
         if self.k < 0 or self.k != int(self.k):
             raise ParameterError("k must be a nonnegative integer")
@@ -217,6 +230,10 @@ def _profile_conditions(k, r, y):
 #: lattices in float, r up to 100.
 Y_STAR_SLACK = 1e-6
 
+#: Width in L = ln y at which :func:`_y_star`'s bisection stops: 20 steps from the first bracket,
+#: and y* at most 0.1 % above the lowest cut it could reach, a tenth of one ``CELL_WIDTH`` cell.
+Y_STAR_WIDTH = 1e-3
+
 _L_FLOAT_MAX = math.log(np.finfo(float).max)  # ln of the largest float profile argument
 
 
@@ -242,36 +259,41 @@ def _y_star(k, r, margin):
         |u|  <= L |q| / y,    |w| <= L (|q'| + |q|) / y^2
 
     so M >= 1 - k|u| and C >= (1 - k|u|)^2 - k|w| - k u^2. Both lower
-    bounds increase with L once L > r + 1; y* = e^L for the smallest such
-    L (found by bisection up to ``LOG_ARG_CAP``) where they clear margin
-    and 0 by ``Y_STAR_SLACK``. The same bounds hold for the float values,
+    bounds increase with L once L > r + 1; y* = e^L for an L where they
+    clear margin and 0 by ``Y_STAR_SLACK``, found by bisection between
+    r + 1 and ``LOG_ARG_CAP``. Its upper end is proven at every step, so
+    any stopping point is a valid cut; it stops once the bracket is
+    ``Y_STAR_WIDTH`` wide in L, so y* lies at most a factor e^Y_STAR_WIDTH
+    (0.1 %) above the cut of a bisection run to the last ulp, and no
+    offset depends on where it stops. The same bounds hold for the float values,
     up to rounding far below that slack, as long as no float term of
     eval_p (each below 4 max(1, 2r, r|r-1|) L^r) overflows for any float y.
     """
     if r * math.log(_L_FLOAT_MAX) + math.log(_term_bound(r)) >= _L_FLOAT_MAX:
         return math.inf
-
-    def proven(L):
-        q = 2.0 * r * L ** (r - 1) + L**r + L**-2
-        qp = 2.0 * r * abs(r - 1.0) * L ** (r - 2) + 2.0 * r * L ** (r - 1) + L**r + 2.0 * L**-3
-        e = math.exp(-L)
-        u = L * q * e
-        w = L * (qp + q) * e * e
-        M = 1.0 - k * u
-        return M >= margin + Y_STAR_SLACK and M * M - k * w - k * u * u >= Y_STAR_SLACK
-
     lo, hi = r + 1.0, LOG_ARG_CAP
-    if not (lo < hi and proven(hi)):
+    if not (lo < hi and _proven_past(k, r, margin, hi)):
         return math.inf
-    if proven(lo):
+    if _proven_past(k, r, margin, lo):
         return math.exp(lo)
-    for _ in range(64):  # proven(hi) holds throughout, proven(lo) never
+    while hi - lo > Y_STAR_WIDTH:  # proven at hi throughout, never at lo
         mid = 0.5 * (lo + hi)
-        if proven(mid):
+        if _proven_past(k, r, margin, mid):
             hi = mid
         else:
             lo = mid
     return math.exp(hi)
+
+
+def _proven_past(k, r, margin, L):
+    """True where :func:`_y_star`'s lower bounds of M and C at L = ln y clear margin and 0 by ``Y_STAR_SLACK``."""
+    q = 2.0 * r * L ** (r - 1) + L**r + L**-2
+    qp = 2.0 * r * abs(r - 1.0) * L ** (r - 2) + 2.0 * r * L ** (r - 1) + L**r + 2.0 * L**-3
+    e = math.exp(-L)
+    u = L * q * e
+    w = L * (qp + q) * e * e
+    M = 1.0 - k * u
+    return M >= margin + Y_STAR_SLACK and M * M - k * w - k * u * u >= Y_STAR_SLACK
 
 
 def _cut_index(k, r, margin, base, step):
@@ -298,9 +320,11 @@ CELL_ROUNDS = 3
 
 # Intervals below are stacked arrays, row 0 the lower and row 1 the upper bound of each cell.
 _WIDEN = 2.0**-49  # outward rounding: 8 ulps of each bound, above the error of the few operations before it
-_POS = np.array([[1.0 - _WIDEN], [1.0 + _WIDEN]])  # widens a positive interval outward in one product
-_SIGNED = np.array([[-_WIDEN], [_WIDEN]])
-_TRIG_PAD = np.array([[-1e-14], [1e-14]])  # sin and cos get an absolute pad: their ulps vanish at their zeros
+_UNIT = np.array([[-1.0], [1.0]])
+_POS = 1.0 + _WIDEN * _UNIT  # widens a positive interval outward in one product
+_SIGNED = _WIDEN * _UNIT
+_SUM_PAD = 2.0 * _SIGNED  # 32 units of round-off per unit of a signed sum's magnitude bound (see _sum)
+_TRIG_PAD = 1e-14 * _UNIT  # sin and cos get an absolute pad: their ulps vanish at their zeros
 _QUARTERS = np.arange(4)[:, None]  # L = j pi/2 with j mod 4 = 0: cos peak, 1: sin peak, 2: cos trough, 3: sin trough
 
 
@@ -317,14 +341,19 @@ def _up(x):
     return x + np.abs(x) * _WIDEN
 
 
-def _scaled(c, a):
-    """Scalar c times positive interval a, rounded outward."""
-    return _out(c * a if c >= 0 else c * a[::-1])
-
-
 def _times(a, c):
-    """Positive interval a times signed interval c, rounded outward."""
-    return _out(c * np.where(c >= 0, a, a[::-1]))
+    """Positive interval a times signed interval c, in round-to-nearest (a :func:`_sum` term)."""
+    return c * np.where(c >= 0, a, a[::-1])
+
+
+def _sum(a, mag):
+    """Signed interval a, a sum of terms made in round-to-nearest, rounded outward in one step.
+
+    ``mag`` bounds the sum of the terms' magnitudes, and so every partial
+    result: each of the operations that made a errs by at most 2^-53 mag,
+    and the widening by 2^-48 mag covers 32 of them.
+    """
+    return a + mag * _SUM_PAD
 
 
 def _over(a, d):
@@ -339,8 +368,11 @@ def _cell_bounds(k, r, y):
     The closed forms of :func:`eval_p` in interval arithmetic, with L in
     [ln y0, ln y1]: sin L and cos L lie between their end values unless a
     peak or trough lies inside; L^r, L^(r-1), L^(r-2) and L^-1..L^-3 are
-    each monotone, so their end values bound them. Each bound rounds
-    outward by a few ulps (sin and cos by ``_TRIG_PAD``). Then
+    each monotone, so their end values bound them. Each of those bounds,
+    p, y p and each quotient rounds outward by a few ulps (sin and cos by
+    ``_TRIG_PAD``); the signed sums q, q' - q and C, their terms included,
+    are made in round-to-nearest and rounded outward once, by the sum of
+    their terms' magnitudes (:func:`_sum`). Then
     M >= 1 - k max u and, where M > 0, C = M^2 + k(w - u^2) >=
     M_lo^2 - k max u^2 + k min w. The p bound is NaN where L may be <= 0 or
     a float term of eval_p (each below 4 max(1, 2r, r|r-1|) L^r) may overflow.
@@ -356,21 +388,25 @@ def _cell_bounds(k, r, y):
     j = L * (2.0 / np.pi)
     j0 = np.ceil(j[0] - 1e-9)
     hit = ((_QUARTERS - j0.astype(np.int64)) & 3) <= np.floor(j[1] + 1e-9) - j0  # a j pi/2 of each class inside
-    s, c = (np.where(hit[ends], [[-1.0], [1.0]], np.array((np.minimum(*v), np.maximum(*v))) + _TRIG_PAD)
-            for v, ends in ((np.sin(L), [3, 1]), (np.cos(L), [2, 0])))
+    s, c = (np.where(ends, _UNIT, np.where(v[0] <= v[1], v, v[::-1]) + _TRIG_PAD)  # rows: trough, then peak
+            for v, ends in ((np.sin(L), hit[3::-2]), (np.cos(L), hit[2::-2])))
     s1 = np.maximum(s + 1.0, 0.0)
     p = (Lr * s1 + iL) * _POS
-    q = _out(_out(r * Lr1 * s1 * _POS + _times(Lr, c)) - iL2[::-1])
-    qp = _out(
-        _out(_scaled(r * (r - 1.0), Lr2 * s1) + _times(2.0 * r * Lr1 * _POS, c))
-        + _out(_times(Lr, -s[::-1]) + 2.0 * iL2 * iL * _POS)
-    )
+    # q = r L^(r-1) s1 + L^r c - L^-2 and q' = r(r-1) L^(r-2) s1 + 2r L^(r-1) c - L^r s + 2 L^-3,
+    # with |c|, |s| <= 1 (up to the pad): 5 and 11 roundings, 17 for q' - q
+    rLr1 = r * Lr1 * s1
+    q = rLr1 + _times(Lr, c) - iL2[::-1]
+    q_mag = rLr1[1] + Lr[1] + iL2[1]
+    coef, Lr2s1, iL3 = r * (r - 1.0), Lr2 * s1, 2.0 * iL2 * iL
+    qp = (coef * Lr2s1)[:: 1 if coef >= 0 else -1] + _times(2.0 * r * Lr1, c) + _times(Lr, -s[::-1]) + iL3
+    qp_mag = abs(coef) * Lr2s1[1] + 2.0 * r * Lr1[1] + Lr[1] + iL3[1]
     yp = y * p * _POS
-    u = _over(q, yp)
-    w = _over(_over(_out(qp - q[::-1]), yp), y)
+    u = _over(_sum(q, q_mag), yp)
+    w = _over(_sum(qp - q[::-1], qp_mag + q_mag), y * yp * _POS)
     M = _dn(1.0 - _up(k * u[1]))
-    C = _dn(_dn(_dn(M * M) - _up(k * np.max(u * u, axis=0))) + _dn(k * w[0]))
-    fits = (L[0] > 0) & (Lr[1] * _term_bound(r) < np.finfo(float).max)
+    M2, ku2, kw = M * M, k * np.max(u * u, axis=0), k * w[0]
+    C = _sum(M2 - ku2 + kw, M2 + ku2 + np.abs(kw))[0]  # 6 roundings
+    fits = (L[0] > 0) & (Lr[1] * _term_bound(r) < FLOAT_MAX)
     return np.where(fits, p[0], np.nan), M, C
 
 
@@ -388,7 +424,9 @@ def _proven_cells(k, r, margin, base, step, first, end):
     growth = math.log1p(CELL_WIDTH)
     count = math.ceil(math.log(max(base + (end - 1) * step, start) / start) / growth)
     ys = start * np.exp(growth * np.arange(count + 1))
-    edges = np.unique(np.concatenate(([first, end - 1], np.clip(np.floor((ys - base) / step), first, end - 1))))
+    # nondecreasing, as the ys increase by CELL_WIDTH each, far above their rounding: one pass drops repeats
+    edges = np.concatenate(([first], np.clip(np.floor((ys - base) / step), first, end - 1), [end - 1]))
+    edges = edges[run_starts(edges)]
     a, b = edges[:-1], edges[1:]
     cells = []
     for rounds_left in range(CELL_ROUNDS, -1, -1):
@@ -430,12 +468,13 @@ def _first_clean(k, r, base, step, first, last, W, margin):
     up to i.
     """
     end = min(_cut_index(k, r, margin, base, step), last + W + 1)
-    starts, stops = [first], [end]
+    runs = [(first, end)] if first < end else []
     if 1 < end - first <= 2**53:  # past 2**53 float indices are not exact, and no cell is tried
         a, b = _proven_cells(k, r, margin, base, step, first, end)
-        # the lattice left between proven cells, which may share an end point
-        starts, stops = np.append(first, b + 1).tolist(), np.append(a, end).tolist()
-    runs = [(i, stop) for i, stop in zip(starts, stops) if i < stop]
+        # the lattice left between proven cells, which may share an end point: no run there
+        starts, stops = np.append(first, b + 1), np.append(a, end)
+        left = starts < stops
+        runs = list(zip(starts[left].tolist(), stops[left].tolist()))
     most = sum(stop - i for i, stop in runs)
     if most > MAX_SCAN_POINTS:
         raise ValueError(f"the condition scan may evaluate {most:.3g} lattice points, more than {MAX_SCAN_POINTS:.0e}")
@@ -539,15 +578,16 @@ def discretize(form: AnalyticForm, n: int, family: str = "psi") -> SchmidtSpectr
 
 def _sample(form: AnalyticForm, n: int, family: str) -> SchmidtSpectrum:
     """The spectrum of :func:`discretize`, for a member already checked on its grid."""
-    grid = np.arange(n + 1, dtype=float) * form.delta
-    log_g = -grid  # form.log_d(grid), with ln p from the kept grid terms
+    # form.log_d(delta n), with ln p from the kept grid terms; in place, with the bits of -(delta n) + k ln p
+    log_g = np.arange(n + 1, dtype=float) * -form.delta
     if form.k:
-        log_g = log_g + form.k * _log_p_on_grid(form.r, form.delta, form.offset, n + 1)
-    log_g = log_g - log_g[0]  # normalization: g(0) = 1 exactly
+        log_g += form.k * _log_p_on_grid(form.r, form.delta, form.offset, n + 1)
+    log_g -= log_g[0]  # normalization: g(0) = 1 exactly
     diffs = log_g[1:] - log_g[:-1]
     if np.any(diffs >= 0):
         raise ConditionViolated("sampled tail function is not strictly decreasing")
-    log_weights = log_g[:-1] + log1mexp(diffs)
+    log_weights = log1mexp(diffs)
+    log_weights += log_g[:-1]
     metadata = {
         "family": family,
         "k": form.k,
@@ -644,11 +684,12 @@ _UNUSED_KEYS = {"tmss": ("k", "r", "offset"), "xi": ("q",), "psi": ("q",)}
 
 def _tail_residual(form: AnalyticForm, stored) -> float:
     """Largest |form.log_g(n) - stored[n]| / max(1, |stored[n]|), ln p from the kept grid terms."""
-    fit = -form.delta * np.arange(stored.size, dtype=float)
+    gap = np.arange(stored.size, dtype=float) * -form.delta  # the fit, then its gap, in place
     if form.k:
         log_p = _log_p_on_grid(form.r, form.delta, form.offset, stored.size)
-        fit = fit + form.k * (log_p - math.log(profile(form.r, form.offset)))
-    return float(np.max(np.abs(fit - stored) / np.maximum(1.0, np.abs(stored))))
+        gap += form.k * (log_p - math.log(profile(form.r, form.offset)))
+    gap -= stored
+    return float(np.max(np.abs(gap, out=gap) / np.maximum(np.abs(stored), 1.0)))
 
 
 def analytic_form(s: SchmidtSpectrum) -> AnalyticForm | None:
@@ -743,10 +784,14 @@ class PairRatio:
         e(s) = k_a max(r_a - s, -1) - k_b max(r_b - s, -1). Being piecewise linear, e has
         its extremes at s in {0, r_a + 1, r_b + 1, inf}, with e(inf) = k_b - k_a. So
         liminf ell = -inf exactly when lo < 0, and limsup ell = +inf exactly when hi > 0.
+        Each r is an integer over a power of two; e is evaluated in integers over the
+        pair's common denominator D, as D e(s).
         """
-        (ka, ra), (kb, rb) = ((Fraction(f.k), Fraction(f.r)) for f in (self.a, self.b))
-        e = [ka * max(ra - s, -1) - kb * max(rb - s, -1) for s in (0, ra + 1, rb + 1)] + [kb - ka]
-        return min(e), max(e)
+        (na, da), (nb, db) = (Fraction(f.r).as_integer_ratio() for f in (self.a, self.b))
+        D = math.lcm(da, db)
+        ka, kb, ra, rb = int(self.a.k), int(self.b.k), na * (D // da), nb * (D // db)
+        e = [ka * max(ra - s, -D) - kb * max(rb - s, -D) for s in (0, ra + D, rb + D)] + [(kb - ka) * D]
+        return Fraction(min(e), D), Fraction(max(e), D)
 
 
 def near_equal_steps(delta_a: float, delta_b: float) -> bool:

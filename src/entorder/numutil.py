@@ -45,3 +45,16 @@ def logsumexp(values):
     if values.size == 0:
         return NEG_INF
     return float(np.logaddexp.reduce(values))
+
+
+def run_starts(x):
+    """Mask of the entries of a sorted 1-D array that differ from the entry before them.
+
+    ``x[run_starts(x)]`` is ``np.unique(x)`` for a sorted x without NaN, in
+    one pass: ``np.unique`` imports ``numpy.ma`` on its first call, which
+    costs a fresh process more than most commands.
+    """
+    mask = np.empty(x.shape, dtype=bool)
+    mask[:1] = True
+    np.not_equal(x[1:], x[:-1], out=mask[1:])
+    return mask

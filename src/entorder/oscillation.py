@@ -27,6 +27,7 @@ import numpy as np
 from . import families
 from .errors import ParameterError, TruncationUnsafe, ValidationError, WindowTooSmall
 from .families import PairRatio, pair_ratio
+from .numutil import run_starts
 from .spectrum import SchmidtSpectrum, safe_horizon
 
 
@@ -174,9 +175,10 @@ def comparison_window(a: SchmidtSpectrum, b: SchmidtSpectrum, window=None) -> Co
             f"window end {n_max} beyond the truncation-safe horizon {horizon} "
             "and the pair has no analytic continuation"
         )
-    ns = np.arange(n_min, min(n_max, horizon) + 1)
+    stop = min(n_max, horizon) + 1
+    ns = np.arange(n_min, stop)
     with np.errstate(invalid="ignore"):  # -inf - -inf = NaN where both exact states have ended
-        values = a.log_g[ns] - b.log_g[ns]
+        values = a.log_g[n_min:stop] - b.log_g[n_min:stop]
     return ComparisonWindow((n_min, n_max), ns, values, pair)
 
 
@@ -268,8 +270,10 @@ def _one_per_index(ns_parts, vs_parts):
     Each distinct float index was evaluated once and so has one value,
     which makes this the ``sorted(set(...))`` of the (index, value) pairs.
     """
-    ns, first = np.unique(np.concatenate([np.empty(0), *ns_parts]), return_index=True)
-    return ns, np.concatenate([np.empty(0), *vs_parts])[first]
+    ns = np.concatenate([np.empty(0), *ns_parts])
+    order = np.argsort(ns, kind="stable")  # the first of equal indices leads its run
+    first = order[run_starts(ns[order])]
+    return ns[first], np.concatenate([np.empty(0), *vs_parts])[first]
 
 
 def _analytic_candidates(pair: PairRatio, n_min, n_max):
@@ -325,8 +329,11 @@ def _analytic_candidates(pair: PairRatio, n_min, n_max):
         starts = np.cumsum(sizes) - sizes
         j = np.arange(starts[-1] + sizes[-1]) - np.repeat(starts, sizes)  # position in its neighbourhood
         ns = np.repeat(start[g:g + per], sizes) + j * np.repeat(step[g:g + per], sizes)
-        distinct, back = np.unique(ns, return_inverse=True)
-        vs = pair.values(distinct)[back]
+        order = np.argsort(ns, kind="stable")
+        first = run_starts(ns[order])
+        back = np.empty(ns.size, dtype=np.intp)
+        back[order] = np.cumsum(first) - 1  # the position of each index among the distinct ones
+        vs = pair.values(ns[order[first]])[back]
         for reduce, (ns_found, vs_found) in zip((np.maximum, np.minimum), found):
             # first index equal to each neighbourhood's extreme, as argmax/argmin
             # pick it (a NaN is the extreme once present, as there too)
@@ -347,7 +354,7 @@ def _materialized_candidates(ns, values):
         left = v[1:-1] - v[:-2]
         right = v[1:-1] - v[2:]
         interior = 1 + np.nonzero((left >= 0) & (right >= 0) | ((left <= 0) & (right <= 0)))[0]
-        idx = np.unique(np.concatenate(([0], interior, [v.size - 1])))
+        idx = np.concatenate(([0], interior, [v.size - 1]))  # increasing: interior lies in [1, size - 2]
     return ns[idx], v[idx]
 
 

@@ -317,9 +317,11 @@ class TestExitCodes:
          "a certificate needs at least 5 witnesses"),
         (["certify", "{dir}/psi1.spec", "{dir}/psi0.spec", "--witness-step", "0.5"],
          "witness step below one nat cannot form a certificate"),
+        (["gen", "psi", "--k", "1" + "0" * 400], "k must be a nonnegative integer within the float range"),
     ], ids=["delta-abc", "delta-0", "offset-margin--1", "r-0", "k--1", "steps-0", "member-n-0",
             "near-equal-delta", "gen-q", "delta-convention", "family", "tmss-q-0-n-0", "q-1.5", "offset-0.5",
-            "offset-grid-0-at-offset", "span", "r-range", "r-min-0", "min-witnesses-3", "witness-step-0.5"])
+            "offset-grid-0-at-offset", "span", "r-range", "r-min-0", "min-witnesses-3", "witness-step-0.5",
+            "k-1e400"])
     def test_refused_input_is_usage_error(self, specdir, tmp_path, capsys, argv, message):
         out = tmp_path / "x.out"
         assert run([a.format(dir=specdir) for a in argv] + ["-o", str(out)]) == 1
@@ -703,6 +705,24 @@ class TestParserReuse:
         _stdout(capsys, ["compare", str(specdir / "psi1.spec"), str(specdir / "psi0.spec"), "--mode", "locc"])
         _stdout(capsys, ["compare", "a", "b"])
         assert _stdout(capsys, ["compare", "--help"]) == first
+
+
+class TestStartUp:
+    """A fresh CLI process imports no module its command does not use."""
+
+    @pytest.mark.parametrize("argv", [
+        ["gen", "psi", "--k", "2", "--n", "2000", "-o", "{tmp}/psi2.spec"],
+        # two grids and no closed-form pair: the certificate is sought on the stored window
+        ["certify", "{dir}/tmss06.spec", "{dir}/psi1.spec", "-o", "{tmp}/cert.json"],
+    ], ids=["gen-psi", "certify"])
+    def test_no_masked_arrays(self, specdir, tmp_path, argv):
+        # np.unique imports numpy.ma at its first call, 17 ms in a fresh interpreter
+        env = {**os.environ, "PYTHONPATH": str(Path(eo.__file__).parents[1])}
+        code = "import sys\nfrom entorder.cli import run\nprint(run(sys.argv[1:]), 'numpy.ma' in sys.modules)\n"
+        argv = [a.format(dir=specdir, tmp=tmp_path) for a in argv]
+        proc = subprocess.run([sys.executable, "-c", code, *argv], env=env, capture_output=True, text=True,
+                              timeout=60)
+        assert proc.stdout.split() == ["0", "False"], proc.stderr
 
 
 class TestReportManifest:

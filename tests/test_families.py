@@ -8,7 +8,7 @@ from hypothesis import example, given, settings, strategies as st
 
 import entorder as eo
 from entorder import families
-from entorder.errors import ConditionViolated, DomainError, OffsetNotFound, QOutOfRange
+from entorder.errors import ConditionViolated, DomainError, OffsetNotFound, ParameterError, QOutOfRange
 from entorder.families import PairRatio, analytic_form, pair_ratio
 from entorder.numutil import log1mexp
 
@@ -59,6 +59,9 @@ class TestInputChecks:
     @pytest.mark.parametrize("call", [
         lambda: eo.AnalyticForm(1, math.nan, 2.0, DELTA),
         lambda: eo.AnalyticForm(-1, 1.0, 2.0, DELTA),
+        lambda: eo.AnalyticForm(10**400, 1.0, 2.0, DELTA),
+        lambda: eo.AnalyticForm(1, 10**400, 2.0, DELTA),
+        lambda: families.profile(0.0, 2.0),
         lambda: eo.AnalyticForm(1, 0.0, 2.0, DELTA),
         lambda: eo.AnalyticForm(1, 1.0, 2.0, 0.0),
         lambda: eo.AnalyticForm(0, 1.0, -1.0, DELTA),
@@ -82,7 +85,7 @@ class TestInputChecks:
         lambda: eo.TrendThresholds(drift_nats=math.nan),
         lambda: eo.TrendThresholds(witness_step_nats=0.5),
         lambda: eo.TrendThresholds(min_witnesses=3),
-    ], ids=["form-nan", "form-k", "form-r", "form-delta", "form-offset", "form-offset-1", "grid_step",
+    ], ids=["form-nan", "form-k", "form-k-huge", "form-r-huge", "profile-r-0", "form-r", "form-delta", "form-offset", "form-offset-1", "grid_step",
             "horizon-inf", "margin", "tmss-q-0-n-0", "tmss-q", "discretize-n", "xi-n", "xi-span", "psi-n-huge",
             "grid_step-at-offset", "margin-at-k-0", "r-range", "steps", "r-min-0", "window", "drift", "drift-nan",
             "witness-step", "min-witnesses"])
@@ -155,7 +158,7 @@ class TestProfile:
             assert type(p) is float and p.hex() == eo.eval_p(r, x)[0].hex()
 
     @pytest.mark.parametrize("r, x, error", [
-        (0.0, 2.0, ValueError), (-1.0, 2.0, ValueError), (math.nan, 2.0, ValueError),
+        (0.0, 2.0, ParameterError), (-1.0, 2.0, ParameterError), (math.nan, 2.0, ParameterError),
         (1.0, 1.0, DomainError), (1.0, 0.5, DomainError), (1.0, np.array([2.0, 1.0]), DomainError),
     ])
     def test_refuses_what_eval_p_refuses(self, r, x, error):
@@ -551,6 +554,16 @@ class TestCutOff:
                     misses.add((estimate > expected) - (estimate < expected))
         assert misses == {-1, 0, 1}  # both corrections were needed
 
+    @pytest.mark.parametrize("k,r,margin", CUT_CASES + [(1, 105.0, 0.0), (4, 50.0, 0.2), (1, 0.01, 0.0)])
+    def test_cut_is_proven_within_its_width_above_the_full_bisection(self, k, r, margin):
+        lo, hi = r + 1.0, families.LOG_ARG_CAP  # the same bracket, bisected to the last ulp
+        for _ in range(64):
+            mid = 0.5 * (lo + hi)
+            lo, hi = (lo, mid) if families._proven_past(k, r, margin, mid) else (mid, hi)
+        y_star = families._y_star(k, r, margin)
+        assert families._proven_past(k, r, margin, math.log(y_star))
+        assert math.exp(hi) <= y_star <= math.exp(hi + families.Y_STAR_WIDTH)
+
     @pytest.mark.parametrize("k,r,table", [(1, 1.0, 47), (4, 1.0, 255), (1, 2.0, 1075), (4, 2.0, 5720)])
     def test_matches_the_roadmap_table(self, k, r, table):
         assert families._y_star(k, r, 0.0) == pytest.approx(table, rel=0.02)
@@ -773,6 +786,7 @@ class TestGridTerms:
         }
         for case, key in warm.items():
             families._grid_terms.cache_clear()
+            families._log_p_on_grid.cache_clear()
             if key is not None:
                 families._log_p_on_grid(other_r, *key)
             before = families._grid_terms.cache_info()
@@ -788,10 +802,13 @@ class TestGridTerms:
 
     def test_kept_arrays_are_read_only(self):
         families._grid_terms.cache_clear()
+        families._log_p_on_grid.cache_clear()
         eo.xi_state(1.5, DELTA, 100)
         terms = families._grid_terms(DELTA, 1.01, 101)
+        log_p = families._log_p_on_grid(1.5, DELTA, 1.01, 101)
         assert families._grid_terms.cache_info().misses == 1
-        for t in terms:
+        assert families._log_p_on_grid.cache_info().misses == 1
+        for t in (*terms, log_p):
             assert not t.flags.writeable
             with pytest.raises(ValueError, match="read-only"):
                 t[0] = 0.0
@@ -801,7 +818,17 @@ class TestGridTerms:
         est = eo.estimate_r_bounds(tmss_match, lambda r: eo.xi_state(r, DELTA, 2000), 1.0, 2.0, 21)
         assert len(est.per_r) == 21
         info = families._grid_terms.cache_info()
-        assert (info.misses, info.hits) == (1, 2 * 21 - 1)
+        # one ln p_r per member, which its metadata check reads again
+        assert (info.misses, info.hits) == (1, 21 - 1)
+
+    @pytest.mark.parametrize("family, k, r", [("xi", 1, 1.37), ("psi", 3, 2.0), ("psi", 2, 0.5)])
+    def test_member_and_its_metadata_check_evaluate_ln_p_once(self, family, k, r):
+        families._log_p_on_grid.cache_clear()
+        s = eo.xi_state(r, DELTA, 2000) if family == "xi" else eo.psi_state(k, DELTA, 2000, r=r)
+        assert s.form is not None  # the metadata check, which reads the sampled ln p_r
+        info = families._log_p_on_grid.cache_info()
+        assert (info.misses, info.hits) == (1, 1)
+        self.assert_as_the_closed_form(s, 2000)
 
     @pytest.mark.parametrize("x", [
         -np.geomspace(0.7, 700.0, 200),
@@ -1030,3 +1057,24 @@ class TestExponents:
         assert all(lo <= e(s) <= hi for s in [*ss, far])
         attained = {e(s) for s in (0, fa + 1, fb + 1, far)}
         assert lo in attained and hi in attained
+
+    @staticmethod
+    def fraction_exponents(pair):
+        """(lo, hi) by Fraction arithmetic on k and the exact float r, the formula of the docstring."""
+        (ka, ra), (kb, rb) = ((Fraction(f.k), Fraction(f.r)) for f in (pair.a, pair.b))
+        e = [ka * max(ra - s, -1) - kb * max(rb - s, -1) for s in (0, ra + 1, rb + 1)] + [kb - ka]
+        return min(e), max(e)
+
+    R_EDGES = [5e-324, 1e-300, 0.1, 1.37, 1e300]
+
+    @given(st.integers(0, 60), st.one_of(st.sampled_from(R_EDGES), st.floats(5e-324, 1e300)),
+           st.integers(0, 60), st.one_of(st.sampled_from(R_EDGES), st.floats(5e-324, 1e300)))
+    @example(60, 5e-324, 0, 1e300)
+    @example(17, 1e-300, 60, 0.1)
+    @example(1, 1.37, 1, 1.37)
+    def test_integer_exponents_equal_the_fraction_formula(self, ka, ra, kb, rb):
+        pair = self.pair((ka, ra), (kb, rb))
+        got, want = pair.exponents(), self.fraction_exponents(pair)
+        assert got == want
+        assert all(type(v) is Fraction for v in got)
+        assert [(v.numerator, v.denominator) for v in got] == [(v.numerator, v.denominator) for v in want]

@@ -9,7 +9,7 @@ import entorder as eo
 from entorder import families, oscillation
 from entorder.errors import TruncationUnsafe, WindowTooSmall
 from entorder.families import PairRatio, pair_ratio
-from entorder.numutil import log1mexp
+from entorder.numutil import log1mexp, run_starts
 from entorder.oscillation import (
     ComparisonWindow, OscillationCertificate, ProbeReport, TrendClass, comparison_window, trend_flags,
 )
@@ -555,3 +555,22 @@ class TestComparisonWindow:
         cert = OscillationCertificate(ups, downs, (0, n_max + 10))
         with pytest.raises(ValueError, match="window"):
             eo.verify_certificate(cert, a, b)
+
+
+class TestDistinctIndices:
+    """The sort-and-mask code that replaced ``np.unique`` gives its arrays, bit for bit."""
+
+    @given(st.lists(st.lists(st.integers(0, 40), max_size=30), max_size=6), st.integers(0, 2**60))
+    def test_one_per_index_is_unique_with_first_index(self, parts, shift):
+        # float indices as the probe makes them, past 2**53 too, with repeats inside and across parts
+        ns_parts = [np.array(p, dtype=float) + float(shift) for p in parts]
+        vs_parts = [np.arange(len(p), dtype=float) + 100.0 * i for i, p in enumerate(parts)]
+        ns, vs = oscillation._one_per_index(ns_parts, vs_parts)
+        want_ns, first = np.unique(np.concatenate([np.empty(0), *ns_parts]), return_index=True)
+        assert ns.tobytes() == want_ns.tobytes()
+        assert vs.tobytes() == np.concatenate([np.empty(0), *vs_parts])[first].tobytes()
+
+    @given(st.lists(st.floats(-1e300, 1e300).map(lambda v: v + 0.0), max_size=60))  # -0.0 + 0.0 is 0.0
+    def test_run_starts_keep_what_unique_keeps(self, values):
+        x = np.sort(np.array(values, dtype=float))
+        assert x[run_starts(x)].tobytes() == np.unique(x).tobytes()

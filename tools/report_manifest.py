@@ -81,9 +81,9 @@ e^713.8 lies past the float range (summarized).
 Three usage errors follow: ``gen psi --q`` and ``estimate-r
 --family``, options that are gone, and an ``estimate-r`` whose ``--delta``
 lies within ``FORM_RTOL`` of, but not at, the file's step. Last come
-thirteen values out of range, each refused by the library function that
-takes it (exit 1, no output): ``gen`` with n 0 at q 0, k -1, r 0, delta 0,
-an offset of 0.5, an offset search step 0 next to a given offset, a
+fourteen values out of range, each refused by the library function that
+takes it (exit 1, no output): ``gen`` with n 0 at q 0, k -1, a k of
+10**400 (past the float range), r 0, delta 0, an offset of 0.5, an offset search step 0 next to a given offset, a
 negative margin and a span ``delta * (n + 1)`` past the float range;
 ``estimate-r`` with no steps, no member weights, a reversed r range and
 r-min 0; and ``certify`` asking for fewer witnesses than a certificate
@@ -290,6 +290,7 @@ def commands():
     out.extend([
         ("t0_n0.spec", ["gen", "tmss", "--q", "0", "--n", "0"]),
         ("psi_k-1.spec", ["gen", "psi", "--k", "-1"]),
+        ("psi_k1e400.spec", ["gen", "psi", "--k", "1" + "0" * 400]),
         ("xi_r0.spec", ["gen", "xi", "--r", "0"]),
         ("psi1_d0.spec", ["gen", "psi", "--k", "1", "--delta", "0"]),
         ("xi_a05.spec", ["gen", "xi", "--r", "1.5", "--offset", "0.5"]),
