@@ -477,7 +477,11 @@ def _first_clean(k, r, base, step, first, last, W, margin):
         runs = list(zip(starts[left].tolist(), stops[left].tolist()))
     most = sum(stop - i for i, stop in runs)
     if most > MAX_SCAN_POINTS:
-        raise ValueError(f"the condition scan may evaluate {most:.3g} lattice points, more than {MAX_SCAN_POINTS:.0e}")
+        y = _y_star(k, r, margin)
+        why = "" if end - first <= 2**53 or y == math.inf else (
+            f": y* = {y:.2g} lies more than 2**53 lattice steps out, so no cell is tried")
+        raise ValueError(
+            f"the condition scan may evaluate {most:.3g} lattice points, more than {MAX_SCAN_POINTS:.0e}{why}")
     j = first  # every point from j up to the walk's position is clean
     for i, run_end in runs:
         while i < run_end:

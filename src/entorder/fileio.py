@@ -22,12 +22,24 @@ weight and non-ASCII bytes. Every parse error is a ``ParseError`` (exit
 2 in the CLI) that names its 1-based line. The reader then checks the
 family metadata once, through ``s.form``: metadata whose closed form
 misses the stored tail raises ``ValidationError`` (also exit 2).
+
+The weights take one of two paths, which give the same bits and errors.
+A body that holds only the bytes ``0-9 . e + - \n`` (as the writer's
+are) is read by one ``np.fromstring(body, sep="\n")`` on the undecoded
+bytes, kept only if it raises nothing and returns one value per line.
+Those bytes hold no whitespace but ``\n``, and numpy's separator needs
+at least one whitespace byte, so each value is one whole line, read by
+``PyOS_string_to_double`` as ``float(line)`` reads it. Every other body
+(CRLF endings, padding, a blank or bad line, metadata after a weight,
+``inf``, ``E``, underscores) is read line by line after the whole file
+is decoded, as before, and each error names its line there.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import warnings
 
 import numpy as np
 
@@ -37,6 +49,9 @@ from .spectrum import SchmidtSpectrum, make_spectrum
 
 HEADER = "#schmidt-spectrum 1"
 META_KEYS = ("family", "q", "r", "k", "delta", "offset", "tail_bound")
+#: the bytes a weight body may hold to be read by one numpy parse (:func:`_parse_body`)
+_BODY_BYTES = b"0123456789.e+-\n"
+_DIGITS = _BODY_BYTES[:-1]
 
 
 def _log10_exact(ln_values):
@@ -88,10 +103,67 @@ def _fmt_meta(key, value):
     return repr(float(value))
 
 
-def _read_ascii(path) -> str:
-    """The file's text; a non-ASCII byte raises a ParseError that names its line."""
+def read_spectrum(path) -> SchmidtSpectrum:
+    """Parse a v1 spectrum file, then check its family metadata once; parse errors name their line."""
     with open(path, "rb") as fh:
         data = fh.read()
+    s = make_spectrum(*_parse(data))
+    s.form  # noqa: B018  refuses metadata that misdescribes the tail; the parsed text is freed by now
+    return s
+
+
+def _parse(data):
+    """(ln weights, ln tail bound, metadata) from the bytes of a v1 file.
+
+    A body of ``_BODY_BYTES`` after a head of ``#`` lines is read by one
+    numpy parse (:func:`_parse_body`); any other file, or a body that
+    parse refuses, by :func:`_parse_lines`.
+    """
+    start = _body_start(data)
+    body = data[start:]
+    newlines = body.translate(None, _DIGITS)  # all that is left of a body of _BODY_BYTES
+    if start and body and not newlines.strip(b"\n"):
+        head = _ascii(data[:start]).splitlines()  # it ends in \n: the file's first lines, with their errors
+        first, log_tail, metadata = _parse_head(head)
+        if first == len(head):  # else a line break other than \n split a weight line off a # line
+            values = _parse_body(body, len(newlines) + (not body.endswith(b"\n")))
+            if values is not None:
+                values *= LN10
+                return values, log_tail, metadata
+    return _parse_lines(_ascii(data).splitlines())
+
+
+def _body_start(data):
+    """Offset of the first line that does not start with ``#``, past a first one that does (0 if none)."""
+    start = 0
+    while data.startswith(b"#", start):
+        start = data.find(b"\n", start) + 1
+        if not start:
+            return 0
+    return start
+
+
+def _parse_body(body, line_count):
+    """The weights of a body of ``_BODY_BYTES`` and ``line_count`` lines, or None where numpy reads it otherwise.
+
+    With those bytes \\n is the only whitespace, and numpy's separator needs
+    at least one whitespace byte, so each value numpy reads lies within one
+    line; numpy reads it with ``PyOS_string_to_double``, as ``float`` does.
+    One value per line therefore means each line was read whole, to the
+    bits of ``float(line)``. A blank line gives fewer values, and unmatched
+    data raises (numpy 2.4; earlier numpy warns, which is raised here).
+    """
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", DeprecationWarning)
+        try:
+            values = np.fromstring(body, sep="\n")
+        except (ValueError, DeprecationWarning):
+            return None
+    return values if values.size == line_count else None
+
+
+def _ascii(data) -> str:
+    """The text of the bytes; a non-ASCII byte raises a ParseError that names its line."""
     try:
         return data.decode("ascii")
     except UnicodeDecodeError as exc:
@@ -99,15 +171,11 @@ def _read_ascii(path) -> str:
         raise ParseError(f"not ASCII text: byte {data[exc.start]:#04x}", line=line) from exc
 
 
-def read_spectrum(path) -> SchmidtSpectrum:
-    """Parse a v1 spectrum file, then check its family metadata once; parse errors name their line."""
-    s = make_spectrum(*_parse(_read_ascii(path).splitlines()))
-    s.form  # noqa: B018  refuses metadata that misdescribes the tail; the parsed text is freed by now
-    return s
+def _parse_head(raw):
+    """(index of the first weight line, ln tail bound, metadata) from the lines of a v1 file.
 
-
-def _parse(raw):
-    """(ln weights, ln tail bound, metadata) from the lines of a v1 file."""
+    The index is ``len(raw)`` when every line after the header is metadata.
+    """
     if not raw or raw[0].strip() != HEADER:
         raise ParseError(f"expected header {HEADER!r}", line=1)
     metadata = {}
@@ -117,7 +185,7 @@ def _parse(raw):
         if not text:
             raise ParseError("blank line not allowed", line=lineno)
         if not text.startswith("#"):
-            break
+            return lineno - 1, log_tail, metadata
         parts = text[1:].split(None, 1)
         if len(parts) != 2:
             raise ParseError("metadata line needs a key and a value", line=lineno)
@@ -137,15 +205,21 @@ def _parse(raw):
                 metadata[key] = float(value)
         except ValueError as exc:
             raise ParseError(f"bad value for {key!r}: {value!r}", line=lineno) from exc
-    else:
+    return len(raw), log_tail, metadata
+
+
+def _parse_lines(raw):
+    """(ln weights, ln tail bound, metadata) from the lines of a v1 file, weight line by weight line."""
+    first, log_tail, metadata = _parse_head(raw)
+    if first == len(raw):
         raise ParseError("file contains no weights", line=len(raw))
-    body = raw[lineno - 1 :]
+    body = raw[first:]
     # float(line) parses a line exactly as float(line.strip()) does, bar \x1f
     # padding; a bad line or that padding takes the line-by-line path
     try:
         values = list(map(float, body))
     except ValueError:
-        values = _weights_line_by_line(body, lineno)
+        values = _weights_line_by_line(body, first + 1)
     return np.array(values) * LN10, log_tail, metadata
 
 

@@ -60,6 +60,10 @@ class SchmidtSpectrum:
     def __post_init__(self):
         """Refuse weights that are not finite, nonincreasing (to ``ORDER_LOG_TOL``) and normalized.
 
+        Normalization is decided by a pairwise linear sum wherever its error
+        bound allows (:func:`_bounded_normalization`), and otherwise by the
+        sequential sum that ``normalization`` keeps and refusals quote.
+
         A tail bound at or above the last stored weight may hide a weight
         larger than it, so it is accepted only when the metadata names a
         closed form that reproduces the stored tail (``s.form``); that form
@@ -83,8 +87,11 @@ class SchmidtSpectrum:
             )
         if not (log_tail == NEG_INF or math.isfinite(log_tail)):
             raise ValidationError("tail bound must be finite or exactly zero (-inf log)")
-        ok, resid, total, tail = self.normalization
+        ok = _bounded_normalization(lw, log_tail)
+        if ok is None:  # a threshold lies within the error bound: the sequential sum decides
+            ok = self.normalization[0]
         if not ok:
+            _, resid, total, tail = self.normalization
             raise NotNormalized(
                 f"stored weights sum to {total!r} with tail bound {tail!r}; "
                 f"residual {resid!r} exceeds {NORMALIZATION_RTOL}"
@@ -146,6 +153,72 @@ def _normalization(log_weights, log_tail_bound):
     return ok, float(math.expm1(log_mid)), total, tail
 
 
+#: unit roundoff of a double
+_U = 2.0**-53
+
+#: absolute slack of :func:`_bounded_normalization` for sums that lie in the subnormal range
+_TINY = 1e-300
+
+#: exp of anything at or above this is a normal double
+_EXP_CUT = -708.0
+
+
+def _sum_bound(n, reach):
+    """Relative distance, to first order in u, of :func:`_bounded_normalization`'s sums from the sequential ones.
+
+    n is the number of weights and ``reach`` the R of that docstring.
+    """
+    return _U * (n * (reach + 9.0) + 7.0)
+
+
+def _bounded_normalization(log_weights, log_tail_bound):
+    """The verdict of :func:`_normalization` from a pairwise linear sum, or None where it may differ.
+
+    The stored sum is taken as S' = e^m sum exp(w - m), with m the largest
+    log weight, by numpy's pairwise sum over the first k weights, k the
+    count of w - m >= ``_EXP_CUT``: numpy's exp is slow where it
+    underflows, as in deep tails. The weights rise by at most
+    ``ORDER_LOG_TOL`` a step, so a term past k lies below
+    e^(cut + n ORDER_LOG_TOL), under e^-707 for n below 10^12. Against the
+    sequential S of :func:`_normalization`, with n weights and
+    R = max(|w_0|, |ln S'|) + 1:
+
+    * ``logaddexp.reduce`` adds the weights in order, so each partial log
+      sum r lies between w_0 and ln S. A step rounds ``x - y``, ``exp``,
+      ``log1p`` and the final sum by at most u (4 + |r|) in all, and
+      carries its input's error with slope at most 1: ln S errs by at most
+      (n - 1) u (4 + R), and ``math.exp`` adds 2u.
+    * Each term exp(w - m) errs by at most u (|w - m| + 4) relative, so by
+      4u absolute (a term left out by less), against a sum of at least 1
+      (the term at m). Summing n positive terms in any order adds
+      (n - 1) u relative, and the product with e^m 3u.
+    * S + t and S' + t round once each: 3u more.
+
+    So the two sums, and the two sums with the tail, differ by at most
+    :func:`_sum_bound` times S' (or S' + t), plus ``_TINY`` where S is
+    subnormal. A threshold more than twice that away (room for the terms
+    of higher order) sees both on the same side.
+    """
+    lw = log_weights
+    m = float(lw.max())
+    if m > 1.0:  # one weight above e: both sums exceed 1 + NORMALIZATION_RTOL
+        return False
+    shifted = lw - m
+    with np.errstate(under="ignore"):  # a tie at the cut may keep a term a little below it
+        s = float(np.sum(np.exp(shifted[: np.count_nonzero(shifted >= _EXP_CUT)])))
+    total = math.exp(m) * s
+    tail = math.exp(log_tail_bound) if log_tail_bound != NEG_INF else 0.0
+    window = 2.0 * _sum_bound(lw.size, max(abs(float(lw[0])), abs(m + math.log(s))) + 1.0)
+    undecided = False
+    for x, threshold, ok_below in ((total, 1.0 + NORMALIZATION_RTOL, True),
+                                   (total + tail, 1.0 - NORMALIZATION_RTOL, False)):
+        if abs(x - threshold) <= window * x + _TINY:
+            undecided = True
+        elif (x < threshold) != ok_below:  # either check failing refuses the spectrum
+            return False
+    return None if undecided else True
+
+
 def make_spectrum(log_weights, log_tail_bound=NEG_INF, metadata=None) -> SchmidtSpectrum:
     """Build a spectrum from natural-log weights; its constructor checks every invariant."""
     return SchmidtSpectrum(log_weights, log_tail_bound, metadata or {})
@@ -174,10 +247,13 @@ def tail_function(s: SchmidtSpectrum) -> np.ndarray:
     g(0) = 1 holds exactly and ratio comparisons of two spectra agree at
     n = 0 by construction. Callers read the memoised ``s.log_g``.
     """
-    logs = np.append(s.log_weights, s.log_tail_bound)
-    log_g = np.logaddexp.accumulate(logs[::-1])[::-1]
-    log_g = log_g - log_g[0]
-    if np.any(np.diff(log_g) >= 0):
+    log_g = np.empty(s.length + 1)
+    log_g[:-1] = s.log_weights
+    log_g[-1] = s.log_tail_bound
+    backward = log_g[::-1]
+    np.logaddexp.accumulate(backward, out=backward)
+    log_g -= log_g[0]
+    if np.any(log_g[1:] >= log_g[:-1]):
         raise ValidationError("tail function is not strictly decreasing")
     log_g.setflags(write=False)
     return log_g
@@ -246,6 +322,5 @@ def safe_horizon(s: SchmidtSpectrum) -> int:
     if s.is_exact:
         return s.length
     limit = s.log_tail_bound - math.log(TRUNCATION_RTOL)
-    # log_g is strictly decreasing; find the last index with log_g >= limit
-    idx = np.searchsorted(-s.log_g, -limit, side="right")
-    return max(int(idx) - 1, 0)
+    # log_g is strictly decreasing: the entries >= limit are its first ones
+    return max(int(np.count_nonzero(s.log_g >= limit)) - 1, 0)

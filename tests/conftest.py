@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, settings
 
@@ -15,6 +16,17 @@ settings.register_profile(
 settings.load_profile("ci")
 
 DELTA = 1.0
+
+
+@pytest.fixture(autouse=True)
+def numpy_errors_raise():
+    """Overflow, division by zero and invalid operations raise FloatingPointError in every test.
+
+    Code that expects one of them says so with its own ``np.errstate``;
+    underflow stays ignored, as numpy's default has it.
+    """
+    with np.errstate(over="raise", divide="raise", invalid="raise"):
+        yield
 
 
 @pytest.fixture(scope="session")

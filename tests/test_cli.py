@@ -485,6 +485,20 @@ class TestExitCodes:
         assert capsys.readouterr().err.startswith("operation failed: the condition scan may evaluate")
         assert not out.exists()
 
+    def test_cut_off_past_2_53_lattice_steps_named(self, tmp_path, capsys):
+        # y* = 1.2e14 is finite but 1.2e16 steps of 0.01 out, where lattice indices are no
+        # longer exact floats: no cell is tried, and the refusal names that cause
+        out = tmp_path / "x.spec"
+        assert run(["gen", "xi", "--r", "8", "--delta", "1e300", "--n", "10", "-o", str(out)]) == 3
+        assert capsys.readouterr().err == (
+            "operation failed: the condition scan may evaluate 1.1e+303 lattice points, more than 1e+09: "
+            "y* = 1.2e+14 lies more than 2**53 lattice steps out, so no cell is tried\n")
+        assert not out.exists()
+        # with no y* at all the refusal names none
+        assert run(["gen", "xi", "--r", "120", "--delta", "1e300", "--n", "10", "-o", str(out)]) == 3
+        assert capsys.readouterr().err == (
+            "operation failed: the condition scan may evaluate 1.1e+303 lattice points, more than 1e+09\n")
+
     def test_library_scan_past_the_cap_refused_at_once(self):
         # the cap is the scanner's own, so a library caller cannot start an endless scan:
         # at a margin of 1 the proven cells hold 5.6e6 of the 1.1e13 lattice points
@@ -749,3 +763,66 @@ class TestReportManifest:
         assert lines[:3] == ["exit 0 info a.spec", "exit raised ZeroDivisionError info b.spec", "exit 0 info c.spec"]
         assert [line.split()[1] for line in lines[3:]] == ["a.json", "c.json"]
         assert "1 commands raised" in capsys.readouterr().out
+
+
+def _load(name, relative, monkeypatch):
+    """A module of this checkout outside the package (tools/, perfbench/), imported from its file."""
+    spec = importlib.util.spec_from_file_location(name, Path(__file__).parents[1] / relative)
+    module = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, name, module)  # dataclasses look their module up there
+    spec.loader.exec_module(module)
+    return module
+
+
+class TestFastPathsCoverTheCorpus:
+    """Every file the report manifest and the benchmark read is read by one numpy parse, and
+    every spectrum they build is checked by the pairwise sum, bar the files edited to need more."""
+
+    @pytest.fixture
+    def fallbacks(self, monkeypatch):
+        counts = {"lines": 0, "sequential": 0}
+        read_lines, bounded = eo.fileio._parse_lines, eo.spectrum._bounded_normalization
+
+        def counted_lines(raw):
+            counts["lines"] += 1
+            return read_lines(raw)
+
+        def counted_bounded(*args):
+            verdict = bounded(*args)
+            counts["sequential"] += verdict is None
+            return verdict
+
+        monkeypatch.setattr(eo.fileio, "_parse_lines", counted_lines)
+        monkeypatch.setattr(eo.spectrum, "_bounded_normalization", counted_bounded)
+        return counts
+
+    def test_report_manifest(self, tmp_path, monkeypatch, capsys, fallbacks):
+        tool = _load("report_manifest", "tools/report_manifest.py", monkeypatch)
+        line_reads = {}
+
+        def counted_run(argv):
+            before = fallbacks["lines"]
+            try:
+                return run(argv)
+            finally:
+                if fallbacks["lines"] > before:
+                    line_reads[" ".join(Path(a).name for a in argv[:-2])] = fallbacks["lines"] - before
+
+        monkeypatch.setattr(cli, "run", counted_run)
+        monkeypatch.setattr(sys, "path", list(sys.path))  # the tool puts its source tree first
+        assert tool.main([str(Path(eo.__file__).parents[1]), str(tmp_path)]) == 0
+        assert "0 commands raised" in capsys.readouterr().out
+        # CRLF and padding, a blank line, metadata after a weight and a bad literal (a 0xff byte
+        # is refused before any line is read)
+        assert line_reads == {f"validate psi2_{edit}.spec": 1 for edit in ("padded", "blank", "late_meta", "bad_literal")}
+        assert fallbacks["sequential"] == 0
+
+    @pytest.mark.parametrize("workload", ["ladder", "estimate-r", "stored"])
+    def test_benchmark_pass(self, tmp_path, monkeypatch, fallbacks, workload):
+        # one pass at full size on the first seed perfbench/compare.py runs; seeds change values only
+        workloads = _load("perfbench_workloads", "perfbench/workloads.py", monkeypatch)
+        bench = workloads.WORKLOADS[workload](1000)
+        bench.setup(tmp_path)
+        ops = bench.run_pass(tracer=type("Untimed", (), {"recording": False})())
+        assert [op.problem for op in ops if op.problem] == []
+        assert fallbacks == {"lines": 0, "sequential": 0}

@@ -1,10 +1,13 @@
 import math
 import re
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import example, given, strategies as st
 
 import entorder as eo
+from entorder import fileio
 from entorder.errors import EntOrderError, NonPositive, ParseError, ValidationError
 from entorder.fileio import HEADER, META_KEYS, _log10_exact, emit_report
 from entorder.numutil import LN10, NEG_INF
@@ -200,34 +203,64 @@ def _weight_lines(edit):
     return lambda lines: [line if line.startswith("#") else edit(line) for line in lines]
 
 
-# text edits a reader must treat exactly as the per-line reader did
-ACCEPTED_EDITS = {
-    "as_written": lambda lines: lines,
-    "crlf": lambda lines: [line + "\r" for line in lines],
-    "padded": lambda lines: [f" \t{line}\t " for line in lines],
-    "digits18": _weight_lines(lambda line: format(float(line), ".18g")),
-    "underscores": _weight_lines(lambda line: re.sub(r"(?<=\d)(?=\d)", "_", line)),
-    "underscore_weight": lambda lines: lines + ["-1_000"],
-    # float() keeps \x1f where str.strip() removes it: the line-by-line path
-    "unit_separator": _weight_lines(lambda line: f"\x1f{line}\x1f"),
+def _append(text):
+    return lambda lines: lines + [text]
+
+
+# text edits a reader must treat exactly as the per-line reader did: (edit of the file's lines,
+# which may return the whole text, whether the one numpy parse of the body reads it, and the
+# error the file then raises: None where it reads, "cut" where only a file with no tail reads)
+READER_EDITS = {
+    "as_written": (lambda lines: lines, True, None),
+    "no_final_newline": (lambda lines: "\n".join(lines), True, None),
+    "crlf": (lambda lines: [line + "\r" for line in lines], False, None),
+    "padded": (lambda lines: [f" \t{line}\t " for line in lines], False, None),
+    "digits18": (_weight_lines(lambda line: format(float(line), ".18g")), True, None),
+    "exponent_e": (_weight_lines(lambda line: format(float(line), ".17e")), True, None),
+    "exponent_E": (_weight_lines(lambda line: format(float(line), ".17E")), False, None),
+    "underscores": (_weight_lines(lambda line: re.sub(r"(?<=\d)(?=\d)", "_", line)), False, None),
+    # a weight far below the tail bound, which then lies above the last weight
+    "underscore_weight": (_append("-1_000"), False, "cut"),
+    # float() keeps \x1f where str.strip() removes it
+    "unit_separator": (_weight_lines(lambda line: f"\x1f{line}\x1f"), False, None),
+    # the edge of the numpy parse: a sign it reads, and literals it leaves to the lines
+    "plus_sign": (_append("+1.5"), True, ValidationError),
+    "two_points": (_append("1.2.3"), False, ParseError),
+    "bare_exponent": (_append("1e"), False, ParseError),
+    "lone_minus": (_append("-"), False, ParseError),
+    "two_values": (_append("-5 -6"), False, ParseError),  # numpy would read two
+    "underscore_ten": (_append("1_0"), False, ValidationError),
+    "inf": (_append("inf"), False, NonPositive),
+    "nan": (_append("nan"), False, NonPositive),
 }
+
+
+def _count_line_reads(monkeypatch):
+    """Calls of the line-by-line reader from now on, as a list that grows."""
+    calls = []
+    real = fileio._parse_lines
+    monkeypatch.setattr(fileio, "_parse_lines", lambda raw: calls.append(len(raw)) or real(raw))
+    return calls
 
 
 class TestReaderEquivalence:
     @pytest.mark.parametrize("kind", ["tmss", "psi", "xi", "exact"])
-    @pytest.mark.parametrize("edit", sorted(ACCEPTED_EDITS))
-    def test_matches_per_line_reader(self, generated, tmp_path, kind, edit):
-        lines = generated[kind].read_text().splitlines()
+    @pytest.mark.parametrize("edit", sorted(READER_EDITS))
+    def test_matches_per_line_reader(self, generated, tmp_path, monkeypatch, kind, edit):
+        change, one_parse, error = READER_EDITS[edit]
+        edited = change(generated[kind].read_text().splitlines())
         path = tmp_path / "edited.spec"
-        path.write_bytes(("\n".join(ACCEPTED_EDITS[edit](lines)) + "\n").encode("ascii"))
+        path.write_bytes((edited if isinstance(edited, str) else "\n".join(edited) + "\n").encode("ascii"))
+        line_reads = _count_line_reads(monkeypatch)
         got = _outcome(eo.read_spectrum, path)
+        assert len(line_reads) == (0 if one_parse else 1)
         assert got == _outcome(_reference_read, path)
-        if edit == "underscore_weight" and kind != "exact":
-            # a weight appended far below the tail bound, which now lies above the last
-            # weight: the file is refused once the cut check reads its closed form
-            assert got[0] is ValidationError, got
+        if error == "cut":
+            error = None if kind == "exact" else ValidationError
+        if error is None:
+            assert isinstance(got[0], bytes), got
         else:
-            assert isinstance(got[0], bytes), got  # every other edit here still reads
+            assert got[0] is error, got
 
     @pytest.mark.parametrize("kind", ["tmss", "psi", "xi", "exact"])
     def test_nan_weight_is_non_positive(self, generated, tmp_path, kind):
@@ -244,6 +277,37 @@ class TestReaderEquivalence:
         eo.write_spectrum(s, tmp_path / "new.spec")
         _reference_write(s, tmp_path / "old.spec")
         assert (tmp_path / "new.spec").read_bytes() == (tmp_path / "old.spec").read_bytes()
+
+
+class TestOneParse:
+    @given(st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=1, max_size=40), st.booleans())
+    @example([5e-324, -0.0, 1e-05, -2.5e-308, 1.7976931348623157e308, 0.1], True)
+    @example([-1e-05], False)
+    def test_repr_bodies_take_it_bit_for_bit(self, values, final_newline):
+        # repr writes digits, '.', 'e', '+' and '-' only, which is the body numpy reads
+        lines = [repr(v) for v in values]
+        body = ("\n".join(lines) + ("\n" if final_newline else "")).encode("ascii")
+        floats = np.array([float(line) for line in lines])
+        assert fileio._parse_body(body, len(lines)).tobytes() == floats.tobytes()
+        with mock.patch.object(fileio, "_parse_lines", side_effect=AssertionError("read line by line")):
+            with np.errstate(over="ignore"):  # literals past 7.8e307 overflow once scaled by ln 10, as ever
+                log_weights, log_tail, metadata = fileio._parse(f"{HEADER}\n#family tmss\n".encode() + body)
+                assert log_weights.tobytes() == (floats * LN10).tobytes()
+        assert (log_tail, metadata) == (NEG_INF, {"family": "tmss"})
+
+    @pytest.mark.parametrize("head, line_reads", [
+        ("#schmidt-spectrum 1\r#q 0.5\n", 0),  # a CR splits a # line into two # lines
+        ("#schmidt-spectrum 1\n#q 0.5\x0c-0.3\n", 1),  # a form feed splits a weight line off
+    ], ids=["cr-in-head", "form-feed-in-head"])
+    def test_head_split_by_other_line_breaks(self, tmp_path, monkeypatch, head, line_reads):
+        # the head is read as the whole file is, by splitlines; a weight line found in it
+        # leaves the body to the line-by-line reader
+        path = tmp_path / "head.spec"
+        path.write_bytes((head + "-0.30102999566398120\n-0.30102999566398120\n").encode("ascii"))
+        calls = _count_line_reads(monkeypatch)
+        got = _outcome(eo.read_spectrum, path)
+        assert got == _outcome(_reference_read, path)
+        assert len(calls) == line_reads
 
 
 def _insert(index, text):

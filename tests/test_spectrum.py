@@ -207,6 +207,23 @@ class TestVidalConditions:
             "all_pass": positive,
         }
 
+    @settings(max_examples=200)
+    @given(spectrum_sources, st.sampled_from([0.0, 5e-10, 1e-9, 2e-9, -1e-9, -2e-9]))
+    def test_bounded_decision_is_the_sequential_one(self, source, shift):
+        # every spectrum the sources make is decided by the pairwise sum, as the sequential
+        # sum decides it; scaled by 1 + shift near a threshold it may defer, never differ
+        kind, args = source
+        try:
+            s = _SOURCES[kind](args)
+        except EntOrderError:
+            return
+        log_weights = s.log_weights + math.log1p(shift)
+        got = spectrum._bounded_normalization(log_weights, s.log_tail_bound)
+        want = spectrum._normalization(log_weights, s.log_tail_bound)[0]
+        assert got is None or got is want
+        if shift == 0.0:
+            assert got is True
+
     def test_tmss_all_pass(self):
         assert eo.vidal_conditions(eo.tmss(0.5, 100))["all_pass"] is True
 
@@ -283,3 +300,69 @@ class TestSafeHorizon:
         assert h < 1000
         assert s.log_tail_bound - s.log_g[h] <= math.log(1e-6)
         assert s.log_tail_bound - s.log_g[h + 1] > math.log(1e-6)
+
+
+def _flat(n, total):
+    """n equal log weights summing to total, and the bound the constructor allows their sum."""
+    log_weights = np.full(n, math.log(total / n))
+    reach = max(abs(log_weights[0]), abs(math.log(total))) + 1.0
+    return log_weights, spectrum._sum_bound(n, reach)
+
+
+class TestBoundedNormalization:
+    @pytest.mark.parametrize("side", ["upper", "lower", "lower-with-tail"])
+    @pytest.mark.parametrize("n", [1, 1000, 100000])
+    @pytest.mark.parametrize("j", [-1.9, -1.0, -0.3, 0.0, 0.3, 1.0, 1.9])
+    def test_sums_within_twice_the_bound_take_the_sequential_sum(self, monkeypatch, side, n, j):
+        # the sum lies j bounds from a threshold: the constructor defers to the sequential
+        # sum, and takes its verdict and, refusing, its message
+        rtol = spectrum.NORMALIZATION_RTOL
+        log_tail = math.log(0.25 / n) if side == "lower-with-tail" else NEG_INF
+        tail = math.exp(log_tail)
+        threshold = 1.0 + rtol if side == "upper" else 1.0 - rtol
+        _, bound = _flat(n, threshold)
+        log_weights, _ = _flat(n, threshold * (1.0 + j * bound) - tail)
+        assert spectrum._bounded_normalization(log_weights, log_tail) is None
+        calls = []
+        real = spectrum._normalization
+        monkeypatch.setattr(spectrum, "_normalization", lambda *a: calls.append(a) or real(*a))
+        ok, residual, total, tail_value = real(log_weights, log_tail)
+        if ok:
+            assert make_spectrum(log_weights, log_tail).normalization[0] is True
+        else:
+            with pytest.raises(NotNormalized) as err:
+                make_spectrum(log_weights, log_tail)
+            assert str(err.value) == (f"stored weights sum to {total!r} with tail bound {tail_value!r}; "
+                                      f"residual {residual!r} exceeds {rtol}")
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize("side", ["upper", "lower"])
+    @pytest.mark.parametrize("n", [1, 1000, 100000])
+    @pytest.mark.parametrize("j", [-3.0, 3.0])
+    def test_sums_past_twice_the_bound_are_decided_without_it(self, monkeypatch, side, n, j):
+        threshold = 1.0 + spectrum.NORMALIZATION_RTOL if side == "upper" else 1.0 - spectrum.NORMALIZATION_RTOL
+        _, bound = _flat(n, threshold)
+        log_weights, _ = _flat(n, threshold * (1.0 + j * bound))
+        want = spectrum._normalization(log_weights, NEG_INF)[0]
+        assert want is (j < 0 if side == "upper" else j > 0)
+        assert spectrum._bounded_normalization(log_weights, NEG_INF) is want
+        monkeypatch.setattr(spectrum, "logsumexp", lambda v: pytest.fail("the sequential sum ran"))
+        if want:  # a refusal sums sequentially for its message
+            make_spectrum(log_weights)
+
+    def test_estimate_r_never_sums_sequentially(self, monkeypatch):
+        # 21 members and their target, each checked by the pairwise sum alone
+        calls = []
+        monkeypatch.setattr(eo.spectrum, "logsumexp", lambda v: calls.append(len(v)))
+        target = eo.tmss(math.exp(-0.5), 2000)
+        delta = target.metadata["delta"]
+        members = []
+        est = eo.estimate_r_bounds(target, lambda r: members.append(r) or eo.xi_state(r, delta, 2000), 1.0, 2.0, 21)
+        assert len(members) == 21 and len(est.per_r) == 21
+        assert calls == []
+
+    def test_weight_above_e_is_refused_without_the_pairwise_sum(self):
+        # exp(m) would overflow past m = 709.78; the sequential sum still gives the message
+        assert spectrum._bounded_normalization(np.array([800.0]), NEG_INF) is False
+        with pytest.raises(NotNormalized, match="residual"):
+            make_spectrum([1.5])
