@@ -9,7 +9,6 @@ pairs.
 
 from .errors import (
     ConditionViolated,
-    DomainError,
     EntOrderError,
     InvalidFamily,
     NonPositive,

@@ -105,17 +105,6 @@ def _safe_exp(x: float) -> float:
     return math.exp(x)
 
 
-def _padded_log_g(a: SchmidtSpectrum, b: SchmidtSpectrum):
-    """Tail-function logs of both spectra padded to a common horizon.
-
-    Only valid for exact states, whose g is exactly zero past the rank.
-    """
-    ga, gb = a.log_g, b.log_g
-    n = max(ga.size, gb.size)
-    pad = lambda g: np.concatenate((g, np.full(n - g.size, NEG_INF)))
-    return pad(ga), pad(gb)
-
-
 def _require_exact(a: SchmidtSpectrum, b: SchmidtSpectrum, what: str):
     if not (a.is_exact and b.is_exact):
         raise TruncationUnsafe(
@@ -129,31 +118,30 @@ def locc_convertible(a: SchmidtSpectrum, b: SchmidtSpectrum) -> bool:
 
     Equivalent to g_a(n) >= g_b(n) at every n. A violation inside the
     stored ranges settles the answer for truncated inputs too; otherwise
-    both spectra must be exact.
+    both spectra must be exact. For two exact states the stored ranges
+    suffice: past its rank a g is zero, and a lower rank of a shows as
+    g_a = 0 < g_b at a's rank.
     """
-    if not (a.is_exact and b.is_exact):
-        ga, gb = a.log_g, b.log_g
-        m = min(ga.size, gb.size)
-        if np.any(ga[:m] < gb[:m]):
-            return False
-        _require_exact(a, b, "majorization")
-    ga, gb = _padded_log_g(a, b)
-    return bool(np.all(ga >= gb))
+    ga, gb = a.log_g, b.log_g
+    m = min(ga.size, gb.size)
+    if np.any(ga[:m] < gb[:m]):
+        return False
+    _require_exact(a, b, "majorization")
+    return True
 
 
 def max_probability(a: SchmidtSpectrum, b: SchmidtSpectrum) -> float:
     """Largest success probability of converting a into b stochastically.
 
     min over n of g_a(n)/g_b(n), clamped to [0, 1]; exactly 1.0 whenever
-    a majorizes into b, exactly 0.0 when b has larger rank.
+    a majorizes into b, exactly 0.0 when b has larger rank. Only the n
+    below b's rank count, where g_b > 0.
     """
     _require_exact(a, b, "conversion probability")
-    ga, gb = _padded_log_g(a, b)
-    support = gb > NEG_INF
-    diffs = ga[support] - gb[support]
-    if np.any(ga[support] == NEG_INF):
+    if a.length < b.length:
         return 0.0
-    m = float(np.min(diffs))
+    n = b.length
+    m = float(np.min(a.log_g[:n] - b.log_g[:n]))
     if m >= 0.0:
         return 1.0
     # contract: exactly 1.0 iff majorization holds, so a strictly negative

@@ -42,10 +42,6 @@ class QOutOfRange(ParameterError):
     """Squeezing parameter outside [0, 1)."""
 
 
-class DomainError(EntOrderError):
-    """Evaluation point outside the domain of the oscillator profile (x <= 1)."""
-
-
 class OffsetNotFound(EntOrderError):
     """No shift up to the configured maximum satisfies the curve conditions."""
 

@@ -44,7 +44,6 @@ import numpy as np
 
 from .errors import (
     ConditionViolated,
-    DomainError,
     OffsetNotFound,
     ParameterError,
     QOutOfRange,
@@ -68,7 +67,7 @@ def _profile_terms(r, x):
         raise ParameterError("profile exponent r must be positive")
     x = np.asarray(x, dtype=float)
     if np.any(x <= 1.0):
-        raise DomainError("profile defined only for x > 1")
+        raise ParameterError("profile defined only for x > 1")
     L = np.log(x)
     sinL = np.sin(L)
     Lr = L**r

@@ -23,7 +23,7 @@ weight and non-ASCII bytes. Every parse error is a ``ParseError`` (exit
 family metadata once, through ``s.form``: metadata whose closed form
 misses the stored tail raises ``ValidationError`` (also exit 2).
 
-The weights take one of two paths, which give the same bits and errors.
+The body of weights takes one of two paths, which give the same bits.
 A body that holds only the bytes ``0-9 . e + - \n`` (as the writer's
 are) is read by one ``np.fromstring(body, sep="\n")`` on the undecoded
 bytes, kept only if it raises nothing and returns one value per line.
@@ -31,8 +31,11 @@ Those bytes hold no whitespace but ``\n``, and numpy's separator needs
 at least one whitespace byte, so each value is one whole line, read by
 ``PyOS_string_to_double`` as ``float(line)`` reads it. Every other body
 (CRLF endings, padding, a blank or bad line, metadata after a weight,
-``inf``, ``E``, underscores) is read line by line after the whole file
-is decoded, as before, and each error names its line there.
+``inf``, ``E``, underscores), or one numpy reads otherwise, is read
+after the whole file is decoded, one stripped line at a time by
+``float``, and each error names its line there. Either path then scales
+the base-10 logs by ln 10 in one multiply; a literal past about 7.8e307
+scales to an infinite log, which the constructor refuses.
 """
 
 from __future__ import annotations
@@ -117,20 +120,26 @@ def _parse(data):
 
     A body of ``_BODY_BYTES`` after a head of ``#`` lines is read by one
     numpy parse (:func:`_parse_body`); any other file, or a body that
-    parse refuses, by :func:`_parse_lines`.
+    parse refuses, line by line (:func:`_weights_line_by_line`).
     """
     start = _body_start(data)
     body = data[start:]
     newlines = body.translate(None, _DIGITS)  # all that is left of a body of _BODY_BYTES
+    values = None
     if start and body and not newlines.strip(b"\n"):
         head = _ascii(data[:start]).splitlines()  # it ends in \n: the file's first lines, with their errors
         first, log_tail, metadata = _parse_head(head)
         if first == len(head):  # else a line break other than \n split a weight line off a # line
             values = _parse_body(body, len(newlines) + (not body.endswith(b"\n")))
-            if values is not None:
-                values *= LN10
-                return values, log_tail, metadata
-    return _parse_lines(_ascii(data).splitlines())
+    if values is None:
+        raw = _ascii(data).splitlines()
+        first, log_tail, metadata = _parse_head(raw)
+        if first == len(raw):
+            raise ParseError("file contains no weights", line=len(raw))
+        values = _weights_line_by_line(raw[first:], first + 1)
+    with np.errstate(over="ignore"):  # a literal past 7.8e307 scales to inf, which the constructor refuses
+        values *= LN10
+    return values, log_tail, metadata
 
 
 def _body_start(data):
@@ -208,23 +217,8 @@ def _parse_head(raw):
     return len(raw), log_tail, metadata
 
 
-def _parse_lines(raw):
-    """(ln weights, ln tail bound, metadata) from the lines of a v1 file, weight line by weight line."""
-    first, log_tail, metadata = _parse_head(raw)
-    if first == len(raw):
-        raise ParseError("file contains no weights", line=len(raw))
-    body = raw[first:]
-    # float(line) parses a line exactly as float(line.strip()) does, bar \x1f
-    # padding; a bad line or that padding takes the line-by-line path
-    try:
-        values = list(map(float, body))
-    except ValueError:
-        values = _weights_line_by_line(body, first + 1)
-    return np.array(values) * LN10, log_tail, metadata
-
-
 def _weights_line_by_line(body, first_lineno):
-    """Parse weight lines one by one, raising on the first bad line."""
+    """The weights of the lines ``body`` as an array, one line at a time, raising on the first bad line."""
     values = []
     for lineno, line in enumerate(body, start=first_lineno):
         text = line.strip()
@@ -236,7 +230,7 @@ def _weights_line_by_line(body, first_lineno):
             values.append(float(text))
         except ValueError as exc:
             raise ParseError(f"bad weight literal {text!r}", line=lineno) from exc
-    return values
+    return np.array(values)
 
 
 # ---------------------------------------------------------------------------

@@ -47,7 +47,8 @@ class SchmidtSpectrum:
         ln(weight) per index, nonincreasing, all finite.
     log_tail_bound:
         ln of a certified upper bound on the total weight beyond the
-        stored horizon; ``-inf`` for exact finite-rank states.
+        stored horizon, at most ln of the largest float; ``-inf`` for
+        exact finite-rank states.
     metadata:
         Provenance of analytic families (``family``, ``q``, ``r``, ``k``,
         ``delta``, ``offset``). Free of derived quantities.
@@ -87,6 +88,8 @@ class SchmidtSpectrum:
             )
         if not (log_tail == NEG_INF or math.isfinite(log_tail)):
             raise ValidationError("tail bound must be finite or exactly zero (-inf log)")
+        if log_tail > LOG_FLOAT_MAX:  # no float holds the bound: the sums below would overflow
+            raise ValidationError(f"tail bound e^{log_tail!r} lies past the largest float")
         ok = _bounded_normalization(lw, log_tail)
         if ok is None:  # a threshold lies within the error bound: the sequential sum decides
             ok = self.normalization[0]

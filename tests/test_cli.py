@@ -444,6 +444,22 @@ class TestExitCodes:
         assert capsys.readouterr().err.startswith("operation failed: no offset")
         assert not out.exists()
 
+    @pytest.mark.parametrize("edit, message", [
+        # e^921 overflowed math.exp in the normalization check
+        (lambda lines: [lines[0], "#tail_bound 400", *lines[1:]], "tail bound e^921.0340371976183 lies past the largest float"),
+        # scaled by ln 10, each literal overflowed numpy's multiply: the one numpy parse, then line by line
+        (lambda lines: [*lines, "1e308"], "all weights must be strictly positive and finite"),
+        (lambda lines: [*lines, "1E308"], "all weights must be strictly positive and finite"),
+    ], ids=["tail-bound-400", "weight-1e308", "weight-1E308"])
+    def test_values_past_the_float_range_are_refused_without_a_warning(self, specdir, tmp_path, edit, message):
+        path = tmp_path / "edited.spec"
+        path.write_text("\n".join(edit((specdir / "rank3.spec").read_text().splitlines())) + "\n")
+        env = {**os.environ, "PYTHONPATH": str(Path(eo.__file__).parents[1])}
+        proc = subprocess.run([sys.executable, "-W", "error::RuntimeWarning", "-m", "entorder", "validate", str(path)],
+                              env=env, capture_output=True, text=True, timeout=60)
+        # the message is all of stderr: no warning was printed
+        assert (proc.returncode, proc.stderr) == (2, f"invalid input: {message}\n")
+
     def test_huge_scan_lattice_refused_at_once(self, specdir, tmp_path):
         # each span is finite and its lattice huge; the scan is bounded by y* and
         # by the cells proven below it where y* is finite, and refused at once otherwise
@@ -781,18 +797,18 @@ class TestFastPathsCoverTheCorpus:
     @pytest.fixture
     def fallbacks(self, monkeypatch):
         counts = {"lines": 0, "sequential": 0}
-        read_lines, bounded = eo.fileio._parse_lines, eo.spectrum._bounded_normalization
+        read_lines, bounded = eo.fileio._weights_line_by_line, eo.spectrum._bounded_normalization
 
-        def counted_lines(raw):
+        def counted_lines(body, first):
             counts["lines"] += 1
-            return read_lines(raw)
+            return read_lines(body, first)
 
         def counted_bounded(*args):
             verdict = bounded(*args)
             counts["sequential"] += verdict is None
             return verdict
 
-        monkeypatch.setattr(eo.fileio, "_parse_lines", counted_lines)
+        monkeypatch.setattr(eo.fileio, "_weights_line_by_line", counted_lines)
         monkeypatch.setattr(eo.spectrum, "_bounded_normalization", counted_bounded)
         return counts
 

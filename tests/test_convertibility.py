@@ -44,6 +44,85 @@ def random_pairs(count, seed=20250810):
         yield wa / wa.sum(), wb / wb.sum()
 
 
+def _padded_log_g(a, b):
+    """ln g of both spectra padded with ln 0 to a common horizon: the reference for exact pairs."""
+    ga, gb = a.log_g, b.log_g
+    n = max(ga.size, gb.size)
+    pad = lambda g: np.concatenate((g, np.full(n - g.size, -np.inf)))
+    return pad(ga), pad(gb)
+
+
+def _padded_locc(a, b):
+    ga, gb = _padded_log_g(a, b)
+    return bool(np.all(ga >= gb))
+
+
+def _padded_probability(a, b):
+    ga, gb = _padded_log_g(a, b)
+    support = gb > -np.inf
+    if np.any(ga[support] == -np.inf):
+        return 0.0
+    m = float(np.min(ga[support] - gb[support]))
+    return 1.0 if m >= 0.0 else min(math.exp(m), math.nextafter(1.0, 0.0))
+
+
+def _exact_pairs(seed=31):
+    """Exact pairs of every rank order: random weights of ranks 1 to 40 (equal ranks, rank 1,
+    a longer than b and b longer than a), each also against itself and against a flattened copy
+    (a mix with the uniform weights of its rank), which majorizes one way."""
+    rng = np.random.default_rng(seed)
+    ranks = [1, 2, 3, 7, 40]
+    for ra in ranks:
+        for rb in ranks:
+            for _ in range(4):
+                wa, wb = rng.random(ra) ** 3 + 1e-3, rng.random(rb) ** 3 + 1e-3
+                a, b = eo.build_spectrum(wa / wa.sum()), eo.build_spectrum(wb / wb.sum())
+                flat = eo.build_spectrum(0.5 * wa / wa.sum() + 0.5 / ra)
+                yield from ((a, b), (a, a), (a, flat), (flat, a))
+
+
+class TestExactPairsAgainstPaddedTails:
+    def test_bit_for_bit(self):
+        seen = set()
+        for a, b in _exact_pairs():
+            want_locc, want_p = _padded_locc(a, b), _padded_probability(a, b)
+            assert eo.locc_convertible(a, b) is want_locc
+            assert eo.max_probability(a, b).hex() == want_p.hex()
+            rep = eo.slocc_decide(a, b)
+            assert rep.probability.hex() == want_p.hex()
+            assert rep.window == (0, max(a.length, b.length))
+            assert rep.evidence == {"forward": "rank", "backward": "rank"}
+            ga, gb = _padded_log_g(a, b)
+            both = (ga > -np.inf) & (gb > -np.inf)
+            assert rep.log_epsilon_a_to_b.hex() == float(np.min(ga[both] - gb[both])).hex()
+            assert rep.log_epsilon_b_to_a.hex() == float(-np.max(ga[both] - gb[both])).hex()
+            seen.add((want_locc, 0.0 < want_p < 1.0, want_p == 0.0, (a.length > b.length) - (a.length < b.length)))
+        # every outcome of both comparisons, under every rank order
+        assert {(locc, rank) for locc, _, _, rank in seen} == {(t, r) for t in (True, False) for r in (-1, 0, 1)} - {(True, -1)}
+        assert {(p_open, p_zero) for _, p_open, p_zero, _ in seen} == {(True, False), (False, True), (False, False)}
+
+    def test_exact_against_truncated(self):
+        # a violation inside the stored ranges is decisive; without one the truncated side is unsafe
+        rng = np.random.default_rng(5)
+        seen = set()
+        for _ in range(12):
+            w = rng.random(int(rng.integers(1, 12))) + 1e-3
+            exact = eo.build_spectrum(w / w.sum())
+            truncated = eo.tmss(float(rng.uniform(0.05, 0.95)), int(rng.integers(1, 30)))
+            for a, b in ((exact, truncated), (truncated, exact)):
+                m = min(a.log_g.size, b.log_g.size)
+                violated = bool(np.any(a.log_g[:m] < b.log_g[:m]))
+                if violated:
+                    assert eo.locc_convertible(a, b) is False
+                else:
+                    with pytest.raises(TruncationUnsafe):
+                        eo.locc_convertible(a, b)
+                with pytest.raises(TruncationUnsafe):
+                    eo.max_probability(a, b)
+                seen.add((a is exact, violated))
+        assert seen == {(True, True), (True, False), (False, True), (False, False)}
+
+
 class TestLocc:
     def test_bell_to_product(self):
         assert eo.locc_convertible(eo.build_spectrum((0.5, 0.5)), eo.build_spectrum((1.0,)))

@@ -8,7 +8,7 @@ from hypothesis import example, given, settings, strategies as st
 
 import entorder as eo
 from entorder import families
-from entorder.errors import ConditionViolated, DomainError, OffsetNotFound, ParameterError, QOutOfRange
+from entorder.errors import ConditionViolated, OffsetNotFound, ParameterError, QOutOfRange
 from entorder.families import PairRatio, analytic_form, pair_ratio
 from entorder.numutil import log1mexp
 
@@ -117,9 +117,9 @@ class TestEvalP:
         assert p == pytest.approx(2 / (3 * math.pi), rel=1e-12)
 
     def test_domain_error(self):
-        with pytest.raises(DomainError):
+        with pytest.raises(ParameterError):
             eo.eval_p(1.0, 1.0)
-        with pytest.raises(DomainError):
+        with pytest.raises(ParameterError):
             eo.eval_p(1.0, 0.5)
 
     @pytest.mark.parametrize("r", [0.5, 1.0, 2.0])
@@ -159,7 +159,7 @@ class TestProfile:
 
     @pytest.mark.parametrize("r, x, error", [
         (0.0, 2.0, ParameterError), (-1.0, 2.0, ParameterError), (math.nan, 2.0, ParameterError),
-        (1.0, 1.0, DomainError), (1.0, 0.5, DomainError), (1.0, np.array([2.0, 1.0]), DomainError),
+        (1.0, 1.0, ParameterError), (1.0, 0.5, ParameterError), (1.0, np.array([2.0, 1.0]), ParameterError),
     ])
     def test_refuses_what_eval_p_refuses(self, r, x, error):
         for f in (families.profile, eo.eval_p):

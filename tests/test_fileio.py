@@ -238,8 +238,8 @@ READER_EDITS = {
 def _count_line_reads(monkeypatch):
     """Calls of the line-by-line reader from now on, as a list that grows."""
     calls = []
-    real = fileio._parse_lines
-    monkeypatch.setattr(fileio, "_parse_lines", lambda raw: calls.append(len(raw)) or real(raw))
+    real = fileio._weights_line_by_line
+    monkeypatch.setattr(fileio, "_weights_line_by_line", lambda body, first: calls.append(len(body)) or real(body, first))
     return calls
 
 
@@ -289,10 +289,10 @@ class TestOneParse:
         body = ("\n".join(lines) + ("\n" if final_newline else "")).encode("ascii")
         floats = np.array([float(line) for line in lines])
         assert fileio._parse_body(body, len(lines)).tobytes() == floats.tobytes()
-        with mock.patch.object(fileio, "_parse_lines", side_effect=AssertionError("read line by line")):
-            with np.errstate(over="ignore"):  # literals past 7.8e307 overflow once scaled by ln 10, as ever
-                log_weights, log_tail, metadata = fileio._parse(f"{HEADER}\n#family tmss\n".encode() + body)
-                assert log_weights.tobytes() == (floats * LN10).tobytes()
+        with mock.patch.object(fileio, "_weights_line_by_line", side_effect=AssertionError("read line by line")):
+            log_weights, log_tail, metadata = fileio._parse(f"{HEADER}\n#family tmss\n".encode() + body)
+        with np.errstate(over="ignore"):  # literals past 7.8e307 scale to inf, which _parse leaves to the constructor
+            assert log_weights.tobytes() == (floats * LN10).tobytes()
         assert (log_tail, metadata) == (NEG_INF, {"family": "tmss"})
 
     @pytest.mark.parametrize("head, line_reads", [

@@ -1,5 +1,6 @@
 import json
 import math
+import re
 import tempfile
 from pathlib import Path
 
@@ -10,7 +11,7 @@ from hypothesis import given, settings, strategies as st
 import entorder as eo
 from entorder.cli import run
 from entorder.errors import EntOrderError, NonPositive, NotNormalized, ValidationError
-from entorder.numutil import NEG_INF, log1mexp
+from entorder.numutil import LOG_FLOAT_MAX, NEG_INF, log1mexp
 from entorder import spectrum
 from entorder.spectrum import ORDER_LOG_TOL, make_spectrum
 
@@ -42,6 +43,34 @@ class TestInputChecks:
         for build in (eo.SchmidtSpectrum, make_spectrum):
             with pytest.raises(error, match=message):
                 build(*args)
+
+
+class TestTailBoundRange:
+    """A tail bound is refused, naming it, where no float holds it; every bound a float holds is read as before."""
+
+    # one weight of a squeezed state with q^2 = 1 - 1e-10: its closed form reproduces
+    # the stored tail under any tail bound, so only the bound's size can refuse it
+    Q = math.sqrt(1.0 - 1e-10)
+
+    def _spectrum(self, log_tail):
+        return make_spectrum([math.log(1e-10)], log_tail, {"family": "tmss", "q": self.Q})
+
+    def test_a_bound_above_one_with_a_matching_form_is_accepted(self):
+        s = self._spectrum(0.5)
+        assert s.form is not None and s.log_tail_bound == 0.5
+
+    @pytest.mark.parametrize("log_tail", [math.nextafter(LOG_FLOAT_MAX, math.inf), 400 * math.log(10), 1e308])
+    def test_a_bound_past_the_float_range_is_refused(self, log_tail):
+        with pytest.raises(ValidationError, match=f"tail bound e\\^{re.escape(repr(log_tail))} lies past"):
+            self._spectrum(log_tail)
+
+    def test_the_largest_float_bound_sums_without_overflow(self):
+        ok, residual, total, tail = spectrum._normalization(np.array([math.log(1e-10)]), LOG_FLOAT_MAX)
+        assert ok and math.isfinite(residual) and tail == math.exp(LOG_FLOAT_MAX)
+        assert spectrum._bounded_normalization(np.array([math.log(1e-10)]), LOG_FLOAT_MAX) is True
+        # read as before: its ln g(1) rounds to ln g(0), which the tail function refuses
+        with pytest.raises(ValidationError, match="not strictly decreasing"):
+            self._spectrum(LOG_FLOAT_MAX)
 
 
 class TestBuildSpectrum:

@@ -41,7 +41,8 @@ blank line, metadata after a
 weight, a bad literal or a 0xff byte; psi1_d005.spec, whose tail lies
 above its last weight, relabelled ``#family foo``; t999.spec with
 ``#delta 0.5``, also run through ``estimate-r``; t06.spec given ``#k``
-and ``#offset`` and psi2.spec given ``#q``; each of these exits 2),
+and ``#offset``, psi2.spec given ``#q``, t06.spec with ``#tail_bound
+400`` and psi2.spec with a last weight ``1e308``; each of these exits 2),
 summaries, every ordered pair of the psi ladder, locc/slocc comparisons
 (one of them on a 90,000-point window), a certificate on
 a fine grid (delta 0.002, 3,145-point probe neighbourhoods), one on a
@@ -180,7 +181,8 @@ def _scaled_delta(factor):
 # last weight under a family with no closed form, a tmss #delta that is not -2 ln q,
 # a 0xff byte in the third weight line and keys of another family, each of which it
 # refuses (exit 2); three exact finite-rank states, a grid step moved by 1e-12 relative
-# and a truncated state without a closed form (exit 0)
+# and a truncated state without a closed form (exit 0); a tail bound of 10^400, past
+# the float range, and a weight literal 1e308, whose ln is (exit 2)
 EDITED = {
     "psi2_padded.spec": ("psi2.spec", lambda lines: "\r\n".join(f" \t{line}\t " for line in lines) + "\r\n"),
     "psi2_blank.spec": ("psi2.spec", lambda lines: "\n".join(lines[:10] + [""] + lines[10:]) + "\n"),
@@ -196,6 +198,8 @@ EDITED = {
     "t04_exact100.spec": ("t04.spec", _exact(100)),
     "psi2_delta_1e12.spec": ("psi2.spec", _scaled_delta(1 + 1e-12)),
     "t06_formless.spec": ("t06.spec", _formless),
+    "t06_tail_bound400.spec": ("t06.spec", _replace_line("#tail_bound ", "#tail_bound 400")),
+    "psi2_1e308.spec": ("psi2.spec", lambda lines: "\n".join(lines + ["1e308"]) + "\n"),
 }
 
 INSPECTED = ["psi0", "psi2", "xi", "t06", "t999", "xi_n50k"]
