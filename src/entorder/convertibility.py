@@ -172,42 +172,51 @@ def _rule_walk(cw: ComparisonWindow, th, exponent_shortcut: bool):
 
     Returns ((fwd evidence, grade), (bwd evidence, grade), values, flags,
     probe): ``values`` holds the finite points of the stored window, and
-    ``flags`` and ``probe`` are None where no rule read them.
+    ``values``, ``flags`` and ``probe`` are None where no rule read them.
 
     1. A rank fact decides both directions: one g hitting zero while the
        other is positive (zero is terminal, so at most one side hits it
-       first), however short the finite overlap is.
+       first), however short the finite overlap is. Only an exact side's
+       g reaches zero, so the stored window is read for this only then.
     2. Fewer than ``th.min_points`` finite points raise
-       :class:`WindowTooSmall`.
+       :class:`WindowTooSmall`; with no exact side every point is finite,
+       and their count is read from the stored weights where they prove
+       it (:meth:`ComparisonWindow.holds`).
     3. With ``exponent_shortcut`` (estimate-r), closed-form exponents
        lo < 0 < hi (PairRatio.exponents) settle both limits: both
-       directions NO, graded asymptotic, without trend test or probe.
+       directions NO, graded asymptotic, without trend test, probe or
+       stored window.
     4. Otherwise each direction is NO by trend, then witnesses, then its
        exponent (liminf ell = -inf exactly when lo < 0, limsup ell = +inf
        exactly when hi > 0); else YES where the windowed extreme is stable
        and the probe's envelope moves less than one witness step; else
        insufficient.
     """
-    values = cw.values
-    finite = np.isfinite(values)
-    a_exhausted = b_exhausted = False
-    if not finite.all():  # -inf where only g_a has reached zero, +inf where only g_b has
-        a_exhausted, b_exhausted = bool(np.any(values == -np.inf)), bool(np.any(values == np.inf))
-        values = values[finite]
-    if a_exhausted or b_exhausted:
-        # without the shortcut the trend labels are still reported
-        flags = trend_flags(values, th) if not exponent_shortcut and values.size >= th.min_points else None
-        return (
-            (_Ev.NO if a_exhausted else _Ev.YES, "rank"),
-            (_Ev.NO if b_exhausted else _Ev.YES, "rank"),
-            values, flags, None,
-        )
-    if values.size < th.min_points:
+    values = None
+    if cw.a.is_exact or cw.b.is_exact:
+        values = cw.values
+        finite = np.isfinite(values)
+        a_exhausted = b_exhausted = False
+        if not finite.all():  # -inf where only g_a has reached zero, +inf where only g_b has
+            a_exhausted, b_exhausted = bool(np.any(values == -np.inf)), bool(np.any(values == np.inf))
+            values = values[finite]
+        if a_exhausted or b_exhausted:
+            # without the shortcut the trend labels are still reported
+            flags = trend_flags(values, th) if not exponent_shortcut and values.size >= th.min_points else None
+            return (
+                (_Ev.NO if a_exhausted else _Ev.YES, "rank"),
+                (_Ev.NO if b_exhausted else _Ev.YES, "rank"),
+                values, flags, None,
+            )
+    enough = cw.holds(th.min_points) if values is None else values.size >= th.min_points
+    if not enough:
+        values = cw.values if values is None else values  # with no exact side every point is finite
         raise WindowTooSmall(f"{values.size} finite window points < minimum {th.min_points}")
     lo, hi = cw.pair.exponents() if cw.pair else (0, 0)
     if exponent_shortcut and lo < 0 < hi:
         return (_Ev.NO, "asymptotic"), (_Ev.NO, "asymptotic"), values, None, None
 
+    values = cw.values if values is None else values
     flags, probe = trend_flags(values, th), probe_pair(cw, th)
     step, enough = th.witness_step_nats, th.min_witnesses
     fwd = _direction(

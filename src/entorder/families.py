@@ -22,15 +22,22 @@ its constructor checks the parameters, it generates the stored weights,
 and ``analytic_form`` (read as ``s.form``) rebuilds it from a spectrum's
 metadata to continue the tail past the stored horizon.
 
-Sampling a member and checking a file's metadata both evaluate ln p_r
-at y = delta n + offset for every stored n. The terms of that grid that
+A member just sampled hands its spectrum the form it came from
+(``sampled_from``), wherever its sampler shows that the spectrum's tail
+function strictly decreases: ``s.form`` then re-derives nothing, and the
+metadata check (:func:`check_reproduced`) runs once, when the stored tail
+is first read. An ``estimate-r`` member that its exponents decide reads
+no stored tail, so neither its tail function nor that check is computed.
+
+Sampling a member and checking metadata both evaluate ln p_r at
+y = delta n + offset for every stored n. The terms of that grid that
 do not depend on r (ln y, sin ln y + 1 and 1/ln y) are kept, as
 read-only arrays, for the latest key (delta, offset, size) only, so
 members on one grid (the 21 of an ``estimate-r`` run) share them, and
 ln p_r comes out bit for bit as ``profile`` gives it. ln p_r itself is
-kept, read-only, for the latest key (r, delta, offset, size), so the
-metadata check of a member just sampled reads the array its sampling
-made.
+kept, read-only, for the latest key (r, delta, offset, size), so a
+member's metadata check read right after its sampling reads the array
+its sampling made.
 """
 
 from __future__ import annotations
@@ -50,7 +57,7 @@ from .errors import (
     ValidationError,
 )
 from .numutil import FLOAT_MAX, NEG_INF, log1mexp, run_starts
-from .spectrum import SchmidtSpectrum, make_spectrum
+from .spectrum import ORDER_LOG_TOL, SchmidtSpectrum, _sum_bound, make_spectrum
 
 #: largest log-argument the float64 grid can represent (exp(701) < inf)
 LOG_ARG_CAP = 700.0
@@ -452,6 +459,21 @@ MAX_SCAN_POINTS = 10**9
 EVAL_BLOCK = 6144
 
 
+def _unproven_runs(k, r, margin, base, step, lo, hi):
+    """The runs [start, stop) of lattice indices in [lo, hi) that no cell of :func:`_proven_cells` holds.
+
+    A range of one index, or of more than 2**53 (past which float indices
+    are not exact), tries no cell.
+    """
+    if not 1 < hi - lo <= 2**53:
+        return [(lo, hi)] if lo < hi else []
+    a, b = _proven_cells(k, r, margin, base, step, lo, hi)
+    # the lattice left between proven cells, which may share an end point: no run there
+    starts, stops = np.append(lo, b + 1), np.append(a, hi)
+    left = starts < stops
+    return list(zip(starts[left].tolist(), stops[left].tolist()))
+
+
 @np.errstate(over="ignore", invalid="ignore")  # an overflow shows as NaN, which is not clean
 def _first_clean(k, r, base, step, first, last, W, margin):
     """Smallest j in [first, last] whose window base + i*step, i = j..j+W, is clean.
@@ -460,20 +482,20 @@ def _first_clean(k, r, base, step, first, last, W, margin):
     condition is not clean (None if no j is). Points at or past
     :func:`_y_star` are proven clean in closed form, and so are the points
     below it that a cell of :func:`_proven_cells` holds; neither is
-    evaluated. More than ``MAX_SCAN_POINTS`` points left to evaluate raise
-    ValueError before any is (a range of more than 2**53 indices tries no
-    cell). The points left are walked once, in blocks of at most
+    evaluated. Cells are proven up to the first candidate's window end,
+    and past it only once the walk passes it, then up to the cut in one
+    more call: a call costs about as much as its cells, plus a fixed part
+    that more, smaller ranges would pay again. A range of more than
+    ``MAX_SCAN_POINTS`` indices, the only kind that can leave more points
+    than that to evaluate, is proven whole first, and more than
+    ``MAX_SCAN_POINTS`` points left raise ValueError before any is
+    evaluated. The points left are walked once, in blocks of at most
     ``EVAL_BLOCK``: a failing point at index i rules out every candidate
     up to i.
     """
     end = min(_cut_index(k, r, margin, base, step), last + W + 1)
-    runs = [(first, end)] if first < end else []
-    if 1 < end - first <= 2**53:  # past 2**53 float indices are not exact, and no cell is tried
-        a, b = _proven_cells(k, r, margin, base, step, first, end)
-        # the lattice left between proven cells, which may share an end point: no run there
-        starts, stops = np.append(first, b + 1), np.append(a, end)
-        left = starts < stops
-        runs = list(zip(starts[left].tolist(), stops[left].tolist()))
+    proven_to = end if end - first > MAX_SCAN_POINTS else min(end, first + W + 1)
+    runs = _unproven_runs(k, r, margin, base, step, first, proven_to)
     most = sum(stop - i for i, stop in runs)
     if most > MAX_SCAN_POINTS:
         y = _y_star(k, r, margin)
@@ -482,20 +504,25 @@ def _first_clean(k, r, base, step, first, last, W, margin):
         raise ValueError(
             f"the condition scan may evaluate {most:.3g} lattice points, more than {MAX_SCAN_POINTS:.0e}{why}")
     j = first  # every point from j up to the walk's position is clean
-    for i, run_end in runs:
-        while i < run_end:
-            if i > j + W:  # j..j+W are clean: evaluated or proven
-                return j
-            stop = min(i + EVAL_BLOCK, run_end, j + W + 1)
-            idx = np.arange(i, stop, dtype=float)
-            p, M, C = _profile_conditions(k, r, base + idx * step)
-            bad = np.flatnonzero(~((p > 0) & (M > margin) & (C >= 0.0)))
-            if bad.size:
-                j = i + int(bad[-1]) + 1
-                if j > last:
-                    return None
-            i = stop
-    return j if j <= last else None
+    while True:
+        for i, run_end in runs:
+            while i < run_end:
+                if i > j + W:  # j..j+W are clean: evaluated or proven
+                    return j
+                stop = min(i + EVAL_BLOCK, run_end, j + W + 1)
+                idx = np.arange(i, stop, dtype=float)
+                p, M, C = _profile_conditions(k, r, base + idx * step)
+                bad = np.flatnonzero(~((p > 0) & (M > margin) & (C >= 0.0)))
+                if bad.size:
+                    j = i + int(bad[-1]) + 1
+                    if j > last:
+                        return None
+                i = stop
+        # every point from j to proven_to is clean, and from the cut on every point is proven
+        if proven_to == end or j + W < proven_to:
+            return j if j <= last else None
+        runs = _unproven_runs(k, r, margin, base, step, proven_to, end)
+        proven_to = end
 
 
 def _check_search(grid_step, horizon, margin):
@@ -580,7 +607,32 @@ def discretize(form: AnalyticForm, n: int, family: str = "psi") -> SchmidtSpectr
 
 
 def _sample(form: AnalyticForm, n: int, family: str) -> SchmidtSpectrum:
-    """The spectrum of :func:`discretize`, for a member already checked on its grid."""
+    """The spectrum of :func:`discretize`, for a member already checked on its grid.
+
+    Sampled weights that rise by more than ``ORDER_LOG_TOL`` (a step so
+    fine that their float values jitter) raise :class:`ConditionViolated`
+    naming delta and n, before the constructor sees them.
+
+    The spectrum is handed ``form`` (``sampled_from``) where the steps of
+    the sampled ln g, L, all exceed 8 :func:`~entorder.spectrum._sum_bound`
+    (n + 64, R), R = 1 + max |w_i|, |L_n|: then the tail function the
+    spectrum computes from its weights strictly decreases, so deferring
+    the metadata check to it skips no refusal. Each weight
+    w_i = fl(L_i + log1mexp(fl(L_(i+1) - L_i))) lies within 32 u (R + 1)
+    of ln(e^L_i - e^L_(i+1)): the difference rounds by u of itself, which
+    moves log1mexp by at most u (|x| e^x / (1 - e^x) <= 1 for x < 0), and
+    log1mexp and the sum round by a few ulps of values below R. These
+    exact weights telescope to e^L_i, so the exact log-sum of the stored
+    ones from i on, with the tail, lies as close to L_i. The reverse
+    accumulation adds at most n u (4 + R) (see
+    :func:`~entorder.spectrum._bounded_normalization`; its partial sums lie
+    between L_n and about 0), its total (as close to L_0 = 0) is
+    subtracted, and that rounds once: the computed ln g(i) lies within
+    2 _sum_bound(n + 64, R) of L_i, and so strictly decreases where every
+    step of L exceeds twice that. The factor 8 leaves room for terms of
+    higher order. Elsewhere (steps near 1e-17, say) the metadata check
+    runs in the constructor, as for any spectrum.
+    """
     # form.log_d(delta n), with ln p from the kept grid terms; in place, with the bits of -(delta n) + k ln p
     log_g = np.arange(n + 1, dtype=float) * -form.delta
     if form.k:
@@ -591,6 +643,12 @@ def _sample(form: AnalyticForm, n: int, family: str) -> SchmidtSpectrum:
         raise ConditionViolated("sampled tail function is not strictly decreasing")
     log_weights = log1mexp(diffs)
     log_weights += log_g[:-1]
+    rises = np.diff(log_weights) > ORDER_LOG_TOL
+    if rises.any():
+        raise ConditionViolated(
+            f"weights sampled at delta {form.delta!r} and n {n} increase at index {int(np.argmax(rises))} "
+            f"by more than {ORDER_LOG_TOL}: the step is too fine for float weights"
+        )
     metadata = {
         "family": family,
         "k": form.k,
@@ -598,7 +656,9 @@ def _sample(form: AnalyticForm, n: int, family: str) -> SchmidtSpectrum:
         "delta": float(form.delta),
         "offset": float(form.offset),
     }
-    return make_spectrum(log_weights, float(log_g[-1]), metadata)
+    reach = 1.0 - min(float(log_weights.min()), float(log_g[-1]))  # every w_i and L_i is <= 0
+    decreases = -float(diffs.max()) > 8.0 * _sum_bound(n + 64, reach)
+    return make_spectrum(log_weights, float(log_g[-1]), metadata, form if decreases else None)
 
 
 def tmss(q: float, n: int = 1000) -> SchmidtSpectrum:
@@ -725,13 +785,18 @@ def analytic_form(s: SchmidtSpectrum) -> AnalyticForm | None:
             return None
     else:
         return None
-    residual = _tail_residual(form, s.log_g)
+    check_reproduced(form, family, s.log_g)
+    return form
+
+
+def check_reproduced(form: AnalyticForm, family, log_g) -> None:
+    """Refuse a form whose ln g differs from the stored ``log_g`` by more than ``FORM_RTOL`` (ValidationError)."""
+    residual = _tail_residual(form, log_g)
     if not residual <= FORM_RTOL:  # NaN fails too
         raise ValidationError(
             f"the {family} metadata does not reproduce the stored tail: "
             f"relative residual {residual:.3g} > {FORM_RTOL:g}"
         )
-    return form
 
 
 @dataclass(frozen=True)

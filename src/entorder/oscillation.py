@@ -21,6 +21,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 
 import numpy as np
 
@@ -28,7 +29,7 @@ from . import families
 from .errors import ParameterError, TruncationUnsafe, ValidationError, WindowTooSmall
 from .families import PairRatio, pair_ratio
 from .numutil import run_starts
-from .spectrum import SchmidtSpectrum, safe_horizon
+from .spectrum import SchmidtSpectrum, reaches_horizon, safe_horizon
 
 
 _MIN_WINDOWS = 3          # dyadic sub-windows that must extend the extreme
@@ -140,17 +141,41 @@ class OscillationCertificate:
 
 @dataclass(frozen=True)
 class ComparisonWindow:
-    """A pair resolved once: its window, stored ratio and oscillating closed form (or None).
+    """A pair resolved once: its window and oscillating closed form (or None), with its stored ratio on demand.
 
-    ``values`` is the stored ell(n) = ln g_a(n) - ln g_b(n) at ``ns``, the
-    window clipped to both :func:`safe_horizon`; ``-inf`` where only g_a
-    is zero, ``+inf`` where only g_b is (NaN where both are).
+    ``ns`` is the window clipped to both :func:`safe_horizon` (``horizon``)
+    and ``values`` the stored ell(n) = ln g_a(n) - ln g_b(n) there; ``-inf``
+    where only g_a is zero, ``+inf`` where only g_b is (NaN where both
+    are). Each is computed when first read, so a verdict the closed form
+    settles reads no stored tail.
     """
 
     window: tuple
-    ns: np.ndarray
-    values: np.ndarray
     pair: PairRatio | None
+    a: SchmidtSpectrum | None
+    b: SchmidtSpectrum | None
+
+    @cached_property
+    def horizon(self) -> int:
+        return min(safe_horizon(self.a), safe_horizon(self.b))
+
+    @cached_property
+    def ns(self) -> np.ndarray:
+        return np.arange(self.window[0], min(self.window[1], self.horizon) + 1)
+
+    @cached_property
+    def values(self) -> np.ndarray:
+        n_min, stop = self.window[0], min(self.window[1], self.horizon) + 1
+        with np.errstate(invalid="ignore"):  # -inf - -inf = NaN where both exact states have ended
+            return self.a.log_g[n_min:stop] - self.b.log_g[n_min:stop]
+
+    def holds(self, count: int) -> bool:
+        """True when ``ns`` has at least ``count`` points, read from the stored weights where they prove it."""
+        n_min, n_max = self.window
+        need = n_min + count - 1
+        if n_max < need:
+            return False
+        return reaches_horizon(self.a, need) and reaches_horizon(self.b, need)
 
 
 def comparison_window(a: SchmidtSpectrum, b: SchmidtSpectrum, window=None) -> ComparisonWindow:
@@ -161,10 +186,11 @@ def comparison_window(a: SchmidtSpectrum, b: SchmidtSpectrum, window=None) -> Co
     :class:`ParameterError` on a negative or reversed window,
     :class:`TruncationUnsafe` past the horizon of a pair without one, and
     :class:`ValidationError` on grid steps :func:`pair_ratio` cannot resolve.
+    The horizon is computed here only for a pair without one.
     """
     pair = pair_ratio(a, b)
     pair = pair if pair is not None and pair.oscillating else None
-    horizon = min(safe_horizon(a), safe_horizon(b))
+    horizon = None if pair else min(safe_horizon(a), safe_horizon(b))
     if window is None:
         window = (0, pair.max_index() if pair else horizon)
     n_min, n_max = int(window[0]), int(window[1])
@@ -175,11 +201,7 @@ def comparison_window(a: SchmidtSpectrum, b: SchmidtSpectrum, window=None) -> Co
             f"window end {n_max} beyond the truncation-safe horizon {horizon} "
             "and the pair has no analytic continuation"
         )
-    stop = min(n_max, horizon) + 1
-    ns = np.arange(n_min, stop)
-    with np.errstate(invalid="ignore"):  # -inf - -inf = NaN where both exact states have ended
-        values = a.log_g[n_min:stop] - b.log_g[n_min:stop]
-    return ComparisonWindow((n_min, n_max), ns, values, pair)
+    return ComparisonWindow((n_min, n_max), pair, a, b)
 
 
 def trend_flags(values, thresholds: TrendThresholds) -> TrendFlags:

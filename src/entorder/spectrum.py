@@ -12,7 +12,12 @@ spectrum exists unchecked; :func:`make_spectrum` is the call that builds
 one. It holds three of Vidal's four tail-function conditions
 (monotonicity, convexity, normalization), so :func:`vidal_conditions`
 reports those as ok and computes only positivity. Family metadata is
-trusted only through ``s.form``, which checks it once per spectrum.
+trusted only through ``s.form``, which checks it once per spectrum. A
+member :mod:`entorder.families` has just sampled carries the form it was
+sampled from instead (``sampled_from``): ``s.form`` returns it, and its
+metadata check runs once, when ``s.log_g`` is first computed, so no
+stored tail is read unchecked. :func:`reaches_horizon` bounds such a
+member's safe horizon from its stored weights without computing its tail.
 """
 
 from __future__ import annotations
@@ -52,11 +57,18 @@ class SchmidtSpectrum:
     metadata:
         Provenance of analytic families (``family``, ``q``, ``r``, ``k``,
         ``delta``, ``offset``). Free of derived quantities.
+    sampled_from:
+        The :class:`~entorder.families.AnalyticForm` the weights were just
+        sampled from, given only where its sampler has shown that
+        :func:`tail_function` strictly decreases; None otherwise. ``form``
+        returns it, and the metadata check against the stored tail runs
+        when ``log_g`` is first computed.
     """
 
     log_weights: np.ndarray
     log_tail_bound: float = NEG_INF
     metadata: dict = field(default_factory=dict)
+    sampled_from: object = field(default=None, repr=False)
 
     def __post_init__(self):
         """Refuse weights that are not finite, nonincreasing (to ``ORDER_LOG_TOL``) and normalized.
@@ -67,8 +79,9 @@ class SchmidtSpectrum:
 
         A tail bound at or above the last stored weight may hide a weight
         larger than it, so it is accepted only when the metadata names a
-        closed form that reproduces the stored tail (``s.form``); that form
-        then continues the tail past the cut.
+        closed form that reproduces the stored tail (``s.form``; a form the
+        weights were sampled from is checked when the tail is first read);
+        that form then continues the tail past the cut.
         """
         lw = np.asarray(self.log_weights, dtype=float).copy()
         lw.setflags(write=False)
@@ -95,6 +108,8 @@ class SchmidtSpectrum:
             ok = self.normalization[0]
         if not ok:
             _, resid, total, tail = self.normalization
+            if total == math.inf:  # a weight past the largest float: name the sum by its log
+                raise NotNormalized(f"stored weights sum to e^{logsumexp(lw)!r}, past the largest float")
             raise NotNormalized(
                 f"stored weights sum to {total!r} with tail bound {tail!r}; "
                 f"residual {resid!r} exceeds {NORMALIZATION_RTOL}"
@@ -124,9 +139,15 @@ class SchmidtSpectrum:
         """ln g(n) for n = 0..length, read-only, computed once per spectrum.
 
         The last entry is the certified tail bound at the cut (``-inf``
-        for exact states). See :func:`tail_function`.
+        for exact states). See :func:`tail_function`. A spectrum with
+        ``sampled_from`` runs its metadata check on it here, once.
         """
-        return tail_function(self)
+        log_g = tail_function(self)
+        if self.sampled_from is not None:
+            from .families import check_reproduced  # deferred: families imports us
+
+            check_reproduced(self.sampled_from, self.metadata.get("family"), log_g)
+        return log_g
 
     @cached_property
     def normalization(self) -> tuple:
@@ -135,7 +156,12 @@ class SchmidtSpectrum:
 
     @cached_property
     def form(self):
-        """Closed form the metadata names, checked once: :func:`entorder.families.analytic_form`."""
+        """Closed form the metadata names, checked once: :func:`entorder.families.analytic_form`.
+
+        A spectrum with ``sampled_from`` returns that form, checked when ``log_g`` is computed.
+        """
+        if self.sampled_from is not None:
+            return self.sampled_from
         from .families import analytic_form  # deferred: families imports us
 
         return analytic_form(self)
@@ -146,14 +172,15 @@ def _normalization(log_weights, log_tail_bound):
 
     The true total lies in [S, S + t]; it is ok when 1 is reachable inside
     that interval up to NORMALIZATION_RTOL. The residual reported is
-    S + t/2 - 1.
+    S + t/2 - 1. S and the residual read inf past the largest float; t,
+    whose ln the constructor holds below ``LOG_FLOAT_MAX``, never does.
     """
     log_s = logsumexp(log_weights)
-    log_mid = np.logaddexp(log_s, log_tail_bound - LN2)
-    total = math.exp(log_s)
+    log_mid = float(np.logaddexp(log_s, log_tail_bound - LN2))
+    total = math.exp(log_s) if log_s <= LOG_FLOAT_MAX else math.inf
     tail = math.exp(log_tail_bound) if log_tail_bound != NEG_INF else 0.0
     ok = total <= 1.0 + NORMALIZATION_RTOL and total + tail >= 1.0 - NORMALIZATION_RTOL
-    return ok, float(math.expm1(log_mid)), total, tail
+    return ok, math.expm1(log_mid) if log_mid <= LOG_FLOAT_MAX else math.inf, total, tail
 
 
 #: unit roundoff of a double
@@ -222,9 +249,9 @@ def _bounded_normalization(log_weights, log_tail_bound):
     return None if undecided else True
 
 
-def make_spectrum(log_weights, log_tail_bound=NEG_INF, metadata=None) -> SchmidtSpectrum:
+def make_spectrum(log_weights, log_tail_bound=NEG_INF, metadata=None, sampled_from=None) -> SchmidtSpectrum:
     """Build a spectrum from natural-log weights; its constructor checks every invariant."""
-    return SchmidtSpectrum(log_weights, log_tail_bound, metadata or {})
+    return SchmidtSpectrum(log_weights, log_tail_bound, metadata or {}, sampled_from)
 
 
 def build_spectrum(weights) -> SchmidtSpectrum:
@@ -324,6 +351,44 @@ def safe_horizon(s: SchmidtSpectrum) -> int:
     """
     if s.is_exact:
         return s.length
-    limit = s.log_tail_bound - math.log(TRUNCATION_RTOL)
     # log_g is strictly decreasing: the entries >= limit are its first ones
-    return max(int(np.count_nonzero(s.log_g >= limit)) - 1, 0)
+    return max(int(np.count_nonzero(s.log_g >= _horizon_limit(s))) - 1, 0)
+
+
+def _horizon_limit(s):
+    """The least ln g(n) at which the tail bound perturbs it by less than ``TRUNCATION_RTOL``."""
+    return s.log_tail_bound - math.log(TRUNCATION_RTOL)
+
+
+def reaches_horizon(s: SchmidtSpectrum, n: int) -> bool:
+    """True when ``safe_horizon(s) >= n``; read from the stored weights where they prove it.
+
+    For a spectrum with ``sampled_from`` (whose tail function is shown to
+    decrease strictly) ln g(n) is bounded below from the weights. In floats
+    the reverse ``logaddexp`` accumulation of :func:`tail_function` never
+    falls below an entry it adds (it returns the larger entry plus
+    ``log1p`` of a nonnegative number, rounded to nearest), so its raw
+    partial sum at n is at least w_n, and its raw total s0 is at most
+    ln(1 + ``NORMALIZATION_RTOL`` + t) + 4 :func:`_sum_bound` (N + 1, R),
+    with N = ``s.length`` and R = max(|ln t|, |w_0|) + 2: the constructor
+    held the stored sum at or below 1 + ``NORMALIZATION_RTOL`` up to that
+    bound, and the accumulation errs by no more (see
+    :func:`_bounded_normalization`; its partial sums lie between ln t and
+    s0). Rounding is monotone, so ln g(n) = fl(raw(n) - s0) is at least
+    fl(w_n - s0's bound); where that clears the horizon's limit, so do
+    ln g(0..n), which never increase. Elsewhere, and where it does not,
+    ln g(n) itself is read.
+    """
+    if n <= 0:
+        return True
+    if n > s.length:
+        return False
+    if s.is_exact:
+        return True
+    limit = _horizon_limit(s)
+    if s.sampled_from is not None and n < s.length:
+        reach = max(abs(s.log_tail_bound), abs(float(s.log_weights[0]))) + 2.0
+        s0 = float(np.logaddexp(math.log1p(NORMALIZATION_RTOL), s.log_tail_bound))
+        if s.log_weights[n] - (s0 + 4.0 * _sum_bound(s.length + 1, reach)) >= limit:
+            return True
+    return bool(s.log_g[n] >= limit)

@@ -437,6 +437,15 @@ class TestExitCodes:
             assert run(argv) == 2, argv
             assert "does not reproduce the stored tail" in capsys.readouterr().err
 
+    def test_weights_too_fine_for_floats_are_a_condition_of_the_curve(self, tmp_path, capsys):
+        # at delta 1e-9 the sampled weights jitter: refused before the constructor, naming delta and n
+        out = tmp_path / "x.spec"
+        assert run(["gen", "xi", "--r", "1.5", "--delta", "1e-9", "--n", "2000", "-o", str(out)]) == 3
+        assert capsys.readouterr().err == (
+            "operation failed: weights sampled at delta 1e-09 and n 2000 increase at index 1 by more than 1e-12: "
+            "the step is too fine for float weights\n")
+        assert not out.exists()
+
     def test_offset_scan_of_nan_conditions_finds_nothing(self, tmp_path, capsys):
         # every condition overflows to NaN at r = 400; no file was read
         out = tmp_path / "x.spec"
@@ -450,7 +459,9 @@ class TestExitCodes:
         # scaled by ln 10, each literal overflowed numpy's multiply: the one numpy parse, then line by line
         (lambda lines: [*lines, "1e308"], "all weights must be strictly positive and finite"),
         (lambda lines: [*lines, "1E308"], "all weights must be strictly positive and finite"),
-    ], ids=["tail-bound-400", "weight-1e308", "weight-1E308"])
+        # a weight e^921: the refusal's message read its sum through math.exp
+        (lambda lines: [lines[0], "400", *lines[2:]], "stored weights sum to e^921.0340371976183, past the largest float"),
+    ], ids=["tail-bound-400", "weight-1e308", "weight-1E308", "weight-400"])
     def test_values_past_the_float_range_are_refused_without_a_warning(self, specdir, tmp_path, edit, message):
         path = tmp_path / "edited.spec"
         path.write_text("\n".join(edit((specdir / "rank3.spec").read_text().splitlines())) + "\n")

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import entorder as eo
-from entorder import convertibility, families, oscillation
+from entorder import cli, convertibility, families, oscillation
 from entorder.convertibility import Verdict
 from entorder.errors import InvalidFamily, TruncationUnsafe, ValidationError
 from entorder.oscillation import TrendClass
@@ -420,18 +420,93 @@ def form_calls(monkeypatch):
     return calls
 
 
-class TestFormOncePerSpectrum:
-    def test_estimate_r_reads_each_form_once(self, form_calls):
-        psi = eo.tmss(math.exp(-DELTA / 2), 2000)
-        eo.estimate_r_bounds(psi, lambda r: eo.xi_state(r, DELTA, 2000), 1.0, 2.0, 21)
-        assert len(form_calls) == 22  # psi once, each of the 21 members once
-        assert sum(s is psi for s in form_calls) == 1
+@pytest.fixture
+def tail_reads(monkeypatch):
+    """(metadata checks, tail functions): the forms checked against a stored tail, and the spectra whose tail was computed."""
+    checks, tails = [], []
+    real_check, real_tail = families.check_reproduced, eo.spectrum.tail_function
+    monkeypatch.setattr(families, "check_reproduced", lambda form, *a: checks.append(form) or real_check(form, *a))
+    monkeypatch.setattr(eo.spectrum, "tail_function", lambda s: tails.append(s) or real_tail(s))
+    return checks, tails
 
-    def test_repeated_decisions_reuse_the_forms(self, form_calls):
+
+class TestFormOncePerSpectrum:
+    """A form is derived from metadata once per spectrum; a sampled member's form is checked once, when its tail is read."""
+
+    def test_estimate_r_reads_each_form_once(self, form_calls, tail_reads):
+        psi = eo.tmss(math.exp(-DELTA / 2), 2000)
+        members = []
+        eo.estimate_r_bounds(psi, lambda r: members.append(eo.xi_state(r, DELTA, 2000)) or members[-1],
+                             1.0, 2.0, 21)
+        checks, tails = tail_reads
+        assert form_calls == [psi]  # each member carries the form it was sampled from
+        assert len(members) == 21 and all(m.sampled_from is not None for m in members)
+        # the exponents decide every member: no member's tail is computed, so none is checked
+        assert tails == [psi] and checks == [psi.form]
+
+    def test_sampled_member_is_checked_once_when_its_tail_is_first_read(self, form_calls, tail_reads):
+        s = eo.xi_state(1.37, DELTA, 2000)
+        checks, tails = tail_reads
+        assert s.form is s.sampled_from and checks == [] and tails == []
+        s.log_g
+        s.log_g
+        assert checks == [s.form] and tails == [s] and form_calls == []
+
+    def test_repeated_decisions_reuse_the_forms(self, form_calls, tail_reads):
         a, b = eo.psi_state(2, DELTA, 2000), eo.psi_state(1, DELTA, 2000)
         first = eo.slocc_decide(a, b)
         assert eo.slocc_decide(a, b).to_dict() == first.to_dict()
-        assert len(form_calls) == 2
+        checks, tails = tail_reads
+        # the full walk reads both stored tails, each computed and checked once
+        assert form_calls == [] and tails == [a, b] and checks == [a.form, b.form]
+
+    def test_a_rebuilt_member_derives_its_form_from_metadata(self, form_calls):
+        s = eo.xi_state(1.37, DELTA, 2000)
+        copy = eo.make_spectrum(s.log_weights, s.log_tail_bound, s.metadata)
+        assert copy.sampled_from is None and copy.form == s.form and form_calls == [copy]
+
+
+def _unsampled(gen):
+    """gen with each member rebuilt from its weights and metadata: its form derived and its tail read, as before."""
+    def rebuilt(r):
+        s = gen(r)
+        return eo.make_spectrum(s.log_weights, s.log_tail_bound, s.metadata)
+    return rebuilt
+
+
+class TestFastPathAgainstTheFullWalk:
+    """Members decided without their tail function give the verdicts of members whose tail is read."""
+
+    @staticmethod
+    def assert_same_estimates(psi, gen, *args, **kwargs):
+        fast = eo.estimate_r_bounds(psi, gen, *args, **kwargs)
+        full = eo.estimate_r_bounds(psi, _unsampled(gen), *args, **kwargs)
+        assert fast.to_dict() == full.to_dict()
+        return fast
+
+    # the estimate-r runs of tools/report_manifest.py, on files written and read as the CLI does
+    @pytest.mark.parametrize("gen_argv, est_args, member_n, window, delta", [
+        (["gen", "psi", "--k", "0", "--n", "10000"], (1.0, 2.0, 3), 2000, None, None),
+        (["gen", "psi", "--k", "1", "--n", "10000"], (0.5, 1.5, 5), 2000, None, None),
+        (["gen", "tmss", "--q", "0.6065306597126334", "--n", "200"], (1.0, 2.0, 5), 2000, None, None),
+        (["gen", "tmss", "--q", "0.6065306597126334", "--n", "200"], (1.0, 2.0, 5), 2000, (0, 40), None),
+        (["gen", "xi", "--r", "1.5"], (1.0, 2.0, 5), 2000, None, None),
+        (["gen", "tmss", "--q", "0.6065306597126334", "--n", "200"], (1.0, 2.0, 5), 2000, None, 1.1),
+        (["gen", "tmss", "--q", "0.6065306597126334", "--n", "200"], (1.0, 1.0, 3), 10000, None, None),
+    ], ids=["psi0", "psi1", "t_d1", "t_d1_w40", "xi", "t_d1_d11", "t_d1_r1"])
+    def test_manifest_inputs(self, tmp_path, gen_argv, est_args, member_n, window, delta):
+        path = tmp_path / "psi.spec"
+        assert cli.run([*gen_argv, "-o", str(path)]) == 0
+        psi = eo.read_spectrum(path)
+        step = psi.metadata["delta"] if delta is None else delta
+        self.assert_same_estimates(psi, lambda r: eo.xi_state(r, step, member_n), *est_args, window=window)
+
+    def test_benchmark_input(self):
+        # the benchmark's target and members, at n = 2000: a squeezed state on the members' grid
+        psi = eo.tmss(math.exp(-0.995 / 2), 2000)
+        step = psi.metadata["delta"]
+        est = self.assert_same_estimates(psi, lambda r: eo.xi_state(r, step, 2000), 1.0, 2.0, 21)
+        assert [v for r, v in est.per_r if 1.0 < r < 2.0] == [Verdict.Incomparable] * 19
 
 
 class TestEstimateRBounds:

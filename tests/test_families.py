@@ -235,6 +235,33 @@ class TestFindOffset:
         with pytest.raises(OffsetNotFound):
             eo.find_offset(1, 400.0, 0.01, horizon=1001.0)
 
+    # offsets found when every cell up to the last candidate's window end was proven before the walk
+    @pytest.mark.parametrize("r, horizon, offset", [
+        (50.0, 1.0, 1.01), (50.0, 10.0, 20.400000000000002), (50.0, 100.0, 115.05),
+        (100.0, 1.0, 1.01), (100.0, 10.0, 33.18), (100.0, 100.0, 115.47),
+    ])
+    def test_large_r_offsets_with_cells_proven_as_the_walk_goes(self, monkeypatch, r, horizon, offset):
+        ranges = []
+        real = families._proven_cells
+        monkeypatch.setattr(families, "_proven_cells", lambda *a: ranges.append(a[-2:]) or real(*a))
+        assert eo.find_offset(1, r, 0.01, horizon) == offset
+        W = math.ceil(horizon / 0.01)
+        assert full_scan(1, r, 0.0, 0.01, 101, 10**6, W, 0.0) * 0.01 == offset
+        # the first range ends at the first candidate's window end, and the walk past it
+        # proves the rest of the range in one more call
+        assert ranges[0] == (101, 101 + W + 1)
+        assert len(ranges) == (1 if offset == 1.01 else 2)
+        assert ranges[1:] in ([], [(101 + W + 1, min(families._cut_index(1, r, 0.0, 0.0, 0.01), 10**6 + W + 1))])
+
+    @pytest.mark.parametrize("r", [1.0, 1.5, 2.0])
+    def test_members_cut_below_the_first_window_end_prove_cells_once(self, monkeypatch, r):
+        # estimate-r's members: y* lies inside the first candidate's window, so one range holds every cell
+        ranges = []
+        real = families._proven_cells
+        monkeypatch.setattr(families, "_proven_cells", lambda *a: ranges.append(a[-2:]) or real(*a))
+        eo.find_offset(1, r, 0.01, 1.0 * 10_001)
+        assert len(ranges) == 1 and ranges[0][1] == families._cut_index(1, r, 0.0, 0.0, 0.01)
+
 
 def brute_force_offset(k, r, g, horizon, margin, a_max):
     """find_offset by definition: test each candidate's whole window in turn."""
@@ -727,6 +754,34 @@ class TestDiscretize:
         with pytest.raises(ConditionViolated):
             eo.discretize(eo.AnalyticForm(4, 1.0, 2.0, 1.0), 100)
 
+    def test_weights_that_jitter_are_refused_before_the_constructor(self):
+        # at delta 1e-9 the sampled weights rise by more than ORDER_LOG_TOL: a condition of
+        # the sampled curve (exit 3), not an invalid input
+        with pytest.raises(ConditionViolated, match=r"delta 1e-09 and n 2000 increase at index 1 by more than 1e-12"):
+            eo.xi_state(1.5, 1e-9, 2000)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        log_delta=st.floats(-9.0, 1.0),
+        n=st.integers(3, 10_000),
+        k=st.integers(1, 4),
+        r=st.floats(0.5, 6.0),
+    )
+    def test_every_sampled_member_passes_its_deferred_check(self, log_delta, n, k, r):
+        try:
+            s = eo.psi_state(k, 10.0**log_delta, n, r=r)
+        except ConditionViolated:  # weights too fine for floats: refused, never sampled
+            return
+        if s.sampled_from is not None:
+            # the check the constructor no longer runs, far inside FORM_RTOL (1.8e-15 measured at most)
+            assert families._tail_residual(s.form, s.log_g) <= 1e-12
+            assert np.all(np.diff(s.log_g) < 0)  # the strict decrease the sampler proved
+
+    def test_a_step_below_float_resolution_keeps_the_constructor_check(self):
+        # steps of 1e-17 are too small for the sampler's bound: the form is derived from metadata
+        s = eo.psi_state(0, 1e-17, 10)
+        assert s.sampled_from is None and s.form == eo.AnalyticForm(0, 1.0, 0.0, 1e-17)
+
     def test_generated_spectra_pass_conditions(self, psi_family):
         for k, s in psi_family.items():
             rep = eo.vidal_conditions(s)
@@ -825,7 +880,10 @@ class TestGridTerms:
     def test_member_and_its_metadata_check_evaluate_ln_p_once(self, family, k, r):
         families._log_p_on_grid.cache_clear()
         s = eo.xi_state(r, DELTA, 2000) if family == "xi" else eo.psi_state(k, DELTA, 2000, r=r)
-        assert s.form is not None  # the metadata check, which reads the sampled ln p_r
+        assert s.form is s.sampled_from  # handed over by the sampler: nothing evaluated
+        info = families._log_p_on_grid.cache_info()
+        assert (info.misses, info.hits) == (1, 0)
+        s.log_g  # the metadata check, run when the stored tail is first read, reads the sampled ln p_r
         info = families._log_p_on_grid.cache_info()
         assert (info.misses, info.hits) == (1, 1)
         self.assert_as_the_closed_form(s, 2000)

@@ -474,10 +474,9 @@ class TestArrayProbe:
         pair = probe_pairs[name]
         if swap:
             pair = PairRatio(pair.b, pair.a)
-        empty = np.arange(0)
         found = 0
         for window in probe_windows(pair):
-            cw = ComparisonWindow(window, empty, empty.astype(float), pair)
+            cw = ComparisonWindow(window, pair, None, None)  # a pair's probe reads no stored window
             for thresholds in PROBE_THRESHOLDS:
                 got = oscillation.probe_pair(cw, thresholds)
                 assert report_bits(got) == report_bits(tuple_probe(cw, thresholds))
@@ -508,7 +507,7 @@ class TestArrayProbe:
         pair = SimpleNamespace(delta=real.delta, max_offset=real.max_offset, offset_gap=real.offset_gap,
                                max_index=real.max_index,
                                values=lambda n: np.where(np.isin(n, holes), np.nan, real.values(n)))
-        cw = ComparisonWindow((0, real.max_index()), np.arange(0), np.zeros(0), pair)
+        cw = ComparisonWindow((0, real.max_index()), pair, None, None)
         for thresholds in PROBE_THRESHOLDS:
             got = oscillation.probe_pair(cw, thresholds)
             assert math.isfinite(got.up_env_gain) and math.isfinite(got.down_env_drop)
@@ -544,6 +543,31 @@ class TestComparisonWindow:
         # a pair with a continuation may look past its stored horizon
         cw = oscillation.comparison_window(psi_family[1], psi_family[0], (0, 10**6))
         assert cw.window == (0, 10**6) and cw.ns[-1] < 2000
+
+    def test_a_pair_with_a_closed_form_reads_its_stored_window_on_demand(self, monkeypatch, tmss_match):
+        member = eo.xi_state(1.5, DELTA, 2000)
+        tails = []
+        real = eo.spectrum.tail_function
+        monkeypatch.setattr(eo.spectrum, "tail_function", lambda s: tails.append(s) or real(s))
+        cw = oscillation.comparison_window(tmss_match, member)
+        assert cw.pair is not None and cw.window == (0, cw.pair.max_index())
+        assert cw.holds(64) and tails == []  # proven from the member's weights
+        horizon = min(eo.safe_horizon(tmss_match), eo.safe_horizon(member))
+        assert tails == [member] and cw.horizon == horizon and cw.ns[-1] == horizon
+        assert np.array_equal(cw.values, tmss_match.log_g[: horizon + 1] - member.log_g[: horizon + 1])
+
+    @pytest.mark.parametrize("pair", ["sampled", "rebuilt", "exact", "tmss"])
+    def test_holds_counts_the_stored_window(self, tmss_match, pair):
+        a = eo.xi_state(2.0, DELTA, 2000)
+        b = {"sampled": eo.xi_state(1.0, DELTA, 300), "rebuilt": eo.make_spectrum(a.log_weights, a.log_tail_bound, a.metadata),
+             "exact": eo.build_spectrum(np.full(100, 0.01)), "tmss": tmss_match}[pair]
+        for window in (None, (0, 10), (0, 63), (0, 200), (100, 163), (250, 400), (1900, 10**6)):
+            for count in (1, 64, 65, 200):
+                try:
+                    size = oscillation.comparison_window(a, b, window).ns.size
+                except TruncationUnsafe:
+                    continue
+                assert oscillation.comparison_window(a, b, window).holds(count) is (size >= count), (window, count)
 
     def test_verify_resolves_the_certificate_window(self):
         a, b = eo.tmss(0.6, 600), eo.tmss(0.4, 600)

@@ -331,6 +331,75 @@ class TestSafeHorizon:
         assert s.log_tail_bound - s.log_g[h + 1] > math.log(1e-6)
 
 
+def _copy(s):
+    """A fresh spectrum of the same weights, tail, metadata and sampled form: nothing computed yet."""
+    return make_spectrum(s.log_weights, s.log_tail_bound, s.metadata, s.sampled_from)
+
+
+def _floor(s):
+    """Largest n whose ln g(n) reaches_horizon proves from the weights alone (-1 if none)."""
+    calls = []
+    real = spectrum.tail_function
+    spectrum.tail_function = lambda x: calls.append(x) or real(x)
+    try:
+        proven = [n for n in range(1, s.length) if spectrum.reaches_horizon(_copy(s), n) and not calls]
+    finally:
+        spectrum.tail_function = real
+    return max(proven, default=-1)
+
+
+class TestReachesHorizon:
+    """reaches_horizon(s, n) is safe_horizon(s) >= n; a sampled member's is read from its weights where they prove it."""
+
+    @staticmethod
+    def spectra():
+        t = eo.tmss(0.6, 500)
+        return {
+            "tmss": t,
+            "formless": make_spectrum(t.log_weights, t.log_tail_bound),
+            "exact": eo.build_spectrum((0.5, 0.3, 0.2)),
+            "xi": eo.xi_state(1.5, 1.0, 2000),
+            "psi3-fine": eo.psi_state(3, 0.002, 2000),  # its tail bound is above e^-13.8: horizon 0
+            "psi3": eo.psi_state(3, 0.01, 4000),
+            "psi2-1e-6": eo.psi_state(2, 1e-6, 300),
+            "psi0-1e-17": eo.psi_state(0, 1e-17, 10),  # no sampled form: its tail is read
+            "tail-above-one": make_spectrum([math.log(1e-10)], 0.5, {"family": "tmss", "q": math.sqrt(1.0 - 1e-10)}),
+        }
+
+    @pytest.mark.parametrize("name", ["tmss", "formless", "exact", "xi", "psi3-fine", "psi3", "psi2-1e-6",
+                                      "psi0-1e-17", "tail-above-one"])
+    def test_equals_the_safe_horizon_test(self, name):
+        s = self.spectra()[name]
+        h = eo.safe_horizon(s)
+        for n in sorted({0, 1, 2, 63, 64, h - 1, h, h + 1, s.length // 2, s.length - 1, s.length, s.length + 1}):
+            assert spectrum.reaches_horizon(_copy(s), n) is (h >= n), n
+
+    @settings(max_examples=40, deadline=None)
+    @given(log_delta=st.floats(-7.0, 1.0), n=st.integers(3, 3000), k=st.integers(0, 4), r=st.floats(0.5, 3.0),
+           at=st.floats(0.0, 1.0))
+    def test_sampled_members_against_their_tail(self, log_delta, n, k, r, at):
+        s = eo.psi_state(k, 10.0**log_delta, n, r=r)
+        h = eo.safe_horizon(s)
+        for m in (int(at * (n + 1)), h, h + 1):
+            assert spectrum.reaches_horizon(_copy(s), m) is (h >= m)
+
+    @pytest.mark.parametrize("name", ["xi", "psi3"])
+    def test_a_sampled_member_is_read_from_its_weights(self, name):
+        s = self.spectra()[name]
+        floor = _floor(s)
+        # proven without the tail over most of the horizon (w_n lies about ln(1 - e^-step) below
+        # ln g(n)), and never past it
+        assert 0.5 * eo.safe_horizon(s) < floor <= eo.safe_horizon(s)
+
+    @given(st.lists(st.floats(-800.0, 5.0), min_size=1, max_size=50), st.floats(-800.0, 5.0))
+    def test_reverse_accumulation_never_falls_below_what_it_adds(self, entries, first):
+        # the property the floor rests on, as tail_function accumulates: backward, in place
+        acc = np.array([*entries, first])[::-1].copy()
+        added = acc.copy()
+        np.logaddexp.accumulate(acc, out=acc)
+        assert np.all(acc >= added) and np.all(acc[1:] >= acc[:-1])
+
+
 def _flat(n, total):
     """n equal log weights summing to total, and the bound the constructor allows their sum."""
     log_weights = np.full(n, math.log(total / n))

@@ -42,7 +42,8 @@ weight, a bad literal or a 0xff byte; psi1_d005.spec, whose tail lies
 above its last weight, relabelled ``#family foo``; t999.spec with
 ``#delta 0.5``, also run through ``estimate-r``; t06.spec given ``#k``
 and ``#offset``, psi2.spec given ``#q``, t06.spec with ``#tail_bound
-400`` and psi2.spec with a last weight ``1e308``; each of these exits 2),
+400``, psi2.spec with a last weight ``1e308`` and psi2.spec with a first
+weight ``400``; each of these exits 2),
 summaries, every ordered pair of the psi ladder, locc/slocc comparisons
 (one of them on a 90,000-point window), a certificate on
 a fine grid (delta 0.002, 3,145-point probe neighbourhoods), one on a
@@ -78,7 +79,8 @@ summarized), and a squeezed pair at q = 0.1 and 0.6 on the window
 the exact rank-500 pair certified, whose tails both reach zero at the
 rank, and squeezed members whose remainder bounds need logs: the step
 1e-17, where exp(-delta) rounds to 1, and the step 1e-310, whose bound
-e^713.8 lies past the float range (summarized).
+e^713.8 lies past the float range (summarized), and a member at the step
+1e-9, whose sampled weights jitter (exit 3).
 Three usage errors follow: ``gen psi --q`` and ``estimate-r
 --family``, options that are gone, and an ``estimate-r`` whose ``--delta``
 lies within ``FORM_RTOL`` of, but not at, the file's step. Last come
@@ -170,6 +172,14 @@ def _formless(lines):
     return "\n".join(line for line in lines if not line.startswith("#") or line.startswith(("#schmidt", "#tail_bound"))) + "\n"
 
 
+def _first_weight(literal):
+    """The file with its first weight line replaced by ``literal``."""
+    def edit(lines):
+        i = next(i for i, line in enumerate(lines) if i and not line.startswith("#"))
+        return "\n".join(lines[:i] + [literal] + lines[i + 1:]) + "\n"
+    return edit
+
+
 def _scaled_delta(factor):
     return lambda lines: "\n".join(
         f"#delta {float(line.split()[1]) * factor!r}" if line.startswith("#delta ") else line for line in lines
@@ -182,7 +192,8 @@ def _scaled_delta(factor):
 # a 0xff byte in the third weight line and keys of another family, each of which it
 # refuses (exit 2); three exact finite-rank states, a grid step moved by 1e-12 relative
 # and a truncated state without a closed form (exit 0); a tail bound of 10^400, past
-# the float range, and a weight literal 1e308, whose ln is (exit 2)
+# the float range, a weight literal 1e308, whose ln is, and a first weight literal 400,
+# whose e^921 no float holds as the weights' sum (exit 2)
 EDITED = {
     "psi2_padded.spec": ("psi2.spec", lambda lines: "\r\n".join(f" \t{line}\t " for line in lines) + "\r\n"),
     "psi2_blank.spec": ("psi2.spec", lambda lines: "\n".join(lines[:10] + [""] + lines[10:]) + "\n"),
@@ -200,6 +211,7 @@ EDITED = {
     "t06_formless.spec": ("t06.spec", _formless),
     "t06_tail_bound400.spec": ("t06.spec", _replace_line("#tail_bound ", "#tail_bound 400")),
     "psi2_1e308.spec": ("psi2.spec", lambda lines: "\n".join(lines + ["1e308"]) + "\n"),
+    "psi2_w400.spec": ("psi2.spec", _first_weight("400")),
 }
 
 INSPECTED = ["psi0", "psi2", "xi", "t06", "t999", "xi_n50k"]
@@ -283,6 +295,8 @@ def commands():
     out.append(("info_psi0_d1e17.json", ["info", "psi0_d1e17.spec"]))
     out.append(("psi0_d1e310.spec", ["gen", "psi", "--k", "0", "--delta", "1e-310", "--n", "10"]))
     out.append(("info_psi0_d1e310.json", ["info", "psi0_d1e310.spec"]))
+    # weights sampled at a step so fine that they jitter: a condition of the curve (exit 3)
+    out.append(("xi_d1e9.spec", ["gen", "xi", "--r", "1.5", "--delta", "1e-9", "--n", "2000"]))
     # usage errors (exit 1): options that gave a second way to a grid step or a family,
     # and a --delta within FORM_RTOL of the file's own step
     out.append(("psi1_q06.spec", ["gen", "psi", "--k", "1", "--q", "0.6", "--n", "200"]))
