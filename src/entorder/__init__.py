@@ -19,6 +19,7 @@ from .errors import (
     QOutOfRange,
     TruncationUnsafe,
     ValidationError,
+    WeightsIncrease,
     WindowTooSmall,
 )
 from .spectrum import (

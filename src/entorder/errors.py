@@ -21,6 +21,17 @@ class NotNormalized(ValidationError):
     """Weights (plus any certified tail) do not sum to one."""
 
 
+class WeightsIncrease(ValidationError):
+    """A log weight exceeds the one before it by more than the tie tolerance.
+
+    Carries the index of the first such step.
+    """
+
+    def __init__(self, message, index):
+        self.index = index
+        super().__init__(message)
+
+
 class ParseError(EntOrderError):
     """A spectrum file could not be parsed.
 

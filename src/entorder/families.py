@@ -23,7 +23,7 @@ and ``analytic_form`` (read as ``s.form``) rebuilds it from a spectrum's
 metadata to continue the tail past the stored horizon.
 
 A member just sampled hands its spectrum the form it came from
-(``sampled_from``), wherever its sampler shows that the spectrum's tail
+(``_sampled_from``), wherever its sampler shows that the spectrum's tail
 function strictly decreases: ``s.form`` then re-derives nothing, and the
 metadata check (:func:`check_reproduced`) runs once, when the stored tail
 is first read. An ``estimate-r`` member that its exponents decide reads
@@ -55,6 +55,7 @@ from .errors import (
     ParameterError,
     QOutOfRange,
     ValidationError,
+    WeightsIncrease,
 )
 from .numutil import FLOAT_MAX, NEG_INF, log1mexp, run_starts
 from .spectrum import ORDER_LOG_TOL, SchmidtSpectrum, _sum_bound, make_spectrum
@@ -459,21 +460,6 @@ MAX_SCAN_POINTS = 10**9
 EVAL_BLOCK = 6144
 
 
-def _unproven_runs(k, r, margin, base, step, lo, hi):
-    """The runs [start, stop) of lattice indices in [lo, hi) that no cell of :func:`_proven_cells` holds.
-
-    A range of one index, or of more than 2**53 (past which float indices
-    are not exact), tries no cell.
-    """
-    if not 1 < hi - lo <= 2**53:
-        return [(lo, hi)] if lo < hi else []
-    a, b = _proven_cells(k, r, margin, base, step, lo, hi)
-    # the lattice left between proven cells, which may share an end point: no run there
-    starts, stops = np.append(lo, b + 1), np.append(a, hi)
-    left = starts < stops
-    return list(zip(starts[left].tolist(), stops[left].tolist()))
-
-
 @np.errstate(over="ignore", invalid="ignore")  # an overflow shows as NaN, which is not clean
 def _first_clean(k, r, base, step, first, last, W, margin):
     """Smallest j in [first, last] whose window base + i*step, i = j..j+W, is clean.
@@ -482,20 +468,20 @@ def _first_clean(k, r, base, step, first, last, W, margin):
     condition is not clean (None if no j is). Points at or past
     :func:`_y_star` are proven clean in closed form, and so are the points
     below it that a cell of :func:`_proven_cells` holds; neither is
-    evaluated. Cells are proven up to the first candidate's window end,
-    and past it only once the walk passes it, then up to the cut in one
-    more call: a call costs about as much as its cells, plus a fixed part
-    that more, smaller ranges would pay again. A range of more than
-    ``MAX_SCAN_POINTS`` indices, the only kind that can leave more points
-    than that to evaluate, is proven whole first, and more than
-    ``MAX_SCAN_POINTS`` points left raise ValueError before any is
-    evaluated. The points left are walked once, in blocks of at most
+    evaluated. More than ``MAX_SCAN_POINTS`` points left to evaluate raise
+    ValueError before any is (a range of more than 2**53 indices tries no
+    cell). The points left are walked once, in blocks of at most
     ``EVAL_BLOCK``: a failing point at index i rules out every candidate
     up to i.
     """
     end = min(_cut_index(k, r, margin, base, step), last + W + 1)
-    proven_to = end if end - first > MAX_SCAN_POINTS else min(end, first + W + 1)
-    runs = _unproven_runs(k, r, margin, base, step, first, proven_to)
+    runs = [(first, end)] if first < end else []
+    if 1 < end - first <= 2**53:  # past 2**53 float indices are not exact, and no cell is tried
+        a, b = _proven_cells(k, r, margin, base, step, first, end)
+        # the lattice left between proven cells, which may share an end point: no run there
+        starts, stops = np.append(first, b + 1), np.append(a, end)
+        left = starts < stops
+        runs = list(zip(starts[left].tolist(), stops[left].tolist()))
     most = sum(stop - i for i, stop in runs)
     if most > MAX_SCAN_POINTS:
         y = _y_star(k, r, margin)
@@ -504,25 +490,20 @@ def _first_clean(k, r, base, step, first, last, W, margin):
         raise ValueError(
             f"the condition scan may evaluate {most:.3g} lattice points, more than {MAX_SCAN_POINTS:.0e}{why}")
     j = first  # every point from j up to the walk's position is clean
-    while True:
-        for i, run_end in runs:
-            while i < run_end:
-                if i > j + W:  # j..j+W are clean: evaluated or proven
-                    return j
-                stop = min(i + EVAL_BLOCK, run_end, j + W + 1)
-                idx = np.arange(i, stop, dtype=float)
-                p, M, C = _profile_conditions(k, r, base + idx * step)
-                bad = np.flatnonzero(~((p > 0) & (M > margin) & (C >= 0.0)))
-                if bad.size:
-                    j = i + int(bad[-1]) + 1
-                    if j > last:
-                        return None
-                i = stop
-        # every point from j to proven_to is clean, and from the cut on every point is proven
-        if proven_to == end or j + W < proven_to:
-            return j if j <= last else None
-        runs = _unproven_runs(k, r, margin, base, step, proven_to, end)
-        proven_to = end
+    for i, run_end in runs:
+        while i < run_end:
+            if i > j + W:  # j..j+W are clean: evaluated or proven
+                return j
+            stop = min(i + EVAL_BLOCK, run_end, j + W + 1)
+            idx = np.arange(i, stop, dtype=float)
+            p, M, C = _profile_conditions(k, r, base + idx * step)
+            bad = np.flatnonzero(~((p > 0) & (M > margin) & (C >= 0.0)))
+            if bad.size:
+                j = i + int(bad[-1]) + 1
+                if j > last:
+                    return None
+            i = stop
+    return j if j <= last else None
 
 
 def _check_search(grid_step, horizon, margin):
@@ -610,10 +591,10 @@ def _sample(form: AnalyticForm, n: int, family: str) -> SchmidtSpectrum:
     """The spectrum of :func:`discretize`, for a member already checked on its grid.
 
     Sampled weights that rise by more than ``ORDER_LOG_TOL`` (a step so
-    fine that their float values jitter) raise :class:`ConditionViolated`
-    naming delta and n, before the constructor sees them.
+    fine that their float values jitter), which the constructor refuses,
+    raise :class:`ConditionViolated` naming delta and n.
 
-    The spectrum is handed ``form`` (``sampled_from``) where the steps of
+    The spectrum is handed ``form`` (``_sampled_from``) where the steps of
     the sampled ln g, L, all exceed 8 :func:`~entorder.spectrum._sum_bound`
     (n + 64, R), R = 1 + max |w_i|, |L_n|: then the tail function the
     spectrum computes from its weights strictly decreases, so deferring
@@ -643,12 +624,6 @@ def _sample(form: AnalyticForm, n: int, family: str) -> SchmidtSpectrum:
         raise ConditionViolated("sampled tail function is not strictly decreasing")
     log_weights = log1mexp(diffs)
     log_weights += log_g[:-1]
-    rises = np.diff(log_weights) > ORDER_LOG_TOL
-    if rises.any():
-        raise ConditionViolated(
-            f"weights sampled at delta {form.delta!r} and n {n} increase at index {int(np.argmax(rises))} "
-            f"by more than {ORDER_LOG_TOL}: the step is too fine for float weights"
-        )
     metadata = {
         "family": family,
         "k": form.k,
@@ -658,7 +633,13 @@ def _sample(form: AnalyticForm, n: int, family: str) -> SchmidtSpectrum:
     }
     reach = 1.0 - min(float(log_weights.min()), float(log_g[-1]))  # every w_i and L_i is <= 0
     decreases = -float(diffs.max()) > 8.0 * _sum_bound(n + 64, reach)
-    return make_spectrum(log_weights, float(log_g[-1]), metadata, form if decreases else None)
+    try:
+        return SchmidtSpectrum(log_weights, float(log_g[-1]), metadata, _sampled_from=form if decreases else None)
+    except WeightsIncrease as err:
+        raise ConditionViolated(
+            f"weights sampled at delta {form.delta!r} and n {n} increase at index {err.index} "
+            f"by more than {ORDER_LOG_TOL}: the step is too fine for float weights"
+        ) from None
 
 
 def tmss(q: float, n: int = 1000) -> SchmidtSpectrum:
@@ -766,7 +747,14 @@ def analytic_form(s: SchmidtSpectrum) -> AnalyticForm | None:
     :class:`ValidationError` is raised. Past the stored range the named
     family is assumed, not checked. Callers read the memoised ``s.form``.
     """
-    meta = s.metadata
+    form = metadata_form(s.metadata)
+    if form is not None:
+        check_reproduced(form, s.metadata["family"], s.log_g)
+    return form
+
+
+def metadata_form(meta: dict) -> AnalyticForm | None:
+    """The form ``meta`` names, unchecked against any stored tail; see :func:`analytic_form`."""
     family = meta.get("family")
     stray = [key for key in _UNUSED_KEYS.get(family, ()) if key in meta]
     if stray:
@@ -785,7 +773,6 @@ def analytic_form(s: SchmidtSpectrum) -> AnalyticForm | None:
             return None
     else:
         return None
-    check_reproduced(form, family, s.log_g)
     return form
 
 

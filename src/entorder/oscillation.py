@@ -143,29 +143,33 @@ class OscillationCertificate:
 class ComparisonWindow:
     """A pair resolved once: its window and oscillating closed form (or None), with its stored ratio on demand.
 
-    ``ns`` is the window clipped to both :func:`safe_horizon` (``horizon``)
-    and ``values`` the stored ell(n) = ln g_a(n) - ln g_b(n) there; ``-inf``
+    ``ns`` is the window clipped to both :func:`safe_horizon` and
+    ``values`` the stored ell(n) = ln g_a(n) - ln g_b(n) there; ``-inf``
     where only g_a is zero, ``+inf`` where only g_b is (NaN where both
     are). Each is computed when first read, so a verdict the closed form
-    settles reads no stored tail.
+    settles reads no stored tail. ``horizon`` is the lesser safe horizon
+    where it is already known (None otherwise: the first read of ``ns`` or
+    ``values`` computes it).
     """
 
     window: tuple
     pair: PairRatio | None
     a: SchmidtSpectrum | None
     b: SchmidtSpectrum | None
+    horizon: int | None = None
 
     @cached_property
-    def horizon(self) -> int:
-        return min(safe_horizon(self.a), safe_horizon(self.b))
+    def _stop(self) -> int:
+        horizon = min(safe_horizon(self.a), safe_horizon(self.b)) if self.horizon is None else self.horizon
+        return min(self.window[1], horizon) + 1
 
     @cached_property
     def ns(self) -> np.ndarray:
-        return np.arange(self.window[0], min(self.window[1], self.horizon) + 1)
+        return np.arange(self.window[0], self._stop)
 
     @cached_property
     def values(self) -> np.ndarray:
-        n_min, stop = self.window[0], min(self.window[1], self.horizon) + 1
+        n_min, stop = self.window[0], self._stop
         with np.errstate(invalid="ignore"):  # -inf - -inf = NaN where both exact states have ended
             return self.a.log_g[n_min:stop] - self.b.log_g[n_min:stop]
 
@@ -201,7 +205,7 @@ def comparison_window(a: SchmidtSpectrum, b: SchmidtSpectrum, window=None) -> Co
             f"window end {n_max} beyond the truncation-safe horizon {horizon} "
             "and the pair has no analytic continuation"
         )
-    return ComparisonWindow((n_min, n_max), pair, a, b)
+    return ComparisonWindow((n_min, n_max), pair, a, b, horizon)
 
 
 def trend_flags(values, thresholds: TrendThresholds) -> TrendFlags:

@@ -14,10 +14,11 @@ one. It holds three of Vidal's four tail-function conditions
 reports those as ok and computes only positivity. Family metadata is
 trusted only through ``s.form``, which checks it once per spectrum. A
 member :mod:`entorder.families` has just sampled carries the form it was
-sampled from instead (``sampled_from``): ``s.form`` returns it, and its
-metadata check runs once, when ``s.log_g`` is first computed, so no
-stored tail is read unchecked. :func:`reaches_horizon` bounds such a
-member's safe horizon from its stored weights without computing its tail.
+sampled from instead (the private ``_sampled_from``, which must match its
+metadata): ``s.form`` returns it, and its check against the stored tail
+runs once, when ``s.log_g`` is first computed, so no stored tail is read
+unchecked. :func:`reaches_horizon` bounds such a member's safe horizon
+from its stored weights without computing its tail.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import NonPositive, NotNormalized, ValidationError
+from .errors import NonPositive, NotNormalized, ValidationError, WeightsIncrease
 from .numutil import LN2, LOG_FLOAT_MAX, NEG_INF, logsumexp
 
 #: relative tolerance for the normalization of a spectrum
@@ -57,18 +58,20 @@ class SchmidtSpectrum:
     metadata:
         Provenance of analytic families (``family``, ``q``, ``r``, ``k``,
         ``delta``, ``offset``). Free of derived quantities.
-    sampled_from:
-        The :class:`~entorder.families.AnalyticForm` the weights were just
-        sampled from, given only where its sampler has shown that
-        :func:`tail_function` strictly decreases; None otherwise. ``form``
-        returns it, and the metadata check against the stored tail runs
-        when ``log_g`` is first computed.
+
+    The keyword-only ``_sampled_from`` is set by the sampler of
+    :mod:`entorder.families` alone: the
+    :class:`~entorder.families.AnalyticForm` the weights were just sampled
+    from, given only where it has shown that :func:`tail_function` strictly
+    decreases (None otherwise). It must be the form the metadata names.
+    ``form`` returns it, and the check against the stored tail runs when
+    ``log_g`` is first computed.
     """
 
     log_weights: np.ndarray
     log_tail_bound: float = NEG_INF
     metadata: dict = field(default_factory=dict)
-    sampled_from: object = field(default=None, repr=False)
+    _sampled_from: object = field(default=None, repr=False, kw_only=True)
 
     def __post_init__(self):
         """Refuse weights that are not finite, nonincreasing (to ``ORDER_LOG_TOL``) and normalized.
@@ -81,7 +84,8 @@ class SchmidtSpectrum:
         larger than it, so it is accepted only when the metadata names a
         closed form that reproduces the stored tail (``s.form``; a form the
         weights were sampled from is checked when the tail is first read);
-        that form then continues the tail past the cut.
+        that form then continues the tail past the cut. A form the weights
+        were sampled from that the metadata does not name is refused.
         """
         lw = np.asarray(self.log_weights, dtype=float).copy()
         lw.setflags(write=False)
@@ -93,12 +97,10 @@ class SchmidtSpectrum:
             raise ValidationError("spectrum must contain at least one weight")
         if not np.all(np.isfinite(lw)):
             raise NonPositive("all weights must be strictly positive and finite")
-        diffs = np.diff(lw)
-        if np.any(diffs > ORDER_LOG_TOL):
-            bad = int(np.argmax(diffs > ORDER_LOG_TOL))
-            raise ValidationError(
-                f"log weights increase at index {bad} by more than {ORDER_LOG_TOL}"
-            )
+        rises = np.diff(lw) > ORDER_LOG_TOL
+        if rises.any():
+            bad = int(np.argmax(rises))
+            raise WeightsIncrease(f"log weights increase at index {bad} by more than {ORDER_LOG_TOL}", bad)
         if not (log_tail == NEG_INF or math.isfinite(log_tail)):
             raise ValidationError("tail bound must be finite or exactly zero (-inf log)")
         if log_tail > LOG_FLOAT_MAX:  # no float holds the bound: the sums below would overflow
@@ -114,6 +116,11 @@ class SchmidtSpectrum:
                 f"stored weights sum to {total!r} with tail bound {tail!r}; "
                 f"residual {resid!r} exceeds {NORMALIZATION_RTOL}"
             )
+        if self._sampled_from is not None:
+            from .families import metadata_form  # deferred: families imports us
+
+            if metadata_form(self.metadata) != self._sampled_from:
+                raise ValidationError("the form the weights were sampled from is not the one the metadata names")
         if not log_tail < lw[-1] and self.form is None:
             raise ValidationError(
                 "tail bound is not below the last stored weight; refine the "
@@ -140,13 +147,13 @@ class SchmidtSpectrum:
 
         The last entry is the certified tail bound at the cut (``-inf``
         for exact states). See :func:`tail_function`. A spectrum with
-        ``sampled_from`` runs its metadata check on it here, once.
+        ``_sampled_from`` runs its metadata check on it here, once.
         """
         log_g = tail_function(self)
-        if self.sampled_from is not None:
+        if self._sampled_from is not None:
             from .families import check_reproduced  # deferred: families imports us
 
-            check_reproduced(self.sampled_from, self.metadata.get("family"), log_g)
+            check_reproduced(self._sampled_from, self.metadata.get("family"), log_g)
         return log_g
 
     @cached_property
@@ -158,10 +165,10 @@ class SchmidtSpectrum:
     def form(self):
         """Closed form the metadata names, checked once: :func:`entorder.families.analytic_form`.
 
-        A spectrum with ``sampled_from`` returns that form, checked when ``log_g`` is computed.
+        A spectrum with ``_sampled_from`` returns that form, checked when ``log_g`` is computed.
         """
-        if self.sampled_from is not None:
-            return self.sampled_from
+        if self._sampled_from is not None:
+            return self._sampled_from
         from .families import analytic_form  # deferred: families imports us
 
         return analytic_form(self)
@@ -249,9 +256,9 @@ def _bounded_normalization(log_weights, log_tail_bound):
     return None if undecided else True
 
 
-def make_spectrum(log_weights, log_tail_bound=NEG_INF, metadata=None, sampled_from=None) -> SchmidtSpectrum:
+def make_spectrum(log_weights, log_tail_bound=NEG_INF, metadata=None) -> SchmidtSpectrum:
     """Build a spectrum from natural-log weights; its constructor checks every invariant."""
-    return SchmidtSpectrum(log_weights, log_tail_bound, metadata or {}, sampled_from)
+    return SchmidtSpectrum(log_weights, log_tail_bound, metadata or {})
 
 
 def build_spectrum(weights) -> SchmidtSpectrum:
@@ -363,7 +370,7 @@ def _horizon_limit(s):
 def reaches_horizon(s: SchmidtSpectrum, n: int) -> bool:
     """True when ``safe_horizon(s) >= n``; read from the stored weights where they prove it.
 
-    For a spectrum with ``sampled_from`` (whose tail function is shown to
+    For a spectrum with ``_sampled_from`` (whose tail function is shown to
     decrease strictly) ln g(n) is bounded below from the weights. In floats
     the reverse ``logaddexp`` accumulation of :func:`tail_function` never
     falls below an entry it adds (it returns the larger entry plus
@@ -386,7 +393,7 @@ def reaches_horizon(s: SchmidtSpectrum, n: int) -> bool:
     if s.is_exact:
         return True
     limit = _horizon_limit(s)
-    if s.sampled_from is not None and n < s.length:
+    if s._sampled_from is not None and n < s.length:
         reach = max(abs(s.log_tail_bound), abs(float(s.log_weights[0]))) + 2.0
         s0 = float(np.logaddexp(math.log1p(NORMALIZATION_RTOL), s.log_tail_bound))
         if s.log_weights[n] - (s0 + 4.0 * _sum_bound(s.length + 1, reach)) >= limit:

@@ -440,14 +440,14 @@ class TestFormOncePerSpectrum:
                              1.0, 2.0, 21)
         checks, tails = tail_reads
         assert form_calls == [psi]  # each member carries the form it was sampled from
-        assert len(members) == 21 and all(m.sampled_from is not None for m in members)
+        assert len(members) == 21 and all(m._sampled_from is not None for m in members)
         # the exponents decide every member: no member's tail is computed, so none is checked
         assert tails == [psi] and checks == [psi.form]
 
     def test_sampled_member_is_checked_once_when_its_tail_is_first_read(self, form_calls, tail_reads):
         s = eo.xi_state(1.37, DELTA, 2000)
         checks, tails = tail_reads
-        assert s.form is s.sampled_from and checks == [] and tails == []
+        assert s.form is s._sampled_from and checks == [] and tails == []
         s.log_g
         s.log_g
         assert checks == [s.form] and tails == [s] and form_calls == []
@@ -463,7 +463,7 @@ class TestFormOncePerSpectrum:
     def test_a_rebuilt_member_derives_its_form_from_metadata(self, form_calls):
         s = eo.xi_state(1.37, DELTA, 2000)
         copy = eo.make_spectrum(s.log_weights, s.log_tail_bound, s.metadata)
-        assert copy.sampled_from is None and copy.form == s.form and form_calls == [copy]
+        assert copy._sampled_from is None and copy.form == s.form and form_calls == [copy]
 
 
 def _unsampled(gen):

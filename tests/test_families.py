@@ -235,27 +235,24 @@ class TestFindOffset:
         with pytest.raises(OffsetNotFound):
             eo.find_offset(1, 400.0, 0.01, horizon=1001.0)
 
-    # offsets found when every cell up to the last candidate's window end was proven before the walk
+    # offsets found when every cell up to the last candidate's window end is proven before the walk
     @pytest.mark.parametrize("r, horizon, offset", [
         (50.0, 1.0, 1.01), (50.0, 10.0, 20.400000000000002), (50.0, 100.0, 115.05),
         (100.0, 1.0, 1.01), (100.0, 10.0, 33.18), (100.0, 100.0, 115.47),
     ])
-    def test_large_r_offsets_with_cells_proven_as_the_walk_goes(self, monkeypatch, r, horizon, offset):
+    def test_large_r_offsets_equal_the_plain_walk(self, monkeypatch, r, horizon, offset):
         ranges = []
         real = families._proven_cells
         monkeypatch.setattr(families, "_proven_cells", lambda *a: ranges.append(a[-2:]) or real(*a))
         assert eo.find_offset(1, r, 0.01, horizon) == offset
         W = math.ceil(horizon / 0.01)
         assert full_scan(1, r, 0.0, 0.01, 101, 10**6, W, 0.0) * 0.01 == offset
-        # the first range ends at the first candidate's window end, and the walk past it
-        # proves the rest of the range in one more call
-        assert ranges[0] == (101, 101 + W + 1)
-        assert len(ranges) == (1 if offset == 1.01 else 2)
-        assert ranges[1:] in ([], [(101 + W + 1, min(families._cut_index(1, r, 0.0, 0.0, 0.01), 10**6 + W + 1))])
+        # one range, up to the cut or the last candidate's window end
+        assert ranges == [(101, min(families._cut_index(1, r, 0.0, 0.0, 0.01), 10**6 + W + 1))]
 
     @pytest.mark.parametrize("r", [1.0, 1.5, 2.0])
-    def test_members_cut_below_the_first_window_end_prove_cells_once(self, monkeypatch, r):
-        # estimate-r's members: y* lies inside the first candidate's window, so one range holds every cell
+    def test_members_cut_inside_the_first_window_prove_cells_once(self, monkeypatch, r):
+        # estimate-r's members: y* lies inside the first candidate's window
         ranges = []
         real = families._proven_cells
         monkeypatch.setattr(families, "_proven_cells", lambda *a: ranges.append(a[-2:]) or real(*a))
@@ -772,7 +769,7 @@ class TestDiscretize:
             s = eo.psi_state(k, 10.0**log_delta, n, r=r)
         except ConditionViolated:  # weights too fine for floats: refused, never sampled
             return
-        if s.sampled_from is not None:
+        if s._sampled_from is not None:
             # the check the constructor no longer runs, far inside FORM_RTOL (1.8e-15 measured at most)
             assert families._tail_residual(s.form, s.log_g) <= 1e-12
             assert np.all(np.diff(s.log_g) < 0)  # the strict decrease the sampler proved
@@ -780,7 +777,7 @@ class TestDiscretize:
     def test_a_step_below_float_resolution_keeps_the_constructor_check(self):
         # steps of 1e-17 are too small for the sampler's bound: the form is derived from metadata
         s = eo.psi_state(0, 1e-17, 10)
-        assert s.sampled_from is None and s.form == eo.AnalyticForm(0, 1.0, 0.0, 1e-17)
+        assert s._sampled_from is None and s.form == eo.AnalyticForm(0, 1.0, 0.0, 1e-17)
 
     def test_generated_spectra_pass_conditions(self, psi_family):
         for k, s in psi_family.items():
@@ -880,7 +877,7 @@ class TestGridTerms:
     def test_member_and_its_metadata_check_evaluate_ln_p_once(self, family, k, r):
         families._log_p_on_grid.cache_clear()
         s = eo.xi_state(r, DELTA, 2000) if family == "xi" else eo.psi_state(k, DELTA, 2000, r=r)
-        assert s.form is s.sampled_from  # handed over by the sampler: nothing evaluated
+        assert s.form is s._sampled_from  # handed over by the sampler: nothing evaluated
         info = families._log_p_on_grid.cache_info()
         assert (info.misses, info.hits) == (1, 0)
         s.log_g  # the metadata check, run when the stored tail is first read, reads the sampled ln p_r

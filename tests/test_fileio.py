@@ -8,7 +8,7 @@ from hypothesis import example, given, strategies as st
 
 import entorder as eo
 from entorder import fileio
-from entorder.errors import EntOrderError, NonPositive, ParseError, ValidationError
+from entorder.errors import EntOrderError, NonPositive, ParseError, ValidationError, WeightsIncrease
 from entorder.fileio import HEADER, META_KEYS, _log10_exact, emit_report
 from entorder.numutil import LN10, NEG_INF
 from entorder.spectrum import make_spectrum
@@ -224,12 +224,12 @@ READER_EDITS = {
     # float() keeps \x1f where str.strip() removes it
     "unit_separator": (_weight_lines(lambda line: f"\x1f{line}\x1f"), False, None),
     # the edge of the numpy parse: a sign it reads, and literals it leaves to the lines
-    "plus_sign": (_append("+1.5"), True, ValidationError),
+    "plus_sign": (_append("+1.5"), True, WeightsIncrease),
     "two_points": (_append("1.2.3"), False, ParseError),
     "bare_exponent": (_append("1e"), False, ParseError),
     "lone_minus": (_append("-"), False, ParseError),
     "two_values": (_append("-5 -6"), False, ParseError),  # numpy would read two
-    "underscore_ten": (_append("1_0"), False, ValidationError),
+    "underscore_ten": (_append("1_0"), False, WeightsIncrease),
     "inf": (_append("inf"), False, NonPositive),
     "nan": (_append("nan"), False, NonPositive),
 }

@@ -13,7 +13,7 @@ from entorder.cli import run
 from entorder.errors import EntOrderError, NonPositive, NotNormalized, ValidationError
 from entorder.numutil import LOG_FLOAT_MAX, NEG_INF, log1mexp
 from entorder import spectrum
-from entorder.spectrum import ORDER_LOG_TOL, make_spectrum
+from entorder.spectrum import ORDER_LOG_TOL, SchmidtSpectrum, make_spectrum
 
 weights_lists = st.lists(
     st.floats(min_value=1e-6, max_value=1.0), min_size=1, max_size=12
@@ -331,9 +331,47 @@ class TestSafeHorizon:
         assert s.log_tail_bound - s.log_g[h + 1] > math.log(1e-6)
 
 
+class TestSampledForm:
+    """The form a member was sampled from is handed over privately, and only as the form its metadata names."""
+
+    def test_the_named_form_is_kept_unchecked_until_the_tail_is_read(self, monkeypatch):
+        s = eo.xi_state(1.5, 1.0, 500)
+        checks = []
+        monkeypatch.setattr(eo.families, "_tail_residual", lambda f, g: checks.append(f) or 0.0)
+        copy = SchmidtSpectrum(s.log_weights, s.log_tail_bound, s.metadata, _sampled_from=s.form)
+        assert copy.form is s.form and checks == []
+        copy.log_g
+        assert checks == [s.form]
+
+    @pytest.mark.parametrize("change", [
+        {"k": 2}, {"r": 1.5 + 1e-15}, {"delta": 1.0 + 1e-15}, {"offset": 0.0}, {"family": "tmss"}, {"family": None},
+    ])
+    def test_a_form_the_metadata_does_not_name_is_refused(self, change):
+        s = eo.xi_state(1.5, 1.0, 500)
+        meta = {**s.metadata, **change}
+        if meta["family"] == "tmss":  # a tmss file names no k, r or offset
+            meta = {"family": "tmss", "q": math.exp(-0.5), "delta": 1.0}
+        with pytest.raises(ValidationError, match="not the one the metadata names"):
+            SchmidtSpectrum(s.log_weights, s.log_tail_bound, meta, _sampled_from=s.form)
+
+    @pytest.mark.parametrize("form", ["xi", (1, 1.5, 1.0), eo.AnalyticForm(1, 1.5, 2.0, 1.0)])
+    def test_anything_but_the_named_form_is_refused(self, form):
+        s = eo.xi_state(1.5, 1.0, 500)
+        with pytest.raises(ValidationError, match="not the one the metadata names"):
+            SchmidtSpectrum(s.log_weights, s.log_tail_bound, s.metadata, _sampled_from=form)
+
+    def test_make_spectrum_takes_no_form(self):
+        s = eo.xi_state(1.5, 1.0, 500)
+        with pytest.raises(TypeError):
+            make_spectrum(s.log_weights, s.log_tail_bound, s.metadata, s.form)
+        with pytest.raises(TypeError):  # keyword-only
+            SchmidtSpectrum(s.log_weights, s.log_tail_bound, s.metadata, s.form)
+        assert make_spectrum(s.log_weights, s.log_tail_bound, s.metadata)._sampled_from is None
+
+
 def _copy(s):
     """A fresh spectrum of the same weights, tail, metadata and sampled form: nothing computed yet."""
-    return make_spectrum(s.log_weights, s.log_tail_bound, s.metadata, s.sampled_from)
+    return SchmidtSpectrum(s.log_weights, s.log_tail_bound, s.metadata, _sampled_from=s._sampled_from)
 
 
 def _floor(s):
