@@ -751,7 +751,7 @@ class TestDiscretize:
         with pytest.raises(ConditionViolated):
             eo.discretize(eo.AnalyticForm(4, 1.0, 2.0, 1.0), 100)
 
-    def test_weights_that_jitter_are_refused_before_the_constructor(self):
+    def test_weights_that_jitter_are_a_condition_of_the_curve(self):
         # at delta 1e-9 the sampled weights rise by more than ORDER_LOG_TOL: a condition of
         # the sampled curve (exit 3), not an invalid input
         with pytest.raises(ConditionViolated, match=r"delta 1e-09 and n 2000 increase at index 1 by more than 1e-12"):

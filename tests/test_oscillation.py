@@ -556,6 +556,15 @@ class TestComparisonWindow:
         assert tails == [member] and cw.horizon is None and cw.ns[-1] == horizon
         assert np.array_equal(cw.values, tmss_match.log_g[: horizon + 1] - member.log_g[: horizon + 1])
 
+    def test_a_pair_without_a_closed_form_computes_its_horizon_once(self, monkeypatch):
+        a, b = eo.tmss(0.6, 600), eo.tmss(0.4, 600)
+        calls = []
+        real = oscillation.safe_horizon
+        monkeypatch.setattr(oscillation, "safe_horizon", lambda s: calls.append(s) or real(s))
+        cw = oscillation.comparison_window(a, b)
+        assert cw.pair is None and calls == [a, b] and cw.horizon == cw.window[1]
+        assert cw.ns[-1] == cw.horizon and cw.values.size == cw.horizon + 1 and calls == [a, b]
+
     @pytest.mark.parametrize("pair", ["sampled", "rebuilt", "exact", "tmss"])
     def test_holds_counts_the_stored_window(self, tmss_match, pair):
         a = eo.xi_state(2.0, DELTA, 2000)
