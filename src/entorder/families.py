@@ -29,6 +29,17 @@ metadata check (:func:`check_reproduced`) runs once, when the stored tail
 is first read. An ``estimate-r`` member that its exponents decide reads
 no stored tail, so neither its tail function nor that check is computed.
 
+An offset search proves cells of its lattice (base, step, first) in
+closed form. The cell partition of that lattice, and the interval terms
+of each cell that do not depend on r (ln y, 1/ln y and its powers, sin
+and cos with their peaks and troughs, sin + 1), are kept as read-only
+arrays for one lattice at a time; a member computes only the bounds that
+depend on r, over the cells below its own range's end. The 21 members
+of an ``estimate-r`` run search one lattice, and their ranges grow with
+r: the first member builds its cells, the second twice its own, and no
+later member or run builds any. No proven cell or offset depends on
+what was kept (see :func:`_lattice_cells`).
+
 Sampling a member and checking metadata both evaluate ln p_r at
 y = delta n + offset for every stored n. The terms of that grid that
 do not depend on r (ln y, sin ln y + 1 and 1/ln y) are kept, as
@@ -46,6 +57,7 @@ import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -368,7 +380,70 @@ def _over(a, d):
     return _out(a / np.where(a >= 0, d[::-1], d))
 
 
+class _CellTerms(NamedTuple):
+    """The terms of :func:`_cell_bounds` over cells [y[0], y[1]] that depend on neither k nor r.
+
+    Each is a stacked interval, one column per cell: y; L = ln y rounded
+    outward; 1/L, 1/L^2 and 2/L^3; sin L and cos L, each with its trough
+    row above its peak row; sin L + 1.
+    """
+
+    y: np.ndarray
+    L: np.ndarray
+    iL: np.ndarray
+    iL2: np.ndarray
+    iL3: np.ndarray
+    s: np.ndarray
+    c: np.ndarray
+    s1: np.ndarray
+
+    def head(self, n):
+        """The terms of the first n cells."""
+        return _CellTerms(*(t[:, :n] for t in self))
+
+
 @np.errstate(over="ignore", invalid="ignore", divide="ignore")  # an inf or NaN bound proves nothing
+def _cell_terms(y):
+    """The :class:`_CellTerms` of each cell [y[0], y[1]] (see :func:`_cell_bounds`)."""
+    L = np.log(y) * _POS
+    iL = 1.0 / L[::-1] * _POS
+    iL2 = iL * iL * _POS
+    j = L * (2.0 / np.pi)
+    j0 = np.ceil(j[0] - 1e-9)
+    hit = ((_QUARTERS - j0.astype(np.int64)) & 3) <= np.floor(j[1] + 1e-9) - j0  # a j pi/2 of each class inside
+    s, c = (np.where(ends, _UNIT, np.where(v[0] <= v[1], v, v[::-1]) + _TRIG_PAD)  # rows: trough, then peak
+            for v, ends in ((np.sin(L), hit[3::-2]), (np.cos(L), hit[2::-2])))
+    return _CellTerms(y, L, iL, iL2, 2.0 * iL2 * iL, s, c, np.maximum(s + 1.0, 0.0))
+
+
+@np.errstate(over="ignore", invalid="ignore", divide="ignore")  # an inf or NaN bound proves nothing
+def _term_bounds(k, r, t):
+    """Lower bounds of p, M and C over each cell of the :class:`_CellTerms` t (see :func:`_cell_bounds`)."""
+    y, L, iL, iL2, iL3, s, c, s1 = t
+    Lr = L**r  # L^r, L^(r-1) and L^(r-2) at both ends, each ordered by its direction
+    Lr1 = Lr / L
+    Lr2 = (Lr1 / L if r >= 2 else (Lr1 / L)[::-1]) * _POS
+    Lr1 = (Lr1 if r >= 1 else Lr1[::-1]) * _POS
+    Lr = Lr * _POS
+    p = (Lr * s1 + iL) * _POS
+    # q = r L^(r-1) s1 + L^r c - L^-2 and q' = r(r-1) L^(r-2) s1 + 2r L^(r-1) c - L^r s + 2 L^-3,
+    # with |c|, |s| <= 1 (up to the pad): 5 and 11 roundings, 17 for q' - q
+    rLr1 = r * Lr1 * s1
+    q = rLr1 + _times(Lr, c) - iL2[::-1]
+    q_mag = rLr1[1] + Lr[1] + iL2[1]
+    coef, Lr2s1 = r * (r - 1.0), Lr2 * s1
+    qp = (coef * Lr2s1)[:: 1 if coef >= 0 else -1] + _times(2.0 * r * Lr1, c) + _times(Lr, -s[::-1]) + iL3
+    qp_mag = abs(coef) * Lr2s1[1] + 2.0 * r * Lr1[1] + Lr[1] + iL3[1]
+    yp = y * p * _POS
+    u = _over(_sum(q, q_mag), yp)
+    w = _over(_sum(qp - q[::-1], qp_mag + q_mag), y * yp * _POS)
+    M = _dn(1.0 - _up(k * u[1]))
+    M2, ku2, kw = M * M, k * np.max(u * u, axis=0), k * w[0]
+    C = _sum(M2 - ku2 + kw, M2 + ku2 + np.abs(kw))[0]  # 6 roundings
+    fits = (L[0] > 0) & (Lr[1] * _term_bound(r) < FLOAT_MAX)
+    return np.where(fits, p[0], np.nan), M, C
+
+
 def _cell_bounds(k, r, y):
     """Lower bounds of p, M and C over every real y in each cell [y[0], y[1]] (arrays).
 
@@ -383,38 +458,54 @@ def _cell_bounds(k, r, y):
     M >= 1 - k max u and, where M > 0, C = M^2 + k(w - u^2) >=
     M_lo^2 - k max u^2 + k min w. The p bound is NaN where L may be <= 0 or
     a float term of eval_p (each below 4 max(1, 2r, r|r-1|) L^r) may overflow.
+    The terms free of k and r (:func:`_cell_terms`) come first, then the
+    bounds made from them (:func:`_term_bounds`).
     """
-    L = np.log(y) * _POS
-    Lr = L**r  # L^r, L^(r-1) and L^(r-2) at both ends, each ordered by its direction
-    Lr1 = Lr / L
-    Lr2 = (Lr1 / L if r >= 2 else (Lr1 / L)[::-1]) * _POS
-    Lr1 = (Lr1 if r >= 1 else Lr1[::-1]) * _POS
-    Lr = Lr * _POS
-    iL = 1.0 / L[::-1] * _POS
-    iL2 = iL * iL * _POS
-    j = L * (2.0 / np.pi)
-    j0 = np.ceil(j[0] - 1e-9)
-    hit = ((_QUARTERS - j0.astype(np.int64)) & 3) <= np.floor(j[1] + 1e-9) - j0  # a j pi/2 of each class inside
-    s, c = (np.where(ends, _UNIT, np.where(v[0] <= v[1], v, v[::-1]) + _TRIG_PAD)  # rows: trough, then peak
-            for v, ends in ((np.sin(L), hit[3::-2]), (np.cos(L), hit[2::-2])))
-    s1 = np.maximum(s + 1.0, 0.0)
-    p = (Lr * s1 + iL) * _POS
-    # q = r L^(r-1) s1 + L^r c - L^-2 and q' = r(r-1) L^(r-2) s1 + 2r L^(r-1) c - L^r s + 2 L^-3,
-    # with |c|, |s| <= 1 (up to the pad): 5 and 11 roundings, 17 for q' - q
-    rLr1 = r * Lr1 * s1
-    q = rLr1 + _times(Lr, c) - iL2[::-1]
-    q_mag = rLr1[1] + Lr[1] + iL2[1]
-    coef, Lr2s1, iL3 = r * (r - 1.0), Lr2 * s1, 2.0 * iL2 * iL
-    qp = (coef * Lr2s1)[:: 1 if coef >= 0 else -1] + _times(2.0 * r * Lr1, c) + _times(Lr, -s[::-1]) + iL3
-    qp_mag = abs(coef) * Lr2s1[1] + 2.0 * r * Lr1[1] + Lr[1] + iL3[1]
-    yp = y * p * _POS
-    u = _over(_sum(q, q_mag), yp)
-    w = _over(_sum(qp - q[::-1], qp_mag + q_mag), y * yp * _POS)
-    M = _dn(1.0 - _up(k * u[1]))
-    M2, ku2, kw = M * M, k * np.max(u * u, axis=0), k * w[0]
-    C = _sum(M2 - ku2 + kw, M2 + ku2 + np.abs(kw))[0]  # 6 roundings
-    fits = (L[0] > 0) & (Lr[1] * _term_bound(r) < FLOAT_MAX)
-    return np.where(fits, p[0], np.nan), M, C
+    return _term_bounds(k, r, _cell_terms(y))
+
+
+#: The one lattice whose cells are kept: (base, step, first) -> (edges, terms). Its cells run
+#: between consecutive edges (lattice indices, as floats); terms is their read-only
+#: :class:`_CellTerms`. See :func:`_lattice_cells`.
+_kept_cells = {}
+
+
+def _lattice_cells(base, step, first, end):
+    """Edges and :class:`_CellTerms` of the cells of lattice (base, step, first) reaching index end - 1.
+
+    The cells grow by ``CELL_WIDTH`` of y each from the lattice's first point
+    above 1 (never less than one step), and meet at their end points, which
+    are lattice indices: one partition per lattice, of which every range
+    [first, end) reads a prefix, up to the cell that holds end - 1. It is
+    kept, with its terms, for one lattice at a time. A first call builds the
+    cells of its own range; a longer range on the kept lattice builds them
+    again, twice as many as it reads, so ranges that grow a little at a time
+    rebuild them rarely, and at most twice the cells of the longest range
+    are ever kept.
+    """
+    key = (base, step, first)
+    kept = _kept_cells.get(key)
+    if kept is not None and kept[0][-1] >= end - 1:
+        return kept
+    start = max(base + first * step, 1.0 + step)
+    growth = math.log1p(CELL_WIDTH)
+    # the y one cell past index end - 1: its edge lies at or past end - 1, as a cell far exceeds the rounding
+    count = math.ceil(math.log(max(base + (end - 1) * step, start) / start) / growth) + 1
+    if kept is not None:  # a longer range on the kept lattice: build ahead
+        count *= 2
+    with np.errstate(over="ignore"):  # a y past the float range makes an edge past every range
+        ys = start * np.exp(growth * np.arange(count + 1))
+    # nondecreasing, as the ys increase by CELL_WIDTH each, far above their rounding: one pass drops repeats
+    edges = np.concatenate(([first], np.maximum(np.floor((ys - base) / step), first)))
+    edges = edges[run_starts(edges)]
+    reach = np.searchsorted(edges, end - 1) + 1  # the edges of the cells this range reads
+    edges = edges[: reach if kept is None else 2 * reach - 1]  # its cells, or twice as many
+    terms = _cell_terms(base + np.array((edges[:-1], edges[1:])) * step)
+    for t in (edges, *terms):
+        t.setflags(write=False)
+    _kept_cells.clear()
+    _kept_cells[key] = edges, terms
+    return edges, terms
 
 
 def _proven_cells(k, r, margin, base, step, first, end):
@@ -422,22 +513,21 @@ def _proven_cells(k, r, margin, base, step, first, end):
 
     A cell runs between two lattice points, so a lattice index lies in it
     by its float point base + i*step, as in :func:`_cut_index`. The cells
-    grow by ``CELL_WIDTH`` of y each and meet at their end points. One whose
-    :func:`_cell_bounds` show p > 0, M > margin + ``Y_STAR_SLACK`` and
-    C >= ``Y_STAR_SLACK`` is proven; an unproven one is split (``CELL_SPLIT``,
-    ``CELL_ROUNDS``) before its points are left to the lattice scan.
+    are the lattice's (:func:`_lattice_cells`), up to the one that holds
+    end - 1, which may reach past it: its proof then covers more points
+    than it needs, and its pair ends at end - 1. One whose bounds show
+    p > 0, M > margin + ``Y_STAR_SLACK`` and C >= ``Y_STAR_SLACK`` is proven;
+    an unproven one, cut at end - 1, is split (``CELL_SPLIT``,
+    ``CELL_ROUNDS``) before its points are left to the lattice scan. The
+    first round reads the lattice's kept terms, so only the bounds that
+    depend on k and r are made; the split rounds use :func:`_cell_bounds`.
     """
-    start = max(base + first * step, 1.0 + step)
-    growth = math.log1p(CELL_WIDTH)
-    count = math.ceil(math.log(max(base + (end - 1) * step, start) / start) / growth)
-    ys = start * np.exp(growth * np.arange(count + 1))
-    # nondecreasing, as the ys increase by CELL_WIDTH each, far above their rounding: one pass drops repeats
-    edges = np.concatenate(([first], np.clip(np.floor((ys - base) / step), first, end - 1), [end - 1]))
-    edges = edges[run_starts(edges)]
-    a, b = edges[:-1], edges[1:]
+    edges, terms = _lattice_cells(base, step, first, end)
+    n = int(np.searchsorted(edges, end - 1))  # the cells that hold an index below end - 1
+    a, b = edges[:n], np.minimum(edges[1 : n + 1], end - 1)
+    p, M, C = _term_bounds(k, r, terms.head(n))
     cells = []
     for rounds_left in range(CELL_ROUNDS, -1, -1):
-        p, M, C = _cell_bounds(k, r, base + np.array((a, b)) * step)
         proven = (p > 0) & (M > margin + Y_STAR_SLACK) & (C >= Y_STAR_SLACK)
         cells.append((a[proven], b[proven]))
         split = ~proven & (b - a > CELL_SPLIT)
@@ -446,6 +536,7 @@ def _proven_cells(k, r, margin, base, step, first, end):
         a, b = a[split], b[split]
         parts = a[:, None] + np.floor((b - a)[:, None] * np.arange(CELL_SPLIT + 1) / CELL_SPLIT)
         a, b = parts[:, :-1].ravel(), parts[:, 1:].ravel()
+        p, M, C = _cell_bounds(k, r, base + np.array((a, b)) * step)
     a, b = (np.concatenate(ends) for ends in zip(*cells))
     order = np.argsort(a)
     return a[order].astype(np.int64), b[order].astype(np.int64)
