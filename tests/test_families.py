@@ -10,7 +10,7 @@ import entorder as eo
 from entorder import families
 from entorder.errors import ConditionViolated, OffsetNotFound, ParameterError, QOutOfRange
 from entorder.families import PairRatio, analytic_form, pair_ratio
-from entorder.numutil import log1mexp
+from entorder.numutil import log1mexp, run_starts
 
 DELTA = 1.0
 
@@ -629,6 +629,58 @@ def search_cells(k, r, margin):
     return families._proven_cells(k, r, margin, 0.0, 0.01, 101, families._cut_index(k, r, margin, 0.0, 0.01))
 
 
+def per_call_cells(k, r, margin, base, step, first, end):
+    """_proven_cells on a partition built for [first, end) alone, its last cell cut at end - 1: the reference.
+
+    Returns the proven pairs and the partition's edges.
+    """
+    start = max(base + first * step, 1.0 + step)
+    growth = math.log1p(families.CELL_WIDTH)
+    count = math.ceil(math.log(max(base + (end - 1) * step, start) / start) / growth)
+    ys = start * np.exp(growth * np.arange(count + 1))
+    edges = np.concatenate(([first], np.clip(np.floor((ys - base) / step), first, end - 1), [end - 1]))
+    edges = edges[run_starts(edges)]
+    a, b = edges[:-1], edges[1:]
+    cells = []
+    for rounds_left in range(families.CELL_ROUNDS, -1, -1):
+        p, M, C = families._cell_bounds(k, r, base + np.array((a, b)) * step)
+        proven = (p > 0) & (M > margin + families.Y_STAR_SLACK) & (C >= families.Y_STAR_SLACK)
+        cells.append((a[proven], b[proven]))
+        split = ~proven & (b - a > families.CELL_SPLIT)
+        if not (rounds_left and split.any()):
+            break
+        a, b = a[split], b[split]
+        parts = a[:, None] + np.floor((b - a)[:, None] * np.arange(families.CELL_SPLIT + 1) / families.CELL_SPLIT)
+        a, b = parts[:, :-1].ravel(), parts[:, 1:].ravel()
+    a, b = (np.concatenate(ends) for ends in zip(*cells))
+    order = np.argsort(a)
+    return (a[order].astype(np.int64), b[order].astype(np.int64)), edges
+
+
+def kept_lattice():
+    """The (edges, terms) of the one kept lattice."""
+    (kept,) = families._kept_cells.values()
+    return kept
+
+
+def discretize_range(k, r, offset, delta, n):
+    """(k, r, margin, base, step, first, end) of discretize's check of a member at a given offset."""
+    step = min(0.01, delta)
+    W = math.ceil(delta * (n + 1) / step)
+    return k, r, 0.0, offset, step, 0, min(families._cut_index(k, r, 0.0, offset, step), W + 1)
+
+
+#: Ranges [first, end) of the scanner: the search lattice up to y* (CELL_CASES), at r = 50 up to the
+#: last candidate's window end at horizon 100, and discretize's lattices at given offsets
+PARTITION_CASES = (
+    [(k, r, m, 0.0, 0.01, 101, families._cut_index(k, r, m, 0.0, 0.01)) for k, r, m in CELL_CASES]
+    + [(k, 50.0, m, 0.0, 0.01, 101, min(families._cut_index(k, 50.0, m, 0.0, 0.01), 10**6 + 10**4 + 1))
+       for k in (1, 4) for m in (0.0, 0.9)]
+    + [discretize_range(*args) for args in [(1, 1.5, 3.0, 0.005, 2000), (4, 1.0, 3.0, 0.002, 150_000),
+                                           (2, 6.0, 9.25, 1.0, 10_000), (4, 50.0, 50_000.0, 0.1, 150_000)]]
+)
+
+
 class TestCells:
     """Below y*: cells whose closed-form enclosure proves the conditions at every real y in them."""
 
@@ -717,13 +769,49 @@ class TestCells:
         # r = 6 fails near y = 114 and its cells there hold over 100 lattice points
         # each; split, the unproven lattice is far smaller than the unproven first cells
         seen = []
-        real = families._cell_bounds
-        monkeypatch.setattr(families, "_cell_bounds", lambda k, r, y: seen.append(y.shape[1]) or real(k, r, y))
+        real = families._term_bounds
+        monkeypatch.setattr(families, "_term_bounds", lambda k, r, t: seen.append(t.y.shape[1]) or real(k, r, t))
         a, b = search_cells(1, 6.0, 0.0)
-        assert len(seen) > 1
+        assert len(seen) > 1  # the first round, from the kept terms, then the split rounds
         cut = families._cut_index(1, 6.0, 0.0, 0.0, 0.01)
         unproven = (cut - 101) - int(np.sum(b - a + 1)) + int(np.sum(a[1:] == b[:-1]))
         assert unproven < 1_000
+
+    @pytest.mark.parametrize("k,r,margin", CELL_CASES)
+    def test_kept_terms_give_the_bounds_of_the_composed_function(self, k, r, margin):
+        # the first round reads a prefix of the kept terms: bit for bit what _cell_bounds gives on
+        # the same cells, so the 50-digit enclosure above covers it too
+        families._kept_cells.clear()
+        cut = families._cut_index(k, r, margin, 0.0, 0.01)
+        search_cells(k, r, margin)
+        families._lattice_cells(0.0, 0.01, 101, 3 * cut)  # kept further out than the search reads
+        edges, terms = kept_lattice()
+        n = int(np.searchsorted(edges, cut - 1))
+        assert n < edges.size - 1
+        y = 0.01 * np.array((edges[:n], edges[1 : n + 1]))
+        assert terms.head(n).y.tobytes() == y.tobytes()
+        for kept, composed in zip(families._term_bounds(k, r, terms.head(n)), families._cell_bounds(k, r, y)):
+            assert kept.tobytes() == composed.tobytes()
+
+    @pytest.mark.parametrize("k,r,margin,base,step,first,end", PARTITION_CASES)
+    def test_proven_coverage_matches_the_per_call_partition(self, k, r, margin, base, step, first, end):
+        # on every cell wholly below end the kept partition proves what a partition built for
+        # [first, end) alone proves; only the cell holding end - 1, which may reach past it, differs
+        families._kept_cells.clear()
+        cold = families._proven_cells(k, r, margin, base, step, first, end)
+        edges, _ = kept_lattice()
+        assert edges[-2] < end - 1 <= edges[-1]  # a first call builds its own range and no more
+        families._lattice_cells(base, step, first, 2 * end)  # kept further out than this range reads
+        warm = families._proven_cells(k, r, margin, base, step, first, end)
+        assert all(np.array_equal(x, y) for x, y in zip(cold, warm))
+        ref, ref_edges = per_call_cells(k, r, margin, base, step, first, end)
+        last = ref_edges[-2]  # where the cell holding end - 1 starts
+        assert np.array_equal(edges[:-1], ref_edges[:-1])
+        # the same pairs from each cell below the last, its splits included (ranges of up to 1e12 points)
+        for got, want in zip(cold, ref):
+            assert np.array_equal(got[cold[0] < last], want[ref[0] < last])
+        assert cold[0].min() >= first and cold[1].max() <= end - 1
+        assert np.all(cold[0] < cold[1])
 
 
 class TestDiscretize:
@@ -906,6 +994,93 @@ class TestGridTerms:
         got, want = log1mexp(x), two_branch_log1mexp(x)
         assert type(got) is type(want)
         assert hexes(got) == hexes(want)
+
+
+def member_bits(k, r, delta, n, grid_step, offset):
+    """A generated member's weights, tail bound and metadata (its offset among them), or its refusal."""
+    try:
+        s = eo.psi_state(k, delta, n, r=r, offset=offset, grid_step=grid_step)
+    except (ConditionViolated, OffsetNotFound, ValueError) as err:
+        return type(err).__name__, str(err)
+    return s.log_weights.tobytes(), s.log_tail_bound.hex(), s.metadata
+
+
+class TestKeptCells:
+    """One lattice's cell partition and r-free terms are kept; no member depends on what was kept."""
+
+    R = st.sampled_from([0.5, 1.0, 1.37, 1.5, 2.0, 3.0])
+    # (delta, n, --offset-grid, a given offset): delta (n + 1) is the horizon of a search
+    LATTICE = st.tuples(st.sampled_from([0.005, 0.5, 1.0]), st.sampled_from([10, 300, 2000]),
+                        st.sampled_from([0.01, 0.02, 0.005]), st.sampled_from([None, None, 3.0, 9.25]))
+
+    @given(data=st.data())
+    def test_members_are_bit_identical_to_members_made_on_a_cleared_cache(self, data):
+        k, lattice = data.draw(st.integers(1, 3)), data.draw(self.LATTICE)
+        rs = data.draw(st.lists(self.R, min_size=2, max_size=6, unique=True))
+        order = data.draw(st.sampled_from(["ascending", "descending", "shuffled"]))
+        rs = {"ascending": sorted(rs), "descending": sorted(rs, reverse=True)}.get(order) or data.draw(st.permutations(rs))
+        members = [(k, r, *lattice) for r in rs]
+        for _ in range(data.draw(st.integers(0, 3))):  # members on other lattices in between
+            other = (data.draw(st.integers(1, 3)), data.draw(self.R), *data.draw(self.LATTICE))
+            members.insert(data.draw(st.integers(0, len(members))), other)
+        asked = {}
+        real = families._lattice_cells
+
+        def recording(base, step, first, end):
+            asked.setdefault((base, step, first), []).append(end)
+            return real(base, step, first, end)
+
+        families._kept_cells.clear()
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(families, "_lattice_cells", recording)
+            made = []
+            for member in members:
+                made.append(member_bits(*member))
+                assert len(families._kept_cells) <= 1
+                for key, (edges, terms) in families._kept_cells.items():
+                    assert not any(t.flags.writeable for t in (edges, *terms))
+                    reads = max(int(np.searchsorted(edges, end - 1)) for end in asked[key])
+                    assert edges.size - 1 <= 2 * reads  # at most twice the cells of the longest range asked
+        for member, bits in zip(members, made):
+            families._kept_cells.clear()
+            assert member_bits(*member) == bits, member
+
+    def test_estimate_r_members_build_the_cells_twice(self, tmss_match):
+        # r rises, and with it the cut: the first member builds its own range, the second
+        # twice its own, which holds every later one; a second run builds none
+        families._kept_cells.clear()
+        kept = []
+
+        def member(r):
+            s = eo.xi_state(r, DELTA, 2000)
+            kept.append(kept_lattice()[0])
+            return s
+
+        for _ in range(2):
+            eo.estimate_r_bounds(tmss_match, member, 1.0, 2.0, 21)
+        assert len(kept) == 42
+        assert [i for i in range(1, 42) if kept[i] is not kept[i - 1]] == [1]
+        cut = families._cut_index(1, 2.0, 0.0, 0.0, 0.01)
+        assert kept[0][-1] < cut - 1 <= kept[-1][-1]
+
+    def test_a_span_that_y_star_bounds_builds_no_cell_past_it(self):
+        # gen psi --k 1 --delta 1e300 --n 10: the cells up to the one that holds the last index below y*
+        families._kept_cells.clear()
+        eo.psi_state(1, 1e300, 10)
+        edges, _ = kept_lattice()
+        cut = families._cut_index(1, 1.0, 0.0, 0.0, 0.01)
+        assert edges[-2] < cut - 1 <= edges[-1]
+
+    @pytest.mark.parametrize("step, first", [(0.01, 101), (1000.0, 2)])
+    def test_kept_cells_stay_small_at_the_2_53_guard(self, step, first):
+        # a range of 2**52 indices, then one of 2**53, the most a scan tries cells on
+        families._kept_cells.clear()
+        families._lattice_cells(0.0, step, first, first + 2**52)
+        families._lattice_cells(0.0, step, first, first + 2**53)
+        edges, terms = kept_lattice()
+        reads = int(np.searchsorted(edges, first + 2**53 - 1))
+        assert 3_000 < reads < 3_700 and edges.size - 1 == 2 * reads
+        assert sum(t.nbytes for t in (edges, *terms)) < 1.2e6
 
 
 class TestAnalyticForm:

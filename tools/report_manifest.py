@@ -33,7 +33,11 @@ members at r = 0.5, 1.37 and 2 for the exponent pairs below, and
 members that switch the kept grid terms: xi(1.37) at n = 3000 right
 after n = 2000, and psi(k 2) at a given offset 3.79 right after the
 search on its grid), a member on the step 1e-17, whose weight
-differences all lie where exp(x) rounds to 1, validation (first of
+differences all lie where exp(x) rounds to 1, members that move the
+kept cells of the search lattice (xi(r 1), then xi(r 2), whose range on
+it is longer, xi(r 1) again, which reads part of it, xi(r 2) on the
+search step 0.02, another lattice, and xi(r 1.5) back on the first),
+validation (first of
 psi1_d005.spec, on another grid than the last member generated, then
 also of edited copies:
 psi2.spec with CRLF endings and padded lines, which reads, and with a
@@ -151,6 +155,14 @@ GEN = [
     ("t01.spec", ["gen", "tmss", "--q", "0.1", "--n", "500"]),
     # a step so small that every weight difference lies above -1.1e-16, where exp rounds to 1
     ("psi0_d1e17.spec", ["gen", "psi", "--k", "0", "--delta", "1e-17", "--n", "10"]),
+    # the kept cells of one search lattice (step 0.01 from 1.01): built for r = 1, extended for
+    # r = 2, whose range is longer, read in part for r = 1 again; then another lattice (the
+    # search step 0.02, and the check grid at its offset), and the first one built anew
+    ("xi_r1_n2000.spec", ["gen", "xi", "--r", "1", "--n", "2000"]),
+    ("xi_r2_n2000.spec", ["gen", "xi", "--r", "2", "--n", "2000"]),
+    ("xi_r1_n2000_again.spec", ["gen", "xi", "--r", "1", "--n", "2000"]),
+    ("xi_r2_g002_n2000.spec", ["gen", "xi", "--r", "2", "--offset-grid", "0.02", "--n", "2000"]),
+    ("xi_r15_n2000.spec", ["gen", "xi", "--r", "1.5", "--n", "2000"]),
 ]
 
 
