@@ -23,32 +23,15 @@ and ``analytic_form`` (read as ``s.form``) rebuilds it from a spectrum's
 metadata to continue the tail past the stored horizon.
 
 A member just sampled hands its spectrum the form it came from
-(``_sampled_from``), wherever its sampler shows that the spectrum's tail
-function strictly decreases: ``s.form`` then re-derives nothing, and the
-metadata check (:func:`check_reproduced`) runs once, when the stored tail
-is first read. An ``estimate-r`` member that its exponents decide reads
-no stored tail, so neither its tail function nor that check is computed.
-
-An offset search proves cells of its lattice (base, step, first) in
-closed form. The cell partition of that lattice, and the interval terms
-of each cell that do not depend on r (ln y, 1/ln y and its powers, sin
-and cos with their peaks and troughs, sin + 1), are kept as read-only
-arrays for one lattice at a time; a member computes only the bounds that
-depend on r, over the cells below its own range's end. The 21 members
-of an ``estimate-r`` run search one lattice, and their ranges grow with
-r: the first member builds its cells, the second twice its own, and no
-later member or run builds any. No proven cell or offset depends on
-what was kept (see :func:`_lattice_cells`).
-
-Sampling a member and checking metadata both evaluate ln p_r at
-y = delta n + offset for every stored n. The terms of that grid that
-do not depend on r (ln y, sin ln y + 1 and 1/ln y) are kept, as
-read-only arrays, for the latest key (delta, offset, size) only, so
-members on one grid (the 21 of an ``estimate-r`` run) share them, and
-ln p_r comes out bit for bit as ``profile`` gives it. ln p_r itself is
-kept, read-only, for the latest key (r, delta, offset, size), so a
-member's metadata check read right after its sampling reads the array
-its sampling made.
+(``_sampled_from``) where its sampler shows that the spectrum's tail
+function strictly decreases, so ``s.form`` re-derives nothing and the
+metadata check runs only when the stored tail is first read. Two caches,
+each for the latest key only, hold read-only arrays that do not depend on
+r, so the members of an ``estimate-r`` run share them: the terms of the
+sampling grid (:func:`_grid_terms`), and the whole cell partition of one
+search lattice with its interval terms (:func:`_lattice_cells`), of
+which every range reads a prefix. No weight, proven cell or offset
+depends on what was kept.
 """
 
 from __future__ import annotations
@@ -120,17 +103,10 @@ def _grid_terms(delta, offset, size):
     return terms
 
 
-@lru_cache(maxsize=1)
 def _log_p_on_grid(r, delta, offset, size):
-    """ln p_r(delta n + offset) for n < size, bit for bit ``np.log(profile(r, delta * n + offset))``.
-
-    A read-only array, kept for the latest key only: sampling a member and
-    then checking its metadata (:func:`_tail_residual`) evaluate it once.
-    """
+    """ln p_r(delta n + offset) for n < size, bit for bit ``np.log(profile(r, delta * n + offset))``."""
     L, s1, iL = _grid_terms(delta, offset, size)
-    log_p = np.log(_p(L**r, s1, iL))
-    log_p.setflags(write=False)
-    return log_p
+    return np.log(_p(L**r, s1, iL))
 
 
 def eval_p(r: float, x):
@@ -321,7 +297,7 @@ def _cut_index(k, r, margin, base, step):
     est = (y - base) / step
     if not est < 2.0**53:  # also y* = inf: no lattice reaches it
         return math.inf
-    i = max(0, math.ceil(est))
+    i = math.ceil(est) if est > 0 else 0  # at or below 0 (-inf from a base near the float maximum): all past y*
     while i > 0 and base + (i - 1) * step >= y:
         i -= 1
     while base + i * step < y:
@@ -464,47 +440,32 @@ def _cell_bounds(k, r, y):
     return _term_bounds(k, r, _cell_terms(y))
 
 
-#: The one lattice whose cells are kept: (base, step, first) -> (edges, terms). Its cells run
-#: between consecutive edges (lattice indices, as floats); terms is their read-only
-#: :class:`_CellTerms`. See :func:`_lattice_cells`.
-_kept_cells = {}
-
-
-def _lattice_cells(base, step, first, end):
-    """Edges and :class:`_CellTerms` of the cells of lattice (base, step, first) reaching index end - 1.
+@lru_cache(maxsize=1)
+def _lattice_cells(base, step, first):
+    """Edges and :class:`_CellTerms` of the whole cell partition of lattice (base, step, first).
 
     The cells grow by ``CELL_WIDTH`` of y each from the lattice's first point
     above 1 (never less than one step), and meet at their end points, which
-    are lattice indices: one partition per lattice, of which every range
-    [first, end) reads a prefix, up to the cell that holds end - 1. It is
-    kept, with its terms, for one lattice at a time. A first call builds the
-    cells of its own range; a longer range on the kept lattice builds them
-    again, twice as many as it reads, so ranges that grow a little at a time
-    rebuild them rarely, and at most twice the cells of the longest range
-    are ever kept.
+    are lattice indices. They reach index first + 2**53 - 1, the last one a
+    scan tries cells on (:func:`_first_clean`), or stop at the first y past
+    the float range, whose edge lies past every range: at most about 3,700
+    cells. Every range [first, end) reads a prefix of this one partition, up
+    to the cell that holds end - 1. Read-only, for the latest lattice only.
     """
-    key = (base, step, first)
-    kept = _kept_cells.get(key)
-    if kept is not None and kept[0][-1] >= end - 1:
-        return kept
     start = max(base + first * step, 1.0 + step)
     growth = math.log1p(CELL_WIDTH)
-    # the y one cell past index end - 1: its edge lies at or past end - 1, as a cell far exceeds the rounding
-    count = math.ceil(math.log(max(base + (end - 1) * step, start) / start) / growth) + 1
-    if kept is not None:  # a longer range on the kept lattice: build ahead
-        count *= 2
+    last = first + 2**53 - 1
+    # the y one cell past index last, or past the float range: its edge lies at or past last
+    count = math.ceil(math.log(max(min(base + last * step, FLOAT_MAX), start) / start) / growth) + 1
     with np.errstate(over="ignore"):  # a y past the float range makes an edge past every range
         ys = start * np.exp(growth * np.arange(count + 1))
     # nondecreasing, as the ys increase by CELL_WIDTH each, far above their rounding: one pass drops repeats
     edges = np.concatenate(([first], np.maximum(np.floor((ys - base) / step), first)))
     edges = edges[run_starts(edges)]
-    reach = np.searchsorted(edges, end - 1) + 1  # the edges of the cells this range reads
-    edges = edges[: reach if kept is None else 2 * reach - 1]  # its cells, or twice as many
+    edges = edges[: np.searchsorted(edges, last) + 1]
     terms = _cell_terms(base + np.array((edges[:-1], edges[1:])) * step)
     for t in (edges, *terms):
         t.setflags(write=False)
-    _kept_cells.clear()
-    _kept_cells[key] = edges, terms
     return edges, terms
 
 
@@ -522,7 +483,7 @@ def _proven_cells(k, r, margin, base, step, first, end):
     first round reads the lattice's kept terms, so only the bounds that
     depend on k and r are made; the split rounds use :func:`_cell_bounds`.
     """
-    edges, terms = _lattice_cells(base, step, first, end)
+    edges, terms = _lattice_cells(base, step, first)
     n = int(np.searchsorted(edges, end - 1))  # the cells that hold an index below end - 1
     a, b = edges[:n], np.minimum(edges[1 : n + 1], end - 1)
     p, M, C = _term_bounds(k, r, terms.head(n))
@@ -634,8 +595,10 @@ def find_offset(
     nothing beyond the horizon is certified unless y* lies inside it. Raises
     :class:`OffsetNotFound` past ``a_max`` (default 1e6 * grid_step), and
     ValueError if it may evaluate more than ``MAX_SCAN_POINTS`` points.
-    A grid step or horizon that is not positive and finite, or a negative
-    margin, raises :class:`ParameterError` before any point is evaluated.
+    A grid step or horizon that is not positive and finite, a negative
+    margin, or an ``a_max`` below the first grid multiple above 1 (as the
+    default is for a grid step of 1e-6 or less) raises
+    :class:`ParameterError` before any point is evaluated.
     """
     _check_search(grid_step, horizon, margin)
     if k == 0:
@@ -648,7 +611,7 @@ def find_offset(
     m_lo = int(math.floor(1.0 / grid_step)) + 1  # first multiple > 1
     m_hi = int(math.floor(a_max / grid_step))
     if m_hi < m_lo:
-        raise OffsetNotFound(f"a_max={a_max} leaves no candidate above 1")
+        raise ParameterError(f"a_max={a_max} leaves no multiple of grid_step={grid_step} above 1 to try")
     W = int(math.ceil(horizon / grid_step))
     m = _first_clean(k, r, 0.0, grid_step, m_lo, m_hi, W, margin)
     if m is None:

@@ -316,6 +316,8 @@ def _analytic_candidates(pair: PairRatio, n_min, n_max):
     delta = pair.delta
     a_ref = max(pair.max_offset, 1.0)
     lo = max(n_min, 1)
+    if lo > n_max:  # a start past the clipped end, which may lie past the float range: no target
+        return (np.empty(0), np.empty(0)), (np.empty(0), np.empty(0))
     L_hi = math.log(delta * n_max + a_ref)
     L_lo = math.log(delta * lo + a_ref)
     targets = []

@@ -85,6 +85,12 @@ class TestGenValidate:
         assert run(["gen", "tmss", "--q", "0.5"]) == 1
         assert capsys.readouterr().err.count("usage error: gen requires -o FILE") == 3
 
+    @pytest.mark.parametrize("offset", ["1e307", "1e308", "1.7e308"])
+    def test_offset_near_the_float_maximum_generates(self, tmp_path, offset):
+        out = str(tmp_path / "a.spec")
+        assert run(["gen", "psi", "--k", "1", "--n", "10", "--offset", offset, "-o", out]) == 0
+        assert run(["validate", out, "-o", str(tmp_path / "v.json")]) == 0
+
 
 class TestCompare:
     def test_self_slocc_two_way(self, specdir, capsys):
@@ -162,6 +168,19 @@ class TestCertify:
         argv = [str(specdir / "tmss06.spec"), str(specdir / "tmss04.spec"), "--window", "0:100000"]
         assert run(["certify", *argv]) == 3
         assert run(["compare", *argv, "--mode", "slocc"]) == 3
+
+    def test_window_past_the_float_range_finds_nothing(self, specdir, capsys):
+        # a start past the closed form's reach (about 1e304 at delta 1) is clipped away, even
+        # past the float range; compare has no window points there and refuses it
+        psi1, psi0 = str(specdir / "psi1.spec"), str(specdir / "psi0.spec")
+        reports = []
+        for start in (10**305, 10**400):
+            window = ["--window", f"{start}:{start + 5}"]
+            code, rep = run_json(capsys, ["certify", psi1, psi0, *window])
+            assert code == 0 and rep["found"] is False
+            reports.append(rep)
+            assert run(["compare", psi1, psi0, "--mode", "slocc", *window]) == 3
+        assert reports[0] == reports[1]
 
     def test_monotone_pair_not_found(self, specdir, capsys):
         code, rep = run_json(capsys, [
@@ -318,10 +337,12 @@ class TestExitCodes:
         (["certify", "{dir}/psi1.spec", "{dir}/psi0.spec", "--witness-step", "0.5"],
          "witness step below one nat cannot form a certificate"),
         (["gen", "psi", "--k", "1" + "0" * 400], "k must be a nonnegative integer within the float range"),
+        (["gen", "psi", "--k", "1", "--n", "10", "--offset-grid", "1e-6"],
+         "a_max=1.0 leaves no multiple of grid_step=1e-06 above 1 to try"),
     ], ids=["delta-abc", "delta-0", "offset-margin--1", "r-0", "k--1", "steps-0", "member-n-0",
             "near-equal-delta", "gen-q", "delta-convention", "family", "tmss-q-0-n-0", "q-1.5", "offset-0.5",
             "offset-grid-0-at-offset", "span", "r-range", "r-min-0", "min-witnesses-3", "witness-step-0.5",
-            "k-1e400"])
+            "k-1e400", "offset-grid-1e-6"])
     def test_refused_input_is_usage_error(self, specdir, tmp_path, capsys, argv, message):
         out = tmp_path / "x.out"
         assert run([a.format(dir=specdir) for a in argv] + ["-o", str(out)]) == 1

@@ -226,6 +226,17 @@ class TestFindOffset:
         with pytest.raises(OffsetNotFound):
             eo.find_offset(1, 1.0, 0.01, horizon=50.0, margin=1.0, a_max=5.0)
 
+    @pytest.mark.parametrize("grid_step, a_max, message", [
+        (1e-6, None, "a_max=1.0 leaves no multiple of grid_step=1e-06 above 1 to try"),
+        (0.01, 0.5, "a_max=0.5 leaves no multiple of grid_step=0.01 above 1 to try"),
+    ])
+    def test_a_max_with_no_candidate_is_a_parameter_error(self, monkeypatch, grid_step, a_max, message):
+        # refused before any point is evaluated; a search that evaluates points and fails is OffsetNotFound
+        monkeypatch.setattr(families, "_first_clean", lambda *args: pytest.fail("a point was evaluated"))
+        with pytest.raises(ParameterError) as err:
+            eo.find_offset(1, 1.0, grid_step, 10.0, a_max=a_max)
+        assert str(err.value) == message
+
     def test_negative_margin_rejected(self):
         with pytest.raises(ValueError):
             eo.find_offset(1, 1.0, 0.01, horizon=10.0, margin=-0.1)
@@ -335,8 +346,8 @@ class TestScanner:
         # the last candidate is the first one above 1 plus `extra` steps
         a_max = (math.floor(1.0 / g) + 1 + extra + 0.5) * g
         expected = brute_force_offset(k, r, g, horizon, margin, a_max)
-        if expected is None:
-            with pytest.raises(OffsetNotFound):
+        if expected is None:  # extra = -1 leaves no candidate: a_max out of its range
+            with pytest.raises(ParameterError if extra < 0 else OffsetNotFound):
                 eo.find_offset(k, r, g, horizon, margin, a_max)
         else:
             assert eo.find_offset(k, r, g, horizon, margin, a_max) == expected
@@ -549,6 +560,15 @@ class TestCutOff:
             p, M, C = families._profile_conditions(k, r, y)
             assert np.all((p > 0) & (M > margin) & (C >= 0))
 
+    @pytest.mark.parametrize("offset", [1e306, 1e307, 1e308, 1.7e308])
+    def test_a_given_offset_near_the_float_maximum_lies_past_the_cut(self, offset):
+        # (y* - offset) / step is -inf from 1e307 on: every lattice point lies past y*
+        assert families._cut_index(1, 1.0, 0.0, offset, 0.01) == 0
+        s = eo.psi_state(1, DELTA, 10, offset=offset)
+        assert s.metadata["offset"] == offset
+        assert eo.vidal_conditions(s)["all_pass"] is True
+        eo.make_spectrum(s.log_weights, s.log_tail_bound, s.metadata).log_g  # its metadata check passes
+
     def test_largest_finite_exponent_stays_finite_in_float(self):
         # r = 105 is the largest integer r with a cut-off below e^700; its float
         # conditions must not overflow anywhere up to the float range's end
@@ -655,12 +675,6 @@ def per_call_cells(k, r, margin, base, step, first, end):
     a, b = (np.concatenate(ends) for ends in zip(*cells))
     order = np.argsort(a)
     return (a[order].astype(np.int64), b[order].astype(np.int64)), edges
-
-
-def kept_lattice():
-    """The (edges, terms) of the one kept lattice."""
-    (kept,) = families._kept_cells.values()
-    return kept
 
 
 def discretize_range(k, r, offset, delta, n):
@@ -781,11 +795,9 @@ class TestCells:
     def test_kept_terms_give_the_bounds_of_the_composed_function(self, k, r, margin):
         # the first round reads a prefix of the kept terms: bit for bit what _cell_bounds gives on
         # the same cells, so the 50-digit enclosure above covers it too
-        families._kept_cells.clear()
         cut = families._cut_index(k, r, margin, 0.0, 0.01)
         search_cells(k, r, margin)
-        families._lattice_cells(0.0, 0.01, 101, 3 * cut)  # kept further out than the search reads
-        edges, terms = kept_lattice()
+        edges, terms = families._lattice_cells(0.0, 0.01, 101)
         n = int(np.searchsorted(edges, cut - 1))
         assert n < edges.size - 1
         y = 0.01 * np.array((edges[:n], edges[1 : n + 1]))
@@ -795,18 +807,18 @@ class TestCells:
 
     @pytest.mark.parametrize("k,r,margin,base,step,first,end", PARTITION_CASES)
     def test_proven_coverage_matches_the_per_call_partition(self, k, r, margin, base, step, first, end):
-        # on every cell wholly below end the kept partition proves what a partition built for
+        # on every cell wholly below end the whole partition proves what a partition built for
         # [first, end) alone proves; only the cell holding end - 1, which may reach past it, differs
-        families._kept_cells.clear()
+        families._lattice_cells.cache_clear()
         cold = families._proven_cells(k, r, margin, base, step, first, end)
-        edges, _ = kept_lattice()
-        assert edges[-2] < end - 1 <= edges[-1]  # a first call builds its own range and no more
-        families._lattice_cells(base, step, first, 2 * end)  # kept further out than this range reads
-        warm = families._proven_cells(k, r, margin, base, step, first, end)
+        warm = families._proven_cells(k, r, margin, base, step, first, end)  # on the kept partition
+        assert families._lattice_cells.cache_info()[:2] == (1, 1)
         assert all(np.array_equal(x, y) for x, y in zip(cold, warm))
+        edges, _ = families._lattice_cells(base, step, first)
         ref, ref_edges = per_call_cells(k, r, margin, base, step, first, end)
         last = ref_edges[-2]  # where the cell holding end - 1 starts
-        assert np.array_equal(edges[:-1], ref_edges[:-1])
+        # the range reads a prefix: the reference's edges up to the cell holding end - 1
+        assert np.array_equal(edges[: ref_edges.size - 1], ref_edges[:-1]) and edges[ref_edges.size - 1] >= end - 1
         # the same pairs from each cell below the last, its splits included (ranges of up to 1e12 points)
         for got, want in zip(cold, ref):
             assert np.array_equal(got[cold[0] < last], want[ref[0] < last])
@@ -926,7 +938,6 @@ class TestGridTerms:
         }
         for case, key in warm.items():
             families._grid_terms.cache_clear()
-            families._log_p_on_grid.cache_clear()
             if key is not None:
                 families._log_p_on_grid(other_r, *key)
             before = families._grid_terms.cache_info()
@@ -942,13 +953,10 @@ class TestGridTerms:
 
     def test_kept_arrays_are_read_only(self):
         families._grid_terms.cache_clear()
-        families._log_p_on_grid.cache_clear()
         eo.xi_state(1.5, DELTA, 100)
         terms = families._grid_terms(DELTA, 1.01, 101)
-        log_p = families._log_p_on_grid(1.5, DELTA, 1.01, 101)
-        assert families._grid_terms.cache_info().misses == 1
-        assert families._log_p_on_grid.cache_info().misses == 1
-        for t in (*terms, log_p):
+        assert families._grid_terms.cache_info()[:2] == (1, 1)
+        for t in terms:
             assert not t.flags.writeable
             with pytest.raises(ValueError, match="read-only"):
                 t[0] = 0.0
@@ -958,18 +966,18 @@ class TestGridTerms:
         est = eo.estimate_r_bounds(tmss_match, lambda r: eo.xi_state(r, DELTA, 2000), 1.0, 2.0, 21)
         assert len(est.per_r) == 21
         info = families._grid_terms.cache_info()
-        # one ln p_r per member, which its metadata check reads again
+        # one grid for all 21 members, sampled and decided by their exponents: no metadata check runs
         assert (info.misses, info.hits) == (1, 21 - 1)
 
     @pytest.mark.parametrize("family, k, r", [("xi", 1, 1.37), ("psi", 3, 2.0), ("psi", 2, 0.5)])
-    def test_member_and_its_metadata_check_evaluate_ln_p_once(self, family, k, r):
-        families._log_p_on_grid.cache_clear()
+    def test_member_and_its_metadata_check_build_the_grid_once(self, family, k, r):
+        families._grid_terms.cache_clear()
         s = eo.xi_state(r, DELTA, 2000) if family == "xi" else eo.psi_state(k, DELTA, 2000, r=r)
         assert s.form is s._sampled_from  # handed over by the sampler: nothing evaluated
-        info = families._log_p_on_grid.cache_info()
+        info = families._grid_terms.cache_info()
         assert (info.misses, info.hits) == (1, 0)
-        s.log_g  # the metadata check, run when the stored tail is first read, reads the sampled ln p_r
-        info = families._log_p_on_grid.cache_info()
+        s.log_g  # the metadata check, run when the stored tail is first read, is one grid hit
+        info = families._grid_terms.cache_info()
         assert (info.misses, info.hits) == (1, 1)
         self.assert_as_the_closed_form(s, 2000)
 
@@ -1006,12 +1014,18 @@ def member_bits(k, r, delta, n, grid_step, offset):
 
 
 class TestKeptCells:
-    """One lattice's cell partition and r-free terms are kept; no member depends on what was kept."""
+    """One lattice's whole cell partition and r-free terms are kept; no member depends on what was kept."""
 
     R = st.sampled_from([0.5, 1.0, 1.37, 1.5, 2.0, 3.0])
     # (delta, n, --offset-grid, a given offset): delta (n + 1) is the horizon of a search
     LATTICE = st.tuples(st.sampled_from([0.005, 0.5, 1.0]), st.sampled_from([10, 300, 2000]),
                         st.sampled_from([0.01, 0.02, 0.005]), st.sampled_from([None, None, 3.0, 9.25]))
+
+    @staticmethod
+    def assert_small_and_read_only(edges, terms):
+        assert edges.size - 1 <= 3_700
+        assert sum(t.nbytes for t in (edges, *terms)) < 0.6e6
+        assert not any(t.flags.writeable for t in (edges, *terms))
 
     @given(data=st.data())
     def test_members_are_bit_identical_to_members_made_on_a_cleared_cache(self, data):
@@ -1023,64 +1037,51 @@ class TestKeptCells:
         for _ in range(data.draw(st.integers(0, 3))):  # members on other lattices in between
             other = (data.draw(st.integers(1, 3)), data.draw(self.R), *data.draw(self.LATTICE))
             members.insert(data.draw(st.integers(0, len(members))), other)
-        asked = {}
+        asked = []
         real = families._lattice_cells
 
-        def recording(base, step, first, end):
-            asked.setdefault((base, step, first), []).append(end)
-            return real(base, step, first, end)
+        def recording(*lattice):
+            asked.append(lattice)
+            return real(*lattice)
 
-        families._kept_cells.clear()
+        real.cache_clear()
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(families, "_lattice_cells", recording)
             made = []
             for member in members:
                 made.append(member_bits(*member))
-                assert len(families._kept_cells) <= 1
-                for key, (edges, terms) in families._kept_cells.items():
-                    assert not any(t.flags.writeable for t in (edges, *terms))
-                    reads = max(int(np.searchsorted(edges, end - 1)) for end in asked[key])
-                    assert edges.size - 1 <= 2 * reads  # at most twice the cells of the longest range asked
+                assert real.cache_info().currsize == (1 if asked else 0)
+                if asked:
+                    self.assert_small_and_read_only(*real(*asked[-1]))  # the kept lattice: a hit
         for member, bits in zip(members, made):
-            families._kept_cells.clear()
+            families._lattice_cells.cache_clear()
             assert member_bits(*member) == bits, member
 
-    def test_estimate_r_members_build_the_cells_twice(self, tmss_match):
-        # r rises, and with it the cut: the first member builds its own range, the second
-        # twice its own, which holds every later one; a second run builds none
-        families._kept_cells.clear()
-        kept = []
-
-        def member(r):
-            s = eo.xi_state(r, DELTA, 2000)
-            kept.append(kept_lattice()[0])
-            return s
-
+    def test_estimate_r_run_builds_the_cells_once(self, tmss_match):
+        # the 21 members share the search lattice (step 0.01 from 1.01): the first builds its
+        # whole partition, every later member and a second run read it
+        families._lattice_cells.cache_clear()
         for _ in range(2):
-            eo.estimate_r_bounds(tmss_match, member, 1.0, 2.0, 21)
-        assert len(kept) == 42
-        assert [i for i in range(1, 42) if kept[i] is not kept[i - 1]] == [1]
-        cut = families._cut_index(1, 2.0, 0.0, 0.0, 0.01)
-        assert kept[0][-1] < cut - 1 <= kept[-1][-1]
+            eo.estimate_r_bounds(tmss_match, lambda r: eo.xi_state(r, DELTA, 2000), 1.0, 2.0, 21)
+        info = families._lattice_cells.cache_info()
+        assert (info.misses, info.hits, info.currsize) == (1, 41, 1)
+        self.assert_small_and_read_only(*families._lattice_cells(0.0, 0.01, 101))
 
-    def test_a_span_that_y_star_bounds_builds_no_cell_past_it(self):
-        # gen psi --k 1 --delta 1e300 --n 10: the cells up to the one that holds the last index below y*
-        families._kept_cells.clear()
-        eo.psi_state(1, 1e300, 10)
-        edges, _ = kept_lattice()
-        cut = families._cut_index(1, 1.0, 0.0, 0.0, 0.01)
-        assert edges[-2] < cut - 1 <= edges[-1]
+    @pytest.mark.parametrize("base, step, first", [(0.0, 0.01, 101), (0.0, 1000.0, 2), (0.0, 1e-6, 1_000_001),
+                                                  (3.0, 0.01, 0), (1.0000001, 0.002, 0)])
+    def test_kept_cells_stay_small_at_the_2_53_guard(self, base, step, first):
+        # the partition reaches index first + 2**53 - 1, the last one a scan tries cells on, and no further
+        edges, terms = families._lattice_cells(base, step, first)
+        self.assert_small_and_read_only(edges, terms)
+        assert edges[-2] < first + 2**53 - 1 <= edges[-1]
 
-    @pytest.mark.parametrize("step, first", [(0.01, 101), (1000.0, 2)])
-    def test_kept_cells_stay_small_at_the_2_53_guard(self, step, first):
-        # a range of 2**52 indices, then one of 2**53, the most a scan tries cells on
-        families._kept_cells.clear()
-        families._lattice_cells(0.0, step, first, first + 2**52)
-        families._lattice_cells(0.0, step, first, first + 2**53)
-        edges, terms = kept_lattice()
-        reads = int(np.searchsorted(edges, first + 2**53 - 1))
-        assert 3_000 < reads < 3_700 and edges.size - 1 == 2 * reads
-        assert sum(t.nbytes for t in (edges, *terms)) < 1.2e6
+    @pytest.mark.parametrize("base, step, first", [(0.0, 1e300, 1), (1e300, 0.01, 0), (1.7e308, 0.01, 0)])
+    def test_the_float_range_ends_the_partition(self, base, step, first):
+        # past the float maximum a y is inf, and its edge lies past every range
+        edges, terms = families._lattice_cells(base, step, first)
+        self.assert_small_and_read_only(edges, terms)
+        assert edges[-1] >= first + 2**53 - 1 and np.all(np.isfinite(edges[:-1]))
+        assert np.all(np.isfinite(terms.y[:, :-1]))
 
 
 class TestAnalyticForm:

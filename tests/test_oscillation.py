@@ -332,6 +332,14 @@ def probe_pairs(psi_family, tmss_match):
 
 
 class TestGroupedProbe:
+    @pytest.mark.parametrize("name", ["psi2/psi1", "tmss/xi"])
+    def test_a_start_past_the_clipped_end_has_no_candidates(self, probe_pairs, name):
+        # 10**400 lies past the float range, 10**305 past the closed form's reach only
+        pair = probe_pairs[name]
+        for n_min in (pair.max_index() + 1, 10**305, 10**400):
+            got = oscillation._analytic_candidates(pair, n_min, pair.max_index())
+            assert [side.size for sides in got for side in sides] == [0, 0, 0, 0]
+
     @pytest.mark.parametrize("points", [1, 7, 4096, 6144, 32768])
     @pytest.mark.parametrize("name", ["psi2/psi1", "psi3/psi0", "tmss/xi", "fine psi2/psi1"])
     def test_matches_per_target_evaluation(self, probe_pairs, monkeypatch, name, points):

@@ -94,7 +94,13 @@ takes it (exit 1, no output): ``gen`` with n 0 at q 0, k -1, a k of
 negative margin and a span ``delta * (n + 1)`` past the float range;
 ``estimate-r`` with no steps, no member weights, a reversed r range and
 r-min 0; and ``certify`` asking for fewer witnesses than a certificate
-holds.
+holds. After them come members on coarse search steps, which build a
+lattice's whole cell partition or none (``--offset-grid`` 1000 and
+1e300, where the partition ends at the float range), a member at the
+given offset 1e307, past which every lattice point lies beyond y*
+(generated and validated), a certificate on a window that starts at
+10**400, past the float range (found false), and a search step of 1e-6,
+whose default a_max leaves no candidate (exit 1).
 """
 
 from __future__ import annotations
@@ -336,6 +342,23 @@ def commands():
         ("estimate_psi0_r0.json", [*est_psi0, "--r-min", "0"]),
         ("certify_psi2_psi1_min3.json", ["certify", "psi2.spec", "psi1.spec", "--min-witnesses", "3"]),
     ])
+    # whole cell partitions: none at search steps 1000 and 1e300 for k = 1 (y* = 46 lies below the
+    # first candidate), about 3,330 cells at step 1000 for r = 6 (y* = 1.06e10), and at step 1e300
+    # for r = 105 (y* = 4.3e301) cells that end where y leaves the float range
+    out.extend([
+        ("psi1_g1000.spec", ["gen", "psi", "--k", "1", "--n", "10", "--offset-grid", "1000"]),
+        ("psi1_g1e300.spec", ["gen", "psi", "--k", "1", "--n", "10", "--offset-grid", "1e300"]),
+        ("xi_r6_g1000.spec", ["gen", "xi", "--r", "6", "--n", "10", "--offset-grid", "1000"]),
+        ("xi_r105_g1e300.spec", ["gen", "xi", "--r", "105", "--n", "10", "--offset-grid", "1e300"]),
+    ])
+    # a given offset so large that (y* - offset) / step is -inf: every point lies past y* (exit 0)
+    out.append(("psi1_a1e307.spec", ["gen", "psi", "--k", "1", "--n", "10", "--offset", "1e307"]))
+    out.append(("validate_psi1_a1e307.json", ["validate", "psi1_a1e307.spec"]))
+    # a window that starts past the float range, beyond the closed form's reach: no candidate (found false)
+    out.append(("certify_psi2_psi1_w1e400.json", ["certify", "psi2.spec", "psi1.spec",
+                                                  "--window", f"{10**400}:{10**400 + 5}"]))
+    # a search step whose default a_max (1e6 steps) leaves no candidate above 1 (exit 1)
+    out.append(("psi1_g1e-6.spec", ["gen", "psi", "--k", "1", "--n", "10", "--offset-grid", "1e-6"]))
     return out
 
 
