@@ -596,8 +596,9 @@ def find_offset(
     :class:`OffsetNotFound` past ``a_max`` (default 1e6 * grid_step), and
     ValueError if it may evaluate more than ``MAX_SCAN_POINTS`` points.
     A grid step or horizon that is not positive and finite, a negative
-    margin, or an ``a_max`` below the first grid multiple above 1 (as the
-    default is for a grid step of 1e-6 or less) raises
+    margin, an ``a_max`` below the first grid multiple above 1 (as the
+    default is for a grid step of 1e-6 or less) or one that is not a finite
+    number of grid steps (inf, NaN, 1e308 at step 0.01) raises
     :class:`ParameterError` before any point is evaluated.
     """
     _check_search(grid_step, horizon, margin)
@@ -609,6 +610,8 @@ def find_offset(
     # Candidates and scan points share one lattice of grid_step multiples,
     # so the window for candidate m covers lattice indices [m, m + W].
     m_lo = int(math.floor(1.0 / grid_step)) + 1  # first multiple > 1
+    if not math.isfinite(a_max / grid_step):
+        raise ParameterError(f"a_max={a_max} over grid_step={grid_step} is not finite")
     m_hi = int(math.floor(a_max / grid_step))
     if m_hi < m_lo:
         raise ParameterError(f"a_max={a_max} leaves no multiple of grid_step={grid_step} above 1 to try")

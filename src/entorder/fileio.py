@@ -23,25 +23,35 @@ weight and non-ASCII bytes. Every parse error is a ``ParseError`` (exit
 family metadata once, through ``s.form``: metadata whose closed form
 misses the stored tail raises ``ValidationError`` (also exit 2).
 
-The body of weights takes one of two paths, which give the same bits.
+The body of weights takes one of three paths, which give the same bits.
 A body that holds only the bytes ``0-9 . e + - \n`` (as the writer's
-are) is read by one ``np.fromstring(body, sep="\n")`` on the undecoded
-bytes, kept only if it raises nothing and returns one value per line.
-Those bytes hold no whitespace but ``\n``, and numpy's separator needs
-at least one whitespace byte, so each value is one whole line, read by
-``PyOS_string_to_double`` as ``float(line)`` reads it. Every other body
-(CRLF endings, padding, a blank or bad line, metadata after a weight,
-``inf``, ``E``, underscores), or one numpy reads otherwise, is read
-after the whole file is decoded, one stripped line at a time by
-``float``, and each error names its line there. Either path then scales
-the base-10 logs by ln 10 in one multiply; a literal past about 7.8e307
-scales to an infinite log, which the constructor refuses.
+are) is read undecoded, in blocks of about 256 KiB cut after a newline.
+Where the long double is x87's, a block whose lines all read
+``[+-]digits.digits``, with fewer than 19 digits and at most 27 after
+the dot, is read in fixed point: one int64 parse gives each line's
+digits m, and m / 10**k, both exact in its 64-bit significand, rounds
+once. The double nearest that is ``float(line)`` but on a double
+midpoint (low 11 bits 0x400), so ``float`` reads those lines again, and
+lines with m == 0 (-0.0) or an ``e`` (at most one in 64, blanked first).
+Any other block is read by ``np.fromstring(block, sep="\n")``: it holds
+no whitespace but ``\n``, which numpy's separator needs, so each value
+is one whole line, read by ``PyOS_string_to_double`` as ``float`` reads
+it. A block is kept only if it raises nothing and gives one value per
+line. Every other body (CRLF endings, padding, a blank or bad line,
+metadata after a weight, ``inf``, ``E``, underscores) is read after the
+whole file is decoded, one stripped line at a time by ``float``, and
+each error names its line there. A 200,000-line body reads in 22 ms in
+fixed point and in 52 ms by numpy alone (one core of a 2-vCPU machine).
+Every path then scales the base-10 logs by ln 10 in one multiply; a
+literal past about 7.8e307 scales to an infinite log, which the
+constructor refuses.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import sys
 import warnings
 
 import numpy as np
@@ -52,9 +62,13 @@ from .spectrum import SchmidtSpectrum, make_spectrum
 
 HEADER = "#schmidt-spectrum 1"
 META_KEYS = ("family", "q", "r", "k", "delta", "offset", "tail_bound")
-#: the bytes a weight body may hold to be read by one numpy parse (:func:`_parse_body`)
+#: the bytes a weight body may hold to be read undecoded (:func:`_parse_body`)
 _BODY_BYTES = b"0123456789.e+-\n"
 _DIGITS = _BODY_BYTES[:-1]
+#: x87 extended precision: a 64-bit significand, stored little-endian in 16 bytes
+_X87 = np.finfo(np.longdouble).nmant == 63 and np.dtype(np.longdouble).itemsize == 16 and sys.byteorder == "little"
+_POW10 = np.cumprod(np.full(28, 10, dtype=np.longdouble)) / 10  # 10**k for k <= 27, each exact there
+_BLOCK = 1 << 18  # bytes of body per fixed-point parse, which bounds its temporaries
 
 
 def _log10_exact(ln_values):
@@ -118,9 +132,9 @@ def read_spectrum(path) -> SchmidtSpectrum:
 def _parse(data):
     """(ln weights, ln tail bound, metadata) from the bytes of a v1 file.
 
-    A body of ``_BODY_BYTES`` after a head of ``#`` lines is read by one
-    numpy parse (:func:`_parse_body`); any other file, or a body that
-    parse refuses, line by line (:func:`_weights_line_by_line`).
+    A body of ``_BODY_BYTES`` after a head of ``#`` lines is read in
+    blocks (:func:`_parse_body`); any other file, or a body those
+    refuse, line by line (:func:`_weights_line_by_line`).
     """
     start = _body_start(data)
     body = data[start:]
@@ -155,20 +169,60 @@ def _body_start(data):
 def _parse_body(body, line_count):
     """The weights of a body of ``_BODY_BYTES`` and ``line_count`` lines, or None where numpy reads it otherwise.
 
-    With those bytes \\n is the only whitespace, and numpy's separator needs
-    at least one whitespace byte, so each value numpy reads lies within one
-    line; numpy reads it with ``PyOS_string_to_double``, as ``float`` does.
-    One value per line therefore means each line was read whole, to the
-    bits of ``float(line)``. A blank line gives fewer values, and unmatched
-    data raises (numpy 2.4; earlier numpy warns, which is raised here).
+    Each block is read in fixed point or by numpy (see the module docstring).
+    Unmatched data raises in numpy 2.4; earlier numpy warns, which is raised here.
     """
+    parts, start = [], 0
     with warnings.catch_warnings():
         warnings.simplefilter("error", DeprecationWarning)
-        try:
-            values = np.fromstring(body, sep="\n")
-        except (ValueError, DeprecationWarning):
-            return None
+        while start < len(body):
+            cut = body.find(b"\n", start + _BLOCK - 1) + 1 or len(body)
+            part = _fixed_point(body[start:cut]) if _X87 else None
+            try:
+                parts.append(np.fromstring(body[start:cut], sep="\n") if part is None else part)
+            except (ValueError, DeprecationWarning):
+                return None
+            start = cut
+    values = np.concatenate(parts)
     return values if values.size == line_count else None
+
+
+def _fixed_point(block):
+    """``float`` of each line ``[+-]digits.digits`` of a block of ``_BODY_BYTES`` (module docstring), or None."""
+    text = digits = block if block.endswith(b"\n") else block + b"\n"
+    if b"e" in text:  # at most one line in 64, each blanked to zero digits and read again
+        buf = np.frombuffer(text, dtype=np.uint8)
+        ends = np.flatnonzero(buf == ord("\n"))
+        lines = np.searchsorted(ends, np.flatnonzero(buf == ord("e")))
+        if 64 * lines.size > ends.size:
+            return None
+        edited = bytearray(text)
+        for start, end in zip(np.append(0, ends + 1)[lines].tolist(), ends[lines].tolist()):
+            edited[start:end] = b"0" * (end - start - 1) + b"."
+        digits = bytes(edited)
+    buf = np.frombuffer(digits, dtype=np.uint8)
+    marks = np.flatnonzero((buf == ord(".")) | (buf == ord("\n")))
+    if marks.size % 2 or (buf[marks].reshape(-1, 2) != (ord("."), ord("\n"))).any():
+        return None  # not one dot in each line
+    dots, ends = marks[::2], marks[1::2]
+    starts = np.append(0, ends[:-1] + 1)
+    k = ends - dots - 1
+    if k.max() > 27:
+        return None
+    try:  # a sign inside a line is unmatched data
+        m = np.fromstring(digits.translate(None, b"."), dtype=np.int64, sep="\n")
+    except (ValueError, DeprecationWarning):
+        return None
+    if m.size != ends.size or m.max() >= 10**18 or m.min() <= -(10**18):
+        return None  # a line with no digit merges with the next; numpy clamps an int64 overflow
+    q = m.astype(np.longdouble) / _POW10[k]
+    values = q.astype(float)
+    for i in np.flatnonzero((q.view(np.uint64)[::2] & 0x7FF == 0x400) | (m == 0)).tolist():
+        try:
+            values[i] = float(text[starts[i]:ends[i]])
+        except ValueError:
+            return None
+    return values
 
 
 def _ascii(data) -> str:

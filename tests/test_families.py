@@ -237,6 +237,14 @@ class TestFindOffset:
             eo.find_offset(1, 1.0, grid_step, 10.0, a_max=a_max)
         assert str(err.value) == message
 
+    @pytest.mark.parametrize("a_max", [math.inf, math.nan, -math.inf, 1e308])
+    def test_a_max_that_is_not_finite_in_grid_steps_is_a_parameter_error(self, monkeypatch, a_max):
+        # inf and 1e308 / 0.01 overflowed int(), NaN made floor() raise a plain ValueError
+        monkeypatch.setattr(families, "_first_clean", lambda *args: pytest.fail("a point was evaluated"))
+        with pytest.raises(ParameterError) as err:
+            eo.find_offset(1, 1.0, 0.01, 10.0, a_max=a_max)
+        assert str(err.value) == f"a_max={a_max} over grid_step=0.01 is not finite"
+
     def test_negative_margin_rejected(self):
         with pytest.raises(ValueError):
             eo.find_offset(1, 1.0, 0.01, horizon=10.0, margin=-0.1)

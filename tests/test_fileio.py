@@ -1,5 +1,7 @@
+import decimal
 import math
 import re
+from decimal import Decimal
 from unittest import mock
 
 import numpy as np
@@ -372,6 +374,145 @@ class TestNonAscii:
             eo.read_spectrum(path)
         assert err.value.line == line
         assert str(err.value) == f"line {line}: not ASCII text: byte 0xff"
+
+
+def _floats(lines):
+    return np.array([float(line) for line in lines])
+
+
+def _body(lines, final_newline=True):
+    return ("\n".join(lines) + ("\n" if final_newline else "")).encode("ascii")
+
+
+def _midpoint_hazards(count, seed=11):
+    """Literals of 18 significant digits next to the exact midpoint of a double d and its upper neighbour."""
+    decimal.getcontext().prec = 60
+    rng = np.random.default_rng(seed)
+    out = []
+    while len(out) < count:
+        d = float(rng.uniform(-30.0, 30.0) * 10.0 ** rng.integers(-8, 2))
+        mid = (Decimal(d) + Decimal(math.nextafter(d, math.inf))) / 2
+        places = 17 - mid.adjusted()  # digits after the dot that leave 18 significant ones
+        if 0 <= places <= 27:
+            out.append(format(mid.quantize(Decimal(1).scaleb(-places)), "f"))
+    return out
+
+
+def _on_x87_midpoint(lines):
+    """Whether each literal's quotient m / 10**k lies on a double midpoint in x87 precision."""
+    m = np.array([int(line.replace(".", "")) for line in lines], dtype=np.int64)
+    k = np.array([len(line) - line.index(".") - 1 for line in lines])
+    q = m.astype(np.longdouble) / fileio._POW10[k]
+    return q, (q.view(np.uint64)[::2] & 0x7FF) == 0x400
+
+
+# 63 fixed-point lines, which let one exponent line in 64 take the fixed-point path
+FILLER = [repr(-0.5 - i / 7) for i in range(63)]
+
+
+@pytest.mark.skipif(not fileio._X87, reason="the fixed-point path needs an x87 long double")
+class TestFixedPoint:
+    def test_powers_of_ten_are_exact(self):
+        assert [int(p) for p in fileio._POW10] == [10**k for k in range(28)]
+
+    @given(st.floats(allow_nan=False, allow_infinity=False), st.booleans())
+    @example(0.0, True)
+    @example(-0.0, False)
+    @example(5e-324, True)
+    @example(-1.7976931348623157e308, True)
+    @example(1e-05, True)
+    @example(-0.0001, True)
+    @example(1e16, True)
+    @example(-2.699431019146958e-06, True)  # psi3's first weight at n = 10**4
+    def test_repr_of_any_float_reads_back_bit_for_bit(self, value, final_newline):
+        # repr writes at most 17 digits, and 20 after the dot, or an exponent: every line takes the path
+        lines = [*FILLER, repr(value)]
+        got = fileio._fixed_point(_body(lines, final_newline))
+        assert got is not None
+        assert got.tobytes() == _floats(lines).tobytes()
+
+    def test_midpoint_hazards_are_read_again(self):
+        lines = _midpoint_hazards(2000)
+        q, on_midpoint = _on_x87_midpoint(lines)
+        plain = q.astype(float)
+        assert on_midpoint.sum() >= 20 and (plain != _floats(lines)).sum() >= 10  # a plain cast misreads some
+        assert (plain[~on_midpoint] == _floats(lines)[~on_midpoint]).all()
+        got = fileio._fixed_point(_body(lines))
+        assert got is not None
+        assert got.tobytes() == _floats(lines).tobytes()
+
+    @pytest.mark.parametrize("block", [5, 9, 10, 11, 64])
+    @pytest.mark.parametrize("final_newline", [True, False])
+    def test_blocks_cut_after_a_newline(self, monkeypatch, block, final_newline):
+        # "-0.5\n" ends at byte 4 and "-0.25\n" at byte 10: blocks of 5 and 11 bytes end exactly on a newline
+        lines = ["-0.5", "-0.25", "-0.5", "-0.5", "-0.25", "-0.75", "1.5", "-0.5"] * 3
+        body = _body(lines, final_newline)
+        blocks = []
+        real = fileio._fixed_point
+        monkeypatch.setattr(fileio, "_BLOCK", block)
+        monkeypatch.setattr(fileio, "_fixed_point", lambda text: blocks.append(text) or real(text))
+        got = fileio._parse_body(body, len(lines))
+        assert got.tobytes() == _floats(lines).tobytes()
+        assert b"".join(blocks) == body
+        for text in blocks[:-1]:  # each cut just after the first newline at or past its block's last byte
+            assert len(text) >= block and text.endswith(b"\n") and b"\n" not in text[block - 1:-1]
+        if block in (5, 11):
+            assert len(blocks[0]) == block
+
+    @pytest.mark.parametrize("size", [-1, 0, 1])
+    def test_bodies_on_either_side_of_one_block(self, monkeypatch, size):
+        lines = [repr(-x) for x in np.random.default_rng(5).uniform(0, 40, 3000).tolist()]
+        body = _body(lines)
+        cut = body.find(b"\n", len(body) // 2) + 1
+        monkeypatch.setattr(fileio, "_BLOCK", cut + size)
+        got = fileio._parse_body(body, len(lines))
+        assert got.tobytes() == _floats(lines).tobytes()
+
+    @pytest.mark.parametrize("exponents, taken", [(1, True), (2, False)])
+    def test_exponent_lines_up_to_one_in_64(self, exponents, taken):
+        lines = [*FILLER[: 64 - exponents], *["-1.2345678901234567e-07"] * exponents]
+        assert len(lines) == 64
+        assert (fileio._fixed_point(_body(lines)) is not None) == taken
+        assert fileio._parse_body(_body(lines), 64).tobytes() == _floats(lines).tobytes()
+
+    @pytest.mark.parametrize("kind", ["tmss", "psi", "xi", "exact"])
+    def test_switched_off_numpy_reads_every_block(self, generated, monkeypatch, kind):
+        data = generated[kind].read_bytes()
+        monkeypatch.setattr(fileio, "_BLOCK", 4096)  # many blocks, each read by np.fromstring
+        fast = fileio._parse(data)[0]
+        monkeypatch.setattr(fileio, "_X87", False)
+        monkeypatch.setattr(fileio, "_fixed_point", lambda text: pytest.fail("the fixed-point path ran"))
+        line_reads = _count_line_reads(monkeypatch)
+        assert fileio._parse(data)[0].tobytes() == fast.tobytes()
+        assert not line_reads
+        assert _outcome(eo.read_spectrum, generated[kind]) == _outcome(_reference_read, generated[kind])
+
+    @pytest.mark.parametrize("literal", [
+        "-1.234567890123456789",  # 19 digits
+        "-12345678901234567890.5",  # 21 digits, past the int64 range
+        "-0.0000000000000000000000000005",  # 28 digits after the dot
+        "-400",  # no dot
+    ])
+    def test_declined_literals_read_as_numpy_reads_them(self, literal):
+        lines = [*FILLER, literal]
+        assert fileio._fixed_point(_body(lines)) is None
+        assert fileio._parse_body(_body(lines), len(lines)).tobytes() == _floats(lines).tobytes()
+
+    @pytest.mark.parametrize("literal, after", [
+        *[(literal, ()) for literal in ["5.0+", "-.", ".", "-1e-5-", "1.5e", "-0.5.5", "--0.5", "+-0.5", "-0.5-", "-0+.5"]],
+        ("-0.5.5", ("-4",)),  # as many dots as lines, but two in one line
+    ])
+    def test_declined_lines_give_the_parse_error_and_line(self, generated, tmp_path, literal, after):
+        lines = generated["psi"].read_text().splitlines()
+        lines[1000:1001 + len(after)] = [literal, *after]
+        path = tmp_path / "declined.spec"
+        path.write_text("\n".join(lines) + "\n")
+        body = path.read_bytes()[fileio._body_start(path.read_bytes()):]
+        assert fileio._fixed_point(body) is None
+        with pytest.raises(ParseError) as err:
+            eo.read_spectrum(path)
+        assert str(err.value) == f"line 1001: bad weight literal {literal!r}"
+        assert _outcome(eo.read_spectrum, path) == _outcome(_reference_read, path)
 
 
 def _binade_edges(ulps=40, exponents=range(-8, 10), signs=(-1.0,), scale=1.0):

@@ -100,7 +100,13 @@ lattice's whole cell partition or none (``--offset-grid`` 1000 and
 given offset 1e307, past which every lattice point lies beyond y*
 (generated and validated), a certificate on a window that starts at
 10**400, past the float range (found false), and a search step of 1e-6,
-whose default a_max leaves no candidate (exit 1).
+whose default a_max leaves no candidate (exit 1). Last come two spectra
+written by hand, each validated and summarized: 256 weights whose
+base-10 logs hold 64 literals of 18 significant digits that lie next to
+a midpoint of two doubles, where the digits over their power of ten
+round to that midpoint in a 64-bit significand, and three exponent
+lines (one in 64 at most, so the fixed-point reader takes the body);
+and the same with one 20-digit literal, which it declines.
 """
 
 from __future__ import annotations
@@ -108,7 +114,9 @@ from __future__ import annotations
 import contextlib
 import hashlib
 import io
+import math
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 # run first, before any file exists: the parser refuses it for want of --mode
@@ -230,6 +238,43 @@ EDITED = {
     "t06_tail_bound400.spec": ("t06.spec", _replace_line("#tail_bound ", "#tail_bound 400")),
     "psi2_1e308.spec": ("psi2.spec", lambda lines: "\n".join(lines + ["1e308"]) + "\n"),
     "psi2_w400.spec": ("psi2.spec", _first_weight("400")),
+}
+
+
+
+def _midpoint_hazard(d):
+    """The 18-significant-digit literal next to the midpoint of d and its neighbour toward zero, if m / 10**k
+    rounds to that midpoint in a 64-bit significand (where a plain long double cast may miss the nearest
+    double); else None. Exact rational arithmetic, so the same on every machine."""
+    mid = (Fraction(d) + Fraction(math.nextafter(d, 0.0))) / 2
+    places = 17 - math.floor(math.log10(abs(d)))
+    literal = round(mid * 10**places)
+    half_ulp64 = Fraction(2) ** (math.frexp(abs(d))[1] - 65)  # half an ulp of a 64-bit significand at d
+    if abs(Fraction(literal, 10**places) - mid) <= half_ulp64:
+        text = f"{abs(literal):0{places + 1}d}"
+        return f"-{text[:-places]}.{text[-places:]}"
+    return None
+
+
+def _hazard_spectrum(extra=()):
+    """An exact 256-weight spectrum written by hand: every fourth of its base-10 logs from -8 down to -30 a
+    midpoint hazard where one lies within 200 doubles, two exponent lines at its end and, first, the log
+    of 1 less the other weights, which repr writes with an exponent; ``extra`` literals go before the end."""
+    lines = []
+    for i in range(253):
+        d = -(8 + 22 * i / 253)
+        hazard = next(filter(None, (_midpoint_hazard(d + j * 2**-48) for j in range(200)))) if i % 4 == 0 else None
+        lines.append(hazard or repr(d))
+    lines += [*extra, "-3.05e+01", "-3.1e1"]
+    rest = math.fsum(10.0 ** float(line) for line in lines)
+    return "\n".join(["#schmidt-spectrum 1", repr(math.log10(1.0 - rest)), *lines]) + "\n"
+
+
+# spectra written by hand: the one above, and the same with a 20-digit literal, which the
+# fixed-point reader declines
+WRITTEN = {
+    "hazards.spec": _hazard_spectrum(),
+    "hazards_d20.spec": _hazard_spectrum(["-30.012345678901234567"]),
 }
 
 INSPECTED = ["psi0", "psi2", "xi", "t06", "t999", "xi_n50k"]
@@ -359,6 +404,9 @@ def commands():
                                                   "--window", f"{10**400}:{10**400 + 5}"]))
     # a search step whose default a_max (1e6 steps) leaves no candidate above 1 (exit 1)
     out.append(("psi1_g1e-6.spec", ["gen", "psi", "--k", "1", "--n", "10", "--offset-grid", "1e-6"]))
+    for name in WRITTEN:
+        out.append((f"validate_{name[:-5]}.json", ["validate", name]))
+        out.append((f"info_{name[:-5]}.json", ["info", name]))
     return out
 
 
@@ -379,6 +427,8 @@ def main(argv):
             for edited, (source, edit) in EDITED.items():
                 source_lines = (out / source).read_text(encoding="ascii").splitlines()
                 (out / edited).write_bytes(edit(source_lines).encode("latin-1"))  # ASCII but for the one 0xff
+            for written_name, text in WRITTEN.items():
+                (out / written_name).write_text(text, encoding="ascii")
         target = out / name
         target.unlink(missing_ok=True)
         full = [str(out / a) if a.endswith(".spec") else a for a in argv_cmd] + ["-o", str(target)]
