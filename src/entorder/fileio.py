@@ -40,8 +40,8 @@ it. A block is kept only if it raises nothing and gives one value per
 line. Every other body (CRLF endings, padding, a blank or bad line,
 metadata after a weight, ``inf``, ``E``, underscores) is read after the
 whole file is decoded, one stripped line at a time by ``float``, and
-each error names its line there. A 200,000-line body reads in 22 ms in
-fixed point and in 52 ms by numpy alone (one core of a 2-vCPU machine).
+each error names its line there. A 200,000-line body reads in 18-23 ms
+in fixed point and in 50-52 ms by numpy alone (one core of 2 vCPUs).
 Every path then scales the base-10 logs by ln 10 in one multiply; a
 literal past about 7.8e307 scales to an infinite log, which the
 constructor refuses.

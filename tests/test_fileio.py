@@ -386,15 +386,16 @@ def _body(lines, final_newline=True):
 
 def _midpoint_hazards(count, seed=11):
     """Literals of 18 significant digits next to the exact midpoint of a double d and its upper neighbour."""
-    decimal.getcontext().prec = 60
     rng = np.random.default_rng(seed)
     out = []
-    while len(out) < count:
-        d = float(rng.uniform(-30.0, 30.0) * 10.0 ** rng.integers(-8, 2))
-        mid = (Decimal(d) + Decimal(math.nextafter(d, math.inf))) / 2
-        places = 17 - mid.adjusted()  # digits after the dot that leave 18 significant ones
-        if 0 <= places <= 27:
-            out.append(format(mid.quantize(Decimal(1).scaleb(-places)), "f"))
+    with decimal.localcontext() as context:
+        context.prec = 60
+        while len(out) < count:
+            d = float(rng.uniform(-30.0, 30.0) * 10.0 ** rng.integers(-8, 2))
+            mid = (Decimal(d) + Decimal(math.nextafter(d, math.inf))) / 2
+            places = 17 - mid.adjusted()  # digits after the dot that leave 18 significant ones
+            if 0 <= places <= 27:
+                out.append(format(mid.quantize(Decimal(1).scaleb(-places)), "f"))
     return out
 
 
@@ -404,6 +405,11 @@ def _on_x87_midpoint(lines):
     k = np.array([len(line) - line.index(".") - 1 for line in lines])
     q = m.astype(np.longdouble) / fileio._POW10[k]
     return q, (q.view(np.uint64)[::2] & 0x7FF) == 0x400
+
+
+def _taken(values):
+    assert values is not None, "the fixed-point path declined a block"
+    return values
 
 
 # 63 fixed-point lines, which let one exponent line in 64 take the fixed-point path
@@ -460,11 +466,15 @@ class TestFixedPoint:
             assert len(blocks[0]) == block
 
     @pytest.mark.parametrize("size", [-1, 0, 1])
-    def test_bodies_on_either_side_of_one_block(self, monkeypatch, size):
+    @pytest.mark.parametrize("where", ["middle", "end"])
+    def test_bodies_on_either_side_of_a_block_boundary(self, monkeypatch, size, where):
+        # a block that ends one byte before, on or one byte past a newline in the middle, or the body's end
         lines = [repr(-x) for x in np.random.default_rng(5).uniform(0, 40, 3000).tolist()]
         body = _body(lines)
-        cut = body.find(b"\n", len(body) // 2) + 1
+        cut = body.find(b"\n", len(body) // 2) + 1 if where == "middle" else len(body)
         monkeypatch.setattr(fileio, "_BLOCK", cut + size)
+        real = fileio._fixed_point
+        monkeypatch.setattr(fileio, "_fixed_point", lambda text: _taken(real(text)))
         got = fileio._parse_body(body, len(lines))
         assert got.tobytes() == _floats(lines).tobytes()
 

@@ -241,7 +241,6 @@ EDITED = {
 }
 
 
-
 def _midpoint_hazard(d):
     """The 18-significant-digit literal next to the midpoint of d and its neighbour toward zero, if m / 10**k
     rounds to that midpoint in a 64-bit significand (where a plain long double cast may miss the nearest
