@@ -45,10 +45,26 @@ in fixed point and in 50-52 ms by numpy alone (one core of 2 vCPUs).
 Every path then scales the base-10 logs by ln 10 in one multiply; a
 literal past about 7.8e307 scales to an infinite log, which the
 constructor refuses.
+
+The writer gives each weight line ``repr``'s bytes, 2**16 values at a
+time (:func:`_repr_lines`). Where the long double is x87's, a value v
+with 1e-4 <= |v| < 1e16 (``repr``'s positional range) whose significand
+is not a power of two (a symmetric rounding interval) takes a fast path.
+Its decade e is np.log10's estimate; x = |v| * 10**k, k = 16 - e, is
+rounded once in x87 (error <= 2**-8), and h = ulp(v) / 2 * 10**k is
+exact. Where 1e16 <= x < 1e17 - 32 (else e was off), repr's digits are
+the multiple of the largest 10**j within h of |v| * 10**k that lies
+nearest it; j = 0 has one, as |rint(x) - x| <= 1/2 < 0.55 < h. Level j
+runs in int64 and float64 on the values that passed level j - 1. A
+distance within 2**-7 of h, or a tie within 2**-7, goes to ``repr``, as
+does every value off the path and every line where the long double is
+not x87's. About 1 % of a tmss body goes to ``repr``; a 200,000-line
+body takes 33 ms against 87 ms by ``repr`` (one core of 2 vCPUs).
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import sys
@@ -69,6 +85,10 @@ _DIGITS = _BODY_BYTES[:-1]
 _X87 = np.finfo(np.longdouble).nmant == 63 and np.dtype(np.longdouble).itemsize == 16 and sys.byteorder == "little"
 _POW10 = np.cumprod(np.full(28, 10, dtype=np.longdouble)) / 10  # 10**k for k <= 27, each exact there
 _BLOCK = 1 << 18  # bytes of body per fixed-point parse, which bounds its temporaries
+_LINES_AT_ONCE = 1 << 16  # values per block of the writer, which bounds its temporaries
+_TEN = 10 ** np.arange(18, dtype=np.int64)
+_HALF_TEN = _POW10[:21].astype(float) / 2  # half of 10**k, exact
+_MARGIN = 2.0**-7  # twice the rounding error of x: a decision nearer than this goes to repr
 
 
 def _log10_exact(ln_values):
@@ -99,7 +119,7 @@ def _log10_exact(ln_values):
 
 
 def write_spectrum(s: SchmidtSpectrum, path) -> None:
-    """Write a spectrum in file format v1 (deterministic bytes)."""
+    """Write a spectrum in file format v1 (deterministic bytes, LF line endings on every platform)."""
     lines = [HEADER]
     meta = dict(s.metadata)
     if not s.is_exact:
@@ -107,9 +127,81 @@ def write_spectrum(s: SchmidtSpectrum, path) -> None:
     for key in META_KEYS:
         if key in meta:
             lines.append(f"#{key} {_fmt_meta(key, meta[key])}")
-    lines.extend(map(repr, _log10_exact(s.log_weights).tolist()))
-    with open(path, "w", encoding="ascii") as fh:
-        fh.write("\n".join(lines) + "\n")
+    head = ("\n".join(lines) + "\n").encode("ascii")
+    with open(path, "wb") as fh:
+        fh.write(head + _repr_lines(_log10_exact(s.log_weights)))
+
+
+@functools.cache
+def _line_tables():
+    """The fast path's tables, built at its first call: "0000" to "9999", 4 ASCII bytes in each uint32, and
+    lines by [negative, decade + 4, digits kept], 40 columns ``-0.000d.d. ... .d\\n`` (17 digits d, here
+    the mask 0xff) with NUL where dropped. A process that writes no file builds neither."""
+    quads = (np.arange(10**4)[:, None] // [1000, 100, 10, 1] % 10 + ord("0")).astype(np.uint8).view(np.uint32)
+    negative, e, kept, col = np.ix_(range(2), range(-4, 16), range(18), range(40))
+    keep = ((col == 0) & (negative == 1) | (e < 0) & (col >= 1) & (col <= 1 - e) | (col == 39)
+            | (col >= 6) & (col < 6 + 2 * kept) & (col % 2 == 0) | (e >= 0) & (col == 7 + 2 * e))
+    line = np.frombuffer(b"-0.000" + b".".join([b"\xff"] * 17) + b"\n", dtype=np.uint8)
+    return quads.ravel(), np.where(keep, line, 0).astype(np.uint8)
+
+
+def _repr_lines(values) -> bytes:
+    """``("\\n".join(map(repr, values.tolist())) + "\\n").encode()``, computed for all values at once (module docstring)."""
+    values = np.ascontiguousarray(values, dtype=float)
+    if not _X87 or not values.size:
+        return ("\n".join(map(repr, values.tolist())) + "\n").encode()
+    return b"".join(_repr_block(values[i:i + _LINES_AT_ONCE]) for i in range(0, values.size, _LINES_AT_ONCE))
+
+
+def _repr_block(values):
+    m, e, kept, fast = _shortest_digits(values)
+    quads, layouts = _line_tables()
+    groups = np.empty((values.size, 5), dtype=np.int64)  # m in 20 digits, 4 a column: "000" and its 17
+    for col in range(4, -1, -1):
+        m, groups[:, col] = np.divmod(m, 10**4)
+    lines = layouts[(values < 0).astype(np.intp), e + 4, kept]
+    lines[:, 6:39:2] &= quads[groups].view(np.uint8)[:, 3:]
+    slow = np.flatnonzero(~fast)
+    if slow.size:
+        lines[slow, :39] = np.array(list(map(repr, values[slow].tolist())), dtype="S39").view(np.uint8).reshape(-1, 39)
+    return lines.tobytes().translate(None, b"\0")
+
+
+def _shortest_digits(values):
+    """(m, e, kept, fast): where fast, ``repr`` writes m * 10**(e - 16), the first ``kept`` of
+    m's 17 digits (its trailing zeros but one after the dot dropped); see the module docstring."""
+    a = np.abs(values)
+    fast = (a >= 1e-4) & (a < 1e16) & (values.view(np.uint64) << 12 != 0)
+    a[~fast] = 1.5
+    e = np.clip(np.floor(np.log10(a)), -4, 15).astype(np.int64)
+    x = a.astype(np.longdouble) * _POW10[16 - e]
+    fast &= (x >= 1e16) & (x < 1e17 - 32)
+    x[~fast] = 1.5e16
+    whole = np.rint(x)
+    xi = whole.astype(np.int64)
+    xf = (x - whole).astype(float)  # exact, and |xf| <= 1/2
+    h = np.spacing(a) * _HALF_TEN[16 - e]
+    level = np.zeros(values.size, dtype=np.int64)
+    live = np.arange(values.size)  # the values with a multiple of 10**(j - 1) within h
+    for j in range(1, 18):
+        r = xi[live] % _TEN[j]
+        near = np.minimum(np.abs(r + xf[live]), _TEN[j] - r - xf[live])  # exact where it is near h
+        inside = near < h[live] - _MARGIN
+        fast[live[~inside & (near <= h[live] + _MARGIN)]] = False
+        live = live[inside]
+        if not live.size:
+            break
+        level[live] = j
+    p = _TEN[level]
+    r = xi % p
+    t = r + xf  # x's distance above the multiple xi - r
+    below = t < 0  # only where r == 0: the multiples next to x are xi - p and xi
+    t += below * p
+    up = t >= p / 2
+    fast &= (np.abs(t - p / 2) > _MARGIN) | (np.where(up, t, p - t) > h + _MARGIN)  # no tie of two inside
+    m = xi - r + (up.astype(np.int64) - below) * p
+    kept = np.where(e >= 0, np.maximum(17 - level, e + 2), 17 - level)
+    return m, e, kept, fast
 
 
 def _fmt_meta(key, value):

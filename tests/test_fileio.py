@@ -169,8 +169,13 @@ def _reference_write(s, path):
             lines.append(f"#{key} {text}")
     for ln_w in s.log_weights:
         lines.append(repr(_reference_log10_exact(float(ln_w))[0]))
-    with open(path, "w", encoding="ascii") as fh:
+    with open(path, "w", encoding="ascii", newline="\n") as fh:
         fh.write("\n".join(lines) + "\n")
+
+
+def _open_as_on_windows(file, mode="r", **kwargs):
+    """``open``, but a text-mode file writes CRLF for each newline, as on Windows."""
+    return open(file, mode, **kwargs) if "b" in mode else open(file, mode, newline="\r\n", **kwargs)
 
 
 def _outcome(reader, path):
@@ -279,6 +284,16 @@ class TestReaderEquivalence:
         eo.write_spectrum(s, tmp_path / "new.spec")
         _reference_write(s, tmp_path / "old.spec")
         assert (tmp_path / "new.spec").read_bytes() == (tmp_path / "old.spec").read_bytes()
+
+    @pytest.mark.parametrize("kind", ["tmss", "psi", "xi", "exact"])
+    def test_written_bytes_do_not_depend_on_the_platform_newline(self, generated, tmp_path, monkeypatch, kind):
+        s = eo.read_spectrum(generated[kind])
+        monkeypatch.setattr(fileio, "open", _open_as_on_windows, raising=False)
+        eo.write_spectrum(s, tmp_path / "new.spec")
+        _reference_write(s, tmp_path / "old.spec")
+        data = (tmp_path / "new.spec").read_bytes()
+        assert b"\r" not in data
+        assert data == (tmp_path / "old.spec").read_bytes()
 
 
 class TestOneParse:
@@ -575,6 +590,69 @@ class TestLog10Exact:
     def test_scalar_input(self):
         # the writer passes the tail bound as a scalar
         assert _log10_exact(-3.5)[0] == _reference_log10_exact(-3.5)[0]
+
+
+def _ulp_steps(x, steps=(-2, -1, 0, 1, 2)):
+    """The doubles `step` ulp from x away from zero, for each step, and their negatives."""
+    near = (np.float64(x).view(np.int64) + np.array(steps)).view(float)
+    return [*near.tolist(), *(-near).tolist()]
+
+
+# edges of the writer's fast path (module docstring of fileio)
+RANGE_EDGES = _ulp_steps(1e-4) + _ulp_steps(1e16)  # repr's positional range
+DECADE_EDGES = [v for e in range(-4, 17) for v in _ulp_steps(float(f"1e{e}"))]  # where np.log10's decade may be off
+POWERS_OF_TWO = [sign * 2.0**p for p in range(-16, 56) for sign in (1.0, -1.0)]  # asymmetric rounding intervals
+SPECIAL = [0.0, -0.0, 5e-324, -5e-324, 1.7976931348623157e308, -1.7976931348623157e308]
+WHOLE = [-9571.0, 1.0, -3.0, 10.0, 1e15 + 1, -123456789.0, 9999999999999998.0, -2.0**53 - 2, 4503599627370497.0]
+SHORT = [round(x, d) for x in (-88738.36257407, 0.19382003, -1234.5678901234567, 7.77e-4) for d in range(12)]
+
+
+def _check_repr_lines(values, x87):
+    """_repr_lines gives the repr join byte for byte, by its fast path or (x87 False) by repr alone."""
+    values = np.array(values, dtype=float)
+    expected = ("\n".join(map(repr, values.tolist())) + "\n").encode()
+    if x87:
+        assert fileio._repr_lines(values) == expected
+        return
+    with mock.patch.object(fileio, "_X87", False), \
+            mock.patch.object(fileio, "_repr_block", side_effect=AssertionError("the fast path ran")):
+        assert fileio._repr_lines(values) == expected
+
+
+class TestReprLines:
+    @pytest.mark.parametrize("x87", [True, False], ids=["native", "no_x87"])
+    @given(st.lists(st.floats(allow_nan=False, allow_infinity=False), max_size=40))
+    @example(RANGE_EDGES)
+    @example(DECADE_EDGES)
+    @example(POWERS_OF_TWO)
+    @example(SPECIAL)
+    @example(WHOLE)
+    @example(SHORT)
+    def test_equals_repr_join_on_floats(self, x87, values):
+        _check_repr_lines(values, x87)
+
+    @pytest.mark.parametrize("x87", [True, False], ids=["native", "no_x87"])
+    @given(st.lists(st.integers(0, 2**64 - 1), max_size=40))
+    @example([0x3FF0000000000001, 0xBFF0000000000001, 0x7FF8000000000001, 0xFFF0000000000000, 0x0000000000000001])
+    def test_equals_repr_join_on_bit_patterns(self, x87, bits):
+        _check_repr_lines(np.array(bits, dtype=np.uint64).view(float), x87)
+
+    @pytest.mark.parametrize("x87", [True, False], ids=["native", "no_x87"])
+    def test_every_decade_and_sign_in_blocks(self, monkeypatch, x87):
+        rng = np.random.default_rng(17)
+        values = 10 ** rng.uniform(-4.5, 16.5, 20000) * rng.choice([-1.0, 1.0], 20000)
+        short = values[::7].tolist()  # made short decimals, which keep few digits
+        values[::7] = [round(v, d) for v, d in zip(short, rng.integers(0, 12, len(short)).tolist())]
+        monkeypatch.setattr(fileio, "_LINES_AT_ONCE", 4099)
+        _check_repr_lines(values, x87)
+
+    @pytest.mark.skipif(not fileio._X87, reason="the fast path needs an x87 long double")
+    def test_few_tmss_lines_go_to_repr(self):
+        # the fast path is what makes the writer fast: a change that sends every line to repr fails here
+        values = _log10_exact(eo.tmss(0.6, 200000).log_weights)
+        slow = ~fileio._shortest_digits(values)[3]
+        assert slow.mean() < 0.05
+        _check_repr_lines(values, True)
 
 
 class TestCanonicalJson:
