@@ -8,12 +8,13 @@ state: convertibility is asserted only when the windowed running minimum
 provably stabilizes and nothing beyond the window contradicts it, and
 non-convertibility only on hard rank facts, certified drift, record
 witnesses, or the sign of a closed-form pair's asymptotic exponent.
-One rule walk (``_rule_walk``) grades both directions of a windowed
-pair, in the order rank, trend, witnesses, asymptotic, stable-minimum or
-stable-maximum, insufficient. ``slocc_decide`` reports its grades; a
-family bracket (``estimate_r_bounds``) reads only the two directions per
-member and lets exponents lo < 0 < hi settle both before any trend test
-or probe runs.
+One rule walk (``_rule_walk``) grades both directions of every pair,
+exact ones included, over its one comparison window, in the order rank,
+trend, witnesses, asymptotic, stable-minimum or stable-maximum,
+insufficient. ``slocc_decide`` reports its grades; a family bracket
+(``estimate_r_bounds``) reads only the two directions per member and
+lets exponents lo < 0 < hi settle both before any trend test or probe
+runs.
 """
 
 from __future__ import annotations
@@ -37,7 +38,7 @@ from .oscillation import (
     probe_pair,
     trend_flags,
 )
-from .spectrum import SchmidtSpectrum
+from .spectrum import SchmidtSpectrum, safe_horizon
 
 
 class Verdict(Enum):
@@ -116,14 +117,17 @@ def _require_exact(a: SchmidtSpectrum, b: SchmidtSpectrum, what: str):
 def locc_convertible(a: SchmidtSpectrum, b: SchmidtSpectrum) -> bool:
     """Deterministic convertibility a -> b: weights of a majorized by b's.
 
-    Equivalent to g_a(n) >= g_b(n) at every n. A violation inside the
-    stored ranges settles the answer for truncated inputs too; otherwise
-    both spectra must be exact. For two exact states the stored ranges
-    suffice: past its rank a g is zero, and a lower rank of a shows as
-    g_a = 0 < g_b at a's rank.
+    Equivalent to g_a(n) >= g_b(n) at every n. A violation settles the
+    answer for truncated inputs too where b's g is known: over b's stored
+    range when b is exact or has a verified closed form, else up to its
+    :func:`safe_horizon`, past which its stored g rests on its tail bound.
+    A tail bound only raises a stored g, so a's is read over its whole
+    stored range. Otherwise both spectra must be exact. For two exact
+    states the stored ranges suffice: past its rank a g is zero, and a
+    lower rank of a shows as g_a = 0 < g_b at a's rank.
     """
     ga, gb = a.log_g, b.log_g
-    m = min(ga.size, gb.size)
+    m = min(ga.size, gb.size if b.is_exact or b.form is not None else safe_horizon(b) + 1)
     if np.any(ga[:m] < gb[:m]):
         return False
     _require_exact(a, b, "majorization")
@@ -134,14 +138,18 @@ def max_probability(a: SchmidtSpectrum, b: SchmidtSpectrum) -> float:
     """Largest success probability of converting a into b stochastically.
 
     min over n of g_a(n)/g_b(n), clamped to [0, 1]; exactly 1.0 whenever
-    a majorizes into b, exactly 0.0 when b has larger rank. Only the n
-    below b's rank count, where g_b > 0.
+    a majorizes into b, exactly 0.0 when b has larger rank.
     """
     _require_exact(a, b, "conversion probability")
-    if a.length < b.length:
+    return _probability(comparison_window(a, b))
+
+
+def _probability(cw: ComparisonWindow) -> float:
+    """:func:`max_probability` from an exact pair's default window: its finite points are the n where g_b > 0."""
+    _, values, zero_first = cw.finite
+    if zero_first == "a":
         return 0.0
-    n = b.length
-    m = float(np.min(a.log_g[:n] - b.log_g[:n]))
+    m = float(np.min(values))
     if m >= 0.0:
         return 1.0
     # contract: exactly 1.0 iff majorization holds, so a strictly negative
@@ -175,13 +183,14 @@ def _rule_walk(cw: ComparisonWindow, th, exponent_shortcut: bool):
     ``values``, ``flags`` and ``probe`` are None where no rule read them.
 
     1. A rank fact decides both directions: one g hitting zero while the
-       other is positive (zero is terminal, so at most one side hits it
-       first), however short the finite overlap is. Only an exact side's
-       g reaches zero, so the stored window is read for this only then.
+       other is positive (``ComparisonWindow.finite``), however short the
+       finite overlap is; two exact sides by rank alone, equal ranks YES
+       both ways, with no trend labels. Only an exact side's g reaches
+       zero, so the stored window is read for this only then.
     2. Fewer than ``th.min_points`` finite points raise
-       :class:`WindowTooSmall`; with no exact side every point is finite,
-       and their count is read from the stored weights where they prove
-       it (:meth:`ComparisonWindow.holds`).
+       :class:`WindowTooSmall`; every point is finite where no g reaches
+       zero, and their count is read from the stored weights where they
+       prove it (:meth:`ComparisonWindow.holds`).
     3. With ``exponent_shortcut`` (estimate-r), closed-form exponents
        lo < 0 < hi (PairRatio.exponents) settle both limits: both
        directions NO, graded asymptotic, without trend test, probe or
@@ -194,29 +203,23 @@ def _rule_walk(cw: ComparisonWindow, th, exponent_shortcut: bool):
     """
     values = None
     if cw.a.is_exact or cw.b.is_exact:
-        values = cw.values
-        finite = np.isfinite(values)
-        a_exhausted = b_exhausted = False
-        if not finite.all():  # -inf where only g_a has reached zero, +inf where only g_b has
-            a_exhausted, b_exhausted = bool(np.any(values == -np.inf)), bool(np.any(values == np.inf))
-            values = values[finite]
-        if a_exhausted or b_exhausted:
-            # without the shortcut the trend labels are still reported
-            flags = trend_flags(values, th) if not exponent_shortcut and values.size >= th.min_points else None
+        _, values, zero_first = cw.finite
+        both = cw.a.is_exact and cw.b.is_exact
+        if zero_first or both:
+            # one exact side without the shortcut still reports the trend labels
+            labelled = not (both or exponent_shortcut) and values.size >= th.min_points
             return (
-                (_Ev.NO if a_exhausted else _Ev.YES, "rank"),
-                (_Ev.NO if b_exhausted else _Ev.YES, "rank"),
-                values, flags, None,
+                (_Ev.NO if zero_first == "a" else _Ev.YES, "rank"),
+                (_Ev.NO if zero_first == "b" else _Ev.YES, "rank"),
+                values, trend_flags(values, th) if labelled else None, None,
             )
-    enough = cw.holds(th.min_points) if values is None else values.size >= th.min_points
-    if not enough:
-        values = cw.values if values is None else values  # with no exact side every point is finite
-        raise WindowTooSmall(f"{values.size} finite window points < minimum {th.min_points}")
+    if not cw.holds(th.min_points):
+        raise WindowTooSmall(f"{cw.finite[1].size} finite window points < minimum {th.min_points}")
     lo, hi = cw.pair.exponents() if cw.pair else (0, 0)
     if exponent_shortcut and lo < 0 < hi:
         return (_Ev.NO, "asymptotic"), (_Ev.NO, "asymptotic"), values, None, None
 
-    values = cw.values if values is None else values
+    values = cw.finite[1]
     flags, probe = trend_flags(values, th), probe_pair(cw, th)
     step, enough = th.witness_step_nats, th.min_witnesses
     fwd = _direction(
@@ -240,43 +243,28 @@ def slocc_decide(
 ) -> ComparisonReport:
     """Stochastic-convertibility verdict for a pair of spectra.
 
-    Exact finite-rank pairs are decided by Schmidt rank (with the exact
-    conversion probability attached). Truncated pairs are decided from
-    the windowed log-ratio: stabilized extremes assert convertibility,
-    certified drift or record witnesses deny it, and a full two-sided
-    certificate yields Incomparable. Anything short of evidence stays
-    Undecided rather than guessing.
+    Exact finite-rank pairs are decided by Schmidt rank over their default
+    window, whatever ``window`` is given; the report names (0, greater
+    rank) and takes the exact conversion probability from that window.
+    Other pairs are decided from the windowed log-ratio: stabilized
+    extremes assert convertibility, certified drift or record witnesses
+    deny it, and a full two-sided certificate yields Incomparable.
+    Anything short of evidence stays Undecided rather than guessing.
     """
     th = thresholds or TrendThresholds()
-
-    if a.is_exact and b.is_exact:
-        fwd = a.length >= b.length
-        bwd = b.length >= a.length
-        m = min(a.length, b.length)
-        diffs = a.log_g[:m] - b.log_g[:m]
-        return ComparisonReport(
-            verdict=_verdict(_Ev.YES if fwd else _Ev.NO, _Ev.YES if bwd else _Ev.NO),
-            log_epsilon_a_to_b=float(np.min(diffs)),
-            log_epsilon_b_to_a=float(-np.max(diffs)),
-            window=(0, max(a.length, b.length)),
-            trend_forward=None,
-            trend_reverse=None,
-            probability=max_probability(a, b),
-            evidence={"forward": "rank", "backward": "rank"},
-        )
-
-    cw = comparison_window(a, b, window)
+    exact = a.is_exact and b.is_exact
+    cw = comparison_window(a, b, None if exact else window)
     (fe, fgrade), (be, bgrade), values, flags, probe = _rule_walk(cw, th, exponent_shortcut=False)
     # the epsilons and the trend labels read every finite point of the stored window
     return ComparisonReport(
         verdict=_verdict(fe, be),
         log_epsilon_a_to_b=float(np.min(values)) if values.size else NEG_INF,
         log_epsilon_b_to_a=float(-np.max(values)) if values.size else NEG_INF,
-        window=cw.window,
+        window=(0, max(a.length, b.length)) if exact else cw.window,
         trend_forward=flags.label() if flags else None,
         trend_reverse=flags.mirrored().label() if flags else None,
         witnesses=certificate_from_probe(probe, cw.window, th) if probe else None,
-        probability=None,
+        probability=_probability(cw) if exact else None,
         evidence={"forward": fgrade, "backward": bgrade},
     )
 

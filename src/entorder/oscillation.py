@@ -146,10 +146,11 @@ class ComparisonWindow:
     ``ns`` is the window clipped to both :func:`safe_horizon` and
     ``values`` the stored ell(n) = ln g_a(n) - ln g_b(n) there; ``-inf``
     where only g_a is zero, ``+inf`` where only g_b is (NaN where both
-    are). Each is computed when first read, so a verdict the closed form
-    settles reads no stored tail. ``horizon`` is the lesser safe horizon
-    where it is already known (None otherwise: the first read of ``ns`` or
-    ``values`` computes it).
+    are; zero is terminal, so at most one g reaches it first). ``finite``
+    holds its finite points and which g that is. Each is computed when
+    first read, so a verdict the closed form settles reads no stored tail.
+    ``horizon`` is the lesser safe horizon where it is already known (None
+    otherwise: the first read of ``ns`` or ``values`` computes it).
     """
 
     window: tuple
@@ -172,6 +173,17 @@ class ComparisonWindow:
         n_min, stop = self.window[0], self._stop
         with np.errstate(invalid="ignore"):  # -inf - -inf = NaN where both exact states have ended
             return self.a.log_g[n_min:stop] - self.b.log_g[n_min:stop]
+
+    @cached_property
+    def finite(self) -> tuple:
+        """(ns, values) at the finite points of ``values``, and "a" where it holds -inf, "b" where +inf, else None."""
+        v = self.values
+        keep = np.isfinite(v)
+        if keep.all():
+            return self.ns, v, None
+        end = int(np.argmin(keep))  # zero is terminal: the finite points are the ones before the first zero
+        zero_first = "a" if v[end] == -np.inf else "b" if v[end] == np.inf else None
+        return self.ns[:end], v[:end], zero_first
 
     def holds(self, count: int) -> bool:
         """True when ``ns`` has at least ``count`` points, read from the stored weights where they prove it."""
@@ -397,8 +409,7 @@ def probe_pair(cw: ComparisonWindow, thresholds: TrendThresholds) -> ProbeReport
     if pair is not None:
         (up_ns, up_vs), (down_ns, down_vs) = _analytic_candidates(pair, n_min, min(n_max, pair.max_index()))
     else:
-        finite = np.isfinite(cw.values)
-        (up_ns, up_vs) = (down_ns, down_vs) = _materialized_candidates(cw.ns[finite], cw.values[finite])
+        (up_ns, up_vs) = (down_ns, down_vs) = _materialized_candidates(*cw.finite[:2])
 
     step = thresholds.witness_step_nats
     ups = _collect_records(up_ns, up_vs, step, +1.0)

@@ -96,6 +96,16 @@ class TestExactPairsAgainstPaddedTails:
             both = (ga > -np.inf) & (gb > -np.inf)
             assert rep.log_epsilon_a_to_b.hex() == float(np.min(ga[both] - gb[both])).hex()
             assert rep.log_epsilon_b_to_a.hex() == float(-np.max(ga[both] - gb[both])).hex()
+            rank = (a.length > b.length) - (a.length < b.length)
+            assert rep.verdict is {0: Verdict.TwoWay, 1: Verdict.OneWayAtoB, -1: Verdict.OneWayBtoA}[rank]
+            assert rep.trend_forward is None and rep.trend_reverse is None and rep.witnesses is None
+            # an exact pair is read over its whole stored range, whatever window is asked
+            assert eo.slocc_decide(a, b, window=(0, 1)).to_dict() == rep.to_dict()
+            rev = eo.slocc_decide(b, a)
+            assert rev.verdict is {0: Verdict.TwoWay, 1: Verdict.OneWayBtoA, -1: Verdict.OneWayAtoB}[rank]
+            # bit for bit but for the sign of a zero, which -max and min give differently and the report drops
+            assert (rev.log_epsilon_a_to_b + 0.0).hex() == (rep.log_epsilon_b_to_a + 0.0).hex()
+            assert (rev.log_epsilon_b_to_a + 0.0).hex() == (rep.log_epsilon_a_to_b + 0.0).hex()
             seen.add((want_locc, 0.0 < want_p < 1.0, want_p == 0.0, (a.length > b.length) - (a.length < b.length)))
         # every outcome of both comparisons, under every rank order
         assert {(locc, rank) for locc, _, _, rank in seen} == {(t, r) for t in (True, False) for r in (-1, 0, 1)} - {(True, -1)}
@@ -142,6 +152,19 @@ class TestLocc:
             eo.locc_convertible(t, t)
         # but an in-window violation is still decisive
         assert not eo.locc_convertible(eo.tmss(0.4, 100), eo.tmss(0.6, 100))
+
+    def test_no_violation_read_from_a_tail_bound(self):
+        # past b's safe horizon (0 here) its stored g rests on its tail bound 0.1 and exceeds the
+        # true g: the stored g_a(2) = 0.22 lies below b's stored 0.238, yet one completion of b is
+        # reachable, so no violation is proven
+        a = eo.build_spectrum([0.45, 0.33, 0.15, 0.04, 0.03])
+        b = eo.make_spectrum(np.log([0.5, 0.3, 0.15]), math.log(0.1))
+        assert eo.safe_horizon(b) == 0 and bool(np.any(a.log_g[:b.log_g.size] < b.log_g))
+        assert eo.locc_convertible(a, eo.build_spectrum([0.5, 0.3, 0.15, 0.03, 0.02]))
+        with pytest.raises(TruncationUnsafe):
+            eo.locc_convertible(a, b)
+        # a tail bound only raises the stored g, so a's whole stored range counts against an exact b
+        assert eo.locc_convertible(b, eo.build_spectrum([0.4, 0.3, 0.2, 0.1])) is False
 
 
 class TestMaxProbability:
@@ -238,6 +261,11 @@ class TestSloccDecide:
         monkeypatch.setattr(convertibility, "comparison_window", counting)
         rep = eo.slocc_decide(eo.tmss(0.6, 600), eo.tmss(0.4, 600))
         assert rep.verdict is Verdict.OneWayAtoB
+        assert len(calls) == 1
+        # an exact pair too: its rank, epsilons and probability read the one window
+        calls.clear()
+        rep = eo.slocc_decide(eo.build_spectrum((0.5, 0.3, 0.2)), eo.build_spectrum((0.6, 0.4)))
+        assert rep.verdict is Verdict.OneWayAtoB and rep.probability == 1.0
         assert len(calls) == 1
 
     def test_pair_resolved_once_per_decision(self, monkeypatch, psi_family, tmss_match):

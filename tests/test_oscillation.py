@@ -52,6 +52,20 @@ class TestComparisonWindowValues:
         assert np.all(np.isfinite(cw.values[:-1])) and math.isnan(cw.values[-1])
         assert eo.incomparability_certificate(a, b) is None
 
+    @pytest.mark.parametrize("wa, wb, zero_first", [
+        ((0.5, 0.3, 0.2), (0.6, 0.3, 0.1), None),  # one rank: NaN, no rank fact
+        ((0.6, 0.4), (0.5, 0.3, 0.2), "a"),
+        ((0.5, 0.3, 0.2), (0.6, 0.4), "b"),
+        (None, None, None),  # a truncated pair: every point finite
+    ])
+    def test_finite_points_and_which_g_reaches_zero_first(self, wa, wb, zero_first):
+        a, b = (eo.build_spectrum(wa), eo.build_spectrum(wb)) if wa else (eo.tmss(0.6, 300), eo.tmss(0.4, 300))
+        cw = comparison_window(a, b)
+        keep = np.isfinite(cw.values)
+        ns, values, first = cw.finite
+        assert first == zero_first and keep.sum() == cw.values.size - (wa is not None)
+        assert np.array_equal(ns, cw.ns[keep]) and np.array_equal(values, cw.values[keep])
+
     def test_truncation_unsafe_beyond_horizon(self):
         s = eo.tmss(0.5, 200)
         with pytest.raises(TruncationUnsafe):

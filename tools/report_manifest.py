@@ -106,7 +106,14 @@ base-10 logs hold 64 literals of 18 significant digits that lie next to
 a midpoint of two doubles, where the digits over their power of ten
 round to that midpoint in a 64-bit significand, and three exponent
 lines (one in 64 at most, so the fixed-point reader takes the body);
-and the same with one 20-digit literal, which it declines.
+the same with one 20-digit literal, which it declines; and a truncated
+state with no family metadata whose tail bound 0.07 lies far above the
+0.02 its three weights leave, so its safe horizon is 0. Then the exact
+rank-500 pair compared on the window 0:3, which an exact pair ignores,
+and the loose-tail state compared with the exact t06.spec in mode locc
+both ways: past the safe horizon its stored g rests on its tail bound,
+so a violation there proves nothing (exit 3), while against the exact
+side its whole stored range counts (false).
 """
 
 from __future__ import annotations
@@ -269,11 +276,13 @@ def _hazard_spectrum(extra=()):
     return "\n".join(["#schmidt-spectrum 1", repr(math.log10(1.0 - rest)), *lines]) + "\n"
 
 
-# spectra written by hand: the one above, and the same with a 20-digit literal, which the
-# fixed-point reader declines
+# spectra written by hand: the one above, the same with a 20-digit literal, which the
+# fixed-point reader declines, and weights 0.7, 0.2, 0.08 with a loose tail bound of 0.07
 WRITTEN = {
     "hazards.spec": _hazard_spectrum(),
     "hazards_d20.spec": _hazard_spectrum(["-30.012345678901234567"]),
+    "loose.spec": "\n".join(["#schmidt-spectrum 1", f"#tail_bound {math.log10(0.07)!r}",
+                              *[repr(math.log10(w)) for w in (0.7, 0.2, 0.08)]]) + "\n",
 }
 
 INSPECTED = ["psi0", "psi2", "xi", "t06", "t999", "xi_n50k"]
@@ -406,6 +415,12 @@ def commands():
     for name in WRITTEN:
         out.append((f"validate_{name[:-5]}.json", ["validate", name]))
         out.append((f"info_{name[:-5]}.json", ["info", name]))
+    out.append(("slocc_t06_exact_t04_exact_w0_3.json", ["compare", "t06_exact.spec", "t04_exact.spec", "--mode", "slocc",
+                                                        "--window", "0:3"]))
+    # the stored g of loose.spec past its safe horizon 0 exceeds t06_exact's at n = 2 and 3 only through
+    # its tail bound (exit 3); the other way, t06_exact's g(1) = 0.36 exceeds loose's 0.33 (false)
+    out.append(("locc_t06_exact_loose.json", ["compare", "t06_exact.spec", "loose.spec", "--mode", "locc"]))
+    out.append(("locc_loose_t06_exact.json", ["compare", "loose.spec", "t06_exact.spec", "--mode", "locc"]))
     return out
 
 
