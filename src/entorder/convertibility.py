@@ -255,11 +255,12 @@ def slocc_decide(
     exact = a.is_exact and b.is_exact
     cw = comparison_window(a, b, None if exact else window)
     (fe, fgrade), (be, bgrade), values, flags, probe = _rule_walk(cw, th, exponent_shortcut=False)
-    # the epsilons and the trend labels read every finite point of the stored window
+    # the epsilons and the trend labels read every finite point of the stored window; + 0.0 makes a zero
+    # epsilon +0.0, as in the swapped pair, whose values are these negated but +0.0 where these are zero
     return ComparisonReport(
         verdict=_verdict(fe, be),
-        log_epsilon_a_to_b=float(np.min(values)) if values.size else NEG_INF,
-        log_epsilon_b_to_a=float(-np.max(values)) if values.size else NEG_INF,
+        log_epsilon_a_to_b=float(np.min(values)) + 0.0 if values.size else NEG_INF,
+        log_epsilon_b_to_a=-float(np.max(values)) + 0.0 if values.size else NEG_INF,
         window=(0, max(a.length, b.length)) if exact else cw.window,
         trend_forward=flags.label() if flags else None,
         trend_reverse=flags.mirrored().label() if flags else None,

@@ -834,7 +834,15 @@ def metadata_form(meta: dict) -> AnalyticForm | None:
 
 
 def check_reproduced(form: AnalyticForm, family, log_g) -> None:
-    """Refuse a form whose ln g differs from the stored ``log_g`` by more than ``FORM_RTOL`` (ValidationError)."""
+    """Refuse a form whose ln g differs from the stored ``log_g`` by more than ``FORM_RTOL`` (ValidationError).
+
+    An exact spectrum's g reaches 0 at its end (ln g = -inf there), which no closed form does.
+    """
+    if log_g[-1] == NEG_INF:  # g is non-increasing: only the last entry can be the first zero
+        raise ValidationError(
+            f"the {family} metadata names a closed form, but the stored weights are exact: "
+            "their tail g reaches 0, which no closed form does"
+        )
     residual = _tail_residual(form, log_g)
     if not residual <= FORM_RTOL:  # NaN fails too
         raise ValidationError(

@@ -46,20 +46,29 @@ Every path then scales the base-10 logs by ln 10 in one multiply; a
 literal past about 7.8e307 scales to an infinite log, which the
 constructor refuses.
 
-The writer gives each weight line ``repr``'s bytes, 2**16 values at a
-time (:func:`_repr_lines`). Where the long double is x87's, a value v
-with 1e-4 <= |v| < 1e16 (``repr``'s positional range) whose significand
-is not a power of two (a symmetric rounding interval) takes a fast path.
-Its decade e is np.log10's estimate; x = |v| * 10**k, k = 16 - e, is
-rounded once in x87 (error <= 2**-8), and h = ulp(v) / 2 * 10**k is
-exact. Where 1e16 <= x < 1e17 - 32 (else e was off), repr's digits are
-the multiple of the largest 10**j within h of |v| * 10**k that lies
-nearest it; j = 0 has one, as |rint(x) - x| <= 1/2 < 0.55 < h. Level j
-runs in int64 and float64 on the values that passed level j - 1. A
-distance within 2**-7 of h, or a tie within 2**-7, goes to ``repr``, as
-does every value off the path and every line where the long double is
-not x87's. About 1 % of a tmss body goes to ``repr``; a 200,000-line
-body takes 33 ms against 87 ms by ``repr`` (one core of 2 vCPUs).
+The writer gives each weight line ``repr``'s bytes, 2**15 values at a
+time (:func:`_repr_lines`), in float64 and int64 arithmetic alone. On a
+64-bit build (one rounding to binary64 per operation), a value v with
+1e-4 <= |v| < 1e16 (``repr``'s positional range) whose significand is
+not a power of two (a symmetric rounding interval) takes a fast path.
+Its decade e is np.log10's estimate, k = 16 - e, and x = |v| * 10**k is
+Dekker's product p + err, exact: 10**k and its Veltkamp split are exact
+table entries, and p >= 2**53 makes p an even integer and |err| <= 8, so
+x = xi + xf with int64 xi = p + rint(err) and |xf| <= 1/2.
+h = ulp(v) / 2 * 10**k is exact too. Where 1e16 <= xi < 1e17 - 32 (else
+e was off), repr's digits are the multiple of the largest 10**j within h
+of x that lies nearest it; j = 0 has one, as |xf| <= 1/2 < 0.55 < h. A
+multiple of 10**j within h gives one of 10**(j - 1), so levels 1 to 3
+run on whole blocks, in float64 from x less a multiple of 1000 (one
+rounding, below 2**-44), and level j > 3 in int64 on the values that
+passed level j - 1. A distance within 2**-30 of h, or a tie within
+2**-30, goes to ``repr`` (that near, only an exact boundary or tie,
+where repr's rounding rule decides), as does every value off the path
+and every line of a 32-bit build. Each line is laid out by (sign, decade, digits kept) in 40
+columns from a flat table, its digits ANDed in from an 8-byte word per
+4 digits, and the NUL columns are deleted with one ``bytes.translate``.
+No line of a tmss body goes to ``repr``; a 200,000-line body takes
+29 ms against 130 ms by ``repr`` (one core of 2 vCPUs).
 """
 
 from __future__ import annotations
@@ -85,10 +94,13 @@ _DIGITS = _BODY_BYTES[:-1]
 _X87 = np.finfo(np.longdouble).nmant == 63 and np.dtype(np.longdouble).itemsize == 16 and sys.byteorder == "little"
 _POW10 = np.cumprod(np.full(28, 10, dtype=np.longdouble)) / 10  # 10**k for k <= 27, each exact there
 _BLOCK = 1 << 18  # bytes of body per fixed-point parse, which bounds its temporaries
-_LINES_AT_ONCE = 1 << 16  # values per block of the writer, which bounds its temporaries
+_LINES_AT_ONCE = 1 << 15  # values per block of the writer, which bounds its temporaries
+#: a 64-bit build, whose float64 operations each round once to binary64, as Dekker's product needs
+_BINARY64 = sys.maxsize > 2**32
 _TEN = 10 ** np.arange(18, dtype=np.int64)
-_HALF_TEN = _POW10[:21].astype(float) / 2  # half of 10**k, exact
-_MARGIN = 2.0**-7  # twice the rounding error of x: a decision nearer than this goes to repr
+_TEN_F = np.array([float(10**k) for k in range(21)])  # 10**k, exact as 5**k < 2**53
+_HALF_TEN = _TEN_F / 2
+_MARGIN = 2.0**-30  # far above the error of the distances (2**-44): a decision nearer than this goes to repr
 
 
 def _log10_exact(ln_values):
@@ -127,44 +139,75 @@ def write_spectrum(s: SchmidtSpectrum, path) -> None:
     for key in META_KEYS:
         if key in meta:
             lines.append(f"#{key} {_fmt_meta(key, meta[key])}")
-    head = ("\n".join(lines) + "\n").encode("ascii")
+    body = _repr_lines(_log10_exact(s.log_weights))
     with open(path, "wb") as fh:
-        fh.write(head + _repr_lines(_log10_exact(s.log_weights)))
+        fh.write(("\n".join(lines) + "\n").encode("ascii"))
+        fh.write(body)
 
 
 @functools.cache
 def _line_tables():
-    """The fast path's tables, built at its first call: "0000" to "9999", 4 ASCII bytes in each uint32, and
-    lines by [negative, decade + 4, digits kept], 40 columns ``-0.000d.d. ... .d\\n`` (17 digits d, here
-    the mask 0xff) with NUL where dropped. A process that writes no file builds neither."""
-    quads = (np.arange(10**4)[:, None] // [1000, 100, 10, 1] % 10 + ord("0")).astype(np.uint8).view(np.uint32)
+    """The fast path's tables, built at its first call, as (digit words, lines). A digit word is 8 bytes:
+    "0000" to "9999" as ``d\\xffd\\xffd\\xffd\\xff``, then "0" to "9" as six ``\\xff`` and ``d\\xff`` for m's first
+    group, whose three zeros of padding fall on the line's ``-0.``. Lines are by (negative, decade + 4, digits
+    kept), one row each: 40 columns ``-0.000d.d. ... .d\\n`` (17 digits d, here 0xff) with NUL where dropped.
+    AND-ing a line's five 8-byte words with its digit words writes its digits. A process that writes no file
+    builds neither."""
+    digits = np.arange(10**4)[:, None] // [1000, 100, 10, 1] % 10 + ord("0")
+    words = np.full((10**4 + 10, 8), 0xFF, dtype=np.uint8)
+    words[:10**4, ::2] = digits
+    words[10**4:, 6] = digits[:10, 3]
     negative, e, kept, col = np.ix_(range(2), range(-4, 16), range(18), range(40))
     keep = ((col == 0) & (negative == 1) | (e < 0) & (col >= 1) & (col <= 1 - e) | (col == 39)
             | (col >= 6) & (col < 6 + 2 * kept) & (col % 2 == 0) | (e >= 0) & (col == 7 + 2 * e))
     line = np.frombuffer(b"-0.000" + b".".join([b"\xff"] * 17) + b"\n", dtype=np.uint8)
-    return quads.ravel(), np.where(keep, line, 0).astype(np.uint8)
+    return words.view(np.uint64).ravel(), np.where(keep, line, 0).astype(np.uint8).reshape(-1, 40)
 
 
 def _repr_lines(values) -> bytes:
     """``("\\n".join(map(repr, values.tolist())) + "\\n").encode()``, computed for all values at once (module docstring)."""
     values = np.ascontiguousarray(values, dtype=float)
-    if not _X87 or not values.size:
+    if not _BINARY64 or not values.size:
         return ("\n".join(map(repr, values.tolist())) + "\n").encode()
     return b"".join(_repr_block(values[i:i + _LINES_AT_ONCE]) for i in range(0, values.size, _LINES_AT_ONCE))
 
 
 def _repr_block(values):
     m, e, kept, fast = _shortest_digits(values)
-    quads, layouts = _line_tables()
-    groups = np.empty((values.size, 5), dtype=np.int64)  # m in 20 digits, 4 a column: "000" and its 17
-    for col in range(4, -1, -1):
-        m, groups[:, col] = np.divmod(m, 10**4)
-    lines = layouts[(values < 0).astype(np.intp), e + 4, kept]
-    lines[:, 6:39:2] &= quads[groups].view(np.uint8)[:, 3:]
+    words, layouts = _line_tables()
+    lines = np.take(layouts, ((values < 0) * 20 + e + 4) * 18 + kept, axis=0)
+    hi, lo = np.divmod(m, 10**8)  # m's 20 digits ("000" and its 17) in groups of 4; m < 2e17, so hi fits int32
+    hi, lo = hi.astype(np.int32), lo.astype(np.int32)
+    groups = np.empty((values.size, 5), dtype=np.int32)
+    np.divmod(lo, 10**4, out=(groups[:, 3], groups[:, 4]))
+    np.divmod(hi, 10**4, out=(lo, groups[:, 2]))
+    np.divmod(lo, 10**4, out=(groups[:, 0], groups[:, 1]))
+    groups[:, 0] += 10**4  # the first group's own words
+    cells = lines.view(np.uint64)
+    np.bitwise_and(cells, words[groups.astype(np.intp)], out=cells)  # an int32 index would be cast more slowly
     slow = np.flatnonzero(~fast)
     if slow.size:
         lines[slow, :39] = np.array(list(map(repr, values[slow].tolist())), dtype="S39").view(np.uint8).reshape(-1, 39)
     return lines.tobytes().translate(None, b"\0")
+
+
+def _split(x):
+    """Veltkamp's split: (hi, lo), each of at most 26 significant bits, with hi + lo == x exactly."""
+    c = x * 134217729.0  # 2**27 + 1
+    hi = c - (c - x)
+    return hi, x - hi
+
+
+_TEN_HI, _TEN_LO = _split(_TEN_F)
+
+
+def _times_ten(a, k):
+    """(p, err) with p = fl(a * 10**k) and p + err == a * 10**k exactly: Dekker's product, for k <= 20
+    and a whose products and splits neither overflow nor fall below the normal range."""
+    p = a * _TEN_F[k]
+    ah, al = _split(a)
+    hi, lo = _TEN_HI[k], _TEN_LO[k]
+    return p, ((ah * hi - p) + ah * lo + al * hi) + al * lo
 
 
 def _shortest_digits(values):
@@ -173,35 +216,43 @@ def _shortest_digits(values):
     a = np.abs(values)
     fast = (a >= 1e-4) & (a < 1e16) & (values.view(np.uint64) << 12 != 0)
     a[~fast] = 1.5
-    e = np.clip(np.floor(np.log10(a)), -4, 15).astype(np.int64)
-    x = a.astype(np.longdouble) * _POW10[16 - e]
-    fast &= (x >= 1e16) & (x < 1e17 - 32)
-    x[~fast] = 1.5e16
-    whole = np.rint(x)
-    xi = whole.astype(np.int64)
-    xf = (x - whole).astype(float)  # exact, and |xf| <= 1/2
-    h = np.spacing(a) * _HALF_TEN[16 - e]
-    level = np.zeros(values.size, dtype=np.int64)
-    live = np.arange(values.size)  # the values with a multiple of 10**(j - 1) within h
-    for j in range(1, 18):
-        r = xi[live] % _TEN[j]
-        near = np.minimum(np.abs(r + xf[live]), _TEN[j] - r - xf[live])  # exact where it is near h
-        inside = near < h[live] - _MARGIN
-        fast[live[~inside & (near <= h[live] + _MARGIN)]] = False
-        live = live[inside]
+    k = 16 - np.clip(np.floor(np.log10(a)), -4, 15).astype(np.intp)
+    p, err = _times_ten(a, k)  # p >= 2**53 where fast, so p is an even integer and |err| <= ulp(p) / 2 <= 8
+    whole = np.rint(err)
+    xi = p.astype(np.int64) + whole.astype(np.int64)
+    xf = err - whole  # exact, and x = xi + xf with |xf| <= 1/2
+    fast &= (xi >= 10**16) & (xi < 10**17 - 32)
+    h = np.spacing(a) * _HALF_TEN[k]
+    low, high = h - _MARGIN, h + _MARGIN
+    r = xi % 1000
+    y = r + xf  # x less the multiple of 1000 below xi, to 2**-44
+    level = np.zeros(values.size, dtype=np.intp)
+    for j in range(1, 4):  # a multiple of 10**j within h implies one of 10**(j - 1): no gather needed
+        near = np.abs(y - np.rint(y / _TEN_F[j]) * _TEN_F[j])
+        inside = near < low
+        fast &= inside | (near > high)
+        level += inside
+    step = _TEN_F[level]
+    nearest = np.rint(y / step) * step
+    near = np.abs(y - nearest)
+    fast &= (np.abs(near - step / 2) > _MARGIN) | (step - near > high)  # no tie of two inside
+    m = xi - r + nearest.astype(np.int64)
+    live = np.flatnonzero(inside)  # the values with a multiple of 10**(j - 1) within h
+    for j in range(4, 18):
         if not live.size:
             break
+        r = xi[live] % _TEN[j]
+        near = np.minimum(np.abs(r + xf[live]), _TEN[j] - r - xf[live])  # to 2**-49 where it is near h
+        inside = near < low[live]
+        fast[live[~inside & (near <= high[live])]] = False
+        live = live[inside]
         level[live] = j
-    p = _TEN[level]
-    r = xi % p
-    t = r + xf  # x's distance above the multiple xi - r
-    below = t < 0  # only where r == 0: the multiples next to x are xi - p and xi
-    t += below * p
-    up = t >= p / 2
-    fast &= (np.abs(t - p / 2) > _MARGIN) | (np.where(up, t, p - t) > h + _MARGIN)  # no tie of two inside
-    m = xi - r + (up.astype(np.int64) - below) * p
-    kept = np.where(e >= 0, np.maximum(17 - level, e + 2), 17 - level)
-    return m, e, kept, fast
+    deep = np.flatnonzero(level > 3)  # one multiple of 10**level lies within h < 12, the one nearest xi
+    if deep.size:
+        step = _TEN[level[deep]]
+        m[deep] = (xi[deep] + step // 2) // step * step
+    e = 16 - k
+    return m, e, np.maximum(17 - level, e + 2), fast  # repr keeps the units and a decimal (level <= 16 if fast)
 
 
 def _fmt_meta(key, value):

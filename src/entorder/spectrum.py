@@ -316,6 +316,10 @@ def vidal_conditions(s: SchmidtSpectrum) -> dict:
     }
 
 
+#: exp of anything below this is 0.0 (ln of half the smallest subnormal is about -745.13)
+_LOG_EXP_ZERO = -746.0
+
+
 def summary_stats(s: SchmidtSpectrum) -> dict:
     """Entropy (bits), Schmidt rank, and mean excitation number.
 
@@ -326,9 +330,12 @@ def summary_stats(s: SchmidtSpectrum) -> dict:
     the family metadata.
     """
     lw = s.log_weights
+    # numpy's pairwise sums over the prefix past which exp gives 0.0: np.dot would hand them to BLAS,
+    # whose sums split by its thread count
+    lw = lw[: lw.size - int(np.argmax(lw[::-1] > _LOG_EXP_ZERO))]
     p = np.exp(lw)
-    entropy_bits = float(-np.dot(p, lw) / LN2)
-    mean_exc = float(np.dot(np.arange(s.length, dtype=float), p))
+    entropy_bits = float(-np.sum(p * lw) / LN2)
+    mean_exc = float(np.sum(np.arange(lw.size, dtype=float) * p))
     if s.is_exact:
         rank = s.length
         exc_tail = 0.0

@@ -8,6 +8,7 @@ import sys
 import warnings
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import entorder as eo
@@ -458,6 +459,20 @@ class TestExitCodes:
             assert run(argv) == 2, argv
             assert "does not reproduce the stored tail" in capsys.readouterr().err
 
+    def test_exact_weights_with_family_metadata_are_bad_file(self, tmp_path, capsys):
+        # an exact spectrum's g reaches 0 at its end, which no closed form does: refused by name, with no
+        # NaN residual (the numpy fixture raises on an invalid division) and no warning
+        f = tmp_path / "exact.spec"
+        f.write_text("#schmidt-spectrum 1\n#family tmss\n#q 0.5\n"
+                     + "".join(f"{math.log10(w)!r}\n" for w in (0.5, 0.3, 0.2)))
+        for argv in (["validate", str(f)], ["info", str(f)]):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error", RuntimeWarning)
+                assert run(argv) == 2, argv
+            assert capsys.readouterr().err == (
+                "invalid input: the tmss metadata names a closed form, but the stored weights are exact: "
+                "their tail g reaches 0, which no closed form does\n")
+
     def test_weights_too_fine_for_floats_are_a_condition_of_the_curve(self, tmp_path, capsys):
         # at delta 1e-9 the sampled weights jitter: refused before the constructor, naming delta and n
         out = tmp_path / "x.spec"
@@ -704,6 +719,21 @@ class TestDeterminism:
         assert run(["gen", "psi", "--k", "1", "--n", "500", "-o", str(a)]) == 0
         assert run(["gen", "psi", "--k", "1", "--n", "500", "-o", str(b)]) == 0
         assert a.read_bytes() == b.read_bytes()
+
+    def test_info_does_not_depend_on_the_blas_thread_count(self, tmp_path):
+        # OpenBLAS splits a dot product of 10**5 terms across its threads, so its sums would move with them
+        path = tmp_path / "exact.spec"
+        weights = np.sort(np.random.default_rng(3).random(10**5) + 1e-3)[::-1]
+        eo.write_spectrum(eo.build_spectrum(weights / weights.sum()), path)
+        outputs = []
+        for threads in ("1", "2"):
+            env = {**os.environ, "PYTHONPATH": str(Path(eo.__file__).parents[1]),
+                   "OPENBLAS_NUM_THREADS": threads, "OMP_NUM_THREADS": threads}
+            proc = subprocess.run([sys.executable, "-m", "entorder", "info", str(path)], env=env,
+                                  capture_output=True, timeout=60)
+            assert proc.returncode == 0, proc.stderr
+            outputs.append(proc.stdout)
+        assert outputs[0] == outputs[1]
 
 
 def _stdout(capsys, argv):

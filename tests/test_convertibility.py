@@ -94,8 +94,8 @@ class TestExactPairsAgainstPaddedTails:
             assert rep.evidence == {"forward": "rank", "backward": "rank"}
             ga, gb = _padded_log_g(a, b)
             both = (ga > -np.inf) & (gb > -np.inf)
-            assert rep.log_epsilon_a_to_b.hex() == float(np.min(ga[both] - gb[both])).hex()
-            assert rep.log_epsilon_b_to_a.hex() == float(-np.max(ga[both] - gb[both])).hex()
+            assert rep.log_epsilon_a_to_b.hex() == (float(np.min(ga[both] - gb[both])) + 0.0).hex()
+            assert rep.log_epsilon_b_to_a.hex() == (float(np.min(gb[both] - ga[both])) + 0.0).hex()
             rank = (a.length > b.length) - (a.length < b.length)
             assert rep.verdict is {0: Verdict.TwoWay, 1: Verdict.OneWayAtoB, -1: Verdict.OneWayBtoA}[rank]
             assert rep.trend_forward is None and rep.trend_reverse is None and rep.witnesses is None
@@ -103,9 +103,9 @@ class TestExactPairsAgainstPaddedTails:
             assert eo.slocc_decide(a, b, window=(0, 1)).to_dict() == rep.to_dict()
             rev = eo.slocc_decide(b, a)
             assert rev.verdict is {0: Verdict.TwoWay, 1: Verdict.OneWayBtoA, -1: Verdict.OneWayAtoB}[rank]
-            # bit for bit but for the sign of a zero, which -max and min give differently and the report drops
-            assert (rev.log_epsilon_a_to_b + 0.0).hex() == (rep.log_epsilon_b_to_a + 0.0).hex()
-            assert (rev.log_epsilon_b_to_a + 0.0).hex() == (rep.log_epsilon_a_to_b + 0.0).hex()
+            # the swap mirrors the epsilons bit for bit, the sign of a zero included
+            assert rev.log_epsilon_a_to_b.hex() == rep.log_epsilon_b_to_a.hex()
+            assert rev.log_epsilon_b_to_a.hex() == rep.log_epsilon_a_to_b.hex()
             seen.add((want_locc, 0.0 < want_p < 1.0, want_p == 0.0, (a.length > b.length) - (a.length < b.length)))
         # every outcome of both comparisons, under every rank order
         assert {(locc, rank) for locc, _, _, rank in seen} == {(t, r) for t in (True, False) for r in (-1, 0, 1)} - {(True, -1)}

@@ -2,6 +2,7 @@ import decimal
 import math
 import re
 from decimal import Decimal
+from fractions import Fraction
 from unittest import mock
 
 import numpy as np
@@ -607,20 +608,23 @@ WHOLE = [-9571.0, 1.0, -3.0, 10.0, 1e15 + 1, -123456789.0, 9999999999999998.0, -
 SHORT = [round(x, d) for x in (-88738.36257407, 0.19382003, -1234.5678901234567, 7.77e-4) for d in range(12)]
 
 
-def _check_repr_lines(values, x87):
-    """_repr_lines gives the repr join byte for byte, by its fast path or (x87 False) by repr alone."""
+def _check_repr_lines(values, path):
+    """_repr_lines gives the repr join byte for byte, by its fast path or (binary64 False) by repr alone."""
     values = np.array(values, dtype=float)
     expected = ("\n".join(map(repr, values.tolist())) + "\n").encode()
-    if x87:
+    if path == "fast":
         assert fileio._repr_lines(values) == expected
         return
-    with mock.patch.object(fileio, "_X87", False), \
+    with mock.patch.object(fileio, "_BINARY64", False), \
             mock.patch.object(fileio, "_repr_block", side_effect=AssertionError("the fast path ran")):
         assert fileio._repr_lines(values) == expected
 
 
+SUBNORMALS = [sign * v for v in (5e-324, 2.5e-320, 2.2250738585072004e-308) for sign in (1.0, -1.0)]
+
+
 class TestReprLines:
-    @pytest.mark.parametrize("x87", [True, False], ids=["native", "no_x87"])
+    @pytest.mark.parametrize("path", ["fast", "repr_only"])
     @given(st.lists(st.floats(allow_nan=False, allow_infinity=False), max_size=40))
     @example(RANGE_EDGES)
     @example(DECADE_EDGES)
@@ -628,31 +632,88 @@ class TestReprLines:
     @example(SPECIAL)
     @example(WHOLE)
     @example(SHORT)
-    def test_equals_repr_join_on_floats(self, x87, values):
-        _check_repr_lines(values, x87)
+    @example(SUBNORMALS)
+    def test_equals_repr_join_on_floats(self, path, values):
+        _check_repr_lines(values, path)
 
-    @pytest.mark.parametrize("x87", [True, False], ids=["native", "no_x87"])
+    @pytest.mark.parametrize("path", ["fast", "repr_only"])
     @given(st.lists(st.integers(0, 2**64 - 1), max_size=40))
     @example([0x3FF0000000000001, 0xBFF0000000000001, 0x7FF8000000000001, 0xFFF0000000000000, 0x0000000000000001])
-    def test_equals_repr_join_on_bit_patterns(self, x87, bits):
-        _check_repr_lines(np.array(bits, dtype=np.uint64).view(float), x87)
+    def test_equals_repr_join_on_bit_patterns(self, path, bits):
+        _check_repr_lines(np.array(bits, dtype=np.uint64).view(float), path)
 
-    @pytest.mark.parametrize("x87", [True, False], ids=["native", "no_x87"])
-    def test_every_decade_and_sign_in_blocks(self, monkeypatch, x87):
+    @pytest.mark.parametrize("path", ["fast", "repr_only"])
+    def test_every_decade_and_sign_in_blocks(self, monkeypatch, path):
         rng = np.random.default_rng(17)
         values = 10 ** rng.uniform(-4.5, 16.5, 20000) * rng.choice([-1.0, 1.0], 20000)
         short = values[::7].tolist()  # made short decimals, which keep few digits
         values[::7] = [round(v, d) for v, d in zip(short, rng.integers(0, 12, len(short)).tolist())]
         monkeypatch.setattr(fileio, "_LINES_AT_ONCE", 4099)
-        _check_repr_lines(values, x87)
+        _check_repr_lines(values, path)
 
-    @pytest.mark.skipif(not fileio._X87, reason="the fast path needs an x87 long double")
+    @given(st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=40))
+    @example([0x7FF8000000000001, 0xFFF0000000000000, 0x0000000000000001, 0x800FFFFFFFFFFFFF])
+    def test_lines_off_the_fast_path_go_to_repr_in_blocks(self, bits):
+        # NaN and infinity patterns, subnormals and power-of-two significands (an asymmetric rounding
+        # interval) reach the per-line repr inside a block, between lines of the fast path
+        bits = np.array(bits, dtype=np.uint64)
+        off = bits.view(float)[(bits << 12 == 0) | (bits & 0x7FF0000000000000 == 0) | (bits >> 52 & 0x7FF == 0x7FF)]
+        off = np.concatenate([off, SUBNORMALS, POWERS_OF_TWO, [1e-5, 1e16, 1e300]])
+        assert not fileio._shortest_digits(off.copy())[3].any()
+        values = np.ravel(np.column_stack([off, np.full(off.size, -0.1249387366082999)]))
+        assert fileio._shortest_digits(values.copy())[3].sum() == off.size
+        _check_repr_lines(values, "fast")
+
+    def test_does_not_read_the_reader_x87_flag(self, monkeypatch):
+        # the writer's arithmetic is float64 throughout: it takes its fast path where the long double is not x87's
+        values = _log10_exact(eo.tmss(0.6, 3000).log_weights)
+        monkeypatch.setattr(fileio, "_X87", False)
+        with mock.patch.object(fileio, "_repr_block", wraps=fileio._repr_block) as block:
+            _check_repr_lines(values, "fast")
+        assert block.called
+
     def test_few_tmss_lines_go_to_repr(self):
-        # the fast path is what makes the writer fast: a change that sends every line to repr fails here
+        # the fast path is what makes the writer fast: a change that sends lines to repr fails here
         values = _log10_exact(eo.tmss(0.6, 200000).log_weights)
         slow = ~fileio._shortest_digits(values)[3]
-        assert slow.mean() < 0.05
-        _check_repr_lines(values, True)
+        assert slow.mean() < 0.001
+        _check_repr_lines(values, "fast")
+
+
+class TestTimesTen:
+    """Dekker's product in the writer: p + err == a * 10**k exactly (checked in Fraction)."""
+
+    @staticmethod
+    def _check(a, k):
+        a = np.atleast_1d(np.asarray(a, dtype=float))
+        k = np.broadcast_to(np.asarray(k, dtype=np.intp), a.shape)
+        p, err = fileio._times_ten(a, k)
+        for ai, ki, pi, ei in zip(a.tolist(), k.tolist(), p.tolist(), err.tolist()):
+            assert Fraction(pi) + Fraction(ei) == Fraction(ai) * 10**ki
+            assert pi == ai * float(10**ki)  # p is the rounded product
+            if 2.0**53 <= pi < 2.0**57:  # where the fast path reads it
+                assert pi % 2 == 0 and abs(ei) <= 8
+
+    @given(st.floats(1e-4, 1e16, exclude_max=True), st.integers(1, 20))
+    def test_exact_on_the_fast_path_range(self, a, k):
+        self._check(a, k)
+
+    @given(st.floats(1e-4, 1e16, exclude_max=True))
+    def test_exact_at_the_decade_the_writer_picks(self, a):
+        self._check(a, 16 - min(max(math.floor(math.log10(a)), -4), 15))
+
+    @pytest.mark.parametrize("e", range(-4, 16))
+    def test_exact_at_powers_of_ten_and_decade_edges(self, e):
+        edges = np.abs(_ulp_steps(float(f"1e{e}"), range(-3, 4)))
+        for k in {16 - e, 15 - e, 17 - e} & set(range(1, 21)):
+            self._check(edges, k)
+
+    def test_tables_split_powers_of_ten_exactly(self):
+        assert [int(t) for t in fileio._TEN_F] == [10**k for k in range(21)]
+        assert [int(h) + int(lo) for h, lo in zip(fileio._TEN_HI, fileio._TEN_LO)] == [10**k for k in range(21)]
+        for half in (*fileio._TEN_HI, *fileio._TEN_LO):  # at most 26 significant bits each
+            mantissa, _ = math.frexp(abs(half))
+            assert (mantissa * 2**26).is_integer()
 
 
 class TestCanonicalJson:
