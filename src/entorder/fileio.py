@@ -68,7 +68,8 @@ and every line of a 32-bit build. Each line is laid out by (sign, decade, digits
 columns from a flat table, its digits ANDed in from an 8-byte word per
 4 digits, and the NUL columns are deleted with one ``bytes.translate``.
 No line of a tmss body goes to ``repr``; a 200,000-line body takes
-29 ms against 130 ms by ``repr`` (one core of 2 vCPUs).
+26-28 ms against 122-135 ms by ``repr`` (in-process medians of 9, one
+core of 2 vCPUs).
 """
 
 from __future__ import annotations
